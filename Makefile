@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet test race bench bench-alloc bench-cluster advisorbench repro cover fuzz chaos clustertest netchaos reapstress tenantstress clean
+.PHONY: all build vet test race bench benchmark benchmark-compare bench-alloc bench-cluster advisorbench repro cover fuzz chaos clustertest netchaos reapstress tenantstress clean
 
 all: build vet test
 
@@ -21,6 +21,16 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# THE benchmark (benchmark/README.md): four workloads through real
+# sockets, every metric by name; the exit code gates correctness and
+# the failed share. `make benchmark-compare A=old.json B=new.json`
+# judges one result file against another, bound by bound.
+benchmark:
+	$(GO) run ./benchmark -out BENCHMARK_result.json
+
+benchmark-compare:
+	$(GO) run ./benchmark compare $(A) $(B)
 
 # The /alloc fast-path acceptance run: baseline (fsync per record, no
 # candidate cache) vs fast (group commit + cache) at 32 clients,

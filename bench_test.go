@@ -304,9 +304,9 @@ func BenchmarkServerAlloc(b *testing.B) {
 
 // benchClients is the concurrency the journal benchmarks model: the
 // PR-4 acceptance criterion is measured at 32 concurrent clients,
-// where group commit amortizes its linger across a full batch. (At 1
-// client the linger is pure overhead — group commit trades a little
-// latency for a lot of throughput.)
+// where every fsync carries the records that arrived during the one
+// before it. (At 1 client group commit is one fsync per record, the
+// same as -sync.)
 const benchClients = 32
 
 // benchServerAllocConfig runs the BenchmarkServerAlloc loop against a

@@ -31,6 +31,8 @@ func TestServeFlagValidation(t *testing.T) {
 		{"negative-queue-timeout", []string{"serve", "-queue-depth", "4", "-queue-timeout", "-1s"}, "negative"},
 		{"headroom-out-of-range", []string{"serve", "-shed", "0.8", "-guaranteed-headroom", "1.5"}, "-guaranteed-headroom"},
 		{"headroom-without-watermark", []string{"serve", "-shed", "0", "-guaranteed-headroom", "0.2"}, "-shed"},
+		// Batches form on the in-flight fsync; there is no wait to set.
+		{"group-commit-linger-is-gone", []string{"serve", "-group-commit-linger", "1ms"}, "not defined"},
 	} {
 		err := run(tc.args, io.Discard)
 		if err == nil {
@@ -49,6 +51,7 @@ func TestServeFlagValidation(t *testing.T) {
 		{DefaultLeaseTTL: 30 * time.Second, ReapInterval: 5 * time.Second},
 		{JournalPath: "wal", CheckpointEvery: time.Minute, CheckpointMaxWAL: 1 << 20},
 		{JournalPath: "wal", SyncEveryAppend: true, CheckpointMaxWAL: 8 << 10},
+		{JournalPath: "wal", GroupCommit: true, GroupCommitBatch: 16},
 		{ShedWatermark: 0.7, GuaranteedHeadroom: 0.25, QueueDepth: 32, QueueTimeout: time.Second},
 		{ShedWatermark: 0.9, QueueDepth: 8},
 	} {

@@ -153,7 +153,6 @@ func runServe(args []string, out io.Writer) error {
 		syncEvery  = fs.Bool("journal-sync", false, "fsync the journal after every record")
 		groupC     = fs.Bool("group-commit", false, "coalesce concurrent journal appends into one fsync (needs -journal)")
 		groupBatch = fs.Int("group-commit-batch", 0, "max records per coalesced fsync (0: 64)")
-		groupWait  = fs.Duration("group-commit-linger", 0, "how long the batch leader waits for followers (0: 1ms, max 10ms)")
 		noCache    = fs.Bool("no-candidate-cache", false, "disable the ranked-candidate cache (re-rank every placement)")
 		legacyEnc  = fs.Bool("legacy-encoding", false, "encode hot-path responses with encoding/json instead of the zero-allocation encoders (A/B benchmarking)")
 		replayW    = fs.Int("replay-workers", 0, "journal-replay parallelism on startup (0: GOMAXPROCS, 1: sequential)")
@@ -182,7 +181,6 @@ func runServe(args []string, out io.Writer) error {
 		SyncEveryAppend:       *syncEvery,
 		GroupCommit:           *groupC,
 		GroupCommitBatch:      *groupBatch,
-		GroupCommitLinger:     *groupWait,
 		DisableCandidateCache: *noCache,
 		LegacyEncoding:        *legacyEnc,
 		ReplayWorkers:         *replayW,

@@ -3,74 +3,64 @@ package journal
 // Group commit: concurrent durable appends coalesce into one
 // write+fsync. N racing /alloc requests each need their record on
 // stable storage before the daemon may answer; paying N fsyncs
-// serializes the hot path on the disk. Instead, the first arrival
-// becomes the batch leader, lingers briefly so followers can pile in
-// (bounded by the batch size), then writes every pending frame in a
-// single contiguous write and fsyncs once. All waiters share the
-// outcome.
+// serializes the hot path on the disk. Batches form on the in-flight
+// fsync, not on a clock: a flush holds the store's append lock across
+// its write+fsync, the next arrival becomes the next batch leader and
+// waits for that lock, and everything that enqueues meanwhile rides the
+// leader's flush. A lone writer pays one fsync and no wait; batch size
+// grows with concurrency and with disk latency on its own, so there is
+// no wait to tune. All waiters of a batch share the outcome.
 //
 // The WAL invariants survive unchanged: frames from one flush are one
 // contiguous write, a failed write is rolled back to the last whole
 // frame exactly like Append, and a torn tail is still truncated on
 // replay. Journal-before-visible holds because AppendDurable returns
-// only after the shared fsync.
+// only after the shared fsync. Lock order is s.mu then gc.mu, never the
+// reverse (Checkpoint and AppendBatch take s.mu).
 
 import (
 	"sync"
 	"time"
 )
 
-// Group-commit tuning bounds. Lingers outside (0, maxLinger] and batch
-// sizes < 1 are clamped, so a misconfigured daemon degrades to
-// per-record commits instead of stalling.
-const (
-	DefaultGroupBatch  = 64
-	DefaultGroupLinger = time.Millisecond
-	maxGroupLinger     = 10 * time.Millisecond
-)
+// DefaultGroupBatch bounds the records of one flush; batch sizes < 1
+// are clamped to it.
+const DefaultGroupBatch = 64
 
 // gcWaiter is one enqueued record waiting for the shared flush.
 type gcWaiter struct {
 	frame    []byte
 	appended bool
 	err      error
-	done     chan struct{}
+	// wake receives true once the record's flush is over, or false
+	// first when the batch cap left this waiter at the head of the
+	// queue and it must lead the next round. Each is sent at most once
+	// and the false is consumed before the true, so one slot suffices.
+	wake chan bool
 }
 
 // groupCommit is the leader/follower batcher attached to a Store.
 type groupCommit struct {
 	maxBatch int
-	linger   time.Duration
 	onFlush  func(batched int) // observability hook (metrics histogram)
 
 	mu      sync.Mutex
 	pending []*gcWaiter
-	leader  bool
-	full    chan struct{} // kicked when pending reaches maxBatch
+	leader  bool // someone is about to claim pending
 }
 
-// EnableGroupCommit turns on group commit for AppendDurable: up to
-// maxBatch records (default 64) are coalesced per fsync, with the
-// leader lingering up to linger (default 1ms, capped at 10ms) for
-// followers. onFlush, if non-nil, observes every flush's batch size.
-// Call before serving traffic; not safe to toggle concurrently with
-// appends.
-func (s *Store) EnableGroupCommit(maxBatch int, linger time.Duration, onFlush func(batched int)) {
+// EnableGroupCommit turns on group commit for AppendDurable: records
+// arriving while a flush is in flight share the next one, up to
+// maxBatch (default 64) per fsync. onFlush, if non-nil, observes every
+// flush's batch size. Call before serving traffic; not safe to toggle
+// concurrently with appends.
+//
+// The duration was the linger and is unused; benchmark/probes.go, frozen for this change, still passes one.
+func (s *Store) EnableGroupCommit(maxBatch int, _ time.Duration, onFlush func(batched int)) {
 	if maxBatch < 1 {
 		maxBatch = DefaultGroupBatch
 	}
-	if linger <= 0 {
-		linger = DefaultGroupLinger
-	}
-	if linger > maxGroupLinger {
-		linger = maxGroupLinger
-	}
-	s.gc = &groupCommit{
-		maxBatch: maxBatch,
-		linger:   linger,
-		onFlush:  onFlush,
-		full:     make(chan struct{}, 1),
-	}
+	s.gc = &groupCommit{maxBatch: maxBatch, onFlush: onFlush}
 }
 
 // GroupCommitEnabled reports whether AppendDurable coalesces fsyncs.
@@ -101,68 +91,57 @@ func (s *Store) AppendDurable(r Record) (appended bool, err error) {
 	}
 
 	// The waiter's frame aliases this goroutine's pooled buffer; the
-	// leader is done reading it before it closes w.done, so returning
+	// leader is done reading it before it signals w.wake, so returning
 	// the buffer to the pool after the wait is safe.
-	w := &gcWaiter{frame: frame, done: make(chan struct{})}
+	w := &gcWaiter{frame: frame, wake: make(chan bool, 1)}
 	gc.mu.Lock()
 	gc.pending = append(gc.pending, w)
-	if !gc.leader {
-		gc.leader = true
-		gc.mu.Unlock()
+	lead := !gc.leader
+	gc.leader = true
+	gc.mu.Unlock()
+	if lead {
 		s.lead(gc)
-	} else {
-		if len(gc.pending) >= gc.maxBatch {
-			select {
-			case gc.full <- struct{}{}:
-			default:
-			}
-		}
-		gc.mu.Unlock()
 	}
-	<-w.done
+	for !<-w.wake {
+		s.lead(gc)
+	}
 	return w.appended, w.err
 }
 
-// lead runs one group-commit round: linger (unless the batch is
-// already full), claim the pending batch, flush it, wake everyone.
+// lead runs one group-commit round: wait out the flush in flight (it
+// holds s.mu), claim what piled up behind it, flush, wake everyone.
 func (s *Store) lead(gc *groupCommit) {
-	gc.mu.Lock()
-	full := len(gc.pending) >= gc.maxBatch
-	gc.mu.Unlock()
-	if !full {
-		t := time.NewTimer(gc.linger)
-		select {
-		case <-t.C:
-		case <-gc.full:
-			t.Stop()
-		}
-	}
-
+	s.mu.Lock()
 	gc.mu.Lock()
 	batch := gc.pending
-	gc.pending = nil
-	gc.leader = false
-	select { // drop a stale full-kick meant for this round
-	case <-gc.full:
-	default:
+	if len(batch) > gc.maxBatch {
+		// The cap leaves records behind: their head leads the next
+		// round now, without waiting for a new arrival to elect itself
+		// (the send cannot block, see gcWaiter.wake).
+		batch, gc.pending = batch[:gc.maxBatch:gc.maxBatch], batch[gc.maxBatch:]
+		gc.pending[0].wake <- false
+	} else {
+		gc.pending, gc.leader = nil, false
 	}
 	gc.mu.Unlock()
 
 	bp := getFrameBuf()
-	defer putFrameBuf(bp)
 	buf := *bp
 	for _, w := range batch {
 		buf = append(buf, w.frame...)
 	}
 	*bp = buf[:0]
-	_, err := s.writeBuf(buf, true)
+	_, err := s.writeLocked(buf, true)
+	s.mu.Unlock()
+	putFrameBuf(bp)
+
 	if gc.onFlush != nil {
 		gc.onFlush(len(batch))
 	}
 	appended := err == nil || s.frameInFile(err)
 	for _, w := range batch {
 		w.appended, w.err = appended, err
-		close(w.done)
+		w.wake <- true
 	}
 }
 

@@ -3,8 +3,16 @@ package journal_test
 import (
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,71 +20,212 @@ import (
 	"hetmem/internal/journal"
 )
 
-// TestGroupCommitCoalesces: many concurrent AppendDurable calls must
-// land in far fewer flushes than records, every record must replay,
-// and the onFlush batch sizes must account for every record exactly
-// once.
-func TestGroupCommitCoalesces(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "wal")
-	s, _, err := journal.OpenStore(base, nil)
+// gateFS counts WAL writes and fsyncs and parks every Sync on a
+// channel, so a test decides which appends pile up behind which flush.
+type gateFS struct {
+	faults.FS
+	entered chan struct{} // one token per Sync that reached the disk
+	release chan struct{} // one token (or close) lets a parked Sync return
+	writes  atomic.Int32
+	syncs   atomic.Int32
+}
+
+func newGateFS(inner faults.FS) *gateFS {
+	// entered is sized past any test's flush count so Sync never blocks
+	// on a test that stopped listening.
+	return &gateFS{FS: inner, entered: make(chan struct{}, 256), release: make(chan struct{})}
+}
+
+func (g *gateFS) OpenFile(name string, flag int, perm os.FileMode) (faults.File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &gateFile{File: f, g: g}, nil
+}
+
+type gateFile struct {
+	faults.File
+	g *gateFS
+}
+
+func (f *gateFile) Write(p []byte) (int, error) {
+	f.g.writes.Add(1)
+	return f.File.Write(p)
+}
+
+func (f *gateFile) Sync() error {
+	f.g.syncs.Add(1)
+	f.g.entered <- struct{}{}
+	<-f.g.release
+	return f.File.Sync()
+}
+
+// gcResult is one AppendDurable outcome.
+type gcResult struct {
+	appended bool
+	err      error
+}
+
+// parkedRun is a group-commit store whose first flush (lease 1) is
+// parked in Sync with k more appends (leases 2..k+1, enqueued in that
+// order) pending behind it.
+type parkedRun struct {
+	s       *journal.Store
+	g       *gateFS
+	base    string
+	results []gcResult // by lease-1, valid after wg.Wait
+	wg      sync.WaitGroup
+
+	mu    sync.Mutex
+	sizes []int // onFlush observations, in flush order
+}
+
+func startParked(t *testing.T, inner faults.FS, maxBatch, k int) *parkedRun {
+	t.Helper()
+	r := &parkedRun{g: newGateFS(inner), base: filepath.Join(t.TempDir(), "wal"), results: make([]gcResult, k+1)}
+	s, _, err := journal.OpenStore(r.base, r.g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var flushes, batched int
-	s.EnableGroupCommit(journal.DefaultGroupBatch, journal.DefaultGroupLinger, func(n int) {
-		mu.Lock()
-		flushes++
-		batched += n
-		mu.Unlock()
+	r.s = s
+	r.g.writes.Store(0) // the magic
+	s.EnableGroupCommit(maxBatch, 0, func(n int) {
+		r.mu.Lock()
+		r.sizes = append(r.sizes, n)
+		r.mu.Unlock()
 	})
-
-	const writers = 64
-	var wg sync.WaitGroup
-	errs := make([]error, writers)
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			appended, err := s.AppendDurable(allocRec(uint64(i+1), 4096))
-			if err != nil {
-				errs[i] = err
-			} else if !appended {
-				errs[i] = errors.New("appended=false without error")
-			}
-		}(i)
+	appendOne := func(lease int) {
+		r.wg.Add(1)
+		go func() {
+			defer r.wg.Done()
+			appended, err := s.AppendDurable(allocRec(uint64(lease), 4096))
+			r.results[lease-1] = gcResult{appended, err}
+		}()
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("writer %d: %v", i, err)
+	appendOne(1)
+	<-r.g.entered
+	for i := 1; i <= k; i++ {
+		appendOne(i + 1)
+		for deadline := time.Now().Add(10 * time.Second); s.GroupPending() < i; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("append %d never enqueued behind the parked flush", i+1)
+			}
 		}
 	}
-	if err := s.Close(); err != nil {
+	return r
+}
+
+// finish opens the gate for good, waits for every append, closes the
+// store and returns what a reopen replays.
+func (r *parkedRun) finish(t *testing.T) []journal.Record {
+	t.Helper()
+	close(r.g.release)
+	r.wg.Wait()
+	if err := r.s.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	if batched != writers {
-		t.Fatalf("onFlush accounted %d records, want %d", batched, writers)
-	}
-	if flushes >= writers {
-		t.Fatalf("%d flushes for %d records: nothing coalesced", flushes, writers)
-	}
-	t.Logf("%d records in %d flushes", writers, flushes)
-
-	_, res, err := journal.OpenStore(base, nil)
+	_, res, err := journal.OpenStore(r.base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Records) != writers {
-		t.Fatalf("replayed %d records, want %d", len(res.Records), writers)
+	return res.Records
+}
+
+func wantLeases(t *testing.T, recs []journal.Record, want ...uint64) {
+	t.Helper()
+	got := make([]uint64, len(recs))
+	for i, r := range recs {
+		got[i] = r.Lease
 	}
-	seen := map[uint64]bool{}
-	for _, r := range res.Records {
-		if seen[r.Lease] {
-			t.Fatalf("lease %d replayed twice", r.Lease)
+	if !slices.Equal(got, want) {
+		t.Fatalf("replayed leases %v, want %v", got, want)
+	}
+}
+
+func seq(from, to uint64) []uint64 {
+	var out []uint64
+	for i := from; i <= to; i++ {
+		out = append(out, i)
+	}
+	return out
+}
+
+// TestGroupCommitCoalesces: everything that arrives while a flush's
+// fsync is in flight rides the next flush — one more write, one more
+// fsync, however many records — and replays in arrival order.
+func TestGroupCommitCoalesces(t *testing.T) {
+	const k = 16
+	r := startParked(t, faults.OS, journal.DefaultGroupBatch, k)
+	r.g.release <- struct{}{} // flush 1 returns
+	<-r.g.entered             // flush 2 parked: it must already hold all k
+	if n := r.s.GroupPending(); n != 0 {
+		t.Fatalf("%d records still pending while flush 2 is in flight", n)
+	}
+	recs := r.finish(t)
+	if !slices.Equal(r.sizes, []int{1, k}) {
+		t.Fatalf("flush sizes %v, want [1 %d]", r.sizes, k)
+	}
+	// Close syncs once more; the appends cost two writes and two fsyncs.
+	if w, s := r.g.writes.Load(), r.g.syncs.Load(); w != 2 || s != 3 {
+		t.Fatalf("%d writes, %d fsyncs (incl. Close) for %d records, want 2 and 3", w, s, k+1)
+	}
+	for i, res := range r.results {
+		if !res.appended || res.err != nil {
+			t.Fatalf("lease %d: appended=%v err=%v", i+1, res.appended, res.err)
 		}
-		seen[r.Lease] = true
+	}
+	wantLeases(t, recs, seq(1, k+1)...)
+}
+
+// TestGroupCommitBatchCapDrains: records the cap leaves behind are
+// flushed by follow-up rounds that start on their own — no new arrival
+// is needed to elect a leader.
+func TestGroupCommitBatchCapDrains(t *testing.T) {
+	r := startParked(t, faults.OS, 4, 10)
+	recs := r.finish(t) // nothing arrives after the gate opens
+	if !slices.Equal(r.sizes, []int{1, 4, 4, 2}) {
+		t.Fatalf("flush sizes %v, want [1 4 4 2]", r.sizes)
+	}
+	wantLeases(t, recs, seq(1, 11)...)
+}
+
+// TestGroupCommitLoneWriter: a single writer pays exactly one fsync per
+// append, and no non-test code of the package can wait on a clock.
+func TestGroupCommitLoneWriter(t *testing.T) {
+	r := startParked(t, faults.OS, 0, 0)
+	close(r.g.release)
+	r.wg.Wait()
+	const n = 20
+	for i := 2; i <= n; i++ {
+		if appended, err := r.s.AppendDurable(allocRec(uint64(i), 4096)); !appended || err != nil {
+			t.Fatalf("append %d: appended=%v err=%v", i, appended, err)
+		}
+	}
+	if w, s := r.g.writes.Load(), r.g.syncs.Load(); w != n || s != n {
+		t.Fatalf("%d writes, %d fsyncs for %d lone appends, want %d each", w, s, n, n)
+	}
+	for _, size := range r.sizes {
+		if size != 1 {
+			t.Fatalf("flush sizes %v, want all 1", r.sizes)
+		}
+	}
+
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		ast.Inspect(pkg, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if id, ok := sel.X.(*ast.Ident); ok && id.Name == "time" && sel.Sel.Name != "Duration" {
+					t.Errorf("package journal uses time.%s: group commit must not wait on a clock", sel.Sel.Name)
+				}
+			}
+			return true
+		})
 	}
 }
 
@@ -84,61 +233,42 @@ func TestGroupCommitCoalesces(t *testing.T) {
 // waiter in the batch must see appended=true (the records are in the
 // file and will replay) plus the sync error.
 func TestGroupCommitSyncFailure(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "wal")
 	ffs := faults.NewFaultFS(faults.OS, 1)
-	s, _, err := journal.OpenStore(base, ffs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.EnableGroupCommit(8, time.Millisecond, nil)
+	r := startParked(t, ffs, 8, 3)
+	r.g.release <- struct{}{}
+	<-r.g.entered // the batch of 3 is written; fail its fsync only
 	ffs.FailSyncs(1)
-
-	appended, err := s.AppendDurable(allocRec(1, 4096))
-	if !errors.Is(err, faults.ErrInjectedSync) {
-		t.Fatalf("err = %v, want injected sync failure", err)
+	recs := r.finish(t)
+	if res := r.results[0]; !res.appended || res.err != nil {
+		t.Fatalf("flush 1 shares nothing with the failed batch: appended=%v err=%v", res.appended, res.err)
 	}
-	if !appended {
-		t.Fatalf("appended=false after a sync-only failure: the record IS in the file")
+	for i, res := range r.results[1:] {
+		if !errors.Is(res.err, faults.ErrInjectedSync) {
+			t.Fatalf("waiter %d: err = %v, want injected sync failure", i, res.err)
+		}
+		if !res.appended {
+			t.Fatalf("waiter %d: appended=false after a sync-only failure: the record IS in the file", i)
+		}
 	}
-	s.Close()
-
-	_, res, err := journal.OpenStore(base, faults.OS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Records) != 1 || res.Records[0].Lease != 1 {
-		t.Fatalf("the sync-failed record must replay, got %v", res.Records)
-	}
+	wantLeases(t, recs, 1, 2, 3, 4)
 }
 
 // TestGroupCommitWriteFailure: a failed write must roll the whole
 // batch back — appended=false for every waiter and nothing replays.
 func TestGroupCommitWriteFailure(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "wal")
 	ffs := faults.NewFaultFS(faults.OS, 1)
-	s, _, err := journal.OpenStore(base, ffs)
-	if err != nil {
-		t.Fatal(err)
+	r := startParked(t, ffs, 8, 3)
+	ffs.FailWrites(1) // flush 1 is already written; the batch's write fails
+	recs := r.finish(t)
+	for i, res := range r.results[1:] {
+		if res.err == nil {
+			t.Fatalf("waiter %d: write failure must surface an error", i)
+		}
+		if res.appended {
+			t.Fatalf("waiter %d: appended=true after a failed write: the record is NOT in the file", i)
+		}
 	}
-	s.EnableGroupCommit(8, time.Millisecond, nil)
-	ffs.FailWrites(1)
-
-	appended, err := s.AppendDurable(allocRec(1, 4096))
-	if err == nil {
-		t.Fatalf("write failure must surface an error")
-	}
-	if appended {
-		t.Fatalf("appended=true after a failed write: the record is NOT in the file")
-	}
-	s.Close()
-
-	_, res, err := journal.OpenStore(base, faults.OS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Records) != 0 {
-		t.Fatalf("rolled-back batch replayed %d records", len(res.Records))
-	}
+	wantLeases(t, recs, 1)
 }
 
 // TestGroupCommitInterleavesWithCheckpoint: durable appends racing a
@@ -149,7 +279,7 @@ func TestGroupCommitInterleavesWithCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.EnableGroupCommit(journal.DefaultGroupBatch, 100*time.Microsecond, nil)
+	s.EnableGroupCommit(journal.DefaultGroupBatch, 0, nil)
 
 	const writers, perWriter = 8, 20
 	var wg sync.WaitGroup

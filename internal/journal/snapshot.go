@@ -39,6 +39,7 @@ import (
 	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"hetmem/internal/faults"
 )
@@ -86,12 +87,15 @@ type Store struct {
 	// gc, when set, coalesces AppendDurable fsyncs (see groupcommit.go).
 	gc *groupCommit
 
-	mu       sync.Mutex
-	f        faults.File
-	seq      uint64 // snapshot sequence the live WAL is anchored to
-	ckptSeq  uint64 // sequence of the snapshot currently at .ckpt
-	walBytes int64
-	closed   bool
+	mu      sync.Mutex
+	f       faults.File
+	seq     uint64 // snapshot sequence the live WAL is anchored to
+	ckptSeq uint64 // sequence of the snapshot currently at .ckpt
+	closed  bool
+	// walBytes is written under mu; WALBytes reads it without, so a
+	// request whose record is already durable never waits out the next
+	// batch's fsync just to check the checkpoint trigger.
+	walBytes atomic.Int64
 }
 
 func (s *Store) ckptPath() string { return s.base + ".ckpt" }
@@ -188,7 +192,7 @@ func OpenStoreWorkers(base string, fsys faults.FS, workers int) (*Store, Restore
 			f.Close()
 			return nil, res, err
 		}
-		s.walBytes = int64(len(Magic))
+		s.walBytes.Store(int64(len(Magic)))
 		return s, res, nil
 	}
 
@@ -265,7 +269,7 @@ func OpenStoreWorkers(base string, fsys faults.FS, workers int) (*Store, Restore
 		f.Close()
 		return nil, res, err
 	}
-	s.walBytes = walRec.GoodBytes
+	s.walBytes.Store(walRec.GoodBytes)
 	return s, res, nil
 }
 
@@ -281,11 +285,7 @@ func (s *Store) Seq() uint64 {
 
 // WALBytes returns the current WAL size, for size-triggered
 // checkpoints.
-func (s *Store) WALBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.walBytes
-}
+func (s *Store) WALBytes() int64 { return s.walBytes.Load() }
 
 // Append frames and writes one record to the WAL. Like
 // Journal.Append, the write is process-crash durable; call Sync for
@@ -316,23 +316,29 @@ func (s *Store) Append(r Record) error {
 func (s *Store) writeBuf(buf []byte, sync bool) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.writeLocked(buf, sync)
+}
+
+// writeLocked is writeBuf for a caller that already holds s.mu (the
+// group-commit leader claims its batch under the same hold).
+func (s *Store) writeLocked(buf []byte, sync bool) (int, error) {
 	if s.closed {
 		return 0, ErrClosed
 	}
 	n, err := s.f.Write(buf)
 	if err != nil {
 		if n > 0 {
-			if terr := s.f.Truncate(s.walBytes); terr != nil {
-				s.walBytes += int64(n)
+			if terr := s.f.Truncate(s.walBytes.Load()); terr != nil {
+				s.walBytes.Add(int64(n))
 				return n, fmt.Errorf("journal: torn append not rolled back (%v): %w", terr, err)
 			}
-			if _, serr := s.f.Seek(s.walBytes, io.SeekStart); serr != nil {
+			if _, serr := s.f.Seek(s.walBytes.Load(), io.SeekStart); serr != nil {
 				return 0, fmt.Errorf("journal: seek after rollback (%v): %w", serr, err)
 			}
 		}
 		return 0, err
 	}
-	s.walBytes += int64(n)
+	s.walBytes.Add(int64(n))
 	if sync {
 		if err := s.f.Sync(); err != nil {
 			return n, &syncError{err}
@@ -465,6 +471,6 @@ func (s *Store) Checkpoint(capture func() (live []Record, nextLease uint64, err 
 	if err != nil {
 		return err
 	}
-	s.walBytes = st.Size()
+	s.walBytes.Store(st.Size())
 	return nil
 }

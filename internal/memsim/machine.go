@@ -375,9 +375,13 @@ type Machine struct {
 	// check at placement time.
 	gen atomic.Uint64
 
-	bufMu   sync.Mutex // guards buffers
-	buffers []*Buffer
+	bufMu   sync.Mutex // guards buffers and sweepAt
+	buffers []*Buffer  // allocation order; freed entries linger until the next sweep
+	sweepAt int        // len(buffers) at which track sweeps freed entries out
 }
+
+// minSweep keeps a near-empty registry from sweeping on every track.
+const minSweep = 64
 
 // NewMachine builds the runtime machine for a topology and its model.
 // Every NUMA node must have a model.
@@ -471,8 +475,24 @@ func (m *Machine) AllocSplit(name string, parts []Segment) (*Buffer, error) {
 }
 
 // track registers a buffer in the machine's allocation-order list.
+// Free does not touch the list (no registry lock on the free path);
+// instead, once the list has doubled since the last sweep, track
+// compacts the freed entries out in place — amortised O(1) per
+// allocation, order preserved, and a long-lived daemon's registry stays
+// proportional to its live buffers.
 func (m *Machine) track(b *Buffer) {
 	m.bufMu.Lock()
+	if len(m.buffers) >= m.sweepAt {
+		live := m.buffers[:0]
+		for _, old := range m.buffers {
+			if !old.Freed() {
+				live = append(live, old)
+			}
+		}
+		clear(m.buffers[len(live):])
+		m.buffers = live
+		m.sweepAt = max(2*len(live), minSweep)
+	}
 	m.buffers = append(m.buffers, b)
 	m.bufMu.Unlock()
 }

@@ -120,15 +120,13 @@ type Config struct {
 
 	// GroupCommit coalesces concurrent journal appends into one
 	// write+fsync (requires JournalPath): every acked alloc/free is
-	// power-failure durable, but N racing requests pay ~1 fsync instead
-	// of N. Overrides SyncEveryAppend (group commit is always durable).
+	// power-failure durable, and requests that arrive while an fsync is
+	// in flight share the next one. Overrides SyncEveryAppend (group
+	// commit is always durable).
 	GroupCommit bool
 	// GroupCommitBatch bounds the records per coalesced fsync
 	// (default 64).
 	GroupCommitBatch int
-	// GroupCommitLinger is how long the batch leader waits for
-	// followers before flushing (default 1ms, capped at 10ms).
-	GroupCommitLinger time.Duration
 
 	// DisableCandidateCache turns off the allocator's ranked-candidate
 	// cache, re-ranking targets on every placement — the pre-cache
@@ -253,9 +251,6 @@ func (c Config) validate() error {
 	}
 	if c.GroupCommitBatch < 0 {
 		return fmt.Errorf("server: config: GroupCommitBatch must not be negative (got %d)", c.GroupCommitBatch)
-	}
-	if c.GroupCommitLinger < 0 {
-		return fmt.Errorf("server: config: GroupCommitLinger must not be negative (got %v)", c.GroupCommitLinger)
 	}
 	if c.ReplayWorkers < 0 {
 		return fmt.Errorf("server: config: ReplayWorkers must not be negative (got %d)", c.ReplayWorkers)
@@ -428,8 +423,7 @@ func NewWithConfig(sys *core.System, cfg Config) (*Server, error) {
 		}
 		s.store = st
 		if cfg.GroupCommit {
-			st.EnableGroupCommit(cfg.GroupCommitBatch, cfg.GroupCommitLinger,
-				s.metrics.ObserveJournalBatch)
+			st.EnableGroupCommit(cfg.GroupCommitBatch, 0, s.metrics.ObserveJournalBatch)
 		}
 		if err := s.restoreFromJournal(res.Records, res.NextLease); err != nil {
 			st.Close()
@@ -518,22 +512,21 @@ func (s *Server) appendJournal(r journal.Record) (appended bool, err error) {
 	if s.cfg.GroupCommit {
 		// The append blocks until the record is on stable storage —
 		// sharing its fsync with every concurrently appending request.
-		appended, err := s.store.AppendDurable(r)
-		if err != nil {
-			return appended, fmt.Errorf("server: journal append: %w", err)
-		}
-	} else {
-		if err := s.store.Append(r); err != nil {
-			return false, fmt.Errorf("server: journal append: %w", err)
-		}
+		appended, err = s.store.AppendDurable(r)
+	} else if err = s.store.Append(r); err == nil {
+		appended = true
 		if s.cfg.SyncEveryAppend {
-			if err := s.store.Sync(); err != nil {
-				s.journalHousekeeping(1)
-				return true, fmt.Errorf("server: journal sync: %w", err)
-			}
+			err = s.store.Sync()
 		}
 	}
-	s.journalHousekeeping(1)
+	if appended {
+		// A record whose fsync failed is still in the WAL: it counts
+		// and grows the log like any other.
+		s.journalHousekeeping(1)
+	}
+	if err != nil {
+		return appended, fmt.Errorf("server: journal append: %w", err)
+	}
 	return true, nil
 }
 

@@ -386,6 +386,44 @@ func TestGroupCommitServerConcurrentDurability(t *testing.T) {
 	}
 }
 
+// TestJournalRecordsCountSyncFailedAppends: a record that reached the
+// WAL counts in hetmemd_journal_records_total even when its fsync
+// failed — on the group-commit path exactly as with SyncEveryAppend.
+// The failed alloc leaves two records (itself and its compensating
+// free), which is also what a restart replays.
+func TestJournalRecordsCountSyncFailedAppends(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		cfg  server.Config
+	}{
+		{"group-commit", server.Config{GroupCommit: true}},
+		{"sync-every-append", server.Config{SyncEveryAppend: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ffs := faults.NewFaultFS(faults.OS, 1)
+			tc.cfg.JournalPath = filepath.Join(t.TempDir(), "wal")
+			tc.cfg.FS = ffs
+			_, _, ts, _ := startConfigured(t, "xeon", tc.cfg)
+			cl := server.NewClient(ts.URL, server.WithRetryPolicy(server.NoRetry))
+
+			ffs.FailSyncs(1)
+			if _, err := cl.Alloc(ctx, server.AllocRequest{
+				Name: "unsynced", Size: 1 << 20, Attr: "Bandwidth", Initiator: "0-19",
+			}); err == nil {
+				t.Fatal("alloc acked although its fsync failed")
+			}
+			m, err := cl.Metrics(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := m["hetmemd_journal_records_total"]; got != 2 {
+				t.Fatalf("hetmemd_journal_records_total = %v, want 2 (sync-failed alloc + compensating free)", got)
+			}
+		})
+	}
+}
+
 // TestMetricsFastPathCounters: /metrics exposes the candidate-cache
 // counters and the group-commit batch-size histogram.
 func TestMetricsFastPathCounters(t *testing.T) {
