@@ -302,6 +302,40 @@ func BenchmarkServerAlloc(b *testing.B) {
 	b.ReportMetric(float64(2*b.N)/b.Elapsed().Seconds(), "req/s")
 }
 
+// BenchmarkLeasesSummary is the /v1/leases summary at the backend (no
+// transport) over a standing population: the lease table keeps books
+// per shard, so 5k and 50k must read the same. Before the books it was
+// a walk of every lease — about 2.3 ms at 5k after any write.
+func BenchmarkLeasesSummary(b *testing.B) {
+	for _, tc := range []struct {
+		name     string
+		standing int
+	}{{"5k", 5_000}, {"50k", 50_000}} {
+		b.Run(tc.name, func(b *testing.B) {
+			sys, err := core.NewSystem("xeon", core.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			srv := server.New(sys)
+			defer srv.Close()
+			ctx := context.Background()
+			for i := 0; i < tc.standing; i++ {
+				if _, err := srv.Alloc(ctx, server.AllocRequest{Name: "standing", Size: 1 << 20, Attr: "Capacity"}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				resp, err := srv.Leases(ctx, false)
+				if err != nil || resp.Count != tc.standing {
+					b.Fatalf("summary: %d leases, %v", resp.Count, err)
+				}
+			}
+		})
+	}
+}
+
 // benchClients is the concurrency the journal benchmarks model: the
 // PR-4 acceptance criterion is measured at 32 concurrent clients,
 // where every fsync carries the records that arrived during the one

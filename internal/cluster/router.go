@@ -865,12 +865,13 @@ func (r *Router) Migrate(ctx context.Context, req server.MigrateRequest) (server
 // member name, so the cluster-wide books cross-check against the
 // /metrics rollup exactly like a daemon's.
 func (r *Router) Leases(ctx context.Context, list bool) (server.LeasesResponse, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	resp := server.LeasesResponse{
 		NodeBytes:   make(map[string]uint64, len(r.members)),
 		TenantBytes: make(map[string]uint64),
 	}
+	// r.mu is the lock every routed alloc and free takes: collect under
+	// it, sort the listing after it is released.
+	r.mu.Lock()
 	for _, rl := range r.leases {
 		resp.Count++
 		resp.Bytes += rl.size
@@ -883,9 +884,8 @@ func (r *Router) Leases(ctx context.Context, list bool) (server.LeasesResponse, 
 			})
 		}
 	}
-	if list {
-		sort.Slice(resp.Leases, func(i, j int) bool { return resp.Leases[i].Lease < resp.Leases[j].Lease })
-	}
+	r.mu.Unlock()
+	sort.Slice(resp.Leases, func(i, j int) bool { return resp.Leases[i].Lease < resp.Leases[j].Lease })
 	return resp, nil
 }
 

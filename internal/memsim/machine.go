@@ -316,6 +316,15 @@ func (b *Buffer) SegmentsSnapshot() []Segment {
 	return out
 }
 
+// AppendSegments appends the buffer's current segments to dst and
+// returns it: SegmentsSnapshot for callers that bring their own
+// storage, so a hot path can read a placement without allocating.
+func (b *Buffer) AppendSegments(dst []Segment) []Segment {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append(dst, b.Segments...)
+}
+
 // Freed reports whether the buffer has been released.
 func (b *Buffer) Freed() bool {
 	b.mu.Lock()

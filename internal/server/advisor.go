@@ -143,9 +143,6 @@ func (s *Server) AdviseCycle() (int, float64) {
 	if moved > 0 {
 		s.admitGate.broadcast()
 	}
-	// Telemetry and classifications changed even without a move; the
-	// /v1/leases snapshot should reflect this cycle.
-	s.bumpEpoch()
 	return moved, costSum
 }
 

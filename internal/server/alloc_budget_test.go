@@ -16,6 +16,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"net/url"
@@ -32,8 +33,8 @@ import (
 // is ~25%: enough for toolchain noise, not enough to hide a leaked
 // per-request allocation chain.
 const (
-	allocFreeBudget   = 36
-	renewBudget       = 14
+	allocFreeBudget = 36
+	renewBudget     = 14
 	// Measured steady state 3: route match, path-value string, and the
 	// placement string. The encoder itself is pooled and free.
 	leaseDetailBudget = 6
@@ -175,4 +176,39 @@ func TestAllocBudget(t *testing.T) {
 				allocs, renewBudget)
 		}
 	})
+}
+
+// TestLeasesSummaryCostIndependentOfLeases pins the scaling of the
+// /v1/leases summary: it sums the shard books, so what it allocates
+// (two maps and a slice, sized by nodes and tenants) is the same at
+// 1 000 leases and at 20 000.
+func TestLeasesSummaryCostIndependentOfLeases(t *testing.T) {
+	sys, err := core.NewSystem("xeon", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(sys)
+	defer srv.Close()
+	standing := 0
+	allocsAt := func(n int) float64 {
+		t.Helper()
+		for ; standing < n; standing++ {
+			ctx := ContextWithTenant(context.Background(), bookTenants[standing%len(bookTenants)])
+			attr := []string{"Capacity", "Latency"}[standing%2]
+			if _, err := srv.Alloc(ctx, AllocRequest{Name: "standing", Size: 4096, Attr: attr}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var resp LeasesResponse
+		allocs := testing.AllocsPerRun(100, func() { resp, _ = srv.Leases(context.Background(), false) })
+		if resp.Count != n {
+			t.Fatalf("summary counts %d leases, want %d", resp.Count, n)
+		}
+		return allocs
+	}
+	small, large := allocsAt(1000), allocsAt(20000)
+	t.Logf("Leases(false): %.0f allocs at 1 000 leases, %.0f at 20 000", small, large)
+	if small != large {
+		t.Errorf("Leases(false) costs %.0f allocs at 1 000 leases and %.0f at 20 000 — the summary walks the leases again", small, large)
+	}
 }

@@ -169,7 +169,6 @@ func (s *Server) AllocBatch(ctx context.Context, reqs []AllocRequest) (BatchAllo
 				s.leases.restore(it.l)
 			}
 			s.ckmu.RUnlock()
-			s.bumpEpoch()
 		}
 	}
 
@@ -225,16 +224,24 @@ func (s *Server) journalBatch(placed []batchItem) error {
 	}
 	sync := s.cfg.GroupCommit || s.cfg.SyncEveryAppend
 	appended, err := s.store.AppendBatch(recs, sync)
+	if appended {
+		// As in appendJournal: records whose fsync failed are still in
+		// the WAL, so they count and grow the log like any other.
+		s.journalHousekeeping(len(recs))
+	}
 	if err != nil {
 		if appended {
 			frees := make([]journal.Record, len(placed))
 			for i, it := range placed {
 				frees[i] = journal.Record{Op: journal.OpFree, Lease: it.l.id}
 			}
-			s.store.AppendBatch(frees, sync)
+			// Best effort, like the single-alloc path: if the frees do
+			// not land either, the orphans carry a TTL.
+			if freed, _ := s.store.AppendBatch(frees, sync); freed {
+				s.journalHousekeeping(len(frees))
+			}
 		}
 		return fmt.Errorf("server: journal batch append: %w", err)
 	}
-	s.journalHousekeeping(len(recs))
 	return nil
 }

@@ -107,8 +107,6 @@ func (s *Server) ApplyFault(ev faults.Event) {
 	_, changed := s.health.set(ev.NodeOS, st)
 	if changed {
 		s.metrics.HealthTransitions.Add(1)
-		// Health gauges feed /metrics; invalidate the read snapshot.
-		s.bumpEpoch()
 		// A health transition changes what avoidUnhealthy demotes, so
 		// cached candidate rankings must not outlive it. (The memsim
 		// fault setters bump the machine generation for capacity and
@@ -194,6 +192,9 @@ func (s *Server) migrateOriginLocked(l *lease, attrName, iniList string, remote 
 	if err != nil {
 		return 0, alloc.Decision{}, err
 	}
+	// The bytes moved: the lease table's books and the tenant's follow
+	// them here, whatever becomes of the journal append below.
+	s.leases.rebook(l)
 	// Migration never fails on quota: the bytes already exist, only
 	// their kind changed. ForceCharge keeps the books truthful even for
 	// a tenant past its limit on the destination kind.
@@ -213,7 +214,5 @@ func (s *Server) migrateOriginLocked(l *lease, attrName, iniList string, remote 
 	if _, err := s.appendJournal(rec); err != nil {
 		return cost, dec, err
 	}
-	// The lease moved: per-node byte totals and placements changed.
-	s.bumpEpoch()
 	return cost, dec, nil
 }

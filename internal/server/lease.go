@@ -39,6 +39,14 @@ type lease struct {
 	// order matches the buffer's state history.
 	jmu sync.Mutex
 
+	// booked is the placement the lease's shard currently carries in its
+	// books (see leaseShard), guarded by the shard lock. take and rebook
+	// subtract these segments rather than the buffer's, so a free racing
+	// a migrate removes exactly what was added. bookedArr is its inline
+	// storage: placements of more than two segments spill to the heap.
+	booked    []memsim.Segment
+	bookedArr [2]memsim.Segment
+
 	// refs counts who may still touch this lease: one reference owned
 	// by the table while the lease is registered, plus one per borrower
 	// (get, borrowAll). take transfers the table's reference to the
@@ -78,6 +86,7 @@ func (l *lease) release() {
 	l.name, l.attr, l.initiator, l.key, l.tenant = "", "", "", "", ""
 	l.size = 0
 	l.buf = nil
+	l.booked = nil
 	l.ttlNS.Store(0)
 	l.deadlineNS.Store(0)
 	leasePool.Put(l)
@@ -112,63 +121,103 @@ func (l *lease) expiredAt(now time.Time) bool {
 // guards its slice of the ID space with its own mutex.
 type leaseTable struct {
 	next   atomic.Uint64
-	shards [leaseShards]struct {
-		mu sync.Mutex
-		m  map[uint64]*lease
-	}
+	nodes  []*memsim.Node // by OS index; nil where the machine has none
+	shards [leaseShards]leaseShard
 }
 
-func newLeaseTable() *leaseTable {
+// leaseShard is one lock domain of the table: its leases and the books
+// kept over them. The books change only where the map does (restore,
+// take) and where a mapped lease's placement does (rebook), so summing
+// them over the shards gives the totals a walk of every lease would,
+// at a cost independent of the lease count. They are kept from the
+// leases alone — not from memsim's node gauges or the tenant registry
+// — which is what lets /metrics cross-check against them.
+type leaseShard struct {
+	mu sync.Mutex
+	m  map[uint64]*lease
+
+	bytes     uint64   // sum of lease sizes
+	nodeBytes []uint64 // booked segment bytes, by node OS index
+	// tenantBytes keeps a tenant's entry at zero once its leases are
+	// gone, like the tenant registry does: the hot path then never
+	// inserts or deletes.
+	tenantBytes map[string]uint64
+}
+
+func newLeaseTable(nodes []*memsim.Node) *leaseTable {
 	t := &leaseTable{}
+	for _, n := range nodes {
+		for n.OSIndex() >= len(t.nodes) {
+			t.nodes = append(t.nodes, nil)
+		}
+		t.nodes[n.OSIndex()] = n
+	}
 	for i := range t.shards {
 		t.shards[i].m = make(map[uint64]*lease)
+		t.shards[i].nodeBytes = make([]uint64, len(t.nodes))
+		t.shards[i].tenantBytes = make(map[string]uint64)
 	}
 	return t
 }
 
-func (t *leaseTable) shard(id uint64) *struct {
-	mu sync.Mutex
-	m  map[uint64]*lease
-} {
+func (t *leaseTable) shard(id uint64) *leaseShard {
 	return &t.shards[id%leaseShards]
 }
 
-// put registers a buffer and returns its fresh lease ID (never 0).
-func (t *leaseTable) put(name string, buf *memsim.Buffer) uint64 {
-	l := newLease()
-	l.name, l.size, l.buf = name, buf.Size, buf
-	return t.putFull(l)
-}
-
-// putFull registers a lease with full request context, assigning its
-// ID. The caller's reference transfers to the table: do not touch the
-// lease afterwards without re-borrowing it.
-func (t *leaseTable) putFull(l *lease) uint64 {
-	id := t.next.Add(1)
-	l.id = id
-	if l.refs.Load() == 0 {
-		l.refs.Store(1) // lease built as a literal, outside newLease
+// book adds a lease's current placement to the books and remembers it
+// on the lease. Lock order: shard, then Buffer.mu — never the reverse.
+// Caller holds s.mu.
+func (s *leaseShard) book(l *lease) {
+	l.booked = l.buf.AppendSegments(l.bookedArr[:0])
+	s.bytes += l.size
+	var placed uint64
+	for _, seg := range l.booked {
+		s.nodeBytes[seg.Node.OSIndex()] += seg.Bytes
+		placed += seg.Bytes
 	}
-	s := t.shard(id)
-	s.mu.Lock()
-	s.m[id] = l
-	s.mu.Unlock()
-	return id
+	s.tenantBytes[l.tenant] += placed
 }
 
-// restore registers a lease under its pre-assigned ID (journal replay,
-// or a reaper putting a just-renewed lease back) and keeps the ID
-// counter past it so fresh IDs never collide. Like putFull, the
-// caller's reference transfers to the table.
+// unbook subtracts what book added. Caller holds s.mu.
+func (s *leaseShard) unbook(l *lease) {
+	s.bytes -= l.size
+	var placed uint64
+	for _, seg := range l.booked {
+		s.nodeBytes[seg.Node.OSIndex()] -= seg.Bytes
+		placed += seg.Bytes
+	}
+	s.tenantBytes[l.tenant] -= placed
+}
+
+// restore registers a lease under its pre-assigned ID (a fresh
+// allocation, journal replay, or a reaper putting a just-renewed lease
+// back) and keeps the ID counter past it so fresh IDs never collide.
+// The caller's reference transfers to the table: do not touch the
+// lease afterwards without re-borrowing it.
 func (t *leaseTable) restore(l *lease) {
 	if l.refs.Load() == 0 {
-		l.refs.Store(1)
+		l.refs.Store(1) // lease built as a literal, outside newLease
 	}
 	s := t.shard(l.id)
 	s.mu.Lock()
 	s.m[l.id] = l
+	s.book(l)
 	s.mu.Unlock()
 	t.floor(l.id)
+}
+
+// rebook moves a lease's books to its buffer's current placement. Every
+// migration calls it, after the move and under l.jmu. A lease that has
+// left the table (a racing free or reap took it) was unbooked by take
+// and stays that way.
+func (t *leaseTable) rebook(l *lease) {
+	s := t.shard(l.id)
+	s.mu.Lock()
+	if s.m[l.id] == l {
+		s.unbook(l)
+		s.book(l)
+	}
+	s.mu.Unlock()
 }
 
 // floor raises the ID counter to at least id, so fresh IDs never
@@ -206,6 +255,7 @@ func (t *leaseTable) take(id uint64) (*lease, bool) {
 	l, ok := s.m[id]
 	if ok {
 		delete(s.m, id)
+		s.unbook(l)
 	}
 	s.mu.Unlock()
 	return l, ok
@@ -245,4 +295,34 @@ func (t *leaseTable) count() int {
 		s.mu.Unlock()
 	}
 	return n
+}
+
+// summary folds the shard books into the /v1/leases totals: the same
+// figures leaseList computes by walking every lease, in
+// O(shards × (nodes + tenants)). Segments are never empty, so a node or
+// tenant appears exactly when it holds bytes.
+func (t *leaseTable) summary() LeasesResponse {
+	resp := LeasesResponse{NodeBytes: make(map[string]uint64), TenantBytes: make(map[string]uint64)}
+	nodeBytes := make([]uint64, len(t.nodes))
+	for i := range t.shards {
+		s := &t.shards[i]
+		s.mu.Lock()
+		resp.Count += len(s.m)
+		resp.Bytes += s.bytes
+		for os, b := range s.nodeBytes {
+			nodeBytes[os] += b
+		}
+		for name, b := range s.tenantBytes {
+			if b > 0 {
+				resp.TenantBytes[name] += b
+			}
+		}
+		s.mu.Unlock()
+	}
+	for os, b := range nodeBytes {
+		if b > 0 {
+			resp.NodeBytes[t.nodes[os].Label()] = b
+		}
+	}
+	return resp
 }

@@ -106,9 +106,6 @@ func (s *Server) ReapNow() int {
 	if reaped > 0 {
 		s.admitGate.broadcast()
 	}
-	if reaped > 0 {
-		s.bumpEpoch()
-	}
 	return reaped
 }
 

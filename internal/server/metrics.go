@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -334,12 +333,4 @@ func SumSeriesPrefix(m map[string]float64, prefix string) float64 {
 		}
 	}
 	return sum
-}
-
-// sortedNodeUsage orders node gauges by name for deterministic output.
-func sortedNodeUsage(nodes []NodeUsage) []NodeUsage {
-	out := make([]NodeUsage, len(nodes))
-	copy(out, nodes)
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out
 }

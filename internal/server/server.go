@@ -58,6 +58,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -327,13 +328,20 @@ type Server struct {
 	admitGate    waitGate
 	queueWaiting atomic.Int32
 
-	// reads is the epoch-snapshot read path (see epoch.go), and
-	// topoJSON the /v1/topology body exported once at boot: the
+	// topoJSON is the /v1/topology body exported once at boot: the
 	// topology tree is immutable after discovery (faults mutate memsim
-	// node state and attribute values, never the tree), so re-exporting
-	// it per epoch would only feed the garbage collector.
-	reads    readState
+	// node state and attribute values, never the tree). attrs caches the
+	// /v1/attrs view for as long as the machine generation stands —
+	// attribute values move only with it, never with a lease write.
 	topoJSON []byte
+	attrs    atomic.Pointer[attrsView]
+}
+
+// attrsView is one /v1/attrs answer and the machine generation it was
+// read at. Nothing in it is mutated after publication.
+type attrsView struct {
+	gen     uint64
+	reports []AttrReport
 }
 
 // New builds a server around a discovered system with the zero Config
@@ -378,15 +386,16 @@ func NewWithConfig(sys *core.System, cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: loading tenants: %w", err)
 		}
 	}
+	nodes := sys.Machine.Nodes()
 	var osIdx []int
-	for _, n := range sys.Machine.Nodes() {
+	for _, n := range nodes {
 		osIdx = append(osIdx, n.OSIndex())
 	}
 	s := &Server{
 		apiBase:          newAPIBase(cfg.RetryAfterSeconds),
 		sys:              sys,
 		cfg:              cfg,
-		leases:           newLeaseTable(),
+		leases:           newLeaseTable(nodes),
 		health:           newHealthTracker(osIdx),
 		idem:             newIdemTable(),
 		instanceID:       NewInstanceID(),
@@ -660,10 +669,19 @@ func (s *Server) handleAttrs(w http.ResponseWriter, r *http.Request) {
 // Attrs is the Backend entry behind /v1/attrs (the JSON dump; the
 // lstopo text rendering stays HTTP-only).
 func (s *Server) Attrs(ctx context.Context) ([]AttrReport, error) {
-	if snap := s.epochRead(); snap != nil {
-		return snap.attrs, nil
+	// The generation is read before the registry walk, so a fault landing
+	// mid-walk leaves the stored view already stale and the next read
+	// rebuilds it.
+	gen := s.sys.Machine.Generation()
+	if v := s.attrs.Load(); v != nil && v.gen == gen {
+		return v.reports, nil
 	}
-	return s.attrReports()
+	reports, err := s.attrReports()
+	if err != nil {
+		return nil, err
+	}
+	s.attrs.Store(&attrsView{gen: gen, reports: reports})
+	return reports, nil
 }
 
 // resolveInitiator widens an absent initiator to the whole machine.
@@ -837,7 +855,6 @@ func (s *Server) doAlloc(ctx context.Context, req AllocRequest) (AllocResponse, 
 	// visible (and freeable, hence recyclable) — no touching l below.
 	s.leases.restore(l)
 	s.ckmu.RUnlock()
-	s.bumpEpoch()
 
 	s.metrics.AllocTotal.Add(1)
 	s.metrics.BytesPlaced.Add(req.Size)
@@ -971,7 +988,6 @@ func (s *Server) Free(ctx context.Context, req FreeRequest) (FreeResponse, error
 	if key != "" {
 		s.idem.forget(key)
 	}
-	s.bumpEpoch()
 	s.metrics.FreeTotal.Add(1)
 	return FreeResponse{Lease: req.Lease, Freed: true}, nil
 }
@@ -1019,11 +1035,11 @@ func (s *Server) Migrate(ctx context.Context, req MigrateRequest) (MigrateRespon
 	}, nil
 }
 
-// leasesResponse assembles the live lease table view; the per-node
-// and per-tenant totals are computed from the leases themselves, so
-// clients can cross-check them against the allocator gauges and the
-// tenant registry's books in /metrics.
-func (s *Server) leasesResponse(includeList bool) LeasesResponse {
+// leaseList walks the live lease table for /v1/leases?list=1. The
+// totals are recomputed from the listed leases themselves rather than
+// taken from the shard books, so the list always adds up to its own
+// header — and a test can hold the books to it.
+func (s *Server) leaseList() LeasesResponse {
 	resp := LeasesResponse{NodeBytes: make(map[string]uint64), TenantBytes: make(map[string]uint64)}
 	leases := s.leases.borrowAll()
 	defer releaseAll(leases)
@@ -1034,23 +1050,21 @@ func (s *Server) leasesResponse(includeList bool) LeasesResponse {
 			resp.NodeBytes[seg.Node.Label()] += seg.Bytes
 			resp.TenantBytes[l.tenant] += seg.Bytes
 		}
-		if includeList {
-			info := LeaseInfo{
-				Lease:     l.id,
-				Name:      l.name,
-				Size:      l.size,
-				Placement: l.buf.NodeNames(),
-				Tenant:    l.tenant,
-				Attr:      attrOf(l),
-			}
-			if s.advisor != nil {
-				info.Class = s.advisor.Classification(l.id)
-			}
-			if t := l.buf.TelemetrySnapshot(); t != (memsim.Telemetry{}) {
-				info.Telemetry = &t
-			}
-			resp.Leases = append(resp.Leases, info)
+		info := LeaseInfo{
+			Lease:     l.id,
+			Name:      l.name,
+			Size:      l.size,
+			Placement: l.buf.NodeNames(),
+			Tenant:    l.tenant,
+			Attr:      attrOf(l),
 		}
+		if s.advisor != nil {
+			info.Class = s.advisor.Classification(l.id)
+		}
+		if t := l.buf.TelemetrySnapshot(); t != (memsim.Telemetry{}) {
+			info.Telemetry = &t
+		}
+		resp.Leases = append(resp.Leases, info)
 	}
 	return resp
 }
@@ -1064,17 +1078,14 @@ func (s *Server) handleLeases(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// Leases is the Backend entry behind /v1/leases.
+// Leases is the Backend entry behind /v1/leases. The summary sums the
+// shard books; the list is built per request and cached nowhere — its
+// callers are a cluster scrubber once per scrub interval and operators.
 func (s *Server) Leases(ctx context.Context, list bool) (LeasesResponse, error) {
-	snap := s.epochRead()
-	if snap == nil {
-		return s.leasesResponse(list), nil
+	if list {
+		return s.leaseList(), nil
 	}
-	resp := snap.leases // shallow copy; shared map/slice are immutable
-	if !list {
-		resp.Leases = nil
-	}
-	return resp, nil
+	return s.leases.summary(), nil
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -1119,34 +1130,24 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // WriteMetrics is the Backend entry behind /metrics: it renders the
 // full metrics text to w.
 func (s *Server) WriteMetrics(ctx context.Context, w io.Writer) error {
-	// Per-node gauges and the lease count come from the epoch snapshot
-	// (they only change when a writer bumps the epoch); the scalar
-	// counters are atomics read live, so they are exact even between
-	// epochs.
-	var nodes []NodeUsage
-	var leaseCount int
-	if snap := s.epochRead(); snap != nil {
-		nodes, leaseCount = snap.nodes, snap.leaseCount
-	} else {
-		states := s.health.snapshot()
-		raw := make([]NodeUsage, 0, len(s.sys.Machine.Nodes()))
-		for _, n := range s.sys.Machine.Nodes() {
-			raw = append(raw, NodeUsage{
-				Node:     n.Label(),
-				Capacity: n.EffectiveCapacity(),
-				InUse:    n.Allocated(),
-				Health:   int(states[n.OSIndex()]),
-			})
+	nodes := s.sys.Machine.Nodes()
+	usage := make([]NodeUsage, len(nodes))
+	for i, n := range nodes {
+		usage[i] = NodeUsage{
+			Node:     n.Label(),
+			Capacity: n.EffectiveCapacity(),
+			InUse:    n.Allocated(),
+			Health:   int(s.health.state(n.OSIndex())),
 		}
-		nodes, leaseCount = sortedNodeUsage(raw), s.leases.count()
 	}
+	sort.Slice(usage, func(i, j int) bool { return usage[i].Node < usage[j].Node })
 	// Mirror the allocator's cache counters so the rendered text is the
 	// allocator's ground truth, not a lagging copy.
 	hits, misses := s.sys.Allocator.CacheStats()
 	s.metrics.PlacementCacheHits.Store(hits)
 	s.metrics.PlacementCacheMisses.Store(misses)
 	fmt.Fprintf(w, "hetmemd_instance_info{instance_id=%q} 1\n", s.instanceID)
-	fmt.Fprint(w, s.metrics.Render(nodes, leaseCount))
+	fmt.Fprint(w, s.metrics.Render(usage, s.leases.count()))
 	s.tenants.WriteMetrics(w)
 	fmt.Fprintf(w, "hetmemd_admission_queue_waiting %d\n", s.queueWaiting.Load())
 	if s.store != nil {

@@ -388,37 +388,77 @@ func TestGroupCommitServerConcurrentDurability(t *testing.T) {
 
 // TestJournalRecordsCountSyncFailedAppends: a record that reached the
 // WAL counts in hetmemd_journal_records_total even when its fsync
-// failed — on the group-commit path exactly as with SyncEveryAppend.
-// The failed alloc leaves two records (itself and its compensating
-// free), which is also what a restart replays.
+// failed — on the group-commit path exactly as with SyncEveryAppend,
+// and for a batch exactly as for a single alloc. A failed alloc leaves
+// two records (itself and its compensating free), which is also what a
+// restart replays: the restarted daemon's counter starts at the number
+// of records it read back.
 func TestJournalRecordsCountSyncFailedAppends(t *testing.T) {
 	ctx := context.Background()
+	hot := server.AllocRequest{Name: "unsynced", Size: 1 << 20, Attr: "Bandwidth", Initiator: "0-19"}
 	for _, tc := range []struct {
-		name string
-		cfg  server.Config
+		name  string
+		cfg   server.Config
+		batch int // items sent through /v1/alloc/batch; 0 = one /v1/alloc
+		want  float64
 	}{
-		{"group-commit", server.Config{GroupCommit: true}},
-		{"sync-every-append", server.Config{SyncEveryAppend: true}},
+		{"group-commit", server.Config{GroupCommit: true}, 0, 2},
+		{"sync-every-append", server.Config{SyncEveryAppend: true}, 0, 2},
+		{"batch-group-commit", server.Config{GroupCommit: true}, 3, 6},
+		{"batch-sync-every-append", server.Config{SyncEveryAppend: true}, 3, 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ffs := faults.NewFaultFS(faults.OS, 1)
 			tc.cfg.JournalPath = filepath.Join(t.TempDir(), "wal")
 			tc.cfg.FS = ffs
-			_, _, ts, _ := startConfigured(t, "xeon", tc.cfg)
-			cl := server.NewClient(ts.URL, server.WithRetryPolicy(server.NoRetry))
-
-			ffs.FailSyncs(1)
-			if _, err := cl.Alloc(ctx, server.AllocRequest{
-				Name: "unsynced", Size: 1 << 20, Attr: "Bandwidth", Initiator: "0-19",
-			}); err == nil {
-				t.Fatal("alloc acked although its fsync failed")
-			}
-			m, err := cl.Metrics(ctx)
+			sys, err := core.NewSystem("xeon", core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := m["hetmemd_journal_records_total"]; got != 2 {
-				t.Fatalf("hetmemd_journal_records_total = %v, want 2 (sync-failed alloc + compensating free)", got)
+			srv, err := server.NewWithConfig(sys, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			ffs.FailSyncs(1)
+			if tc.batch == 0 {
+				if _, err := srv.Alloc(ctx, hot); err == nil {
+					t.Fatal("alloc acked although its fsync failed")
+				}
+			} else {
+				reqs := make([]server.AllocRequest, tc.batch)
+				for i := range reqs {
+					reqs[i] = hot
+				}
+				resp, err := srv.AllocBatch(ctx, reqs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.Succeeded != 0 {
+					t.Fatalf("%d batch items acked although their fsync failed", resp.Succeeded)
+				}
+			}
+			if got := float64(srv.Metrics().JournalRecords.Load()); got != tc.want {
+				t.Fatalf("hetmemd_journal_records_total = %v, want %v (sync-failed allocs + compensating frees)", got, tc.want)
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			sys2, err := core.NewSystem("xeon", core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv2, err := server.NewWithConfig(sys2, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv2.Close()
+			if got := float64(srv2.Metrics().JournalRecords.Load()); got != tc.want {
+				t.Fatalf("restart replayed %v records, the first daemon counted %v", got, tc.want)
+			}
+			if n := srv2.LeaseCount(); n != 0 {
+				t.Fatalf("restart resurrected %d leases nobody was granted", n)
 			}
 		})
 	}
