@@ -61,6 +61,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/hmat/
 	$(GO) test -fuzz=FuzzParseList -fuzztime=$(FUZZTIME) ./internal/bitmap/
 	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -fuzz=FuzzScanMatchesJSON -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -fuzz=FuzzRequestEncodersMatchJSON -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -fuzz=FuzzSnapshotRecovery -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -fuzz=FuzzWireFrame -fuzztime=$(FUZZTIME) ./internal/wire/

@@ -150,7 +150,7 @@ func (r *Router) ScrubOnce(ctx context.Context) (ScrubReport, error) {
 	wg.Wait()
 
 	suspects := make(map[orphanKey]string) // carried into the next cycle
-	var confirm []orphanKey               // second sighting: free if still unmapped
+	var confirm []orphanKey                // second sighting: free if still unmapped
 	var lost []rlease
 
 	for i, m := range r.members {

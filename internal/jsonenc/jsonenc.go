@@ -29,14 +29,21 @@ var safeSet = func() (s [utf8.RuneSelf]bool) {
 	return
 }()
 
-// AppendString appends s as a quoted, escaped JSON string.
-func AppendString(dst []byte, s string) []byte {
+// AppendString appends s as a quoted, escaped JSON string, the way
+// encoding/json does with HTML escaping off.
+func AppendString(dst []byte, s string) []byte { return appendString(dst, s, false) }
+
+// AppendStringHTML is AppendString with json.Marshal's default HTML
+// escaping: <, > and & leave as \u003c, \u003e and \u0026.
+func AppendStringHTML(dst []byte, s string) []byte { return appendString(dst, s, true) }
+
+func appendString(dst []byte, s string, escapeHTML bool) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
 		b := s[i]
 		if b < utf8.RuneSelf {
-			if safeSet[b] {
+			if safeSet[b] && !(escapeHTML && (b == '<' || b == '>' || b == '&')) {
 				i++
 				continue
 			}
@@ -44,6 +51,10 @@ func AppendString(dst []byte, s string) []byte {
 			switch b {
 			case '"', '\\':
 				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
 			case '\n':
 				dst = append(dst, '\\', 'n')
 			case '\r':
@@ -51,7 +62,7 @@ func AppendString(dst []byte, s string) []byte {
 			case '\t':
 				dst = append(dst, '\\', 't')
 			default:
-				// Control characters become \u00XX.
+				// Control characters (and HTML's three) become \u00XX.
 				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xf])
 			}
 			i++
@@ -63,6 +74,15 @@ func AppendString(dst []byte, s string) []byte {
 			// Invalid UTF-8 is replaced, matching encoding/json.
 			dst = append(dst, s[start:i]...)
 			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
+			i += size
+			start = i
+			continue
+		}
+		if r == '\u2028' || r == '\u2029' {
+			// Valid JSON, but not valid JavaScript: encoding/json
+			// escapes the two line separators whatever the HTML setting.
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
 			i += size
 			start = i
 			continue

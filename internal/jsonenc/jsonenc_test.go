@@ -1,6 +1,7 @@
 package jsonenc_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"testing"
@@ -19,6 +20,7 @@ func TestAppendStringMatchesEncodingJSON(t *testing.T) {
 		"with \"quotes\" and \\backslash",
 		"newline\nreturn\rtab\t",
 		"control \x00 \x01 \x1f bytes",
+		"backspace \b formfeed \f",
 		"unicode: héllo wörld ✓ 漢字",
 		"invalid utf8: \xff\xfe",
 		"DRAM#0+MCDRAM#4",
@@ -44,6 +46,35 @@ func TestAppendStringMatchesEncodingJSON(t *testing.T) {
 		}
 		if back != wantBack {
 			t.Errorf("AppendString(%q) round-tripped to %q, encoding/json to %q", s, back, wantBack)
+		}
+	}
+}
+
+// TestAppendStringHTMLSetting: the two spellings differ only where
+// encoding/json's SetEscapeHTML does, and the line separators are
+// escaped under both.
+func TestAppendStringHTMLSetting(t *testing.T) {
+	for _, s := range []string{
+		"<script>a && b</script>",
+		"line\u2028sep para\u2029sep",
+		"mixed <\u2028> & \xff",
+		"plain",
+	} {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := jsonenc.AppendStringHTML(nil, s); string(got) != string(want) {
+			t.Errorf("AppendStringHTML(%q) = %s, json.Marshal says %s", s, got, want)
+		}
+		var plain bytes.Buffer
+		enc := json.NewEncoder(&plain)
+		enc.SetEscapeHTML(false)
+		if err := enc.Encode(s); err != nil {
+			t.Fatal(err)
+		}
+		if got := jsonenc.AppendString(nil, s); string(got)+"\n" != plain.String() {
+			t.Errorf("AppendString(%q) = %s, encoding/json without HTML escaping says %s", s, got, plain.String())
 		}
 	}
 }

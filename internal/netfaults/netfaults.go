@@ -119,15 +119,15 @@ type Proxy struct {
 	ln     net.Listener
 	target string
 
-	mu      sync.Mutex
-	closed  bool
-	cut     bool // symmetric partition: reset existing, refuse new
-	blackIn bool // swallow client→target bytes
+	mu       sync.Mutex
+	closed   bool
+	cut      bool // symmetric partition: reset existing, refuse new
+	blackIn  bool // swallow client→target bytes
 	blackOut bool // swallow target→client bytes
-	latency time.Duration
-	dropN   int // connections to reset mid-body
-	truncN  int // responses to truncate after the first chunk
-	conns   map[net.Conn]struct{} // live client-side conns, for resets
+	latency  time.Duration
+	dropN    int                   // connections to reset mid-body
+	truncN   int                   // responses to truncate after the first chunk
+	conns    map[net.Conn]struct{} // live client-side conns, for resets
 }
 
 // NewProxy starts a relay on 127.0.0.1 toward target ("host:port").

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	mrand "math/rand"
 	"net/http"
 	"strconv"
@@ -50,9 +51,9 @@ var NoRetry = RetryPolicy{MaxAttempts: 1}
 // a retry of a request whose response was lost returns the original
 // lease instead of allocating twice.
 type Client struct {
-	base    string
-	http    *http.Client
-	retry   RetryPolicy
+	base  string
+	http  *http.Client
+	retry RetryPolicy
 	// attemptTimeout bounds each HTTP exchange (dial through body
 	// read). The caller's context bounds the whole call, retries and
 	// backoff included; whichever deadline is sooner wins.
@@ -335,13 +336,10 @@ func (c *Client) do(ctx context.Context, method, path string, payload []byte, id
 		// member that accepted the connection and went silent (an
 		// asymmetric partition) fails this attempt at attemptTimeout
 		// and the loop moves on, instead of consuming the whole call.
-		attemptCtx, cancel := ctx, context.CancelFunc(func() {})
-		if c.attemptTimeout > 0 {
-			attemptCtx, cancel = context.WithTimeout(ctx, c.attemptTimeout)
-		}
 		if c.wc != nil {
-			status, data, err := c.wc.RoundTrip(attemptCtx, wop, c.requestTenant(ctx), wbody)
-			cancel()
+			// The wire client bounds the attempt with a pooled timer:
+			// deriving a context per frame costs more than its codec.
+			status, data, err := c.wc.RoundTrip(ctx, c.attemptTimeout, wop, c.requestTenant(ctx), wbody)
 			if err != nil {
 				if ctx.Err() != nil {
 					return res, ctx.Err()
@@ -354,7 +352,8 @@ func (c *Client) do(ctx context.Context, method, path string, payload []byte, id
 				// ambiguous failure — the daemon may have processed the
 				// frame and the answer died with the connection — so
 				// non-idempotent requests fail fast, exactly like an
-				// HTTP reset mid-exchange.
+				// HTTP reset mid-exchange. An attempt timeout is as
+				// ambiguous as a drop.
 				if !idempotent && !errors.Is(err, wire.ErrNotSent) {
 					return res, fmt.Errorf("server: transport error on non-idempotent request: %w", err)
 				}
@@ -367,6 +366,10 @@ func (c *Client) do(ctx context.Context, method, path string, payload []byte, id
 			res.body = data
 			res.retryAfter = wireRetryAfter(status, data)
 		} else {
+			attemptCtx, cancel := ctx, context.CancelFunc(func() {})
+			if c.attemptTimeout > 0 {
+				attemptCtx, cancel = context.WithTimeout(ctx, c.attemptTimeout)
+			}
 			var body io.Reader
 			if payload != nil {
 				body = bytes.NewReader(payload)
@@ -449,22 +452,30 @@ func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
 	return res.body, nil
 }
 
-func (c *Client) post(ctx context.Context, path string, req, out any, idempotent bool) error {
+// post sends an encoded request body and returns the 200 response's.
+func (c *Client) post(ctx context.Context, path string, payload []byte, idempotent bool) ([]byte, error) {
+	res, err := c.do(ctx, http.MethodPost, path, payload, idempotent)
+	if err != nil {
+		return nil, err
+	}
+	if res.status != http.StatusOK {
+		return nil, apiErrorFrom(res)
+	}
+	return res.body, nil
+}
+
+// postJSON is post for the shapes off the hot path: encoding/json
+// both ways.
+func (c *Client) postJSON(ctx context.Context, path string, req, out any, idempotent bool) error {
 	payload, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
-	res, err := c.do(ctx, http.MethodPost, path, payload, idempotent)
-	if err != nil {
+	body, err := c.post(ctx, path, payload, idempotent)
+	if err != nil || out == nil {
 		return err
 	}
-	if res.status != http.StatusOK {
-		return apiErrorFrom(res)
-	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(res.body, out)
+	return json.Unmarshal(body, out)
 }
 
 // apiErrorFrom rebuilds the *APIError from a buffered exchange: the v1
@@ -546,12 +557,29 @@ func (c *Client) Alloc(ctx context.Context, req AllocRequest) (AllocResponse, er
 	if req.IdempotencyKey == "" && c.retry.MaxAttempts > 1 {
 		req.IdempotencyKey = newIdempotencyKey()
 	}
-	var out AllocResponse
-	err := c.post(ctx, "/v1/alloc", req, &out, req.IdempotencyKey != "")
-	if err == nil && out.TTLSeconds > 0 && !c.noHB {
+	if math.IsNaN(req.TTLSeconds) || math.IsInf(req.TTLSeconds, 0) {
+		// Not representable in JSON; json.Marshal's error says so.
+		_, err := json.Marshal(req.TTLSeconds)
+		return AllocResponse{}, err
+	}
+	body, err := c.post(ctx, "/v1/alloc", appendAllocRequest(nil, &req), req.IdempotencyKey != "")
+	if err != nil {
+		return AllocResponse{}, err
+	}
+	// The daemon's appender writes the canonical spelling the scanner
+	// reads; any other server's JSON decodes the slow way.
+	out, ok := scanAllocResponse(body)
+	if !ok {
+		var slow AllocResponse // apart from out, so only this path escapes
+		if err := json.Unmarshal(body, &slow); err != nil {
+			return slow, err
+		}
+		out = slow
+	}
+	if out.TTLSeconds > 0 && !c.noHB {
 		c.hb.track(out.Lease, time.Duration(out.TTLSeconds*float64(time.Second)))
 	}
-	return out, err
+	return out, nil
 }
 
 // AllocBatch places many buffers in one round-trip: the daemon
@@ -569,7 +597,7 @@ func (c *Client) Alloc(ctx context.Context, req AllocRequest) (AllocResponse, er
 // like Alloc's.
 func (c *Client) AllocBatch(ctx context.Context, reqs []AllocRequest) (BatchAllocResponse, error) {
 	var out BatchAllocResponse
-	if err := c.post(ctx, "/v1/alloc/batch", BatchAllocRequest{Requests: reqs}, &out, false); err != nil {
+	if err := c.postJSON(ctx, "/v1/alloc/batch", BatchAllocRequest{Requests: reqs}, &out, false); err != nil {
 		return BatchAllocResponse{}, err
 	}
 	if !c.noHB {
@@ -585,8 +613,16 @@ func (c *Client) AllocBatch(ctx context.Context, reqs []AllocRequest) (BatchAllo
 // Renew heartbeats a lease, pushing its expiry one TTL into the
 // future. A zero ttl keeps the lease's granted TTL.
 func (c *Client) Renew(ctx context.Context, lease uint64, ttl time.Duration) (RenewResponse, error) {
+	req := RenewRequest{Lease: lease, TTLSeconds: ttl.Seconds()}
+	body, err := c.post(ctx, "/v1/renew", appendRenewRequest(nil, &req), true)
+	if err != nil {
+		return RenewResponse{}, err
+	}
+	if out, ok := scanRenew(body); ok {
+		return RenewResponse(out), nil
+	}
 	var out RenewResponse
-	err := c.post(ctx, "/v1/renew", RenewRequest{Lease: lease, TTLSeconds: ttl.Seconds()}, &out, true)
+	err = json.Unmarshal(body, &out)
 	return out, err
 }
 
@@ -594,11 +630,7 @@ func (c *Client) Renew(ctx context.Context, lease uint64, ttl time.Duration) (Re
 // daemon freed the lease on an attempt whose answer never arrived.
 func (c *Client) Free(ctx context.Context, lease uint64) error {
 	c.hb.untrack(lease)
-	payload, err := json.Marshal(FreeRequest{Lease: lease})
-	if err != nil {
-		return err
-	}
-	res, err := c.do(ctx, http.MethodPost, "/v1/free", payload, true)
+	res, err := c.do(ctx, http.MethodPost, "/v1/free", appendFreeRequest(nil, lease), true)
 	if err != nil {
 		return err
 	}
@@ -616,7 +648,7 @@ func (c *Client) Free(ctx context.Context, lease uint64) error {
 // again), so only connection-refused transport errors are retried.
 func (c *Client) Migrate(ctx context.Context, req MigrateRequest) (MigrateResponse, error) {
 	var out MigrateResponse
-	err := c.post(ctx, "/v1/migrate", req, &out, false)
+	err := c.postJSON(ctx, "/v1/migrate", req, &out, false)
 	return out, err
 }
 
@@ -666,13 +698,13 @@ func (c *Client) Advisor(ctx context.Context) (advisor.Snapshot, error) {
 // already-paused advisor is a 409 advisor_paused error, so callers
 // coordinating a maintenance window can detect a double-pause.
 func (c *Client) AdvisorPause(ctx context.Context) error {
-	return c.post(ctx, "/v1/advisor/pause", struct{}{}, nil, false)
+	return c.postJSON(ctx, "/v1/advisor/pause", struct{}{}, nil, false)
 }
 
 // AdvisorResume restarts automatic re-placement; resuming a running
 // advisor is a no-op.
 func (c *Client) AdvisorResume(ctx context.Context) error {
-	return c.post(ctx, "/v1/advisor/resume", struct{}{}, nil, true)
+	return c.postJSON(ctx, "/v1/advisor/resume", struct{}{}, nil, true)
 }
 
 // Health fetches the daemon's health report.

@@ -72,7 +72,7 @@ func wireOpFor(method, path string, payload []byte) (wire.Op, []byte, error) {
 		if err != nil || n == 0 {
 			return 0, nil, fmt.Errorf("%w: bad lease id %q", ErrBadRequest, id)
 		}
-		return wire.OpLeaseDetail, fmt.Appendf(nil, `{"lease":%d}`, n), nil
+		return wire.OpLeaseDetail, appendFreeRequest(nil, n), nil
 	}
 	return 0, nil, fmt.Errorf("server: %s %s is not available on the binary transport (use an http:// base)", method, path)
 }

@@ -174,6 +174,72 @@ func appendFreeResponse(dst []byte, r *FreeResponse) []byte {
 	return append(dst, '}')
 }
 
+// The client's side of the same bargain: the three hot request bodies,
+// byte for byte what json.Marshal writes for them (HTML escaping
+// included — FuzzRequestEncodersMatchJSON), so a daemon cannot tell
+// which encoder a client used and the canonical spelling the server's
+// scanner reads is the one this client sends.
+
+// appendAllocRequest appends r as JSON, mirroring the AllocRequest
+// struct tags. TTLSeconds must be finite (json.Marshal refuses NaN and
+// the infinities; see Client.Alloc).
+func appendAllocRequest(dst []byte, r *AllocRequest) []byte {
+	dst = append(dst, '{')
+	dst = jsonenc.AppendKey(dst, "name")
+	dst = jsonenc.AppendStringHTML(dst, r.Name)
+	dst = jsonenc.AppendKey(dst, "size")
+	dst = jsonenc.AppendUint(dst, r.Size)
+	dst = jsonenc.AppendKey(dst, "attr")
+	dst = jsonenc.AppendStringHTML(dst, r.Attr)
+	if r.Initiator != "" {
+		dst = jsonenc.AppendKey(dst, "initiator")
+		dst = jsonenc.AppendStringHTML(dst, r.Initiator)
+	}
+	if r.Policy != "" {
+		dst = jsonenc.AppendKey(dst, "policy")
+		dst = jsonenc.AppendStringHTML(dst, r.Policy)
+	}
+	if r.Partial {
+		dst = jsonenc.AppendKey(dst, "partial")
+		dst = jsonenc.AppendBool(dst, true)
+	}
+	if r.Remote {
+		dst = jsonenc.AppendKey(dst, "remote")
+		dst = jsonenc.AppendBool(dst, true)
+	}
+	if r.IdempotencyKey != "" {
+		dst = jsonenc.AppendKey(dst, "idempotency_key")
+		dst = jsonenc.AppendStringHTML(dst, r.IdempotencyKey)
+	}
+	if r.TTLSeconds != 0 {
+		dst = jsonenc.AppendKey(dst, "ttl_seconds")
+		dst = jsonenc.AppendFloat(dst, r.TTLSeconds)
+	}
+	return append(dst, '}')
+}
+
+// appendRenewRequest appends a heartbeat (ttl_seconds omitempty: 0
+// keeps the granted TTL).
+func appendRenewRequest(dst []byte, r *RenewRequest) []byte {
+	dst = append(dst, '{')
+	dst = jsonenc.AppendKey(dst, "lease")
+	dst = jsonenc.AppendUint(dst, r.Lease)
+	if r.TTLSeconds != 0 {
+		dst = jsonenc.AppendKey(dst, "ttl_seconds")
+		dst = jsonenc.AppendFloat(dst, r.TTLSeconds)
+	}
+	return append(dst, '}')
+}
+
+// appendFreeRequest appends {"lease":N}, the body of a free and of the
+// binary transport's lease detail.
+func appendFreeRequest(dst []byte, lease uint64) []byte {
+	dst = append(dst, '{')
+	dst = jsonenc.AppendKey(dst, "lease")
+	dst = jsonenc.AppendUint(dst, lease)
+	return append(dst, '}')
+}
+
 // writeAllocResponse writes an alloc response through the zero-alloc
 // encoder (or encoding/json when LegacyEncoding is on).
 func (s *Server) writeAllocResponse(w http.ResponseWriter, resp *AllocResponse) {

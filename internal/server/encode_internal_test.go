@@ -30,7 +30,7 @@ var encoderCases = []struct {
 }{
 	{
 		name: "alloc minimal",
-		val: &AllocResponse{Lease: 1, Placement: "DRAM#0", AttrUsed: "Capacity"},
+		val:  &AllocResponse{Lease: 1, Placement: "DRAM#0", AttrUsed: "Capacity"},
 		enc: func(dst []byte) []byte {
 			return appendAllocResponse(dst, &AllocResponse{Lease: 1, Placement: "DRAM#0", AttrUsed: "Capacity"})
 		},

@@ -20,6 +20,9 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"name":"x","size":-1,"attr":"a"}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(`{"name":"x","size":1,"attr":"a"} {"again":true}`))
+	f.Add([]byte(`{"lease":1}}`))
+	f.Add([]byte(`{"lease":1}]`))
+	f.Add([]byte(`{"name":"x","size":1,"attr":"a"}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if req, err := server.DecodeAllocRequest(bytes.NewReader(data)); err == nil {

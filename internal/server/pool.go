@@ -3,8 +3,9 @@ package server
 // Hot-path object pools. A placement daemon under 32-client load used
 // to pay a fresh request buffer, response buffer, lease object, and
 // parsed initiator bitmap per request; all four now come from pools
-// (or an intern cache), so the steady-state request path allocates
-// only what encoding/json's decoder forces on it. The budgets in
+// (or an intern cache), and the hot request shapes are scanned in
+// place (types.go), so the steady-state request path allocates the
+// strings a request carries and little else. The budgets in
 // alloc_budget_test.go pin the result.
 
 import (
@@ -25,7 +26,7 @@ var respBufPool = sync.Pool{
 func getRespBuf() *[]byte  { return respBufPool.Get().(*[]byte) }
 func putRespBuf(b *[]byte) { *b = (*b)[:0]; respBufPool.Put(b) }
 
-// reqBufPool recycles request body read buffers (see decodeJSON).
+// reqBufPool recycles request body read buffers (see decodeReader).
 var reqBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)

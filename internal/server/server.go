@@ -274,7 +274,12 @@ type Server struct {
 	// apiBase is the HTTP plumbing (mux, request metrics, error
 	// envelope) shared with the machine-less API surface — see api.go.
 	apiBase
-	sys    *core.System
+	sys *core.System
+	// nodes is the machine's node set by OS index. It is fixed for the
+	// machine's life, so the per-request walks (pressure on every
+	// admitted alloc) read this instead of asking Machine.Nodes for a
+	// fresh sorted copy.
+	nodes  []*memsim.Node
 	cfg    Config
 	leases *leaseTable
 	health *healthTracker
@@ -394,6 +399,7 @@ func NewWithConfig(sys *core.System, cfg Config) (*Server, error) {
 	s := &Server{
 		apiBase:          newAPIBase(cfg.RetryAfterSeconds),
 		sys:              sys,
+		nodes:            nodes,
 		cfg:              cfg,
 		leases:           newLeaseTable(nodes),
 		health:           newHealthTracker(osIdx),
@@ -700,7 +706,7 @@ func (s *Server) resolveInitiator(list string) (*bitmap.Bitmap, error) {
 // Offline nodes are out of the pool: their capacity cannot take new
 // bytes and their usage is unreachable anyway.
 func (s *Server) pressure() (used, total uint64) {
-	for _, n := range s.sys.Machine.Nodes() {
+	for _, n := range s.nodes {
 		if n.Offline() {
 			continue
 		}
@@ -1108,7 +1114,7 @@ func (s *Server) Health(ctx context.Context) (HealthResponse, error) {
 	if total > 0 {
 		resp.Pressure = float64(used) / float64(total)
 	}
-	for _, n := range s.sys.Machine.Nodes() {
+	for _, n := range s.nodes {
 		st := states[n.OSIndex()]
 		if st != Healthy {
 			resp.Status = "degraded"
@@ -1130,9 +1136,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // WriteMetrics is the Backend entry behind /metrics: it renders the
 // full metrics text to w.
 func (s *Server) WriteMetrics(ctx context.Context, w io.Writer) error {
-	nodes := s.sys.Machine.Nodes()
-	usage := make([]NodeUsage, len(nodes))
-	for i, n := range nodes {
+	usage := make([]NodeUsage, len(s.nodes))
+	for i, n := range s.nodes {
 		usage[i] = NodeUsage{
 			Node:     n.Label(),
 			Capacity: n.EffectiveCapacity(),

@@ -149,7 +149,8 @@ func TestAllocErrors(t *testing.T) {
 	}
 
 	// Malformed JSON and unknown fields are 400s.
-	for _, body := range []string{"{", `{"name":"x","bogus":1}`, `{"name":"x","size":1,"attr":"Bandwidth"} trailing`} {
+	for _, body := range []string{"{", `{"name":"x","bogus":1}`, `{"name":"x","size":1,"attr":"Bandwidth"} trailing`,
+		`{"name":"x","size":1,"attr":"Bandwidth"}}`, `{"name":"x","size":1,"attr":"Bandwidth"}]`} {
 		resp, err := http.Post(ts.URL+"/alloc", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

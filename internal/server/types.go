@@ -8,6 +8,7 @@ import (
 	"io"
 
 	"hetmem/internal/bitmap"
+	"hetmem/internal/jsonenc"
 	"hetmem/internal/memsim"
 )
 
@@ -251,11 +252,63 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// decodeJSON strictly decodes one JSON value: unknown fields are
-// rejected, trailing garbage is rejected, and the input is bounded by
-// MaxRequestBytes. The body is slurped into a pooled buffer, so only
-// the decode itself allocates.
-func decodeJSON(r io.Reader, v any) error {
+// Request bodies decode in two steps. The hot shapes — alloc, free and
+// lease detail, renew — first meet a jsonenc.Scanner, which reads the
+// canonical spelling every client in this repository sends without
+// reflection or a second buffer. Whatever it declines, and every other
+// shape, goes to decodeStrict, which is the definition of what the
+// daemon accepts and of the error a client sees; the scanner only ever
+// agrees with it (FuzzScanMatchesJSON holds it to that).
+
+// decodeStrict decodes one JSON value with encoding/json: unknown
+// fields are rejected, and so is anything but whitespace after the
+// value.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	// Not dec.More(): that is false in front of a stray } or ].
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("%w: trailing data after JSON value", ErrBadRequest)
+	}
+	return nil
+}
+
+// decodeBody decodes and validates a request body held in memory,
+// bounded by MaxRequestBytes: scan's reading when it accepts,
+// decodeStrict's otherwise. A nil scan means the shape has no scanner.
+func decodeBody[T any](data []byte, scan func([]byte) (T, bool), validate func(T) error) (T, error) {
+	var zero T
+	if len(data) > MaxRequestBytes {
+		return zero, fmt.Errorf("%w: body over %d bytes", ErrBadRequest, MaxRequestBytes)
+	}
+	var (
+		req T
+		ok  bool
+	)
+	if scan != nil {
+		req, ok = scan(data)
+	}
+	if !ok {
+		var slow T // apart from req, so that only the fallback pays for its escape
+		if err := decodeStrict(data, &slow); err != nil {
+			return zero, err
+		}
+		req = slow
+	}
+	if err := validate(req); err != nil {
+		return zero, err
+	}
+	return req, nil
+}
+
+// decodeReader slurps r into a pooled buffer, stopping once it is over
+// MaxRequestBytes, and hands the bytes to decode. The decoders copy
+// what they keep, so the buffer goes straight back to the pool.
+func decodeReader[T any](r io.Reader, decode func([]byte) (T, error)) (T, error) {
+	var zero T
 	bp := getReqBuf()
 	defer putReqBuf(bp)
 	data := *bp
@@ -265,40 +318,130 @@ func decodeJSON(r io.Reader, v any) error {
 		}
 		n, err := r.Read(data[len(data):cap(data)])
 		data = data[:len(data)+n]
+		*bp = data
 		if len(data) > MaxRequestBytes {
-			*bp = data[:0]
-			return fmt.Errorf("%w: body over %d bytes", ErrBadRequest, MaxRequestBytes)
+			return zero, fmt.Errorf("%w: body over %d bytes", ErrBadRequest, MaxRequestBytes)
 		}
 		if err == io.EOF {
-			break
+			return decode(data)
 		}
 		if err != nil {
-			*bp = data[:0]
-			return fmt.Errorf("%w: %v", ErrBadRequest, err)
+			return zero, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
 	}
-	*bp = data[:0]
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadRequest, err)
+}
+
+var allocRequestKeys = []string{"name", "size", "attr", "initiator", "policy",
+	"partial", "remote", "idempotency_key", "ttl_seconds"}
+
+func scanAllocRequest(data []byte) (req AllocRequest, ok bool) {
+	s := jsonenc.Scan(data)
+	for {
+		switch s.Next(allocRequestKeys) {
+		case 0:
+			req.Name = s.String()
+		case 1:
+			req.Size = s.Uint()
+		case 2:
+			req.Attr = s.String()
+		case 3:
+			req.Initiator = s.String()
+		case 4:
+			req.Policy = s.String()
+		case 5:
+			req.Partial = s.Bool()
+		case 6:
+			req.Remote = s.Bool()
+		case 7:
+			req.IdempotencyKey = s.String()
+		case 8:
+			req.TTLSeconds = s.Float()
+		case jsonenc.End:
+			return req, true
+		default:
+			return AllocRequest{}, false
+		}
 	}
-	if dec.More() {
-		return fmt.Errorf("%w: trailing data after JSON value", ErrBadRequest)
+}
+
+var renewKeys = []string{"lease", "ttl_seconds"}
+
+// scanRenew reads the two-member shape RenewRequest and RenewResponse
+// share.
+func scanRenew(data []byte) (req RenewRequest, ok bool) {
+	s := jsonenc.Scan(data)
+	for {
+		switch s.Next(renewKeys) {
+		case 0:
+			req.Lease = s.Uint()
+		case 1:
+			req.TTLSeconds = s.Float()
+		case jsonenc.End:
+			return req, true
+		default:
+			return RenewRequest{}, false
+		}
 	}
-	return nil
+}
+
+// scanFreeRequest reads {"lease":N}, the body of a free and of the
+// binary transport's lease detail.
+func scanFreeRequest(data []byte) (req FreeRequest, ok bool) {
+	s := jsonenc.Scan(data)
+	for {
+		switch s.Next(renewKeys[:1]) {
+		case 0:
+			req.Lease = s.Uint()
+		case jsonenc.End:
+			return req, true
+		default:
+			return FreeRequest{}, false
+		}
+	}
+}
+
+var allocResponseKeys = []string{"lease", "placement", "attr_used", "attr_fell_back",
+	"rank", "partial", "remote", "ttl_seconds", "tenant", "advice"}
+
+func scanAllocResponse(data []byte) (resp AllocResponse, ok bool) {
+	s := jsonenc.Scan(data)
+	for {
+		switch s.Next(allocResponseKeys) {
+		case 0:
+			resp.Lease = s.Uint()
+		case 1:
+			resp.Placement = s.String()
+		case 2:
+			resp.AttrUsed = s.String()
+		case 3:
+			resp.AttrFellBack = s.Bool()
+		case 4:
+			resp.Rank = s.Int()
+		case 5:
+			resp.Partial = s.Bool()
+		case 6:
+			resp.Remote = s.Bool()
+		case 7:
+			resp.TTLSeconds = s.Float()
+		case 8:
+			resp.Tenant = s.String()
+		case 9:
+			resp.Advice = s.String()
+		case jsonenc.End:
+			return resp, true
+		default:
+			return AllocResponse{}, false
+		}
+	}
 }
 
 // DecodeAllocRequest parses and validates a /alloc body.
 func DecodeAllocRequest(r io.Reader) (AllocRequest, error) {
-	var req AllocRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return AllocRequest{}, err
-	}
-	if err := validateAllocRequest(req); err != nil {
-		return AllocRequest{}, err
-	}
-	return req, nil
+	return decodeReader(r, decodeAllocRequest)
+}
+
+func decodeAllocRequest(data []byte) (AllocRequest, error) {
+	return decodeBody(data, scanAllocRequest, validateAllocRequest)
 }
 
 // validateAllocRequest applies the field checks shared by /alloc and
@@ -333,63 +476,73 @@ func validateAllocRequest(req AllocRequest) error {
 // field validation is per-item and happens in the handler, so one bad
 // item cannot veto its siblings.
 func DecodeBatchAllocRequest(r io.Reader) (BatchAllocRequest, error) {
-	var req BatchAllocRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return BatchAllocRequest{}, err
-	}
-	if len(req.Requests) == 0 {
-		return BatchAllocRequest{}, fmt.Errorf("%w: empty batch", ErrBadRequest)
-	}
-	if len(req.Requests) > MaxBatchAllocs {
-		return BatchAllocRequest{}, fmt.Errorf("%w: batch of %d exceeds %d items",
-			ErrBadRequest, len(req.Requests), MaxBatchAllocs)
-	}
-	return req, nil
+	return decodeReader(r, decodeBatchAllocRequest)
+}
+
+func decodeBatchAllocRequest(data []byte) (BatchAllocRequest, error) {
+	return decodeBody(data, nil, func(req BatchAllocRequest) error {
+		if len(req.Requests) == 0 {
+			return fmt.Errorf("%w: empty batch", ErrBadRequest)
+		}
+		if len(req.Requests) > MaxBatchAllocs {
+			return fmt.Errorf("%w: batch of %d exceeds %d items",
+				ErrBadRequest, len(req.Requests), MaxBatchAllocs)
+		}
+		return nil
+	})
 }
 
 // DecodeFreeRequest parses and validates a /free body.
 func DecodeFreeRequest(r io.Reader) (FreeRequest, error) {
-	var req FreeRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return FreeRequest{}, err
-	}
+	return decodeReader(r, decodeFreeRequest)
+}
+
+func decodeFreeRequest(data []byte) (FreeRequest, error) {
+	return decodeBody(data, scanFreeRequest, validateFreeRequest)
+}
+
+func validateFreeRequest(req FreeRequest) error {
 	if req.Lease == 0 {
-		return FreeRequest{}, fmt.Errorf("%w: missing lease", ErrBadRequest)
+		return fmt.Errorf("%w: missing lease", ErrBadRequest)
 	}
-	return req, nil
+	return nil
 }
 
 // DecodeRenewRequest parses and validates a /renew body.
 func DecodeRenewRequest(r io.Reader) (RenewRequest, error) {
-	var req RenewRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return RenewRequest{}, err
-	}
+	return decodeReader(r, decodeRenewRequest)
+}
+
+func decodeRenewRequest(data []byte) (RenewRequest, error) {
+	return decodeBody(data, scanRenew, validateRenewRequest)
+}
+
+func validateRenewRequest(req RenewRequest) error {
 	if req.Lease == 0 {
-		return RenewRequest{}, fmt.Errorf("%w: missing lease", ErrBadRequest)
+		return fmt.Errorf("%w: missing lease", ErrBadRequest)
 	}
 	if req.TTLSeconds < 0 {
-		return RenewRequest{}, fmt.Errorf("%w: negative ttl_seconds", ErrBadRequest)
+		return fmt.Errorf("%w: negative ttl_seconds", ErrBadRequest)
 	}
-	return req, nil
+	return nil
 }
 
 // DecodeMigrateRequest parses and validates a /migrate body.
 func DecodeMigrateRequest(r io.Reader) (MigrateRequest, error) {
-	var req MigrateRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return MigrateRequest{}, err
-	}
-	if req.Lease == 0 {
-		return MigrateRequest{}, fmt.Errorf("%w: missing lease", ErrBadRequest)
-	}
-	if req.Attr == "" {
-		return MigrateRequest{}, fmt.Errorf("%w: missing attr", ErrBadRequest)
-	}
-	if _, err := parseInitiator(req.Initiator); err != nil {
-		return MigrateRequest{}, err
-	}
-	return req, nil
+	return decodeReader(r, decodeMigrateRequest)
+}
+
+func decodeMigrateRequest(data []byte) (MigrateRequest, error) {
+	return decodeBody(data, nil, func(req MigrateRequest) error {
+		if req.Lease == 0 {
+			return fmt.Errorf("%w: missing lease", ErrBadRequest)
+		}
+		if req.Attr == "" {
+			return fmt.Errorf("%w: missing attr", ErrBadRequest)
+		}
+		_, err := parseInitiator(req.Initiator)
+		return err
+	})
 }
 
 // parseInitiator turns a cpuset list into a bitmap; empty means "the

@@ -7,7 +7,6 @@ package server
 // classification, same metrics. The transports differ only in framing.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -107,7 +106,7 @@ func (wb *WireBackend) serve(ctx context.Context, op wire.Op, body, dst []byte) 
 		return wb.marshal(dst, out)
 
 	case wire.OpAlloc:
-		req, err := DecodeAllocRequest(bytes.NewReader(body))
+		req, err := decodeAllocRequest(body)
 		if err != nil {
 			return wb.fail(dst, err)
 		}
@@ -118,7 +117,7 @@ func (wb *WireBackend) serve(ctx context.Context, op wire.Op, body, dst []byte) 
 		return http.StatusOK, appendAllocResponse(dst, &resp)
 
 	case wire.OpAllocBatch:
-		req, err := DecodeBatchAllocRequest(bytes.NewReader(body))
+		req, err := decodeBatchAllocRequest(body)
 		if err != nil {
 			return wb.fail(dst, err)
 		}
@@ -129,7 +128,7 @@ func (wb *WireBackend) serve(ctx context.Context, op wire.Op, body, dst []byte) 
 		return http.StatusOK, appendBatchAllocResponse(dst, &resp)
 
 	case wire.OpFree:
-		req, err := DecodeFreeRequest(bytes.NewReader(body))
+		req, err := decodeFreeRequest(body)
 		if err != nil {
 			return wb.fail(dst, err)
 		}
@@ -140,7 +139,7 @@ func (wb *WireBackend) serve(ctx context.Context, op wire.Op, body, dst []byte) 
 		return http.StatusOK, appendFreeResponse(dst, &resp)
 
 	case wire.OpRenew:
-		req, err := DecodeRenewRequest(bytes.NewReader(body))
+		req, err := decodeRenewRequest(body)
 		if err != nil {
 			return wb.fail(dst, err)
 		}
@@ -151,7 +150,7 @@ func (wb *WireBackend) serve(ctx context.Context, op wire.Op, body, dst []byte) 
 		return http.StatusOK, appendRenewResponse(dst, &resp)
 
 	case wire.OpMigrate:
-		req, err := DecodeMigrateRequest(bytes.NewReader(body))
+		req, err := decodeMigrateRequest(body)
 		if err != nil {
 			return wb.fail(dst, err)
 		}
@@ -175,7 +174,7 @@ func (wb *WireBackend) serve(ctx context.Context, op wire.Op, body, dst []byte) 
 			return wb.fail(dst, fmt.Errorf("%w: 0", errNoSuchLease))
 		}
 		// The body reuses the free-request shape: {"lease": N}.
-		req, err := DecodeFreeRequest(bytes.NewReader(body))
+		req, err := decodeFreeRequest(body)
 		if err != nil {
 			return wb.fail(dst, err)
 		}

@@ -169,6 +169,54 @@ func TestWireTransportParity(t *testing.T) {
 			}
 		}
 	}
+
+	// Raw-body parity: spellings the typed client never sends — a
+	// stray closer behind the value, and valid JSON the request scanner
+	// leaves to encoding/json — get the same status and the same
+	// envelope bytes on every transport.
+	uds := wire.NewClient("unix", strings.TrimPrefix(udsBase, "unix://"))
+	defer uds.Close()
+	tcp := wire.NewClient("tcp", strings.TrimPrefix(tcpBase, "tcp+bin://"))
+	defer tcp.Close()
+	for _, raw := range []struct {
+		path   string
+		op     wire.Op
+		body   string
+		status int
+	}{
+		{"/v1/free", wire.OpFree, `{"lease":1}}`, 400},
+		{"/v1/free", wire.OpFree, `{"lease":1}]`, 400},
+		{"/v1/renew", wire.OpRenew, `{"lease":1}}`, 400},
+		{"/v1/alloc", wire.OpAlloc, `{"name":"x","size":1,"attr":"Capacity"}]`, 400},
+		{"/v1/free", wire.OpFree, `{"lease":1,"lease":999999}`, 404}, // last one wins
+		{"/v1/free", wire.OpFree, `{"Lease":999999}`, 404},           // keys fold case
+		{"/v1/free", wire.OpFree, `{"lease":1e3}`, 400},              // not an integer spelling
+		{"/v1/free", wire.OpFree, `{"lease":null}`, 400},             // null leaves the zero lease
+		{"/v1/alloc", wire.OpAlloc, `{"name":"x","size":01,"attr":"Capacity"}`, 400},
+		{"/v1/alloc", wire.OpAlloc, `{"name":"\u0078","size":1,"attr":"Nonsense"}`, 400},
+	} {
+		resp, err := http.Post(httpBase+raw.path, "application/json", strings.NewReader(raw.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != raw.status {
+			t.Errorf("%s %s over http: status %d, want %d (%s)", raw.path, raw.body, resp.StatusCode, raw.status, want)
+		}
+		for name, wc := range map[string]*wire.Client{"uds": uds, "tcp-bin": tcp} {
+			status, got, err := wc.RoundTrip(ctx, 0, raw.op, "", []byte(raw.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if status != resp.StatusCode || strings.TrimSpace(string(got)) != strings.TrimSpace(string(want)) {
+				t.Errorf("%s %s: http answered %d %s, %s answered %d %s", raw.path, raw.body, resp.StatusCode, want, name, status, got)
+			}
+		}
+	}
 }
 
 // TestWireIdempotencyReplay proves the idempotency table works across
@@ -353,6 +401,81 @@ func TestWireMidDropClassification(t *testing.T) {
 	// The books survived the chaos: exactly the one alloc is live.
 	if n := srv.LeaseCount(); n != 1 {
 		t.Fatalf("lease count after drops: %d, want 1", n)
+	}
+}
+
+// TestWireAttemptTimeoutClassification is the mid-drop test's twin for
+// a daemon that accepts the frame and goes silent: the attempt ends at
+// WithAttemptTimeout with context.DeadlineExceeded — no per-attempt
+// context is derived on this transport any more, the wire client's
+// timer says so — and the retry policy treats it like a drop: a keyed
+// alloc retries and lands exactly once, a migrate fails fast.
+func TestWireAttemptTimeoutClassification(t *testing.T) {
+	sys, err := core.NewSystem("xeon", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(sys)
+	// Registered first, so it runs after the listeners' cleanups have
+	// let the parked requests finish against a live daemon.
+	t.Cleanup(func() { srv.Close() })
+
+	// serveGated parks the first request it sees until the listener
+	// closes; everything after it is served.
+	serveGated := func() (base string, gate *gateHandler) {
+		path := filepath.Join(t.TempDir(), "silent.sock")
+		gate = &gateHandler{inner: srv.WireHandler(), hit: make(chan struct{}), block: make(chan struct{})}
+		ln, err := net.Listen("unix", path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := wire.NewServer(gate, srv.Metrics().TransportStats(server.TransportUDS))
+		go ws.Serve(ln)
+		t.Cleanup(func() { ws.Close() })
+		return "unix://" + path, gate
+	}
+	retry := server.RetryPolicy{MaxAttempts: 4, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond}
+	ctx := context.Background()
+
+	base, gate := serveGated()
+	cl := wireClient(t, base, server.WithRetryPolicy(retry), server.WithAttemptTimeout(40*time.Millisecond))
+	start := time.Now()
+	ar, err := cl.Alloc(ctx, server.AllocRequest{Name: "patient", Size: 1 << 20, Attr: "Bandwidth", Initiator: "0-19"})
+	if err != nil {
+		t.Fatalf("keyed alloc past a silent attempt: %v", err)
+	}
+	if d := time.Since(start); d < 40*time.Millisecond {
+		t.Fatalf("alloc returned after %v: the first attempt cannot have timed out", d)
+	}
+	close(gate.block) // the parked first attempt replays the key: still one lease
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Metrics().IdemReplays.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := srv.LeaseCount(); n != 1 {
+		t.Fatalf("lease count after the timed-out attempt replayed: %d, want 1", n)
+	}
+
+	base, _ = serveGated()
+	cl2 := wireClient(t, base, server.WithRetryPolicy(retry), server.WithAttemptTimeout(40*time.Millisecond))
+	_, err = cl2.Migrate(ctx, server.MigrateRequest{Lease: ar.Lease, Attr: "Capacity", Initiator: "0-19"})
+	if err == nil {
+		t.Fatal("migrate past a silent attempt succeeded — it was replayed")
+	}
+	if !strings.Contains(err.Error(), "transport error on non-idempotent request") || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("migrate timeout classified wrong: %v", err)
+	}
+
+	// The caller's own deadline still outranks the attempt's.
+	base, _ = serveGated()
+	cl3 := wireClient(t, base, server.WithRetryPolicy(retry), server.WithAttemptTimeout(time.Minute))
+	short, cancel := context.WithTimeout(ctx, 30*time.Millisecond)
+	defer cancel()
+	if err := cl3.Free(short, ar.Lease); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("free under a 30ms context: %v", err)
+	}
+	if n := srv.LeaseCount(); n != 1 {
+		t.Fatalf("lease count: %d, want 1", n)
 	}
 }
 

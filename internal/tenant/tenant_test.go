@@ -77,7 +77,7 @@ func TestChargeQuotaBoundary(t *testing.T) {
 		t.Fatalf("zero-quota kind admitted: %v", err)
 	}
 	// Unlimited kinds always charge.
-	if err := tn.Charge("NVDIMM", 1 << 40); err != nil {
+	if err := tn.Charge("NVDIMM", 1<<40); err != nil {
 		t.Fatalf("unlimited kind rejected: %v", err)
 	}
 

@@ -82,12 +82,43 @@ func (c *Client) Close() error {
 	return nil
 }
 
+// timerPool recycles the attempt timers. Only a timer whose Stop
+// reported that it had not fired goes back, so a pooled timer's channel
+// is empty whichever way the toolchain delivers ticks (go.mod says
+// go 1.22: timer channels are buffered and a fired timer may still be
+// about to send).
+var timerPool sync.Pool
+
+func startTimer(d time.Duration) *time.Timer {
+	if t, ok := timerPool.Get().(*time.Timer); ok {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+func stopTimer(t *time.Timer) {
+	if t.Stop() {
+		timerPool.Put(t)
+	}
+}
+
 // RoundTrip sends one request and waits for its response. The returned
 // body is freshly allocated and owned by the caller. Errors unwrap to
 // ErrNotSent or ErrConnDropped (see above); a context error is
 // returned as-is.
-func (c *Client) RoundTrip(ctx context.Context, op Op, tenant string, body []byte) (status int, respBody []byte, err error) {
-	cc, err := c.conn(ctx)
+//
+// A positive timeout bounds the attempt, dial included, as a context
+// derived with that timeout would — the error is
+// context.DeadlineExceeded — without deriving one per request.
+func (c *Client) RoundTrip(ctx context.Context, timeout time.Duration, op Op, tenant string, body []byte) (status int, respBody []byte, err error) {
+	var expired <-chan time.Time // nil, so never ready, without a timeout
+	if timeout > 0 {
+		t := startTimer(timeout)
+		defer stopTimer(t)
+		expired = t.C
+	}
+	cc, err := c.conn(ctx, timeout)
 	if err != nil {
 		return 0, nil, notSent(err)
 	}
@@ -124,17 +155,25 @@ func (c *Client) RoundTrip(ctx context.Context, op Op, tenant string, body []byt
 	case <-ctx.Done():
 		cc.forget(id)
 		return 0, nil, ctx.Err()
+	case <-expired:
+		cc.forget(id)
+		return 0, nil, context.DeadlineExceeded
 	}
 }
 
-// conn returns the live connection, dialing one if needed.
-func (c *Client) conn(ctx context.Context) (*clientConn, error) {
+// conn returns the live connection, dialing one if needed; the dial is
+// bounded by the smaller of the dial timeout and a positive attempt
+// timeout.
+func (c *Client) conn(ctx context.Context, timeout time.Duration) (*clientConn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cc != nil && !c.cc.dead() {
 		return c.cc, nil
 	}
 	d := net.Dialer{Timeout: c.dialTimeout}
+	if timeout > 0 && timeout < d.Timeout {
+		d.Timeout = timeout
+	}
 	nc, err := d.DialContext(ctx, c.network, c.addr)
 	if err != nil {
 		return nil, err

@@ -125,10 +125,14 @@ func (s *Server) Close() error {
 		conns = append(conns, sc)
 	}
 	s.mu.Unlock()
-	s.cancel()
+	// Connections first: a handler that returns because its context
+	// was canceled must not get an answer onto a connection that is
+	// about to be closed under it. To the client this is one drop,
+	// mid-request, never a late success racing the hang-up.
 	for _, sc := range conns {
 		sc.close()
 	}
+	s.cancel()
 	s.wg.Wait()
 	return nil
 }

@@ -76,8 +76,8 @@ const (
 	OpFree
 	OpRenew
 	OpMigrate
-	OpLeases     // lease-table summary (no per-lease list)
-	OpLeaseList  // lease-table summary plus the per-lease list
+	OpLeases    // lease-table summary (no per-lease list)
+	OpLeaseList // lease-table summary plus the per-lease list
 	OpLeaseDetail
 	OpHealth
 	OpMetrics

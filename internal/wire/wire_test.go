@@ -11,6 +11,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -202,7 +203,7 @@ func TestMuxOutOfOrder(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			want := strconv.Itoa(i)
-			status, body, err := cl.RoundTrip(context.Background(), OpHealth, "", []byte(want))
+			status, body, err := cl.RoundTrip(context.Background(), 0, OpHealth, "", []byte(want))
 			if err != nil {
 				errs[i] = err
 				return
@@ -273,14 +274,14 @@ func TestClientReconnect(t *testing.T) {
 	cl := NewClient("unix", path)
 	defer cl.Close()
 
-	if _, _, err := cl.RoundTrip(context.Background(), OpHealth, "", []byte("1")); err != nil {
+	if _, _, err := cl.RoundTrip(context.Background(), 0, OpHealth, "", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
 	// The connection is dead; the next exchange either fails as a
 	// mid-stream drop (the conn died under us) or as not-sent (the
 	// redial hit the removed socket) — never silently succeeds.
-	if _, _, err := cl.RoundTrip(context.Background(), OpHealth, "", []byte("2")); err == nil {
+	if _, _, err := cl.RoundTrip(context.Background(), 0, OpHealth, "", []byte("2")); err == nil {
 		t.Fatal("round trip against a closed server succeeded")
 	} else if !errors.Is(err, ErrConnDropped) && !errors.Is(err, ErrNotSent) {
 		t.Fatalf("unclassified transport error: %v", err)
@@ -295,7 +296,7 @@ func TestClientReconnect(t *testing.T) {
 	go s2.Serve(ln)
 	defer s2.Close()
 
-	status, body, err := cl.RoundTrip(context.Background(), OpHealth, "", []byte("3"))
+	status, body, err := cl.RoundTrip(context.Background(), 0, OpHealth, "", []byte("3"))
 	if err != nil {
 		t.Fatalf("round trip after server restart: %v", err)
 	}
@@ -306,7 +307,7 @@ func TestClientReconnect(t *testing.T) {
 
 func TestDialFailureIsNotSent(t *testing.T) {
 	cl := NewClient("unix", filepath.Join(t.TempDir(), "nothing-here.sock"))
-	_, _, err := cl.RoundTrip(context.Background(), OpHealth, "", nil)
+	_, _, err := cl.RoundTrip(context.Background(), 0, OpHealth, "", nil)
 	if !errors.Is(err, ErrNotSent) {
 		t.Fatalf("dial failure must classify as ErrNotSent, got %v", err)
 	}
@@ -329,7 +330,7 @@ func TestOversizedResponseAnswers500(t *testing.T) {
 	path, _ := startUDS(t, bigHandler{}, nil)
 	cl := NewClient("unix", path)
 	defer cl.Close()
-	status, body, err := cl.RoundTrip(context.Background(), OpMetrics, "", nil)
+	status, body, err := cl.RoundTrip(context.Background(), 0, OpMetrics, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +338,7 @@ func TestOversizedResponseAnswers500(t *testing.T) {
 		t.Fatalf("oversized response: got %d with %d body bytes, want bare 500", status, len(body))
 	}
 	// Same connection still serves.
-	if status, _, err = cl.RoundTrip(context.Background(), OpMetrics, "", nil); err != nil || status != 500 {
+	if status, _, err = cl.RoundTrip(context.Background(), 0, OpMetrics, "", nil); err != nil || status != 500 {
 		t.Fatalf("connection unusable after oversized response: %d %v", status, err)
 	}
 }
@@ -356,11 +357,107 @@ func TestContextCancelMidFlight(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	if _, _, err := cl.RoundTrip(ctx, OpHealth, "", []byte("slow")); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := cl.RoundTrip(ctx, 0, OpHealth, "", []byte("slow")); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
-	status, body, err := cl.RoundTrip(context.Background(), OpHealth, "", []byte("ok"))
+	status, body, err := cl.RoundTrip(context.Background(), 0, OpHealth, "", []byte("ok"))
 	if err != nil || status != 200 || string(body) != "ok" {
 		t.Fatalf("connection unusable after canceled request: %d %q %v", status, body, err)
+	}
+}
+
+// TestAttemptTimeout is TestContextCancelMidFlight for RoundTrip's own
+// timeout: a handler that stays silent fails the attempt with
+// context.DeadlineExceeded itself — what a context derived with that
+// timeout reported — the waiter is forgotten, the late answer is
+// dropped on the floor, and the connection keeps serving.
+func TestAttemptTimeout(t *testing.T) {
+	release := make(chan struct{})
+	path, _ := startUDS(t, echoHandler{delay: func(body []byte) time.Duration {
+		if string(body) == "silent" {
+			<-release
+		}
+		return 0
+	}}, nil)
+	cl := NewClient("unix", path)
+	defer cl.Close()
+
+	start := time.Now()
+	_, _, err := cl.RoundTrip(context.Background(), 30*time.Millisecond, OpHealth, "", []byte("silent"))
+	if err != context.DeadlineExceeded {
+		t.Fatalf("want context.DeadlineExceeded, got %v", err)
+	}
+	if d := time.Since(start); d < 30*time.Millisecond || d > 2*time.Second {
+		t.Fatalf("attempt timed out after %v, want about 30ms", d)
+	}
+	cl.mu.Lock()
+	cc := cl.cc
+	cl.mu.Unlock()
+	cc.mu.Lock()
+	waiting := len(cc.waiters)
+	cc.mu.Unlock()
+	if waiting != 0 {
+		t.Fatalf("%d waiters left behind by the timed-out attempt", waiting)
+	}
+	close(release) // the orphaned answer arrives now and finds nobody
+	status, body, err := cl.RoundTrip(context.Background(), time.Second, OpHealth, "", []byte("ok"))
+	if err != nil || status != 200 || string(body) != "ok" {
+		t.Fatalf("connection unusable after a timed-out attempt: %d %q %v", status, body, err)
+	}
+
+	// The caller's context still wins when it is the sooner one.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := cl.RoundTrip(ctx, time.Minute, OpHealth, "", []byte("ok")); err != context.Canceled {
+		t.Fatalf("canceled context under a long attempt timeout: got %v", err)
+	}
+}
+
+// TestAttemptTimeoutBoundsDial: when nothing answers the dial, the
+// attempt timeout ends it (not the 10 s dial timeout), as a provably
+// unsent request.
+func TestAttemptTimeoutBoundsDial(t *testing.T) {
+	cl := NewClient("tcp", "203.0.113.1:9") // TEST-NET-3: routed nowhere
+	start := time.Now()
+	_, _, err := cl.RoundTrip(context.Background(), 50*time.Millisecond, OpHealth, "", nil)
+	var ne net.Error
+	if !errors.As(err, &ne) || !ne.Timeout() {
+		t.Skipf("this network answers for TEST-NET-3 (%v); no silent peer to dial", err)
+	}
+	if !errors.Is(err, ErrNotSent) {
+		t.Fatalf("timed-out dial must classify as ErrNotSent, got %v", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("dial took %v under a 50ms attempt timeout", d)
+	}
+}
+
+// TestAttemptTimerIsReused: ten thousand sequential round trips under
+// an attempt timeout start no goroutine and leave no timer behind —
+// each one stops its timer and hands it to the next, so a bounded
+// round trip allocates exactly what an unbounded one does.
+func TestAttemptTimerIsReused(t *testing.T) {
+	path, _ := startUDS(t, echoHandler{}, nil)
+	cl := NewClient("unix", path)
+	defer cl.Close()
+	body := []byte("x")
+	trip := func(timeout time.Duration) func() {
+		return func() {
+			if _, _, err := cl.RoundTrip(context.Background(), timeout, OpHealth, "", body); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	trip(time.Minute)() // dial; the reader goroutines start here
+	before := runtime.NumGoroutine()
+	bounded := testing.AllocsPerRun(10000, trip(time.Minute))
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines grew from %d to %d over 10k bounded round trips", before, after)
+	}
+	unbounded := testing.AllocsPerRun(1000, trip(0))
+	// A fresh timer per trip would cost two or more; the one is the
+	// race build's sync.Pool, which drops a quarter of its puts.
+	if bounded > unbounded+1 {
+		t.Errorf("a round trip under an attempt timeout costs %.0f allocations, %.0f without: the timer is not reused", bounded, unbounded)
 	}
 }
