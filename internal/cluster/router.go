@@ -1061,6 +1061,6 @@ func (r *Router) WriteMetrics(ctx context.Context, w io.Writer) error {
 		}
 		nodes[i] = server.NodeUsage{Node: m.name, InUse: bytesBySlot[i], Health: state}
 	}
-	_, err := io.WriteString(w, r.api.Metrics().Render(nodes, leaseCount))
-	return err
+	r.api.Metrics().Render(w, nodes, leaseCount)
+	return nil
 }

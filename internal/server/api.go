@@ -324,8 +324,27 @@ func (a *API) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if err := a.backend.WriteMetrics(r.Context(), w); err != nil {
+	if err := serveMetrics(w, r, a.backend); err != nil {
 		a.writeError(w, r, err)
 	}
+}
+
+// serveMetrics answers a metrics read from one pooled buffer with its
+// length stamped. Written piece by piece the text (several KiB) passes
+// the size up to which net/http works out Content-Length itself and
+// goes out chunked, and a client that is not told the length grows its
+// read buffer by doubling.
+func serveMetrics(w http.ResponseWriter, r *http.Request, b Backend) error {
+	bp := getRespBuf()
+	defer putRespBuf(bp)
+	sw := sliceWriter{dst: *bp}
+	err := b.WriteMetrics(r.Context(), &sw)
+	*bp = sw.dst // keep what the buffer grew to
+	if err != nil {
+		return err
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	w.Header().Set("Content-Length", strconv.Itoa(len(sw.dst)))
+	w.Write(sw.dst)
+	return nil
 }

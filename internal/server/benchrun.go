@@ -40,8 +40,8 @@ type BenchOptions struct {
 	Batch int
 	// Transport selects how the clients reach the daemon: "" or
 	// "http" (HTTP/1.1), "uds" (binary protocol over a unix socket),
-	// or "tcp-bin" (binary protocol over one multiplexed TCP
-	// connection per client).
+	// or "tcp-bin" (binary protocol over multiplexed TCP
+	// connections).
 	Transport string
 	// Server is the daemon configuration under test.
 	Server Config
@@ -136,10 +136,11 @@ func RunAllocBench(ctx context.Context, name string, opts BenchOptions) (BenchRe
 	}
 	defer stopListen()
 
-	// The binary transports' deployment model is ONE persistent
-	// multiplexed connection carrying every client's requests — that is
-	// what the request IDs and the group-commit write coalescing exist
-	// for — so the bench shares a single Client across the goroutines.
+	// The binary transports' deployment model is ONE Client carrying
+	// every caller's requests over its few persistent multiplexed
+	// connections — that is what the request IDs and the group-commit
+	// write coalescing exist for — so the bench shares a single Client
+	// across the goroutines.
 	// HTTP keeps a client per goroutine (its deployment model is pooled
 	// connections), matching the earlier bench rows.
 	var shared *Client

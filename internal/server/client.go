@@ -120,8 +120,8 @@ func WithTenant(name string) ClientOption {
 
 // NewClient returns a client for the daemon at base, e.g.
 // "http://127.0.0.1:7077". A "unix:///path.sock" or
-// "tcp+bin://host:port" base selects the binary wire protocol over a
-// persistent multiplexed connection instead of HTTP; every method,
+// "tcp+bin://host:port" base selects the binary wire protocol over
+// persistent multiplexed connections instead of HTTP; every method,
 // option, and error behaves identically (see clientwire.go).
 //
 // The client keeps its own connection pool sized for talking to one

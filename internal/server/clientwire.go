@@ -5,14 +5,15 @@ package server
 //
 //	http://host:port     HTTP/1.1, the stable compat path (default)
 //	unix:///path.sock    binary protocol over a unix domain socket
-//	tcp+bin://host:port  binary protocol over one multiplexed TCP conn
+//	tcp+bin://host:port  binary protocol over multiplexed TCP conns
 //
-// The binary transports speak internal/wire: one persistent
-// connection, many in-flight requests tagged with request IDs, no
-// per-request dial or header parsing. Everything above the exchange —
-// retry policy, circuit breaker, idempotency keys, heartbeats, tenant
-// stamping, error envelopes — is shared with the HTTP path, so a
-// caller only ever changes the base URL.
+// The binary transports speak internal/wire: a few persistent
+// connections (one per concurrent caller, up to min(GOMAXPROCS, 4);
+// a lone caller opens one), many in-flight requests tagged with
+// request IDs, no per-request dial or header parsing. Everything above
+// the exchange — retry policy, circuit breaker, idempotency keys,
+// heartbeats, tenant stamping, error envelopes — is shared with the
+// HTTP path, so a caller only ever changes the base URL.
 
 import (
 	"context"

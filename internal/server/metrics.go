@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -187,14 +188,13 @@ type NodeUsage struct {
 	Health   int // HealthState as an integer gauge (0 healthy, 1 degraded, 2 offline)
 }
 
-// Render writes the metrics in the flat Prometheus-style text format
-// (one "name{labels} value" per line). Node gauges and the live lease
-// count are passed in by the server so the text always reflects the
-// allocator's ground truth.
-func (m *Metrics) Render(nodes []NodeUsage, leases int) string {
-	var sb strings.Builder
+// Render writes the metrics to w in the flat Prometheus-style text
+// format (one "name{labels} value" per line). Node gauges and the live
+// lease count are passed in by the server so the text always reflects
+// the allocator's ground truth.
+func (m *Metrics) Render(w io.Writer, nodes []NodeUsage, leases int) {
 	counter := func(name string, v uint64) {
-		fmt.Fprintf(&sb, "%s %d\n", name, v)
+		fmt.Fprintf(w, "%s %d\n", name, v)
 	}
 	counter("hetmemd_alloc_total", m.AllocTotal.Load())
 	counter("hetmemd_alloc_failed_total", m.AllocFailed.Load())
@@ -228,50 +228,49 @@ func (m *Metrics) Render(nodes []NodeUsage, leases int) string {
 	counter("hetmemd_advisor_held_hysteresis_total", m.AdvisorHeldHysteresis.Load())
 	counter("hetmemd_advisor_cycles_total", m.AdvisorCycles.Load())
 	counter("hetmemd_advisor_bytes_moved_total", m.AdvisorBytesMoved.Load())
-	fmt.Fprintf(&sb, "hetmemd_leases_active %d\n", leases)
+	fmt.Fprintf(w, "hetmemd_leases_active %d\n", leases)
 
 	var batchCum, batchCount uint64
 	for i, ub := range journalBatchBuckets {
 		batchCum += m.journalBatch[i].Load()
-		fmt.Fprintf(&sb, "hetmemd_journal_batch_size_bucket{le=\"%d\"} %d\n", ub, batchCum)
+		fmt.Fprintf(w, "hetmemd_journal_batch_size_bucket{le=\"%d\"} %d\n", ub, batchCum)
 	}
 	batchCum += m.journalBatch[numBatchBuckets].Load()
 	batchCount = batchCum
-	fmt.Fprintf(&sb, "hetmemd_journal_batch_size_bucket{le=\"+Inf\"} %d\n", batchCum)
-	fmt.Fprintf(&sb, "hetmemd_journal_batch_size_sum %d\n", m.journalBatchSum.Load())
-	fmt.Fprintf(&sb, "hetmemd_journal_batch_size_count %d\n", batchCount)
+	fmt.Fprintf(w, "hetmemd_journal_batch_size_bucket{le=\"+Inf\"} %d\n", batchCum)
+	fmt.Fprintf(w, "hetmemd_journal_batch_size_sum %d\n", m.journalBatchSum.Load())
+	fmt.Fprintf(w, "hetmemd_journal_batch_size_count %d\n", batchCount)
 
 	for t := 0; t < numTransports; t++ {
 		name := transportNames[t]
 		st := &m.transports[t]
-		fmt.Fprintf(&sb, "hetmemd_transport_requests_total{transport=%q} %d\n", name, st.Requests.Load())
-		fmt.Fprintf(&sb, "hetmemd_transport_bytes_rx_total{transport=%q} %d\n", name, st.BytesRx.Load())
-		fmt.Fprintf(&sb, "hetmemd_transport_bytes_tx_total{transport=%q} %d\n", name, st.BytesTx.Load())
-		fmt.Fprintf(&sb, "hetmemd_transport_active_conns{transport=%q} %d\n", name, st.ActiveConns.Load())
-		fmt.Fprintf(&sb, "hetmemd_transport_decode_errors_total{transport=%q} %d\n", name, st.DecodeErrors.Load())
+		fmt.Fprintf(w, "hetmemd_transport_requests_total{transport=%q} %d\n", name, st.Requests.Load())
+		fmt.Fprintf(w, "hetmemd_transport_bytes_rx_total{transport=%q} %d\n", name, st.BytesRx.Load())
+		fmt.Fprintf(w, "hetmemd_transport_bytes_tx_total{transport=%q} %d\n", name, st.BytesTx.Load())
+		fmt.Fprintf(w, "hetmemd_transport_active_conns{transport=%q} %d\n", name, st.ActiveConns.Load())
+		fmt.Fprintf(w, "hetmemd_transport_decode_errors_total{transport=%q} %d\n", name, st.DecodeErrors.Load())
 	}
 
 	for _, n := range nodes {
-		fmt.Fprintf(&sb, "hetmemd_node_capacity_bytes{node=%q} %d\n", n.Node, n.Capacity)
-		fmt.Fprintf(&sb, "hetmemd_node_bytes_in_use{node=%q} %d\n", n.Node, n.InUse)
-		fmt.Fprintf(&sb, "hetmemd_node_health{node=%q} %d\n", n.Node, n.Health)
+		fmt.Fprintf(w, "hetmemd_node_capacity_bytes{node=%q} %d\n", n.Node, n.Capacity)
+		fmt.Fprintf(w, "hetmemd_node_bytes_in_use{node=%q} %d\n", n.Node, n.InUse)
+		fmt.Fprintf(w, "hetmemd_node_health{node=%q} %d\n", n.Node, n.Health)
 	}
 
 	for e := Endpoint(0); e < numEndpoints; e++ {
 		name := endpointNames[e]
-		fmt.Fprintf(&sb, "hetmemd_requests_total{endpoint=%q} %d\n", name, m.requests[e].Load())
-		fmt.Fprintf(&sb, "hetmemd_request_errors_total{endpoint=%q} %d\n", name, m.errors[e].Load())
+		fmt.Fprintf(w, "hetmemd_requests_total{endpoint=%q} %d\n", name, m.requests[e].Load())
+		fmt.Fprintf(w, "hetmemd_request_errors_total{endpoint=%q} %d\n", name, m.errors[e].Load())
 		cum := uint64(0)
 		for i, ub := range latencyBuckets {
 			cum += m.latency[e][i].Load()
-			fmt.Fprintf(&sb, "hetmemd_request_seconds_bucket{endpoint=%q,le=%q} %d\n", name, formatBound(ub), cum)
+			fmt.Fprintf(w, "hetmemd_request_seconds_bucket{endpoint=%q,le=%q} %d\n", name, formatBound(ub), cum)
 		}
 		cum += m.latency[e][numBuckets].Load()
-		fmt.Fprintf(&sb, "hetmemd_request_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", name, cum)
-		fmt.Fprintf(&sb, "hetmemd_request_seconds_sum{endpoint=%q} %g\n", name, float64(m.latencyNS[e].Load())/1e9)
-		fmt.Fprintf(&sb, "hetmemd_request_seconds_count{endpoint=%q} %d\n", name, m.requests[e].Load())
+		fmt.Fprintf(w, "hetmemd_request_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", name, cum)
+		fmt.Fprintf(w, "hetmemd_request_seconds_sum{endpoint=%q} %g\n", name, float64(m.latencyNS[e].Load())/1e9)
+		fmt.Fprintf(w, "hetmemd_request_seconds_count{endpoint=%q} %d\n", name, m.requests[e].Load())
 	}
-	return sb.String()
 }
 
 func formatBound(ub float64) string {

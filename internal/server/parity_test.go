@@ -4,15 +4,19 @@ package server_test
 // /v1/leases?list=1, /v1/attrs and /v1/metrics on a quiescent daemon
 // are compared byte for byte against testdata/parity/*.golden, which
 // were written by this same test (-update-parity) at commit b75ef9e —
-// the last one that served them from the epoch snapshot. How the
-// daemon keeps its books is free to change; what a client reads is
-// not. A change that means to alter a body regenerates the files and
-// says so.
+// the last one that served them from the epoch snapshot — and
+// metrics_series.golden at 8daef1e, the last one that wrote the metrics
+// text onto the connection in pieces. How the daemon keeps its books
+// and builds its bodies is free to change; what a client reads is not.
+// A change that means to alter a body regenerates the files and says
+// so.
 
 import (
 	"bytes"
 	"context"
 	"flag"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -71,6 +75,7 @@ func TestReadBodiesMatchParent(t *testing.T) {
 		{"leases_list", "/v1/leases?list=1"},
 		{"attrs", "/v1/attrs"},
 		{"metrics", "/v1/metrics"},
+		{"metrics_series", "/v1/metrics"},
 	} {
 		rec := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", ep.path, nil))
@@ -78,8 +83,11 @@ func TestReadBodiesMatchParent(t *testing.T) {
 			t.Fatalf("GET %s: %d %s", ep.path, rec.Code, rec.Body)
 		}
 		got := rec.Body.Bytes()
-		if ep.file == "metrics" {
+		switch ep.file {
+		case "metrics":
 			got = stableMetrics(got)
+		case "metrics_series":
+			got = metricsSeries(got)
 		}
 		golden := filepath.Join("testdata", "parity", ep.file+".golden")
 		if *updateParity {
@@ -99,6 +107,60 @@ func TestReadBodiesMatchParent(t *testing.T) {
 			t.Errorf("GET %s differs from %s:\n got: %s\nwant: %s", ep.path, golden, got, want)
 		}
 	}
+}
+
+// TestMetricsAnsweredWithLength: the metrics text is longer than what
+// net/http will measure for itself, so both surfaces that serve it (the
+// daemon's own mux and the API a router mounts) must stamp the length —
+// a chunked answer sends the reading client into a regrow loop.
+func TestMetricsAnsweredWithLength(t *testing.T) {
+	sys, err := core.NewSystem("xeon", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(sys)
+	defer srv.Close()
+	for name, h := range map[string]http.Handler{
+		"server": srv.Handler(),
+		"api":    server.NewAPI(srv, server.APIOptions{}).Handler(),
+	} {
+		ts := httptest.NewServer(h)
+		resp, err := http.Get(ts.URL + "/v1/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		ts.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(len(body)) {
+			t.Errorf("%s: metrics answered with Content-Length %d, Transfer-Encoding %v for a %d-byte body",
+				name, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+		if _, err := server.ParseMetrics(string(body)); err != nil || len(body) < 2048 {
+			t.Errorf("%s: %d-byte metrics body, parse error %v", name, len(body), err)
+		}
+	}
+}
+
+// metricsSeries keeps every line of the metrics text and masks what a
+// rerun cannot reproduce in it — each value and the per-boot instance
+// ID — so the series stableMetrics drops are still pinned by name,
+// labels and order.
+func metricsSeries(text []byte) []byte {
+	var out []byte
+	for _, line := range strings.SplitAfter(string(text), "\n") {
+		if i := strings.LastIndexByte(line, ' '); i >= 0 {
+			line = line[:i] + "\n"
+		}
+		if strings.HasPrefix(line, "hetmemd_instance_info") {
+			line = "hetmemd_instance_info\n"
+		}
+		out = append(out, line...)
+	}
+	return out
 }
 
 // stableMetrics drops the two series a rerun cannot reproduce: the

@@ -1129,8 +1129,7 @@ func (s *Server) Health(ctx context.Context) (HealthResponse, error) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	s.WriteMetrics(r.Context(), w)
+	serveMetrics(w, r, s) // Server.WriteMetrics cannot fail
 }
 
 // WriteMetrics is the Backend entry behind /metrics: it renders the
@@ -1152,7 +1151,7 @@ func (s *Server) WriteMetrics(ctx context.Context, w io.Writer) error {
 	s.metrics.PlacementCacheHits.Store(hits)
 	s.metrics.PlacementCacheMisses.Store(misses)
 	fmt.Fprintf(w, "hetmemd_instance_info{instance_id=%q} 1\n", s.instanceID)
-	fmt.Fprint(w, s.metrics.Render(usage, s.leases.count()))
+	s.metrics.Render(w, usage, s.leases.count())
 	s.tenants.WriteMetrics(w)
 	fmt.Fprintf(w, "hetmemd_admission_queue_waiting %d\n", s.queueWaiting.Load())
 	if s.store != nil {

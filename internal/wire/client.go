@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,14 +40,27 @@ func (e *transportError) Unwrap() []error { return []error{e.kind, e.err} }
 func notSent(err error) error     { return &transportError{kind: ErrNotSent, err: err} }
 func connDropped(err error) error { return &transportError{kind: ErrConnDropped, err: err} }
 
-// Client is one multiplexed binary-protocol connection to a daemon,
-// with lazy dialing and automatic re-establishment: the first
-// RoundTrip after a drop dials fresh. It is safe for concurrent use —
-// that is the point: many goroutines share the one connection, each
-// request tagged with a unique ID, responses correlated as they
-// arrive in any order.
+// maxLanes caps the connections one Client opens. A lane's frames all
+// pass through one client reader and one server reader and writer, so
+// callers running in parallel want a lane each — but more lanes than
+// Ps cannot run in parallel, and past a few the frames of many callers
+// stop sharing flushes.
+const maxLanes = 4
+
+// Client is a small fixed set of lanes to a daemon's binary-protocol
+// listener — min(GOMAXPROCS, maxLanes) of them — each one multiplexed
+// connection with lazy dialing and automatic re-establishment: the
+// first RoundTrip on a lane after a drop dials fresh. It is safe for
+// concurrent use — that is the point: many goroutines share the one
+// client, each request tagged with a unique ID, responses correlated
+// as they arrive in any order. A request takes the lowest-numbered
+// lane with nothing in flight, else the lane with the fewest in
+// flight, so a lone sequential caller opens exactly one connection and
+// k concurrent callers use min(k, lanes).
 //
-// The Client retries nothing itself. Retry policy, backoff, circuit
+// The Client retries nothing itself, and one RoundTrip uses one lane:
+// a drop fails the requests in flight on that connection only, and
+// nothing fails over to another lane. Retry policy, backoff, circuit
 // breaking, and idempotency live in server.Client, which treats this
 // as one transport attempt; the error classification above tells it
 // which failures are replayable.
@@ -57,6 +71,14 @@ type Client struct {
 	dialTimeout time.Duration
 	nextID      atomic.Uint64
 
+	lanes []lane
+}
+
+// lane is one slot for a connection and the count of RoundTrips
+// currently using it.
+type lane struct {
+	inflight atomic.Int32
+
 	mu sync.Mutex
 	cc *clientConn
 }
@@ -65,21 +87,52 @@ type Client struct {
 // network/addr ("unix" + socket path, or "tcp" + host:port). No
 // connection is made until the first RoundTrip.
 func NewClient(network, addr string) *Client {
-	return &Client{network: network, addr: addr, dialTimeout: 10 * time.Second}
+	return &Client{
+		network:     network,
+		addr:        addr,
+		dialTimeout: 10 * time.Second,
+		lanes:       make([]lane, min(runtime.GOMAXPROCS(0), maxLanes)),
+	}
 }
 
-// Close drops the current connection (if any); in-flight requests fail
-// with ErrConnDropped. The client remains usable — the next RoundTrip
-// redials.
+// Close drops every lane's connection (if any); in-flight requests
+// fail with ErrConnDropped. The client remains usable — the next
+// RoundTrip redials.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	cc := c.cc
-	c.cc = nil
-	c.mu.Unlock()
-	if cc != nil {
-		cc.fail(connDropped(errors.New("client closed")))
+	for i := range c.lanes {
+		l := &c.lanes[i]
+		l.mu.Lock()
+		cc := l.cc
+		l.cc = nil
+		l.mu.Unlock()
+		if cc != nil {
+			cc.fail(connDropped(errors.New("client closed")))
+		}
 	}
 	return nil
+}
+
+// acquire picks the lane for one request and counts the request in;
+// the caller counts it out when the round trip ends, however it ends —
+// a leaked count would keep the lane looking busy forever.
+func (c *Client) acquire() *lane {
+	var best *lane
+	var least int32
+	for i := range c.lanes {
+		l := &c.lanes[i]
+		n := l.inflight.Load()
+		if n == 0 {
+			if l.inflight.CompareAndSwap(0, 1) {
+				return l
+			}
+			n = 1 // another caller took it between the two reads
+		}
+		if best == nil || n < least {
+			best, least = l, n
+		}
+	}
+	best.inflight.Add(1)
+	return best
 }
 
 // timerPool recycles the attempt timers. Only a timer whose Stop
@@ -118,7 +171,9 @@ func (c *Client) RoundTrip(ctx context.Context, timeout time.Duration, op Op, te
 		defer stopTimer(t)
 		expired = t.C
 	}
-	cc, err := c.conn(ctx, timeout)
+	l := c.acquire()
+	defer l.inflight.Add(-1)
+	cc, err := c.conn(ctx, l, timeout)
 	if err != nil {
 		return 0, nil, notSent(err)
 	}
@@ -151,6 +206,7 @@ func (c *Client) RoundTrip(ctx context.Context, timeout time.Duration, op Op, te
 
 	select {
 	case r := <-ch:
+		waiterPool.Put(ch)
 		return r.status, r.body, r.err
 	case <-ctx.Done():
 		cc.forget(id)
@@ -161,14 +217,14 @@ func (c *Client) RoundTrip(ctx context.Context, timeout time.Duration, op Op, te
 	}
 }
 
-// conn returns the live connection, dialing one if needed; the dial is
-// bounded by the smaller of the dial timeout and a positive attempt
-// timeout.
-func (c *Client) conn(ctx context.Context, timeout time.Duration) (*clientConn, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cc != nil && !c.cc.dead() {
-		return c.cc, nil
+// conn returns the lane's live connection, dialing one if needed; the
+// dial is bounded by the smaller of the dial timeout and a positive
+// attempt timeout.
+func (c *Client) conn(ctx context.Context, l *lane, timeout time.Duration) (*clientConn, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.cc != nil && !l.cc.dead() {
+		return l.cc, nil
 	}
 	d := net.Dialer{Timeout: c.dialTimeout}
 	if timeout > 0 && timeout < d.Timeout {
@@ -185,7 +241,7 @@ func (c *Client) conn(ctx context.Context, timeout time.Duration) (*clientConn, 
 		done:    make(chan struct{}),
 	}
 	go cc.readLoop()
-	c.cc = cc
+	l.cc = cc
 	return cc, nil
 }
 
@@ -218,11 +274,22 @@ func (cc *clientConn) dead() bool {
 	return cc.err != nil
 }
 
+// waiterPool recycles the one-slot channels round trips wait on. A
+// channel goes back only from the RoundTrip that received its one
+// result: a waiter given up on (timeout, cancellation, a frame that
+// was never written) is dropped instead, because its answer may still
+// be on the way into it.
+var waiterPool sync.Pool
+
 func (cc *clientConn) register(id uint64) (chan clientResult, error) {
-	ch := make(chan clientResult, 1)
+	ch, ok := waiterPool.Get().(chan clientResult)
+	if !ok {
+		ch = make(chan clientResult, 1)
+	}
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	if cc.err != nil {
+		waiterPool.Put(ch) // never shared
 		return nil, cc.err
 	}
 	cc.waiters[id] = ch

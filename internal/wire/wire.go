@@ -33,7 +33,8 @@
 // One connection carries many in-flight requests: the client tags each
 // with a 64-bit request ID and the server may answer out of order.
 // Reusing a request ID while it is still in flight is a protocol error
-// and closes the connection.
+// and closes the connection. A Client spreads concurrent callers over
+// a few such connections (see Client).
 package wire
 
 import (

@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -167,10 +168,12 @@ func (h echoHandler) ServeWire(_ context.Context, _ Op, _ string, body, dst []by
 	return 200, append(dst, body...)
 }
 
+var udsSeq atomic.Int32
+
 // startUDS serves h on a fresh unix socket and returns its path.
 func startUDS(t *testing.T, h Handler, stats *Stats) (string, *Server) {
 	t.Helper()
-	path := filepath.Join(os.TempDir(), fmt.Sprintf("wiretest-%d.sock", os.Getpid()))
+	path := filepath.Join(os.TempDir(), fmt.Sprintf("wiretest-%d-%d.sock", os.Getpid(), udsSeq.Add(1)))
 	os.Remove(path)
 	ln, err := net.Listen("unix", path)
 	if err != nil {
@@ -182,17 +185,25 @@ func startUDS(t *testing.T, h Handler, stats *Stats) (string, *Server) {
 	return path, s
 }
 
+// withLanes gives cl exactly n lanes, whatever GOMAXPROCS is on the box
+// running the test.
+func withLanes(cl *Client, n int) *Client {
+	cl.lanes = make([]lane, n)
+	return cl
+}
+
 // TestMuxOutOfOrder floods one connection with concurrent requests
 // whose handler latency is inverted (early requests are slow), so the
 // server must answer out of order and the client must re-correlate
-// every response by ID.
+// every response by ID. The client has a single lane, so all 32 are
+// registered on the one connection.
 func TestMuxOutOfOrder(t *testing.T) {
 	var stats Stats
 	path, _ := startUDS(t, echoHandler{delay: func(body []byte) time.Duration {
 		n, _ := strconv.Atoi(string(body))
 		return time.Duration(31-n) * time.Millisecond
 	}}, &stats)
-	cl := NewClient("unix", path)
+	cl := withLanes(NewClient("unix", path), 1)
 	defer cl.Close()
 
 	const n = 32
@@ -390,9 +401,7 @@ func TestAttemptTimeout(t *testing.T) {
 	if d := time.Since(start); d < 30*time.Millisecond || d > 2*time.Second {
 		t.Fatalf("attempt timed out after %v, want about 30ms", d)
 	}
-	cl.mu.Lock()
-	cc := cl.cc
-	cl.mu.Unlock()
+	cc := current(&cl.lanes[0])
 	cc.mu.Lock()
 	waiting := len(cc.waiters)
 	cc.mu.Unlock()
