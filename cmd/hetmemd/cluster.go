@@ -45,6 +45,7 @@ func (f *memberFlags) Set(s string) error {
 
 func runRouter(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("hetmemd router", flag.ContinueOnError)
+	fs.SetOutput(out)
 	var members memberFlags
 	fs.Var(&members, "member", "cluster member as name=url (repeat per daemon); the name is the rendezvous identity")
 	var (

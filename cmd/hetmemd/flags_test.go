@@ -5,6 +5,9 @@ package main
 // flag names in the error.
 
 import (
+	"bytes"
+	"errors"
+	"flag"
 	"io"
 	"strings"
 	"testing"
@@ -33,6 +36,8 @@ func TestServeFlagValidation(t *testing.T) {
 		{"headroom-without-watermark", []string{"serve", "-shed", "0", "-guaranteed-headroom", "0.2"}, "-shed"},
 		// Batches form on the in-flight fsync; there is no wait to set.
 		{"group-commit-linger-is-gone", []string{"serve", "-group-commit-linger", "1ms"}, "not defined"},
+		// The hot responses have one encoder.
+		{"legacy-encoding-is-gone", []string{"serve", "-legacy-encoding"}, "not defined"},
 	} {
 		err := run(tc.args, io.Discard)
 		if err == nil {
@@ -96,5 +101,26 @@ func TestRouterFlagValidation(t *testing.T) {
 		if err := validateRouterConfig(cfg); err != nil {
 			t.Errorf("config %+v rejected: %v", cfg, err)
 		}
+	}
+}
+
+// TestFlagCount pins how many flags the subcommands register, counted
+// from their -h listings, so that a flag comes or goes on purpose.
+func TestFlagCount(t *testing.T) {
+	const want = 102
+	var usage bytes.Buffer
+	for _, sub := range []string{"serve", "router", "loadtest", "chaostest", "reapstress", "tenantstress", "bench"} {
+		if err := run([]string{sub, "-h"}, &usage); !errors.Is(err, flag.ErrHelp) {
+			t.Errorf("%s -h: %v", sub, err)
+		}
+	}
+	n := 0
+	for _, line := range strings.Split(usage.String(), "\n") {
+		if strings.HasPrefix(line, "  -") {
+			n++
+		}
+	}
+	if n != want {
+		t.Errorf("the subcommands register %d flags, want %d", n, want)
 	}
 }

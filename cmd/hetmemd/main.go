@@ -21,10 +21,10 @@
 //
 // Try it:
 //
-//	curl localhost:7077/attrs?format=text
-//	curl -d '{"name":"hot","size":1073741824,"attr":"Bandwidth","initiator":"0-19"}' localhost:7077/alloc
-//	curl localhost:7077/health
-//	curl localhost:7077/metrics
+//	curl localhost:7077/v1/attrs?format=text
+//	curl -d '{"name":"hot","size":1073741824,"attr":"Bandwidth","initiator":"0-19"}' localhost:7077/v1/alloc
+//	curl localhost:7077/v1/health
+//	curl localhost:7077/v1/metrics
 package main
 
 import (
@@ -142,6 +142,7 @@ func startServer(addr, platName string, forceBench bool, out io.Writer) (base st
 
 func runServe(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("hetmemd serve", flag.ContinueOnError)
+	fs.SetOutput(out)
 	var (
 		addr       = fs.String("addr", "127.0.0.1:7077", "listen address")
 		udsPath    = fs.String("uds", "", "also serve the binary wire protocol on this unix socket path (empty: disabled)")
@@ -154,7 +155,6 @@ func runServe(args []string, out io.Writer) error {
 		groupC     = fs.Bool("group-commit", false, "coalesce concurrent journal appends into one fsync (needs -journal)")
 		groupBatch = fs.Int("group-commit-batch", 0, "max records per coalesced fsync (0: 64)")
 		noCache    = fs.Bool("no-candidate-cache", false, "disable the ranked-candidate cache (re-rank every placement)")
-		legacyEnc  = fs.Bool("legacy-encoding", false, "encode hot-path responses with encoding/json instead of the zero-allocation encoders (A/B benchmarking)")
 		replayW    = fs.Int("replay-workers", 0, "journal-replay parallelism on startup (0: GOMAXPROCS, 1: sequential)")
 		shed       = fs.Float64("shed", 0.95, "admission-control watermark in (0,1]; 0 disables shedding")
 		leaseTTL   = fs.Duration("lease-ttl", 0, "default lease TTL (0: leases never expire)")
@@ -182,7 +182,6 @@ func runServe(args []string, out io.Writer) error {
 		GroupCommit:           *groupC,
 		GroupCommitBatch:      *groupBatch,
 		DisableCandidateCache: *noCache,
-		LegacyEncoding:        *legacyEnc,
 		ReplayWorkers:         *replayW,
 		ShedWatermark:         *shed,
 		DefaultLeaseTTL:       *leaseTTL,
@@ -383,6 +382,7 @@ func serveWireListeners(eps wireEndpoints, out io.Writer) (stop func(), err erro
 
 func runLoadtest(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("hetmemd loadtest", flag.ContinueOnError)
+	fs.SetOutput(out)
 	var (
 		addr     = fs.String("addr", "", "daemon base URL — http://host:port, unix:///path.sock, or tcp+bin://host:port (empty: boot one in-process)")
 		tsport   = fs.String("transport", "http", "in-process daemon transport: http, uds, or tcp-bin (with -addr, the URL scheme decides)")
@@ -468,14 +468,14 @@ func runLoadtest(args []string, out io.Writer) error {
 
 // runBench is the fast-path acceptance measurement: the same
 // alloc/free load against the durable daemon in its pre-fast-path
-// configuration (fsync per record, no candidate cache), the PR-4
-// fast path (group commit + cache, encoding/json responses), the
-// zero-allocation fast path (pooled leases + hand-rolled encoders),
-// and the batched endpoint — then the restart-time benchmark
+// configuration (fsync per record, no candidate cache), the fast path
+// (group commit + cache on the zero-allocation hot path), and the
+// batched endpoint — then the restart-time benchmark
 // (sequential vs parallel journal replay). Results land in a JSON
 // artifact (BENCH_alloc.json) for CI to archive.
 func runBench(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("hetmemd bench", flag.ContinueOnError)
+	fs.SetOutput(out)
 	var (
 		platName    = fs.String("p", "xeon", "platform for the daemon under test")
 		clients     = fs.Int("clients", 32, "concurrent client goroutines")
@@ -525,17 +525,10 @@ func runBench(args []string, out io.Writer) error {
 			SyncEveryAppend:       true,
 			DisableCandidateCache: true,
 		}}},
-		// "fast" pins the PR-4 daemon: group commit + candidate cache,
-		// responses through encoding/json. "fast_zeroalloc" is the same
-		// daemon on the pooled zero-allocation hot path — the default —
-		// so the A/B isolates what the allocation work was costing.
+		// "fast" is the default daemon: group commit, candidate cache and
+		// the pooled zero-allocation hot path.
 		{"fast", server.BenchOptions{Server: server.Config{
-			JournalPath:    filepath.Join(dir, "fast.wal"),
-			GroupCommit:    true,
-			LegacyEncoding: true,
-		}}},
-		{"fast_zeroalloc", server.BenchOptions{Server: server.Config{
-			JournalPath: filepath.Join(dir, "fastzero.wal"),
+			JournalPath: filepath.Join(dir, "fast.wal"),
 			GroupCommit: true,
 		}}},
 	}
@@ -668,7 +661,7 @@ func readPriorBench(basePath, outPath string) *server.BenchReport {
 // wireGates enforces the binary-transport acceptance bars on a bench
 // report: the UDS wire path must hold a sub-100µs single-item p50,
 // beat the recorded single-item HTTP fast path (the committed
-// fast_zeroalloc row) by 10x in allocs/sec, and not regress its own
+// fast row) by 10x in allocs/sec, and not regress its own
 // recorded p50 by more than 25%. CI greps for the PASS line.
 func wireGates(report server.BenchReport, prior *server.BenchReport, out io.Writer) error {
 	find := func(rs []server.BenchResult, name string) *server.BenchResult {
@@ -687,7 +680,7 @@ func wireGates(report server.BenchReport, prior *server.BenchReport, out io.Writ
 		return fmt.Errorf("wire gate: uds single-item p50 %.0fµs misses the 100µs target", uds.P50Micros)
 	}
 	if prior != nil {
-		if base := find(prior.Results, "fast_zeroalloc"); base != nil && base.AllocsPerSec > 0 {
+		if base := find(prior.Results, "fast"); base != nil && base.AllocsPerSec > 0 {
 			speedup := uds.AllocsPerSec / base.AllocsPerSec
 			fmt.Fprintf(out, "hetmemd: bench wire_uds vs recorded single-item fast path: %.1fx\n", speedup)
 			if speedup < 10 {
@@ -739,6 +732,7 @@ func advisorBench(platName string, phases int, outPath string, out io.Writer) er
 
 func runReapstress(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("hetmemd reapstress", flag.ContinueOnError)
+	fs.SetOutput(out)
 	var (
 		platName = fs.String("p", "xeon", "platform for the daemon under test")
 		ttl      = fs.Duration("ttl", time.Second, "lease TTL requested by every client")
@@ -790,6 +784,7 @@ func runReapstress(args []string, out io.Writer) error {
 
 func runTenantstress(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("hetmemd tenantstress", flag.ContinueOnError)
+	fs.SetOutput(out)
 	var (
 		noiseClients = fs.Int("noise-clients", 8, "greedy best-effort client goroutines")
 		noiseAllocs  = fs.Int("noise-allocs", 400, "max allocations per noise client (saturation backstop)")
@@ -836,6 +831,7 @@ func runTenantstress(args []string, out io.Writer) error {
 
 func runChaostest(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("hetmemd chaostest", flag.ContinueOnError)
+	fs.SetOutput(out)
 	var (
 		platName    = fs.String("p", "xeon", "platform for the daemon under test")
 		seed        = fs.Int64("seed", 1, "seed for the fault plan and traffic mix")

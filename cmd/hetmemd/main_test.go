@@ -163,7 +163,7 @@ func TestLoadtestAgainstRunningDaemon(t *testing.T) {
 	}
 
 	// The daemon that served the load is still healthy.
-	resp, err := http.Get(base + "/metrics")
+	resp, err := http.Get(base + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

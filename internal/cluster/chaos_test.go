@@ -39,7 +39,9 @@ func TestChaosMemberKillNoLostLeases(t *testing.T) {
 			errors.Is(err, server.ErrCapacityExhausted)
 	}
 
-	loadDone := make(chan struct{})
+	// Kill a member once the run is in full swing: a quarter of the load
+	// finished, three quarters still to run into the dead member.
+	loadDone, swing := make(chan struct{}), make(chan struct{})
 	var stats server.LoadStats
 	var loadErr error
 	go func() {
@@ -52,16 +54,18 @@ func TestChaosMemberKillNoLostLeases(t *testing.T) {
 			Seed:              7,
 			Tolerate:          tolerate,
 			Retry:             &server.RetryPolicy{MaxAttempts: 6, BaseDelay: 25 * time.Millisecond, MaxDelay: 250 * time.Millisecond},
+			Progress: func(done uint64) {
+				if done == 24*100/4 {
+					close(swing)
+				}
+			},
 		})
 	}()
-
-	// Kill a member once the run is in full swing.
-	time.Sleep(200 * time.Millisecond)
 	const victim = 1
 	select {
+	case <-swing:
 	case <-loadDone:
-		t.Fatal("load finished before the kill; the run proves nothing — raise RequestsPerClient")
-	default:
+		t.Fatalf("load ended before the kill point: %v (stats %s)", loadErr, stats)
 	}
 	sim.Kill(victim)
 	t.Logf("killed member m%d mid-load", victim)

@@ -319,7 +319,9 @@ func TestAsymmetricPartitionWipedRestartUnderLoad(t *testing.T) {
 			errors.Is(err, server.ErrCapacityExhausted) ||
 			errors.Is(err, server.ErrLeaseExpired)
 	}
-	loadDone := make(chan struct{})
+	// The partition starts once a quarter of the load has finished, so
+	// three quarters of it run into the fault however fast the box is.
+	loadDone, chaos := make(chan struct{}), make(chan struct{})
 	var stats server.LoadStats
 	var loadErr error
 	go func() {
@@ -332,14 +334,17 @@ func TestAsymmetricPartitionWipedRestartUnderLoad(t *testing.T) {
 			Seed:              11,
 			Tolerate:          tolerate,
 			Retry:             &server.RetryPolicy{MaxAttempts: 6, BaseDelay: 25 * time.Millisecond, MaxDelay: 250 * time.Millisecond},
+			Progress: func(done uint64) {
+				if done == 16*80/4 {
+					close(chaos)
+				}
+			},
 		})
 	}()
-
-	time.Sleep(150 * time.Millisecond)
 	select {
+	case <-chaos:
 	case <-loadDone:
-		t.Fatal("load finished before the chaos; raise RequestsPerClient")
-	default:
+		t.Fatalf("load ended before the chaos point: %v (stats %s)", loadErr, stats)
 	}
 
 	// Asymmetric partition on m1: requests reach the member, answers

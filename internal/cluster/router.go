@@ -326,15 +326,15 @@ func (r *Router) appendLocked(rec journal.Record) error {
 	return nil
 }
 
-// Handler returns the router's HTTP surface: the full /v1 API plus
-// the deprecated legacy aliases, identical to a daemon's.
+// Handler returns the router's HTTP surface: the /v1 API, identical
+// to a daemon's.
 func (r *Router) Handler() http.Handler { return r.api.Handler() }
 
 // WireHandler returns the router's binary-protocol dispatcher, so a
 // federation front-end serves the wire ops (-uds/-tcp-bin) through
-// the same placement paths as its HTTP surface. Lease-detail answers
-// 404 here, matching the router's HTTP mux, which has no per-lease
-// detail route.
+// the same op table as its HTTP surface. The router has no per-lease
+// detail, text attribute dump or advisor: those routes answer a v1
+// error envelope on both transports.
 func (r *Router) WireHandler() wire.Handler { return r.api.WireHandler() }
 
 // Metrics returns the router's live request metrics.

@@ -11,8 +11,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"net/http"
-	"strconv"
 	"time"
 
 	"hetmem/internal/advisor"
@@ -220,68 +218,36 @@ func (s *Server) adviceFor(name string) string {
 	return "Capacity"
 }
 
-// AdvisorControlResponse acknowledges a pause or resume.
-type AdvisorControlResponse struct {
-	Paused bool `json:"paused"`
-}
+// errNoAdvisor answers the advisor routes on a daemon running without
+// one.
+var errNoAdvisor = fmt.Errorf("%w: advisor not running on this daemon", ErrAdvisorPaused)
 
-func (s *Server) handleAdvisor(w http.ResponseWriter, r *http.Request) {
+// AdvisorSnapshot is the AdvisorController entry behind GET
+// /v1/advisor: configuration, counters and the decision log.
+func (s *Server) AdvisorSnapshot(ctx context.Context) (advisor.Snapshot, error) {
 	if s.advisor == nil {
-		s.writeError(w, r, fmt.Errorf("%w: advisor not running on this daemon", ErrAdvisorPaused))
-		return
+		return advisor.Snapshot{}, errNoAdvisor
 	}
-	writeJSON(w, http.StatusOK, s.advisor.Snapshot())
+	return s.advisor.Snapshot(), nil
 }
 
-func (s *Server) handleAdvisorPause(w http.ResponseWriter, r *http.Request) {
-	if s.advisor == nil {
-		s.writeError(w, r, fmt.Errorf("%w: advisor not running on this daemon", ErrAdvisorPaused))
-		return
+// SetAdvisorPaused is the AdvisorController entry behind POST
+// /v1/advisor/pause and /resume; pausing a paused advisor is a
+// conflict.
+func (s *Server) SetAdvisorPaused(ctx context.Context, paused bool) error {
+	switch {
+	case s.advisor == nil:
+		return errNoAdvisor
+	case !paused:
+		s.advisor.Resume()
+	case !s.advisor.Pause():
+		return fmt.Errorf("%w: already paused", ErrAdvisorPaused)
 	}
-	if !s.advisor.Pause() {
-		s.writeError(w, r, fmt.Errorf("%w: already paused", ErrAdvisorPaused))
-		return
-	}
-	writeJSON(w, http.StatusOK, AdvisorControlResponse{Paused: true})
+	return nil
 }
 
-func (s *Server) handleAdvisorResume(w http.ResponseWriter, r *http.Request) {
-	if s.advisor == nil {
-		s.writeError(w, r, fmt.Errorf("%w: advisor not running on this daemon", ErrAdvisorPaused))
-		return
-	}
-	s.advisor.Resume()
-	writeJSON(w, http.StatusOK, AdvisorControlResponse{Paused: false})
-}
-
-// pathID parses a {name} path segment as a lease ID — the router-level
-// helper behind GET /v1/leases/{id} (net/http pattern wildcards, not
-// prefix trimming).
-func pathID(r *http.Request, name string) (uint64, error) {
-	v := r.PathValue(name)
-	id, err := strconv.ParseUint(v, 10, 64)
-	if err != nil || id == 0 {
-		return 0, fmt.Errorf("%w: bad lease id %q", ErrBadRequest, v)
-	}
-	return id, nil
-}
-
-func (s *Server) handleLeaseDetail(w http.ResponseWriter, r *http.Request) {
-	id, err := pathID(r, "id")
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	resp, err := s.LeaseDetail(r.Context(), id)
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	s.writeLeaseDetailResponse(w, resp)
-}
-
-// LeaseDetail is the LeaseDetailer entry behind GET /v1/leases/{id},
-// shared with the binary transport's lease-detail op.
+// LeaseDetail is the LeaseDetailer entry behind GET /v1/leases/{id}
+// and the binary lease-detail op.
 func (s *Server) LeaseDetail(ctx context.Context, id uint64) (LeaseDetailResponse, error) {
 	l, ok := s.leases.get(id)
 	if !ok {

@@ -314,9 +314,9 @@ func TestAdvisorHeldBudget(t *testing.T) {
 func advisorMetricLines(t *testing.T, s *Server) string {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/metrics", nil))
 	if rec.Code != 200 {
-		t.Fatalf("GET /metrics: %d", rec.Code)
+		t.Fatalf("GET /v1/metrics: %d", rec.Code)
 	}
 	var out []string
 	for _, line := range strings.Split(rec.Body.String(), "\n") {

@@ -28,20 +28,20 @@ import (
 )
 
 // Budgets, in average allocations per run. Measured steady state on
-// go1.24: alloc+free 14, renew 3 (17 and 4 under -race, where sync.Pool
+// go1.24: alloc+free 10, renew 1 (13 and 2 under -race, where sync.Pool
 // drops a quarter of its puts). With the request scanner in front of
-// encoding/json what remains is net/http's connection-less ServeHTTP
-// path (route match, context, header writes), the strings the request
-// carries, and the placement itself. The headroom is ~25%: enough for
-// toolchain noise and the race build, not enough to hide a leaked
-// per-request allocation chain — one body through encoding/json's
-// decoder alone costs 8.
+// encoding/json and the handler writing status and body itself, what
+// remains is net/http's connection-less ServeHTTP path (route match,
+// context, header writes), the strings the request carries, and the
+// placement itself. The headroom covers toolchain noise and the race
+// build, not a leaked per-request allocation chain — one body through
+// encoding/json's decoder alone costs 8.
 const (
-	allocFreeBudget = 20
-	renewBudget     = 6
-	// Measured steady state 3: route match, path-value string, and the
-	// placement string. The encoder itself is pooled and free.
-	leaseDetailBudget = 6
+	allocFreeBudget = 16
+	renewBudget     = 4
+	// Measured steady state 2: the path-value string and the placement
+	// string. The encoder itself is pooled and free.
+	leaseDetailBudget = 4
 	// One Client.Alloc + Client.Free over a unix socket to a daemon
 	// without a journal, counted process-wide: client and daemon, both
 	// ends of the wire. Measured 24 (29 under -race); a waiter channel

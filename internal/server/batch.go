@@ -11,7 +11,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"time"
 
 	"hetmem/internal/alloc"
@@ -31,26 +30,12 @@ type batchItem struct {
 	resp AllocResponse
 }
 
-func (s *Server) handleAllocBatch(w http.ResponseWriter, r *http.Request) {
-	req, err := DecodeBatchAllocRequest(r.Body)
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	resp, err := s.AllocBatch(r.Context(), req.Requests)
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	s.writeBatchAllocResponse(w, &resp)
-}
-
 // AllocBatch is the Backend entry behind /v1/alloc/batch: every item
 // placed independently, one journal batch for the lot.
 func (s *Server) AllocBatch(ctx context.Context, reqs []AllocRequest) (BatchAllocResponse, error) {
 	resp := BatchAllocResponse{Results: make([]BatchAllocItem, len(reqs))}
 	fail := func(i int, err error) {
-		_, body := s.errorBody(err)
+		body := ErrorBodyFor(err, s.cfg.RetryAfterSeconds)
 		resp.Results[i].Error = &body
 		s.metrics.AllocFailed.Add(1)
 	}

@@ -74,11 +74,11 @@ var decodeCases = []string{
 func TestDecodersRejectTrailingData(t *testing.T) {
 	bodies := map[string]func(string) error{
 		`{"lease":1}`: func(b string) error {
-			_, err := DecodeFreeRequest(strings.NewReader(b))
+			_, err := decodeFreeRequest([]byte(b))
 			return err
 		},
 		`{"lease":1,"ttl_seconds":2}`: func(b string) error {
-			_, err := DecodeRenewRequest(strings.NewReader(b))
+			_, err := decodeRenewRequest([]byte(b))
 			return err
 		},
 		`{"name":"x","size":1,"attr":"Capacity"}`: func(b string) error {
@@ -86,11 +86,11 @@ func TestDecodersRejectTrailingData(t *testing.T) {
 			return err
 		},
 		`{"requests":[{"name":"x","size":1,"attr":"Capacity"}]}`: func(b string) error {
-			_, err := DecodeBatchAllocRequest(strings.NewReader(b))
+			_, err := decodeBatchAllocRequest([]byte(b))
 			return err
 		},
 		`{"lease":1,"attr":"Capacity"}`: func(b string) error {
-			_, err := DecodeMigrateRequest(strings.NewReader(b))
+			_, err := decodeMigrateRequest([]byte(b))
 			return err
 		},
 	}

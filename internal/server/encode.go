@@ -1,28 +1,12 @@
 package server
 
-// Hand-rolled response encoding for the four hot endpoints
-// (/v1/alloc, /v1/alloc/batch, /v1/renew, /v1/free). Each encoder
-// appends into a pooled buffer and must emit exactly what
-// encoding/json would for the same value — TestResponseEncodersMatchJSON
-// pins the equivalence byte-for-byte, so clients cannot tell the
-// encoders apart.
-// Config.LegacyEncoding routes the hot endpoints back through
-// encoding/json for A/B benchmarking.
+// Hand-rolled response encoding for the hot ops (alloc, batch, renew,
+// free, lease detail) and the error envelope. Each encoder appends into
+// a pooled buffer and must emit exactly what encoding/json would for
+// the same value — TestResponseEncodersMatchJSON pins the equivalence
+// byte-for-byte, so clients cannot tell the encoders apart.
 
-import (
-	"net/http"
-
-	"hetmem/internal/jsonenc"
-)
-
-// writeBody writes a fully encoded 200 JSON response in one Write.
-// net/http derives Content-Length itself for a small single-write body
-// (no chunked framing), and stamping it by hand would cost the one
-// strconv.Itoa allocation this file exists to avoid.
-func writeBody(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
-}
+import "hetmem/internal/jsonenc"
 
 // appendAllocResponse appends r as JSON, mirroring the AllocResponse
 // struct tags (attr_fell_back, partial, remote, ttl_seconds omitempty).
@@ -108,13 +92,24 @@ func appendLeaseDetailResponse(dst []byte, r *LeaseDetailResponse) []byte {
 	return append(dst, '}')
 }
 
-// appendErrorBody appends the v1 error envelope.
+// appendErrorBody appends the v1 error envelope as a batch item
+// carries it.
 func appendErrorBody(dst []byte, e *ErrorBody) []byte {
+	return appendError(dst, e, jsonenc.AppendString)
+}
+
+// appendErrorEnvelope appends a whole error response: the envelope as
+// encoding/json's Encoder writes it, HTML-escaped and newline-ended.
+func appendErrorEnvelope(dst []byte, e *ErrorBody) []byte {
+	return append(appendError(dst, e, jsonenc.AppendStringHTML), '\n')
+}
+
+func appendError(dst []byte, e *ErrorBody, appendString func([]byte, string) []byte) []byte {
 	dst = append(dst, '{')
 	dst = jsonenc.AppendKey(dst, "code")
-	dst = jsonenc.AppendString(dst, e.Code)
+	dst = appendString(dst, e.Code)
 	dst = jsonenc.AppendKey(dst, "message")
-	dst = jsonenc.AppendString(dst, e.Message)
+	dst = appendString(dst, e.Message)
 	dst = jsonenc.AppendKey(dst, "retryable")
 	dst = jsonenc.AppendBool(dst, e.Retryable)
 	if e.RetryAfterSeconds != 0 {
@@ -238,70 +233,4 @@ func appendFreeRequest(dst []byte, lease uint64) []byte {
 	dst = jsonenc.AppendKey(dst, "lease")
 	dst = jsonenc.AppendUint(dst, lease)
 	return append(dst, '}')
-}
-
-// writeAllocResponse writes an alloc response through the zero-alloc
-// encoder (or encoding/json when LegacyEncoding is on).
-func (s *Server) writeAllocResponse(w http.ResponseWriter, resp *AllocResponse) {
-	if s.cfg.LegacyEncoding {
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	bp := getRespBuf()
-	b := appendAllocResponse(*bp, resp)
-	writeBody(w, b)
-	*bp = b[:0]
-	putRespBuf(bp)
-}
-
-// writeBatchAllocResponse writes a batch response.
-func (s *Server) writeBatchAllocResponse(w http.ResponseWriter, resp *BatchAllocResponse) {
-	if s.cfg.LegacyEncoding {
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	bp := getRespBuf()
-	b := appendBatchAllocResponse(*bp, resp)
-	writeBody(w, b)
-	*bp = b[:0]
-	putRespBuf(bp)
-}
-
-// writeRenewResponse writes a heartbeat ack.
-func (s *Server) writeRenewResponse(w http.ResponseWriter, resp *RenewResponse) {
-	if s.cfg.LegacyEncoding {
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	bp := getRespBuf()
-	b := appendRenewResponse(*bp, resp)
-	writeBody(w, b)
-	*bp = b[:0]
-	putRespBuf(bp)
-}
-
-// writeLeaseDetailResponse writes a lease-detail response.
-func (s *Server) writeLeaseDetailResponse(w http.ResponseWriter, resp LeaseDetailResponse) {
-	if s.cfg.LegacyEncoding {
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	bp := getRespBuf()
-	b := appendLeaseDetailResponse(*bp, &resp)
-	writeBody(w, b)
-	*bp = b[:0]
-	putRespBuf(bp)
-}
-
-// writeFreeResponse writes a free ack.
-func (s *Server) writeFreeResponse(w http.ResponseWriter, resp *FreeResponse) {
-	if s.cfg.LegacyEncoding {
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	bp := getRespBuf()
-	b := appendFreeResponse(*bp, resp)
-	writeBody(w, b)
-	*bp = b[:0]
-	putRespBuf(bp)
 }

@@ -160,8 +160,8 @@ var encoderCases = []struct {
 }
 
 // TestResponseEncodersMatchJSON pins the hand-rolled hot-path encoders
-// to encoding/json byte for byte, so flipping Config.LegacyEncoding is
-// invisible to clients.
+// to encoding/json byte for byte, so a client reading with encoding/json
+// sees the bytes it would have marshalled itself.
 func TestResponseEncodersMatchJSON(t *testing.T) {
 	for _, tc := range encoderCases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,9 +7,7 @@ package server
 //	 "retry_after_seconds": 0}
 //
 // with a small, stable code vocabulary clients can switch on instead
-// of string-matching status text. Legacy unversioned routes keep the
-// old {"error": "..."} body for one release (see the deprecation
-// policy in the README).
+// of string-matching status text.
 
 import (
 	"errors"
@@ -61,6 +59,9 @@ const (
 	// already-paused advisor, or asking an advisor-less daemon for its
 	// state. Not retryable: an operator must resume (or enable) it.
 	CodeAdvisorPaused = "advisor_paused"
+	// CodeNotFound: the route is part of /v1 but this backend does not
+	// serve it (a cluster router has no tiering advisor). Not retryable.
+	CodeNotFound = "not_found"
 )
 
 // ErrorBody is the uniform v1 error envelope.
@@ -100,6 +101,8 @@ func classify(err error) (status int, code string, retryable bool) {
 		// 409: the request conflicts with the advisor's current state,
 		// and only an operator action changes that state.
 		return http.StatusConflict, CodeAdvisorPaused, false
+	case errors.Is(err, errNotServed):
+		return http.StatusNotFound, CodeNotFound, false
 	case errors.Is(err, alloc.ErrExhausted), errors.Is(err, memsim.ErrNoCapacity):
 		// The daemon is healthy; the machine is full. 507 tells the
 		// client to free, shrink, or retry with partial/remote.

@@ -108,7 +108,7 @@ func TestReadFreshness(t *testing.T) {
 			for j := 0; j < readerIter; j++ {
 				lo := completed.Load()
 				rec := httptest.NewRecorder()
-				srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+				srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/metrics", nil))
 				m, err := server.ParseMetrics(rec.Body.String())
 				if err != nil {
 					t.Errorf("parse /metrics: %v", err)

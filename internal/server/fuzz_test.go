@@ -1,10 +1,8 @@
-package server_test
+package server
 
 import (
 	"bytes"
 	"testing"
-
-	"hetmem/internal/server"
 )
 
 // FuzzDecodeRequest throws arbitrary bytes at the daemon's three
@@ -25,7 +23,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"name":"x","size":1,"attr":"a"}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if req, err := server.DecodeAllocRequest(bytes.NewReader(data)); err == nil {
+		if req, err := DecodeAllocRequest(bytes.NewReader(data)); err == nil {
 			if req.Name == "" || req.Size == 0 || req.Attr == "" {
 				t.Fatalf("accepted invalid alloc request: %+v", req)
 			}
@@ -35,12 +33,12 @@ func FuzzDecodeRequest(f *testing.F) {
 				t.Fatalf("accepted invalid policy: %+v", req)
 			}
 		}
-		if req, err := server.DecodeFreeRequest(bytes.NewReader(data)); err == nil {
+		if req, err := decodeFreeRequest(data); err == nil {
 			if req.Lease == 0 {
 				t.Fatalf("accepted invalid free request: %+v", req)
 			}
 		}
-		if req, err := server.DecodeMigrateRequest(bytes.NewReader(data)); err == nil {
+		if req, err := decodeMigrateRequest(data); err == nil {
 			if req.Lease == 0 || req.Attr == "" {
 				t.Fatalf("accepted invalid migrate request: %+v", req)
 			}

@@ -45,9 +45,9 @@ func startLifecycle(t *testing.T, cfg server.Config) (*core.System, *server.Serv
 func metricsOf(t *testing.T, srv *server.Server) map[string]float64 {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/metrics", nil))
 	if rec.Code != 200 {
-		t.Fatalf("GET /metrics: %d", rec.Code)
+		t.Fatalf("GET /v1/metrics: %d", rec.Code)
 	}
 	m, err := server.ParseMetrics(rec.Body.String())
 	if err != nil {

@@ -32,6 +32,11 @@ type LoadOptions struct {
 	Tolerate func(error) bool
 	// Retry overrides the clients' retry policy (nil = DefaultRetry).
 	Retry *RetryPolicy
+	// Progress, when set, is called after each of a client's
+	// RequestsPerClient operations finishes, with the number finished so
+	// far across all clients — each count exactly once. A fault
+	// experiment keys its fault to it (start at N) instead of a sleep.
+	Progress func(done uint64)
 }
 
 // withDefaults fills unset options with sane load-test values.
@@ -86,7 +91,7 @@ var attrMix = []string{"Bandwidth", "Latency", "Capacity"}
 func LoadTest(ctx context.Context, base string, opts LoadOptions) (LoadStats, error) {
 	opts = opts.withDefaults()
 	var stats LoadStats
-	var requests, failed, tolerated, allocs, frees, migrates, queries atomic.Uint64
+	var requests, failed, tolerated, allocs, frees, migrates, queries, done atomic.Uint64
 	var leasesLeft atomic.Int64
 
 	start := time.Now()
@@ -114,6 +119,11 @@ func LoadTest(ctx context.Context, base string, opts LoadOptions) (LoadStats, er
 				default:
 				}
 			}
+			finished := func() {
+				if opts.Progress != nil {
+					opts.Progress(done.Add(1))
+				}
+			}
 			for i := 0; i < opts.RequestsPerClient && ctx.Err() == nil; i++ {
 				requests.Add(1)
 				switch op := rng.Intn(12); {
@@ -129,6 +139,7 @@ func LoadTest(ctx context.Context, base string, opts LoadOptions) (LoadStats, er
 					})
 					if err != nil {
 						fail(err)
+						finished()
 						continue
 					}
 					allocs.Add(1)
@@ -180,6 +191,7 @@ func LoadTest(ctx context.Context, base string, opts LoadOptions) (LoadStats, er
 						queries.Add(1)
 					}
 				}
+				finished()
 			}
 			// Drain down to at most one survivor per client so the
 			// verification workload is non-trivial but small. Draining

@@ -110,9 +110,9 @@ func TestReadBodiesMatchParent(t *testing.T) {
 }
 
 // TestMetricsAnsweredWithLength: the metrics text is longer than what
-// net/http will measure for itself, so both surfaces that serve it (the
-// daemon's own mux and the API a router mounts) must stamp the length —
-// a chunked answer sends the reading client into a regrow loop.
+// net/http will measure for itself, so the surface must stamp the
+// length — a chunked answer sends the reading client into a regrow
+// loop.
 func TestMetricsAnsweredWithLength(t *testing.T) {
 	sys, err := core.NewSystem("xeon", core.Options{})
 	if err != nil {
@@ -120,28 +120,23 @@ func TestMetricsAnsweredWithLength(t *testing.T) {
 	}
 	srv := server.New(sys)
 	defer srv.Close()
-	for name, h := range map[string]http.Handler{
-		"server": srv.Handler(),
-		"api":    server.NewAPI(srv, server.APIOptions{}).Handler(),
-	} {
-		ts := httptest.NewServer(h)
-		resp, err := http.Get(ts.URL + "/v1/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		ts.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(len(body)) {
-			t.Errorf("%s: metrics answered with Content-Length %d, Transfer-Encoding %v for a %d-byte body",
-				name, resp.ContentLength, resp.TransferEncoding, len(body))
-		}
-		if _, err := server.ParseMetrics(string(body)); err != nil || len(body) < 2048 {
-			t.Errorf("%s: %d-byte metrics body, parse error %v", name, len(body), err)
-		}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(len(body)) {
+		t.Errorf("metrics answered with Content-Length %d, Transfer-Encoding %v for a %d-byte body",
+			resp.ContentLength, resp.TransferEncoding, len(body))
+	}
+	if _, err := server.ParseMetrics(string(body)); err != nil || len(body) < 2048 {
+		t.Errorf("%d-byte metrics body, parse error %v", len(body), err)
 	}
 }
 

@@ -26,7 +26,12 @@ var respBufPool = sync.Pool{
 func getRespBuf() *[]byte  { return respBufPool.Get().(*[]byte) }
 func putRespBuf(b *[]byte) { *b = (*b)[:0]; respBufPool.Put(b) }
 
-// reqBufPool recycles request body read buffers (see decodeReader).
+// maxPooledResp caps the response buffer a request may hand back grown:
+// a metrics text fits, a lease listing of a large daemon does not and
+// is left to the collector.
+const maxPooledResp = 64 << 10
+
+// reqBufPool recycles request body read buffers (see readRequest).
 var reqBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)

@@ -8,8 +8,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"hetmem/internal/core"
 	"hetmem/internal/server"
@@ -20,9 +20,9 @@ import (
 func leasesOf(t *testing.T, srv *server.Server) server.LeasesResponse {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/leases?list=1", nil))
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/leases?list=1", nil))
 	if rec.Code != 200 {
-		t.Fatalf("GET /leases: %d %s", rec.Code, rec.Body.String())
+		t.Fatalf("GET /v1/leases: %d %s", rec.Code, rec.Body.String())
 	}
 	var out server.LeasesResponse
 	if err := json.NewDecoder(rec.Body).Decode(&out); err != nil {
@@ -51,7 +51,8 @@ func TestCrashRecoveryMidStream(t *testing.T) {
 
 	ctx := context.Background()
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
+	stop, built := make(chan struct{}), make(chan struct{})
+	var done atomic.Uint64
 	for c := 0; c < 32; c++ {
 		wg.Add(1)
 		go func(id int) {
@@ -88,14 +89,18 @@ func TestCrashRecoveryMidStream(t *testing.T) {
 						})
 					}
 				}
+				if done.Add(1) == 256 {
+					close(built)
+				}
 			}
 		}(c)
 	}
 
-	// Let traffic build, then yank the frontend mid-stream. ts.Close
-	// waits for in-flight handlers, so the journal has no torn records
-	// — exactly what a SIGKILL between requests looks like.
-	time.Sleep(150 * time.Millisecond)
+	// Let traffic build — 256 requests finished — then yank the
+	// frontend mid-stream. ts.Close waits for in-flight handlers, so the
+	// journal has no torn records — exactly what a SIGKILL between
+	// requests looks like.
+	<-built
 	close(stop)
 	ts.Close()
 	wg.Wait()

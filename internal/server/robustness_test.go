@@ -194,7 +194,7 @@ func TestAdmissionControlShedsWith503AndRetryAfter(t *testing.T) {
 	}
 
 	// The raw response carries the Retry-After contract.
-	resp, err := http.Post(ts.URL+"/alloc", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/alloc", "application/json",
 		strings.NewReader(`{"name":"x","size":1048576,"attr":"Bandwidth"}`))
 	if err != nil {
 		t.Fatal(err)

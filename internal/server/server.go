@@ -5,19 +5,20 @@
 // et al. and the pool-tuning runtime of Vaverka et al.
 //
 // The daemon loads one platform, runs discovery once (HMAT or
-// benchmarking), and then serves:
+// benchmarking), and then serves the /v1 surface (api.go) over HTTP and
+// the binary transports:
 //
-//	GET  /topology  — the machine's topology (JSON export)
-//	GET  /attrs     — the Figure-5-style attribute dump (JSON, or
-//	                  ?format=text for the lstopo rendering)
-//	POST /alloc     — size + attribute + initiator → ranked-fallback
-//	                  placement, returning a lease ID
-//	POST /free      — release a lease
-//	POST /migrate   — re-place a leased buffer for a new attribute/phase
-//	GET  /leases    — the live lease table with per-node byte totals
-//	GET  /metrics   — counters, fallback rates, per-node bytes in use,
-//	                  and request latency histograms (plain text)
-//	GET  /health    — per-node health states and capacity pressure
+//	GET  /v1/topology  — the machine's topology (JSON export)
+//	GET  /v1/attrs     — the Figure-5-style attribute dump (JSON, or
+//	                     ?format=text for the lstopo rendering)
+//	POST /v1/alloc     — size + attribute + initiator → ranked-fallback
+//	                     placement, returning a lease ID
+//	POST /v1/free      — release a lease
+//	POST /v1/migrate   — re-place a leased buffer for a new attribute/phase
+//	GET  /v1/leases    — the live lease table with per-node byte totals
+//	GET  /v1/metrics   — counters, fallback rates, per-node bytes in use,
+//	                     and request latency histograms (plain text)
+//	GET  /v1/health    — per-node health states and capacity pressure
 //
 // # Failure model
 //
@@ -29,7 +30,7 @@
 // next-best healthy targets and counts the moves in /metrics.
 //
 // Admission control sheds load when capacity pressure crosses the
-// configured watermark: /alloc answers 503 Service Unavailable with a
+// configured watermark: /v1/alloc answers 503 Service Unavailable with a
 // Retry-After header instead of grinding the machine into exhaustion.
 // Transient allocation faults surface the same way — 503 + Retry-After
 // — telling clients the request is retryable, while genuine capacity
@@ -42,7 +43,7 @@
 // free) is appended to a write-ahead journal before the response is
 // sent; a restarted daemon replays the journal and reconstructs its
 // lease table and per-node byte accounting exactly. Clients may tag
-// /alloc requests with an idempotency key: retries of a request whose
+// /v1/alloc requests with an idempotency key: retries of a request whose
 // response was lost return the original lease instead of
 // double-allocating.
 //
@@ -53,13 +54,11 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -133,12 +132,6 @@ type Config struct {
 	// cache, re-ranking targets on every placement — the pre-cache
 	// behaviour, kept for A/B benchmarking (`hetmemd bench` baseline).
 	DisableCandidateCache bool
-
-	// LegacyEncoding routes the hot endpoints (/v1/alloc,
-	// /v1/alloc/batch, /v1/renew, /v1/free) back through encoding/json
-	// instead of the pooled zero-allocation encoders — the pre-PR-5
-	// behaviour, kept for A/B benchmarking (`hetmemd bench` fast run).
-	LegacyEncoding bool
 
 	// ReplayWorkers sets the journal-replay parallelism on startup:
 	// 0 auto-sizes to GOMAXPROCS, 1 forces the sequential decoder
@@ -268,13 +261,15 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Server is the placement daemon's HTTP core. Create one with New or
-// NewWithConfig and mount Handler on any net/http server.
+// Server is the placement daemon: the Backend behind its own /v1
+// surface. Create one with New or NewWithConfig and mount Handler on
+// any net/http server, WireHandler on a wire listener.
 type Server struct {
-	// apiBase is the HTTP plumbing (mux, request metrics, error
-	// envelope) shared with the machine-less API surface — see api.go.
-	apiBase
-	sys *core.System
+	// api is the daemon's /v1 surface over the Server itself; it records
+	// into metrics, which the placement paths count into as well.
+	api     *API
+	metrics *Metrics
+	sys     *core.System
 	// nodes is the machine's node set by OS index. It is fixed for the
 	// machine's life, so the per-request walks (pressure on every
 	// admitted alloc) read this instead of asking Machine.Nodes for a
@@ -397,7 +392,7 @@ func NewWithConfig(sys *core.System, cfg Config) (*Server, error) {
 		osIdx = append(osIdx, n.OSIndex())
 	}
 	s := &Server{
-		apiBase:          newAPIBase(cfg.RetryAfterSeconds),
+		metrics:          NewMetrics(),
 		sys:              sys,
 		nodes:            nodes,
 		cfg:              cfg,
@@ -452,24 +447,7 @@ func NewWithConfig(sys *core.System, cfg Config) (*Server, error) {
 			s.metrics.SnapshotFallbacks.Add(1)
 		}
 	}
-	s.route("GET", "/topology", EpTopology, s.handleTopology)
-	s.route("GET", "/attrs", EpAttrs, s.handleAttrs)
-	s.route("POST", "/alloc", EpAlloc, s.handleAlloc)
-	s.route("POST", "/free", EpFree, s.handleFree)
-	s.route("POST", "/renew", EpRenew, s.handleRenew)
-	s.route("POST", "/migrate", EpMigrate, s.handleMigrate)
-	s.route("GET", "/leases", EpLeases, s.handleLeases)
-	s.route("GET", "/metrics", EpMetrics, s.handleMetrics)
-	s.route("GET", "/health", EpHealth, s.handleHealth)
-	// Batch allocation is v1-only: it was born versioned.
-	s.mux.HandleFunc("POST /v1/alloc/batch", s.instrument(EpAllocBatch, s.handleAllocBatch))
-	// The lease-detail and advisor surfaces are v1-only too. The lease
-	// route uses the mux's path-segment pattern ({id} via PathValue) —
-	// no prefix-trimming special cases.
-	s.mux.HandleFunc("GET /v1/leases/{id}", s.instrument(EpLeaseDetail, s.handleLeaseDetail))
-	s.mux.HandleFunc("GET /v1/advisor", s.instrument(EpAdvisor, s.handleAdvisor))
-	s.mux.HandleFunc("POST /v1/advisor/pause", s.instrument(EpAdvisor, s.handleAdvisorPause))
-	s.mux.HandleFunc("POST /v1/advisor/resume", s.instrument(EpAdvisor, s.handleAdvisorResume))
+	s.api = newAPI(s, s.metrics, cfg.RetryAfterSeconds)
 	if s.advisor != nil {
 		// Replay restored the advisor's move counters into the metrics;
 		// mirror them into the tracker so /v1/advisor and /metrics agree
@@ -490,8 +468,8 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // included).
 func (s *Server) LeaseCount() int { return s.leases.count() }
 
-// Handler returns the daemon's HTTP handler.
-func (s *Server) Handler() http.Handler { return s.mux }
+// Handler returns the daemon's HTTP handler: the /v1 surface.
+func (s *Server) Handler() http.Handler { return s.api.Handler() }
 
 // Close stops the background reaper, checkpointer, and rebalancer,
 // then flushes and closes the journal store (if any). Call it after
@@ -568,55 +546,20 @@ func segmentsOf(b *memsim.Buffer) []journal.Segment {
 	return out
 }
 
-// statusWriter records the status code and body bytes for
-// instrumentation.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	n, err := w.ResponseWriter.Write(p)
-	w.bytes += n
-	return n, err
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
 // ErrOverloaded is returned (as a 503) when admission control sheds an
 // allocation to protect the machine's remaining headroom.
 var ErrOverloaded = errors.New("server: overloaded, shedding load")
 
-// isV1 reports whether a request came in on a /v1 path. Versioned
-// requests get the uniform error envelope; legacy alias requests keep
-// the pre-v1 body for one release.
-func isV1(r *http.Request) bool {
-	return strings.HasPrefix(r.URL.Path, "/v1/")
-}
-
 var errNoSuchLease = errors.New("server: no such lease")
 
-// Server implements Backend (plus LeaseDetailer), so the binary
-// transport can dispatch into it exactly like cluster.Router.
+// Server implements Backend and every optional extension, so both
+// transports dispatch into it exactly like cluster.Router.
 var (
-	_ Backend       = (*Server)(nil)
-	_ LeaseDetailer = (*Server)(nil)
+	_ Backend           = (*Server)(nil)
+	_ LeaseDetailer     = (*Server)(nil)
+	_ AttrsTexter       = (*Server)(nil)
+	_ AdvisorController = (*Server)(nil)
 )
-
-func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(s.topoJSON)
-}
 
 // TopologyJSON is the Backend entry behind /v1/topology. The topology
 // tree is immutable after discovery, so the body is the boot-time
@@ -657,23 +600,12 @@ func (s *Server) attrReports() ([]AttrReport, error) {
 	return out, nil
 }
 
-func (s *Server) handleAttrs(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintf(w, "Memory attributes (source: %s)\n", s.sys.Source)
-		fmt.Fprint(w, lstopo.RenderMemAttrs(s.sys.Registry))
-		return
-	}
-	out, err := s.Attrs(r.Context())
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, out)
+// AttrsText is the AttrsTexter entry behind /v1/attrs?format=text.
+func (s *Server) AttrsText(ctx context.Context) (string, error) {
+	return fmt.Sprintf("Memory attributes (source: %s)\n", s.sys.Source) + lstopo.RenderMemAttrs(s.sys.Registry), nil
 }
 
-// Attrs is the Backend entry behind /v1/attrs (the JSON dump; the
-// lstopo text rendering stays HTTP-only).
+// Attrs is the Backend entry behind /v1/attrs (the JSON dump).
 func (s *Server) Attrs(ctx context.Context) ([]AttrReport, error) {
 	// The generation is read before the registry walk, so a fault landing
 	// mid-walk leaves the stored view already stale and the next read
@@ -719,22 +651,8 @@ func (s *Server) pressure() (used, total uint64) {
 // Admission is class-aware since tenants arrived: see admitTenant and
 // admitClass in tenant.go. pressure above stays the shared gauge.
 
-func (s *Server) handleAlloc(w http.ResponseWriter, r *http.Request) {
-	req, err := DecodeAllocRequest(r.Body)
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	resp, err := s.Alloc(r.Context(), req)
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	s.writeAllocResponse(w, &resp)
-}
-
-// Alloc is the Backend entry: the idempotency-key protocol around
-// doAlloc, shared by the HTTP handler and the binary transport.
+// Alloc is the Backend entry behind /v1/alloc: the idempotency-key
+// protocol around doAlloc.
 func (s *Server) Alloc(ctx context.Context, req AllocRequest) (AllocResponse, error) {
 	if req.IdempotencyKey == "" {
 		return s.doAlloc(ctx, req)
@@ -908,25 +826,11 @@ func (s *Server) grantTTL(reqSeconds float64) time.Duration {
 	return d
 }
 
-// handleRenew is the lease heartbeat: it pushes the expiry another TTL
-// into the future. Renewals are deliberately not journaled — a restart
-// grants every restored lease a fresh TTL of grace, so the WAL stays
-// free of high-frequency heartbeat traffic.
-func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
-	req, err := DecodeRenewRequest(r.Body)
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	resp, err := s.Renew(r.Context(), req)
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	s.writeRenewResponse(w, &resp)
-}
-
-// Renew is the Backend entry behind /v1/renew: the lease heartbeat.
+// Renew is the Backend entry behind /v1/renew: the lease heartbeat,
+// pushing the expiry another TTL into the future. Renewals are
+// deliberately not journaled — a restart grants every restored lease a
+// fresh TTL of grace, so the WAL stays free of high-frequency heartbeat
+// traffic.
 func (s *Server) Renew(ctx context.Context, req RenewRequest) (RenewResponse, error) {
 	l, ok := s.leases.get(req.Lease)
 	if !ok {
@@ -940,20 +844,6 @@ func (s *Server) Renew(ctx context.Context, req RenewRequest) (RenewResponse, er
 	l.release()
 	s.metrics.RenewTotal.Add(1)
 	return resp, nil
-}
-
-func (s *Server) handleFree(w http.ResponseWriter, r *http.Request) {
-	req, err := DecodeFreeRequest(r.Body)
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	resp, err := s.Free(r.Context(), req)
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	s.writeFreeResponse(w, &resp)
 }
 
 // Free is the Backend entry behind /v1/free.
@@ -996,20 +886,6 @@ func (s *Server) Free(ctx context.Context, req FreeRequest) (FreeResponse, error
 	}
 	s.metrics.FreeTotal.Add(1)
 	return FreeResponse{Lease: req.Lease, Freed: true}, nil
-}
-
-func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
-	req, err := DecodeMigrateRequest(r.Body)
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	resp, err := s.Migrate(r.Context(), req)
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // Migrate is the Backend entry behind /v1/migrate.
@@ -1075,15 +951,6 @@ func (s *Server) leaseList() LeasesResponse {
 	return resp
 }
 
-func (s *Server) handleLeases(w http.ResponseWriter, r *http.Request) {
-	resp, err := s.Leases(r.Context(), r.URL.Query().Get("list") != "")
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // Leases is the Backend entry behind /v1/leases. The summary sums the
 // shard books; the list is built per request and cached nowhere — its
 // callers are a cluster scrubber once per scrub interval and operators.
@@ -1092,15 +959,6 @@ func (s *Server) Leases(ctx context.Context, list bool) (LeasesResponse, error) 
 		return s.leaseList(), nil
 	}
 	return s.leases.summary(), nil
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	resp, err := s.Health(r.Context())
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // Health is the Backend entry behind /v1/health.
@@ -1128,11 +986,7 @@ func (s *Server) Health(ctx context.Context) (HealthResponse, error) {
 	return resp, nil
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	serveMetrics(w, r, s) // Server.WriteMetrics cannot fail
-}
-
-// WriteMetrics is the Backend entry behind /metrics: it renders the
+// WriteMetrics is the Backend entry behind /v1/metrics: it renders the
 // full metrics text to w.
 func (s *Server) WriteMetrics(ctx context.Context, w io.Writer) error {
 	usage := make([]NodeUsage, len(s.nodes))

@@ -60,7 +60,7 @@ func TestAttrsEndpoint(t *testing.T) {
 	}
 
 	// The text rendering (Figure 5) is served under ?format=text.
-	resp, err := http.Get(ts.URL + "/attrs?format=text")
+	resp, err := http.Get(ts.URL + "/v1/attrs?format=text")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestAllocErrors(t *testing.T) {
 	// Malformed JSON and unknown fields are 400s.
 	for _, body := range []string{"{", `{"name":"x","bogus":1}`, `{"name":"x","size":1,"attr":"Bandwidth"} trailing`,
 		`{"name":"x","size":1,"attr":"Bandwidth"}}`, `{"name":"x","size":1,"attr":"Bandwidth"}]`} {
-		resp, err := http.Post(ts.URL+"/alloc", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/alloc", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,13 +162,13 @@ func TestAllocErrors(t *testing.T) {
 	}
 
 	// Wrong method.
-	resp, err := http.Get(ts.URL + "/alloc")
+	resp, err := http.Get(ts.URL + "/v1/alloc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /alloc: status %d, want 405", resp.StatusCode)
+		t.Errorf("GET /v1/alloc: status %d, want 405", resp.StatusCode)
 	}
 }
 

@@ -247,7 +247,8 @@ type HealthResponse struct {
 	Nodes   []NodeHealth `json:"nodes"`
 }
 
-// ErrorResponse is the JSON error envelope.
+// ErrorResponse is the pre-v1 error body. The daemon no longer writes
+// it; Client still reads it from any HTTP peer that does.
 type ErrorResponse struct {
 	Error string `json:"error"`
 }
@@ -304,13 +305,10 @@ func decodeBody[T any](data []byte, scan func([]byte) (T, bool), validate func(T
 	return req, nil
 }
 
-// decodeReader slurps r into a pooled buffer, stopping once it is over
-// MaxRequestBytes, and hands the bytes to decode. The decoders copy
-// what they keep, so the buffer goes straight back to the pool.
-func decodeReader[T any](r io.Reader, decode func([]byte) (T, error)) (T, error) {
-	var zero T
-	bp := getReqBuf()
-	defer putReqBuf(bp)
+// readRequest slurps r into the pooled buffer bp, stopping once it is
+// over MaxRequestBytes. The decoders copy what they keep, so the caller
+// may pool the buffer again as soon as the body is decoded.
+func readRequest(r io.Reader, bp *[]byte) ([]byte, error) {
 	data := *bp
 	for {
 		if len(data) == cap(data) {
@@ -320,13 +318,13 @@ func decodeReader[T any](r io.Reader, decode func([]byte) (T, error)) (T, error)
 		data = data[:len(data)+n]
 		*bp = data
 		if len(data) > MaxRequestBytes {
-			return zero, fmt.Errorf("%w: body over %d bytes", ErrBadRequest, MaxRequestBytes)
+			return nil, fmt.Errorf("%w: body over %d bytes", ErrBadRequest, MaxRequestBytes)
 		}
 		if err == io.EOF {
-			return decode(data)
+			return data, nil
 		}
 		if err != nil {
-			return zero, fmt.Errorf("%w: %v", ErrBadRequest, err)
+			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
 	}
 }
@@ -435,9 +433,15 @@ func scanAllocResponse(data []byte) (resp AllocResponse, ok bool) {
 	}
 }
 
-// DecodeAllocRequest parses and validates a /alloc body.
+// DecodeAllocRequest parses and validates a /v1/alloc body.
 func DecodeAllocRequest(r io.Reader) (AllocRequest, error) {
-	return decodeReader(r, decodeAllocRequest)
+	bp := getReqBuf()
+	defer putReqBuf(bp)
+	data, err := readRequest(r, bp)
+	if err != nil {
+		return AllocRequest{}, err
+	}
+	return decodeAllocRequest(data)
 }
 
 func decodeAllocRequest(data []byte) (AllocRequest, error) {
@@ -471,14 +475,10 @@ func validateAllocRequest(req AllocRequest) error {
 	return nil
 }
 
-// DecodeBatchAllocRequest parses a /v1/alloc/batch body. Envelope
+// decodeBatchAllocRequest parses a /v1/alloc/batch body. Envelope
 // problems (bad JSON, empty, oversized) are batch-level errors; item
-// field validation is per-item and happens in the handler, so one bad
+// field validation is per-item and happens in the backend, so one bad
 // item cannot veto its siblings.
-func DecodeBatchAllocRequest(r io.Reader) (BatchAllocRequest, error) {
-	return decodeReader(r, decodeBatchAllocRequest)
-}
-
 func decodeBatchAllocRequest(data []byte) (BatchAllocRequest, error) {
 	return decodeBody(data, nil, func(req BatchAllocRequest) error {
 		if len(req.Requests) == 0 {
@@ -492,11 +492,6 @@ func decodeBatchAllocRequest(data []byte) (BatchAllocRequest, error) {
 	})
 }
 
-// DecodeFreeRequest parses and validates a /free body.
-func DecodeFreeRequest(r io.Reader) (FreeRequest, error) {
-	return decodeReader(r, decodeFreeRequest)
-}
-
 func decodeFreeRequest(data []byte) (FreeRequest, error) {
 	return decodeBody(data, scanFreeRequest, validateFreeRequest)
 }
@@ -506,11 +501,6 @@ func validateFreeRequest(req FreeRequest) error {
 		return fmt.Errorf("%w: missing lease", ErrBadRequest)
 	}
 	return nil
-}
-
-// DecodeRenewRequest parses and validates a /renew body.
-func DecodeRenewRequest(r io.Reader) (RenewRequest, error) {
-	return decodeReader(r, decodeRenewRequest)
 }
 
 func decodeRenewRequest(data []byte) (RenewRequest, error) {
@@ -525,11 +515,6 @@ func validateRenewRequest(req RenewRequest) error {
 		return fmt.Errorf("%w: negative ttl_seconds", ErrBadRequest)
 	}
 	return nil
-}
-
-// DecodeMigrateRequest parses and validates a /migrate body.
-func DecodeMigrateRequest(r io.Reader) (MigrateRequest, error) {
-	return decodeReader(r, decodeMigrateRequest)
 }
 
 func decodeMigrateRequest(data []byte) (MigrateRequest, error) {

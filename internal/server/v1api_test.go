@@ -1,8 +1,8 @@
 package server_test
 
-// PR-4 API tests: the /v1 prefix, the deprecated legacy aliases, the
-// uniform v1 error envelope (golden bodies), the typed client errors,
-// the batch allocation endpoint, and the fast-path metrics.
+// API tests: the uniform v1 error envelope (golden bodies), the typed
+// client errors, the batch allocation endpoint, and the fast-path
+// metrics.
 
 import (
 	"bytes"
@@ -36,72 +36,6 @@ func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, buf.Bytes()
-}
-
-// TestLegacyRoutes is the backward-compatibility contract: every
-// pre-v1 path keeps answering with the old wire format for one
-// release, stamped with a Deprecation header and a successor-version
-// link. CI greps for this test's PASS line — do not rename or skip it.
-func TestLegacyRoutes(t *testing.T) {
-	ts, _ := startDaemon(t, "xeon")
-
-	// Legacy GET routes answer 200 with the deprecation stamps.
-	for _, path := range []string{"/topology", "/attrs", "/leases", "/metrics", "/health"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: status %d, want 200", path, resp.StatusCode)
-		}
-		if dep := resp.Header.Get("Deprecation"); dep != "true" {
-			t.Errorf("GET %s: Deprecation header %q, want \"true\"", path, dep)
-		}
-		want := "</v1" + path + `>; rel="successor-version"`
-		if link := resp.Header.Get("Link"); link != want {
-			t.Errorf("GET %s: Link header %q, want %q", path, link, want)
-		}
-	}
-
-	// The v1 routes carry no deprecation stamps.
-	resp, err := http.Get(ts.URL + "/v1/health")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "" {
-		t.Errorf("/v1/health is stamped deprecated")
-	}
-
-	// A legacy alloc round-trip still works end to end.
-	resp2, body := postJSON(t, ts.URL+"/alloc", `{"name":"legacy","size":1048576,"attr":"Bandwidth","initiator":"0-19"}`)
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("legacy /alloc: status %d: %s", resp2.StatusCode, body)
-	}
-	var ar server.AllocResponse
-	if err := json.Unmarshal(body, &ar); err != nil || ar.Lease == 0 {
-		t.Fatalf("legacy /alloc response %s: %v", body, err)
-	}
-	if resp2.Header.Get("Deprecation") != "true" {
-		t.Errorf("legacy /alloc missing Deprecation header")
-	}
-
-	// Legacy errors keep the old {"error": ...} body — no v1 envelope.
-	resp3, body := postJSON(t, ts.URL+"/free", `{"lease":999999}`)
-	if resp3.StatusCode != http.StatusNotFound {
-		t.Fatalf("legacy /free of unknown lease: status %d, want 404", resp3.StatusCode)
-	}
-	var legacy map[string]json.RawMessage
-	if err := json.Unmarshal(body, &legacy); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := legacy["error"]; !ok {
-		t.Errorf("legacy error body %s lacks the old \"error\" field", body)
-	}
-	if _, ok := legacy["code"]; ok {
-		t.Errorf("legacy error body %s leaked the v1 \"code\" field", body)
-	}
 }
 
 // TestV1ErrorEnvelope pins the v1 error contract with golden bodies:

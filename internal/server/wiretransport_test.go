@@ -11,6 +11,7 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -19,11 +20,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"hetmem/internal/cluster"
 	"hetmem/internal/core"
 	"hetmem/internal/server"
 	"hetmem/internal/wire"
@@ -64,10 +67,257 @@ func wireClient(t testing.TB, base string, opts ...server.ClientOption) *server.
 	return cl
 }
 
-// TestWireTransportParity drives the same operations through all
-// three bases and requires identical answers — including the full
-// error envelope (status, code, message) on failures.
+// parityStep is one raw request of the parity script: its HTTP form
+// (method and path; none when path is empty), its binary form (op; none
+// when 0), the body both carry, and the status the daemon and the
+// router must answer.
+type parityStep struct {
+	method, path string
+	op           wire.Op
+	body         string
+	status       [2]int // daemon, router
+}
+
+// parityScript walks every /v1 op through success and failure. Leases
+// are numbered from 1 on every fresh backend, so the same script gives
+// the same answers wherever it runs.
+var parityScript = []parityStep{
+	{"GET", "/v1/topology", wire.OpTopology, "", [2]int{200, 200}},
+	{"GET", "/v1/attrs", wire.OpAttrs, "", [2]int{200, 200}},
+	{"POST", "/v1/alloc", wire.OpAlloc, `{"name":"p1","size":1048576,"attr":"Bandwidth","initiator":"0-19"}`, [2]int{200, 200}},
+	{"POST", "/v1/alloc", wire.OpAlloc, `{"name":"p2","size":2097152,"attr":"Latency","ttl_seconds":30}`, [2]int{200, 200}},
+	{"POST", "/v1/alloc/batch", wire.OpAllocBatch, `{"requests":[{"name":"b1","size":4096,"attr":"Capacity"},{"name":"b2","size":4096,"attr":"<Zap>"}]}`, [2]int{200, 200}},
+	{"POST", "/v1/renew", wire.OpRenew, `{"lease":2,"ttl_seconds":10}`, [2]int{200, 200}},
+	{"POST", "/v1/migrate", wire.OpMigrate, `{"lease":1,"attr":"Capacity","initiator":"0-19"}`, [2]int{200, 200}},
+	{"GET", "/v1/leases/1", wire.OpLeaseDetail, `{"lease":1}`, [2]int{200, 404}},
+	{"GET", "/v1/leases", wire.OpLeases, "", [2]int{200, 200}},
+	{"GET", "/v1/leases?list=1", wire.OpLeaseList, "", [2]int{200, 200}},
+	{"GET", "/v1/health", wire.OpHealth, "", [2]int{200, 200}},
+	{"POST", "/v1/free", wire.OpFree, `{"lease":1}`, [2]int{200, 200}},
+	{"GET", "/v1/metrics", wire.OpMetrics, "", [2]int{200, 200}},
+	// Errors.
+	{"POST", "/v1/alloc", wire.OpAlloc, `{"name":"x","size":1048576,"attr":"Nonsense"}`, [2]int{400, 400}},
+	{"POST", "/v1/alloc", wire.OpAlloc, `{"name":"x","attr":"Bandwidth"}`, [2]int{400, 400}},
+	{"POST", "/v1/alloc", wire.OpAlloc, `<html>`, [2]int{400, 400}},
+	{"POST", "/v1/alloc/batch", wire.OpAllocBatch, `{"requests":[]}`, [2]int{400, 400}},
+	{"POST", "/v1/free", wire.OpFree, `{"lease":999999}`, [2]int{404, 404}},
+	{"POST", "/v1/renew", wire.OpRenew, `{"lease":999999}`, [2]int{404, 404}},
+	{"POST", "/v1/migrate", wire.OpMigrate, `{"lease":999999,"attr":"Capacity"}`, [2]int{404, 404}},
+	{"GET", "/v1/leases/4242", wire.OpLeaseDetail, `{"lease":4242}`, [2]int{404, 404}},
+	// Spellings the typed client never sends: a stray closer behind
+	// the value, and valid JSON the request scanner leaves to
+	// encoding/json.
+	{"POST", "/v1/free", wire.OpFree, `{"lease":1}}`, [2]int{400, 400}},
+	{"POST", "/v1/free", wire.OpFree, `{"lease":1}]`, [2]int{400, 400}},
+	{"POST", "/v1/renew", wire.OpRenew, `{"lease":1}}`, [2]int{400, 400}},
+	{"POST", "/v1/alloc", wire.OpAlloc, `{"name":"x","size":1,"attr":"Capacity"}]`, [2]int{400, 400}},
+	{"POST", "/v1/free", wire.OpFree, `{"lease":1,"lease":999999}`, [2]int{404, 404}}, // last one wins
+	{"POST", "/v1/free", wire.OpFree, `{"Lease":999999}`, [2]int{404, 404}},           // keys fold case
+	{"POST", "/v1/free", wire.OpFree, `{"lease":1e3}`, [2]int{400, 400}},              // not an integer spelling
+	{"POST", "/v1/free", wire.OpFree, `{"lease":null}`, [2]int{400, 400}},             // null leaves the zero lease
+	{"POST", "/v1/alloc", wire.OpAlloc, `{"name":"x","size":01,"attr":"Capacity"}`, [2]int{400, 400}},
+	{"POST", "/v1/alloc", wire.OpAlloc, `{"name":"\u0078","size":1,"attr":"Nonsense"}`, [2]int{400, 400}},
+	// One framing only: the binary lease detail decodes its body before
+	// asking the backend, HTTP takes the ID from the path; the advisor
+	// and the text attribute dump are HTTP-only. A backend without the
+	// extension answers a v1 envelope, never the mux's text 404.
+	{"", "", wire.OpLeaseDetail, `{"lease":"7"}`, [2]int{400, 400}},
+	{"GET", "/v1/leases/x", 0, "", [2]int{400, 400}},
+	{"GET", "/v1/attrs?format=text", 0, "", [2]int{200, 400}},
+	{"GET", "/v1/advisor", 0, "", [2]int{409, 404}},
+	{"POST", "/v1/advisor/pause", 0, "{}", [2]int{409, 404}},
+	{"POST", "/v1/advisor/resume", 0, "{}", [2]int{409, 404}},
+}
+
+// answer is one step's status and raw body; skipped when the surface
+// has no framing for the step.
+type answer struct {
+	status  int
+	body    string
+	skipped bool
+}
+
+// masks rewrite what two boots of the same backend cannot agree on: the
+// per-boot instance IDs, the members' loopback ports and, in the
+// metrics text, every value (request latencies and the per-transport
+// byte counts differ by framing).
+var (
+	instanceIDs = regexp.MustCompile(`instance_id(":"|=")[0-9a-f]+"`)
+	memberPorts = regexp.MustCompile(`127\.0\.0\.1:[0-9]+`)
+	metricValue = regexp.MustCompile(`(?m) [^ \n]+$`)
+)
+
+// runParityScript boots a fresh backend of the given kind, serves it
+// over one transport ("http", "uds" or "tcp-bin"), and records the
+// script's raw answers.
+func runParityScript(t *testing.T, router bool, transport string) []answer {
+	t.Helper()
+	slot := server.TransportUDS
+	if transport == "tcp-bin" {
+		slot = server.TransportTCPBin
+	}
+	var h http.Handler
+	var wh wire.Handler
+	var stats *wire.Stats
+	if router {
+		sim, err := cluster.StartSim(cluster.SimOptions{Platforms: []string{"xeon"}, Router: cluster.Config{PollInterval: time.Hour}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sim.Close)
+		sim.Router.PollOnce(context.Background())
+		h, wh, stats = sim.Router.Handler(), sim.Router.WireHandler(), sim.Router.Metrics().TransportStats(slot)
+	} else {
+		sys, err := core.NewSystem("xeon", core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := server.New(sys)
+		t.Cleanup(func() { srv.Close() })
+		h, wh, stats = srv.Handler(), srv.WireHandler(), srv.Metrics().TransportStats(slot)
+	}
+	var do func(st parityStep) answer
+	if transport == "http" {
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		do = func(st parityStep) answer {
+			if st.path == "" {
+				return answer{skipped: true}
+			}
+			req, err := http.NewRequest(st.method, ts.URL+st.path, strings.NewReader(st.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ct := resp.Header.Get("Content-Type"); resp.StatusCode >= 400 && ct != "application/json" {
+				t.Errorf("%s %s: %d answered as %q: %s", st.method, st.path, resp.StatusCode, ct, body)
+			}
+			return answer{status: resp.StatusCode, body: string(body)}
+		}
+	} else {
+		network, addr := "tcp", "127.0.0.1:0"
+		if transport == "uds" {
+			dir, err := os.MkdirTemp("", "parity")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { os.RemoveAll(dir) })
+			network, addr = "unix", filepath.Join(dir, "s")
+		}
+		ln, err := net.Listen(network, addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := wire.NewServer(wh, stats)
+		go ws.Serve(ln)
+		t.Cleanup(func() { ws.Close() })
+		wc := wire.NewClient(network, ln.Addr().String())
+		t.Cleanup(func() { wc.Close() })
+		do = func(st parityStep) answer {
+			if st.op == 0 {
+				return answer{skipped: true}
+			}
+			status, body, err := wc.RoundTrip(context.Background(), 0, st.op, "", []byte(st.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return answer{status: status, body: string(body)}
+		}
+	}
+	out := make([]answer, len(parityScript))
+	for i, st := range parityScript {
+		a := do(st)
+		a.body = instanceIDs.ReplaceAllString(a.body, "instance_id$1X\"")
+		a.body = memberPorts.ReplaceAllString(a.body, "127.0.0.1:X")
+		if st.op == wire.OpMetrics {
+			a.body = metricValue.ReplaceAllString(a.body, "")
+		}
+		out[i] = a
+	}
+	return out
+}
+
+// TestWireTransportParity pins one op table behind every framing. Each
+// surface — the daemon over HTTP, a unix socket and binary TCP, the
+// router over HTTP and a unix socket — is a fresh backend driven through
+// the same parity script, and on each backend every transport must
+// answer every step with the same status and the same bytes. The
+// comparison is exact: the trailing newline encoding/json's Encoder
+// writes after an error envelope or a reflection-encoded body is kept on
+// HTTP (the daemon's goldens carry it) and ends the same bodies on the
+// binary transports too.
 func TestWireTransportParity(t *testing.T) {
+	testTypedClientParity(t)
+	type surface struct {
+		name      string
+		router    bool
+		transport string
+	}
+	surfaces := []surface{
+		{"daemon-http", false, "http"}, {"daemon-uds", false, "uds"}, {"daemon-tcp", false, "tcp-bin"},
+		{"router-http", true, "http"}, {"router-uds", true, "uds"},
+	}
+	got := map[string][]answer{}
+	for _, sf := range surfaces {
+		got[sf.name] = runParityScript(t, sf.router, sf.transport)
+	}
+	for i, st := range parityScript {
+		name := st.path
+		if name == "" {
+			name = st.op.String()
+		}
+		step := fmt.Sprintf("step %d (%s %s %s)", i, st.method, name, st.body)
+		for b, backend := range []string{"daemon", "router"} {
+			var ref *answer
+			for _, sf := range surfaces {
+				a := got[sf.name][i]
+				if sf.router != (b == 1) || a.skipped {
+					continue
+				}
+				if a.status != st.status[b] {
+					t.Errorf("%s on %s: status %d, want %d: %s", step, sf.name, a.status, st.status[b], a.body)
+				}
+				if a.status >= 400 {
+					var eb server.ErrorBody
+					if err := json.Unmarshal([]byte(a.body), &eb); err != nil || eb.Code == "" || !strings.HasSuffix(a.body, "}\n") {
+						t.Errorf("%s on %s: %q is not a v1 error envelope", step, sf.name, a.body)
+					}
+				}
+				if ref == nil {
+					ref = &a
+				} else if a != *ref {
+					t.Errorf("%s on the %s: transports disagree:\n%d %q\n%d %q", step, backend, ref.status, ref.body, a.status, a.body)
+				}
+			}
+		}
+	}
+	// A backend without per-lease detail names the lease it was asked
+	// for, on both transports, exactly like one that has none by that ID.
+	for i, st := range parityScript {
+		if st.path != "/v1/leases/4242" {
+			continue
+		}
+		for _, sf := range []string{"router-http", "router-uds"} {
+			if a, want := got[sf][i], got["daemon-http"][i]; a != want {
+				t.Errorf("unknown lease detail on %s: %d %q, the daemon answers %d %q", sf, a.status, a.body, want.status, want.body)
+			}
+		}
+	}
+}
+
+// testTypedClientParity drives the same operations through the typed
+// client over all three of one daemon's bases, one subtest each, then
+// requires the client to rebuild the same *APIError (status, code,
+// message) from each bad call's error answer on every transport.
+func testTypedClientParity(t *testing.T) {
 	_, httpBase, udsBase, tcpBase := startWireDaemon(t, "xeon", server.Config{})
 	ctx := context.Background()
 
@@ -124,8 +374,6 @@ func TestWireTransportParity(t *testing.T) {
 		})
 	}
 
-	// Error-envelope parity: the same bad requests must come back with
-	// the same status, stable code, and message on every transport.
 	type envelope struct {
 		status  int
 		code    string
@@ -166,54 +414,6 @@ func TestWireTransportParity(t *testing.T) {
 			}
 			if got != want {
 				t.Errorf("%s envelope mismatch: http %+v vs %s %+v", bad.name, want, name, got)
-			}
-		}
-	}
-
-	// Raw-body parity: spellings the typed client never sends — a
-	// stray closer behind the value, and valid JSON the request scanner
-	// leaves to encoding/json — get the same status and the same
-	// envelope bytes on every transport.
-	uds := wire.NewClient("unix", strings.TrimPrefix(udsBase, "unix://"))
-	defer uds.Close()
-	tcp := wire.NewClient("tcp", strings.TrimPrefix(tcpBase, "tcp+bin://"))
-	defer tcp.Close()
-	for _, raw := range []struct {
-		path   string
-		op     wire.Op
-		body   string
-		status int
-	}{
-		{"/v1/free", wire.OpFree, `{"lease":1}}`, 400},
-		{"/v1/free", wire.OpFree, `{"lease":1}]`, 400},
-		{"/v1/renew", wire.OpRenew, `{"lease":1}}`, 400},
-		{"/v1/alloc", wire.OpAlloc, `{"name":"x","size":1,"attr":"Capacity"}]`, 400},
-		{"/v1/free", wire.OpFree, `{"lease":1,"lease":999999}`, 404}, // last one wins
-		{"/v1/free", wire.OpFree, `{"Lease":999999}`, 404},           // keys fold case
-		{"/v1/free", wire.OpFree, `{"lease":1e3}`, 400},              // not an integer spelling
-		{"/v1/free", wire.OpFree, `{"lease":null}`, 400},             // null leaves the zero lease
-		{"/v1/alloc", wire.OpAlloc, `{"name":"x","size":01,"attr":"Capacity"}`, 400},
-		{"/v1/alloc", wire.OpAlloc, `{"name":"\u0078","size":1,"attr":"Nonsense"}`, 400},
-	} {
-		resp, err := http.Post(httpBase+raw.path, "application/json", strings.NewReader(raw.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != raw.status {
-			t.Errorf("%s %s over http: status %d, want %d (%s)", raw.path, raw.body, resp.StatusCode, raw.status, want)
-		}
-		for name, wc := range map[string]*wire.Client{"uds": uds, "tcp-bin": tcp} {
-			status, got, err := wc.RoundTrip(ctx, 0, raw.op, "", []byte(raw.body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if status != resp.StatusCode || strings.TrimSpace(string(got)) != strings.TrimSpace(string(want)) {
-				t.Errorf("%s %s: http answered %d %s, %s answered %d %s", raw.path, raw.body, resp.StatusCode, want, name, status, got)
 			}
 		}
 	}
@@ -536,7 +736,7 @@ func TestTransportMetricsRender(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(httpBase + "/metrics")
+	resp, err := http.Get(httpBase + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
