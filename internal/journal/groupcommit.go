@@ -4,12 +4,21 @@ package journal
 // write+fsync. N racing /alloc requests each need their record on
 // stable storage before the daemon may answer; paying N fsyncs
 // serializes the hot path on the disk. Batches form on the in-flight
-// fsync, not on a clock: a flush holds the store's append lock across
-// its write+fsync, the next arrival becomes the next batch leader and
-// waits for that lock, and everything that enqueues meanwhile rides the
-// leader's flush. A lone writer pays one fsync and no wait; batch size
-// grows with concurrency and with disk latency on its own, so there is
-// no wait to tune. All waiters of a batch share the outcome.
+// fsync: a flush holds the store's append lock across its write+fsync,
+// the next arrival becomes the next batch leader and waits for that
+// lock, and everything that enqueues meanwhile rides the leader's
+// flush. All waiters of a batch share the outcome.
+//
+// Closed-loop writers send their next record only once the last one is
+// durable, so at two of them the leader that takes the lock finds only
+// itself queued: the writer whose flush just returned is still on its
+// way back, and the two would alternate one-record flushes. So a leader
+// holding the lock waits until as many records are queued as the last
+// flush saw writers (its batch plus the records that queued behind it),
+// for at most half the mean flush time. A writer that returns within
+// that rides along; one that is not coming costs the leader at most
+// half a flush. A lone writer's flush saw only itself, so it never
+// waits.
 //
 // The WAL invariants survive unchanged: frames from one flush are one
 // contiguous write, a failed write is rolled back to the last whole
@@ -47,6 +56,16 @@ type groupCommit struct {
 	mu      sync.Mutex
 	pending []*gcWaiter
 	leader  bool // someone is about to claim pending
+	// want is the queue length a waiting leader needs (0: nobody
+	// waits). The enqueue that reaches it clears it and sends on
+	// arrived, so arrived holds at most one token.
+	want    int
+	arrived chan struct{}
+
+	// Only the leader touches these, under s.mu.
+	seen  int           // writers the last flush saw
+	flush time.Duration // moving mean of write+fsync time
+	timer *time.Timer   // bounds the wait; stopped or drained between waits
 }
 
 // EnableGroupCommit turns on group commit for AppendDurable: records
@@ -55,12 +74,13 @@ type groupCommit struct {
 // flush's batch size. Call before serving traffic; not safe to toggle
 // concurrently with appends.
 //
-// The duration was the linger and is unused; benchmark/probes.go, frozen for this change, still passes one.
+// The duration was the linger and is unused; benchmark/probes.go still
+// passes one.
 func (s *Store) EnableGroupCommit(maxBatch int, _ time.Duration, onFlush func(batched int)) {
 	if maxBatch < 1 {
 		maxBatch = DefaultGroupBatch
 	}
-	s.gc = &groupCommit{maxBatch: maxBatch, onFlush: onFlush}
+	s.gc = &groupCommit{maxBatch: maxBatch, onFlush: onFlush, arrived: make(chan struct{}, 1)}
 }
 
 // GroupCommitEnabled reports whether AppendDurable coalesces fsyncs.
@@ -96,6 +116,10 @@ func (s *Store) AppendDurable(r Record) (appended bool, err error) {
 	w := &gcWaiter{frame: frame, wake: make(chan bool, 1)}
 	gc.mu.Lock()
 	gc.pending = append(gc.pending, w)
+	if len(gc.pending) == gc.want {
+		gc.want = 0
+		gc.arrived <- struct{}{}
+	}
 	lead := !gc.leader
 	gc.leader = true
 	gc.mu.Unlock()
@@ -109,10 +133,17 @@ func (s *Store) AppendDurable(r Record) (appended bool, err error) {
 }
 
 // lead runs one group-commit round: wait out the flush in flight (it
-// holds s.mu), claim what piled up behind it, flush, wake everyone.
+// holds s.mu), give the writers the last flush saw a moment to queue,
+// claim what piled up, flush, wake everyone.
 func (s *Store) lead(gc *groupCommit) {
 	s.mu.Lock()
 	gc.mu.Lock()
+	if len(gc.pending) < gc.seen {
+		gc.want = gc.seen
+		gc.mu.Unlock()
+		gc.await(gc.flush / 2)
+		gc.mu.Lock()
+	}
 	batch := gc.pending
 	if len(batch) > gc.maxBatch {
 		// The cap leaves records behind: their head leads the next
@@ -131,7 +162,16 @@ func (s *Store) lead(gc *groupCommit) {
 		buf = append(buf, w.frame...)
 	}
 	*bp = buf[:0]
+	start := time.Now()
 	_, err := s.writeLocked(buf, true)
+	if d := time.Since(start); gc.flush == 0 {
+		gc.flush = d
+	} else {
+		gc.flush += (d - gc.flush) / 8
+	}
+	gc.mu.Lock()
+	gc.seen = min(len(batch)+len(gc.pending), gc.maxBatch)
+	gc.mu.Unlock()
 	s.mu.Unlock()
 	putFrameBuf(bp)
 
@@ -142,6 +182,35 @@ func (s *Store) lead(gc *groupCommit) {
 	for _, w := range batch {
 		w.appended, w.err = appended, err
 		w.wake <- true
+	}
+}
+
+// await parks the leader until the queue reaches gc.want or d passes.
+func (gc *groupCommit) await(d time.Duration) {
+	if gc.timer == nil {
+		gc.timer = time.NewTimer(d)
+	} else {
+		gc.timer.Reset(d)
+	}
+	select {
+	case <-gc.arrived:
+		// A timer that fired as the queue filled may hold a tick (Go
+		// before 1.23 buffers it); drop it so the next Reset starts clean.
+		if !gc.timer.Stop() {
+			select {
+			case <-gc.timer.C:
+			default:
+			}
+		}
+	case <-gc.timer.C:
+		gc.mu.Lock()
+		gc.want = 0
+		// The queue may have filled as the timer fired.
+		select {
+		case <-gc.arrived:
+		default:
+		}
+		gc.mu.Unlock()
 	}
 }
 

@@ -191,16 +191,35 @@ func TestGroupCommitBatchCapDrains(t *testing.T) {
 }
 
 // TestGroupCommitLoneWriter: a single writer pays exactly one fsync per
-// append, and no non-test code of the package can wait on a clock.
+// append and never waits for a second writer. With a mean flush of an
+// hour, one wait would stall it for minutes. The clock is read only
+// where the leader times its flush and bounds its wait.
 func TestGroupCommitLoneWriter(t *testing.T) {
 	r := startParked(t, faults.OS, 0, 0)
 	close(r.g.release)
 	r.wg.Wait()
+	r.s.SetGroupFlush(time.Hour)
 	const n = 20
-	for i := 2; i <= n; i++ {
-		if appended, err := r.s.AppendDurable(allocRec(uint64(i), 4096)); !appended || err != nil {
-			t.Fatalf("append %d: appended=%v err=%v", i, appended, err)
+	done := make(chan error, 1)
+	go func() {
+		for i := 2; i <= n; i++ {
+			if appended, err := r.s.AppendDurable(allocRec(uint64(i), 4096)); !appended || err != nil {
+				done <- fmt.Errorf("append %d: appended=%v err=%v", i, appended, err)
+				return
+			}
 		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("a lone writer waited for a second writer that is not coming")
+	}
+	if seen := r.s.GroupSeen(); seen != 1 {
+		t.Fatalf("a lone writer's flush saw %d writers, want 1", seen)
 	}
 	if w, s := r.g.writes.Load(), r.g.syncs.Load(); w != n || s != n {
 		t.Fatalf("%d writes, %d fsyncs for %d lone appends, want %d each", w, s, n, n)
@@ -217,15 +236,132 @@ func TestGroupCommitLoneWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	clockFuncs := map[string]bool{"lead": true, "await": true}
+	clockTypes := map[string]bool{"Duration": true, "Timer": true}
 	for _, pkg := range pkgs {
-		ast.Inspect(pkg, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if id, ok := sel.X.(*ast.Ident); ok && id.Name == "time" && sel.Sel.Name != "Duration" {
-					t.Errorf("package journal uses time.%s: group commit must not wait on a clock", sel.Sel.Name)
-				}
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fn, _ := decl.(*ast.FuncDecl)
+				ast.Inspect(decl, func(n ast.Node) bool {
+					sel, ok := n.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					if id, ok := sel.X.(*ast.Ident); ok && id.Name == "time" && !clockTypes[sel.Sel.Name] &&
+						(fn == nil || !clockFuncs[fn.Name.Name]) {
+						t.Errorf("package journal uses time.%s outside the group-commit leader", sel.Sel.Name)
+					}
+					return true
+				})
 			}
-			return true
-		})
+		}
+	}
+}
+
+// closedLoop appends count records with leases first, first+step, …,
+// each one roundTrip after the last one is durable, and records each
+// append's latency.
+func closedLoop(t *testing.T, s *journal.Store, wg *sync.WaitGroup, first uint64, step, count int, lat []time.Duration) {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < count; i++ {
+			start := time.Now()
+			if appended, err := s.AppendDurable(allocRec(first+uint64(i*step), 4096)); !appended || err != nil {
+				t.Errorf("lease %d: appended=%v err=%v", first+uint64(i*step), appended, err)
+				return
+			}
+			if lat != nil {
+				lat[i] = time.Since(start)
+			}
+			time.Sleep(roundTrip)
+		}
+	}()
+}
+
+// roundTrip stands for the time a client takes to receive its answer
+// and send its next request. Without it an in-process writer requeues
+// before the next leader even looks, and pairs by luck.
+const roundTrip = 2 * time.Millisecond
+
+// pairedStore opens a gated group-commit store with the given mean
+// flush, parks writer A's first flush (lease 1) and queues writer B's
+// first record (lease 2) behind it. A writes aCount records with odd
+// leases, B bCount with even ones. Nothing is released yet.
+func pairedStore(t *testing.T, flush time.Duration, aCount, bCount int, aLat []time.Duration) (*journal.Store, *gateFS, *sync.WaitGroup, *[]int) {
+	t.Helper()
+	g := newGateFS(faults.OS)
+	s, _, err := journal.OpenStore(filepath.Join(t.TempDir(), "wal"), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	g.writes.Store(0) // the magic
+	var mu sync.Mutex
+	sizes := new([]int)
+	s.EnableGroupCommit(0, 0, func(n int) {
+		mu.Lock()
+		*sizes = append(*sizes, n)
+		mu.Unlock()
+	})
+	s.SetGroupFlush(flush)
+	var wg sync.WaitGroup
+	closedLoop(t, s, &wg, 1, 2, aCount, aLat)
+	<-g.entered
+	closedLoop(t, s, &wg, 2, 2, bCount, nil)
+	for deadline := time.Now().Add(10 * time.Second); s.GroupPending() < 1; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("writer B never queued behind the parked flush")
+		}
+	}
+	return s, g, &wg, sizes
+}
+
+// TestGroupCommitPairsClosedLoopWriters: two writers that each wait
+// for their last record before sending the next share every flush after
+// the first, instead of alternating one-record flushes. The mean flush
+// is a minute, so no returning writer can miss the leader's wait.
+func TestGroupCommitPairsClosedLoopWriters(t *testing.T) {
+	const n = 20
+	_, g, wg, sizes := pairedStore(t, time.Minute, n+1, n, nil)
+	close(g.release)
+	wg.Wait()
+	want := []int{1}
+	for i := 0; i < n; i++ {
+		want = append(want, 2)
+	}
+	if !slices.Equal(*sizes, want) {
+		t.Fatalf("flush sizes %v, want %v", *sizes, want)
+	}
+	if w, fs := g.writes.Load(), g.syncs.Load(); w != n+1 || fs != n+1 {
+		t.Fatalf("%d writes, %d fsyncs for %d records, want %d each", w, fs, 2*n+1, n+1)
+	}
+}
+
+// TestGroupCommitWaitsOnceForAWriterNotComing: when one of two paired
+// writers stops, the other's next flush waits at most half a measured
+// flush for it, and no flush after that waits at all.
+func TestGroupCommitWaitsOnceForAWriterNotComing(t *testing.T) {
+	const aCount = 6
+	lat := make([]time.Duration, aCount)
+	flush := 3 * time.Second
+	s, g, wg, sizes := pairedStore(t, flush, aCount, 1, lat)
+	close(g.release)
+	wg.Wait()
+	if want := []int{1, 2, 1, 1, 1, 1}; !slices.Equal(*sizes, want) {
+		t.Fatalf("flush sizes %v, want %v", *sizes, want)
+	}
+	if seen := s.GroupSeen(); seen != 1 {
+		t.Fatalf("the last flush saw %d writers, want 1", seen)
+	}
+	// lat[2] is A's first record without B: its leader waits out B.
+	if lat[2] > flush {
+		t.Fatalf("the wait for a writer not coming took %v, want at most half the mean flush (%v)", lat[2], flush)
+	}
+	for i := 3; i < aCount; i++ {
+		if lat[i] > flush/4 {
+			t.Fatalf("lone append %d took %v after the wait had already timed out once", i, lat[i])
+		}
 	}
 }
 
