@@ -63,6 +63,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -fuzz=FuzzScanMatchesJSON -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -fuzz=FuzzRequestEncodersMatchJSON -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -fuzz=FuzzHTTPResponse -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -fuzz=FuzzSnapshotRecovery -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -fuzz=FuzzWireFrame -fuzztime=$(FUZZTIME) ./internal/wire/

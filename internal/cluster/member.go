@@ -43,8 +43,9 @@ type MemberSpec struct {
 
 // member is the router's live view of one daemon: a shared
 // server.Client (with the client's retry/backoff and idempotency
-// machinery — the router deliberately reuses it instead of growing a
-// second HTTP stack) plus the health state maintained by the poller.
+// machinery, and its own HTTP/1.1 exchange on the forwarding
+// goroutine — the router has no HTTP client of its own) plus the
+// health state maintained by the poller.
 type member struct {
 	name string
 	url  string

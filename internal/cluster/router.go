@@ -52,8 +52,7 @@ type Config struct {
 	// ForwardTimeout is the per-call deadline ceiling on forwarded
 	// member requests when the inbound request carries no deadline of
 	// its own (default 10s). An inbound context deadline always
-	// propagates; this is the backstop, replacing the old blanket 30s
-	// http.Client timeout.
+	// propagates; this is the backstop.
 	ForwardTimeout time.Duration
 	// MaxInFlightPerMember bounds concurrent forwarded data-plane
 	// calls per member; excess requests fail fast with the retryable

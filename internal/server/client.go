@@ -1,14 +1,12 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	mrand "math/rand"
 	"net/http"
@@ -44,7 +42,7 @@ var NoRetry = RetryPolicy{MaxAttempts: 1}
 
 // Client is the Go API for a running hetmemd daemon. The zero value is
 // not usable; create one with NewClient. A Client is safe for
-// concurrent use (it shares one http.Client).
+// concurrent use: concurrent callers share its pool of connections.
 //
 // Every method takes a context; retries stop when it is done. Alloc
 // stamps requests with an idempotency key when the caller did not, so
@@ -52,11 +50,10 @@ var NoRetry = RetryPolicy{MaxAttempts: 1}
 // lease instead of allocating twice.
 type Client struct {
 	base  string
-	http  *http.Client
 	retry RetryPolicy
-	// attemptTimeout bounds each HTTP exchange (dial through body
-	// read). The caller's context bounds the whole call, retries and
-	// backoff included; whichever deadline is sooner wins.
+	// attemptTimeout bounds each exchange (dial through body read).
+	// The caller's context bounds the whole call, retries and backoff
+	// included; whichever deadline is sooner wins.
 	attemptTimeout time.Duration
 	breaker        *breaker
 	hb             *heartbeater
@@ -64,10 +61,11 @@ type Client struct {
 	// tenant is stamped on every request as X-Hetmem-Tenant. A
 	// per-request tenant in the context (ContextWithTenant) wins.
 	tenant string
-	// wc is the binary-protocol transport, non-nil when the base URL
-	// is unix:// or tcp+bin://; see clientwire.go. When set, do()
-	// exchanges wire frames instead of HTTP requests.
+	// Exactly one transport is set. wc speaks the binary protocol to a
+	// unix:// or tcp+bin:// base (clientwire.go); hc speaks HTTP/1.1
+	// to an http:// or https:// one (clienthttp.go).
 	wc *wire.Client
+	hc *httpTransport
 }
 
 // ClientOption customizes a Client.
@@ -79,13 +77,8 @@ func WithRetryPolicy(p RetryPolicy) ClientOption {
 	return func(c *Client) { c.retry = p }
 }
 
-// WithHTTPClient substitutes the underlying http.Client.
-func WithHTTPClient(h *http.Client) ClientOption {
-	return func(c *Client) { c.http = h }
-}
-
-// WithAttemptTimeout bounds each individual HTTP attempt (dial through
-// body read) instead of the historical blanket http.Client timeout.
+// WithAttemptTimeout bounds each individual attempt (dial through body
+// read) instead of one blanket timeout over the whole call.
 // The caller's context still bounds the whole call — attempts, backoff
 // sleeps, everything — so a router forwarding a request propagates its
 // inbound deadline to the member instead of pinning every hop at 30s.
@@ -119,28 +112,25 @@ func WithTenant(name string) ClientOption {
 }
 
 // NewClient returns a client for the daemon at base, e.g.
-// "http://127.0.0.1:7077". A "unix:///path.sock" or
-// "tcp+bin://host:port" base selects the binary wire protocol over
-// persistent multiplexed connections instead of HTTP; every method,
-// option, and error behaves identically (see clientwire.go).
+// "http://127.0.0.1:7077" or "https://host:port/prefix". A
+// "unix:///path.sock" or "tcp+bin://host:port" base selects the binary
+// wire protocol over persistent multiplexed connections instead of
+// HTTP; every method, option, and error behaves identically (see
+// clientwire.go).
 //
-// The client keeps its own connection pool sized for talking to one
-// host: http.DefaultTransport caps idle connections per host at 2,
-// which makes every concurrent caller beyond two re-dial TCP on each
-// request — a syscall storm that dominates the daemon's fast path.
+// Over HTTP the client keeps up to 128 idle keep-alive connections to
+// the one host it talks to, one per concurrent caller, and runs each
+// exchange on the caller's goroutine (see clienthttp.go). Proxy
+// environment variables are not consulted.
 func NewClient(base string, opts ...ClientOption) *Client {
-	tr := http.DefaultTransport.(*http.Transport).Clone()
-	tr.MaxIdleConnsPerHost = 128
 	c := &Client{
-		base: strings.TrimRight(base, "/"),
-		// No http.Client.Timeout: a blanket client timeout would cap the
-		// whole retry loop at one opaque number and ignore the caller's
-		// context. Each attempt is bounded by attemptTimeout instead,
-		// and the caller's deadline bounds the call.
-		http:           &http.Client{Transport: tr},
+		base:           strings.TrimRight(base, "/"),
 		retry:          DefaultRetry,
 		attemptTimeout: 30 * time.Second,
 		wc:             wireBaseFor(base),
+	}
+	if c.wc == nil {
+		c.hc = newHTTPTransport(c.base)
 	}
 	for _, o := range opts {
 		o(c)
@@ -156,14 +146,15 @@ func NewClient(base string, opts ...ClientOption) *Client {
 }
 
 // Close stops the background heartbeater (if it ever started) and
-// drops the binary transport's connection. The client itself remains
-// usable (a later call re-dials); held TTL leases just stop being
-// renewed.
+// drops the transport's connections (over HTTP, the idle ones). The
+// client itself remains usable (a later call re-dials); held TTL
+// leases just stop being renewed.
 func (c *Client) Close() error {
 	c.hb.stopAll()
 	if c.wc != nil {
 		return c.wc.Close()
 	}
+	c.hc.closeIdle()
 	return nil
 }
 
@@ -230,11 +221,10 @@ func (p RetryPolicy) backoff(attempt int, retryAfter time.Duration) time.Duratio
 	return half + time.Duration(mrand.Int63n(int64(half)+1))
 }
 
-// parseRetryAfter reads a Retry-After header in either RFC 9110 form:
+// parseRetryAfter reads a Retry-After value in either RFC 9110 form:
 // delay-seconds (what the daemon emits) or an HTTP-date (what proxies
 // in front of it may rewrite it to).
-func parseRetryAfter(h http.Header) time.Duration {
-	v := h.Get("Retry-After")
+func parseRetryAfter(v string) time.Duration {
 	if v == "" {
 		return 0
 	}
@@ -288,9 +278,10 @@ type doResult struct {
 func (c *Client) do(ctx context.Context, method, path string, payload []byte, idempotent bool) (doResult, error) {
 	var res doResult
 	var lastErr error
-	// On a binary transport, resolve the wire op before burning
-	// attempts: an unmapped path (the advisor control surface) fails
-	// identically every time.
+	// Refuse before burning attempts what fails identically every
+	// time: a path with no wire op (the advisor control surface) on a
+	// binary transport, an unusable base URL or tenant on HTTP.
+	tenant := c.requestTenant(ctx)
 	var wop wire.Op
 	var wbody []byte
 	if c.wc != nil {
@@ -298,6 +289,8 @@ func (c *Client) do(ctx context.Context, method, path string, payload []byte, id
 		if wop, wbody, err = wireOpFor(method, path, payload); err != nil {
 			return res, err
 		}
+	} else if err := c.hc.check(tenant); err != nil {
+		return res, err
 	}
 	for attempt := 0; attempt < c.retry.MaxAttempts; attempt++ {
 		if err := c.breaker.allow(); err != nil {
@@ -336,89 +329,41 @@ func (c *Client) do(ctx context.Context, method, path string, payload []byte, id
 		// member that accepted the connection and went silent (an
 		// asymmetric partition) fails this attempt at attemptTimeout
 		// and the loop moves on, instead of consuming the whole call.
+		// Both transports bound it without deriving a context: the wire
+		// client with a pooled timer, HTTP with a connection deadline.
+		var err error
 		if c.wc != nil {
-			// The wire client bounds the attempt with a pooled timer:
-			// deriving a context per frame costs more than its codec.
-			status, data, err := c.wc.RoundTrip(ctx, c.attemptTimeout, wop, c.requestTenant(ctx), wbody)
-			if err != nil {
-				if ctx.Err() != nil {
-					return res, ctx.Err()
-				}
-				c.breaker.record(false)
-				// ErrNotSent proves the frame never reached the daemon
-				// (a failed dial, or registration on a connection that
-				// had already died): as safe to replay as a refused TCP
-				// SYN. A mid-stream drop is the muxed transport's
-				// ambiguous failure — the daemon may have processed the
-				// frame and the answer died with the connection — so
-				// non-idempotent requests fail fast, exactly like an
-				// HTTP reset mid-exchange. An attempt timeout is as
-				// ambiguous as a drop.
-				if !idempotent && !errors.Is(err, wire.ErrNotSent) {
-					return res, fmt.Errorf("server: transport error on non-idempotent request: %w", err)
-				}
-				res.transportRetries++
-				lastErr = err
-				continue
+			res.status, res.body, err = c.wc.RoundTrip(ctx, c.attemptTimeout, wop, tenant, wbody)
+			if err == nil {
+				res.retryAfter = wireRetryAfter(res.status, res.body)
 			}
-			c.breaker.record(true)
-			res.status = status
-			res.body = data
-			res.retryAfter = wireRetryAfter(status, data)
 		} else {
-			attemptCtx, cancel := ctx, context.CancelFunc(func() {})
-			if c.attemptTimeout > 0 {
-				attemptCtx, cancel = context.WithTimeout(ctx, c.attemptTimeout)
-			}
-			var body io.Reader
-			if payload != nil {
-				body = bytes.NewReader(payload)
-			}
-			req, err := http.NewRequestWithContext(attemptCtx, method, c.base+path, body)
-			if err != nil {
-				cancel()
-				return res, err
-			}
-			if payload != nil {
-				req.Header.Set("Content-Type", "application/json")
-			}
-			if t := c.requestTenant(ctx); t != "" {
-				req.Header.Set(TenantHeader, t)
-			}
-			resp, err := c.http.Do(req)
-			if err != nil {
-				cancel()
-				if ctx.Err() != nil {
-					return res, ctx.Err()
-				}
-				c.breaker.record(false)
-				if !idempotent && !connRefused(err) {
-					// The server may have seen this one; replaying it blind
-					// could double its effect. Let the caller decide.
-					return res, fmt.Errorf("server: transport error on non-idempotent request: %w", err)
-				}
-				res.transportRetries++
-				lastErr = err
-				continue
-			}
-			// Any HTTP response — even an error status — means the daemon
-			// is reachable and talking: the breaker records success.
-			c.breaker.record(true)
-			data, err := readBody(resp)
-			resp.Body.Close()
-			cancel()
-			if err != nil {
-				if ctx.Err() != nil {
-					return res, ctx.Err()
-				}
-				res.transportRetries++
-				lastErr = err
-				continue
-			}
-			res.status = resp.StatusCode
-			res.body = data
-			res.retryAfter = parseRetryAfter(resp.Header)
+			var r httpResponse
+			r, err = c.hc.roundTrip(ctx, c.attemptTimeout, method, path, tenant, payload)
+			res.status, res.body, res.retryAfter = r.status, r.body, parseRetryAfter(r.retryAfter)
 		}
+		if err != nil {
+			if ctx.Err() != nil {
+				return res, ctx.Err()
+			}
+			c.breaker.record(false)
+			// Only a request the daemon provably never saw is safe to
+			// replay when it is not idempotent: a refused dial, or the
+			// wire client's ErrNotSent (a failed dial, or registration on
+			// a connection that had already died). Anything later — a
+			// reset or EOF mid-exchange, a drop of the muxed connection,
+			// an attempt timeout — is ambiguous: the daemon may have
+			// processed the request and the answer died on the way back.
+			if !idempotent && !connRefused(err) && !errors.Is(err, wire.ErrNotSent) {
+				return res, fmt.Errorf("server: transport error on non-idempotent request: %w", err)
+			}
+			res.transportRetries++
+			lastErr = err
+			continue
+		}
+		// Any response — even an error status — means the daemon is
+		// reachable and talking: the breaker records success.
+		c.breaker.record(true)
 		if retryableStatus(res.status) {
 			// The status alone is not the last word: quota_exceeded
 			// rides on 429 but is terminal — the daemon has room, this
@@ -479,8 +424,7 @@ func (c *Client) postJSON(ctx context.Context, path string, req, out any, idempo
 }
 
 // apiErrorFrom rebuilds the *APIError from a buffered exchange: the v1
-// envelope when present, falling back to the legacy {"error": ...}
-// body for pre-v1 daemons.
+// envelope when present, else the body's text.
 func apiErrorFrom(res doResult) error {
 	var v1 ErrorBody
 	if json.Unmarshal(res.body, &v1) == nil && v1.Code != "" {
@@ -492,27 +436,7 @@ func apiErrorFrom(res doResult) error {
 			RetryAfterSeconds: v1.RetryAfterSeconds,
 		}
 	}
-	var e ErrorResponse
-	if json.Unmarshal(res.body, &e) == nil && e.Error != "" {
-		return &APIError{StatusCode: res.status, Message: e.Error}
-	}
 	return &APIError{StatusCode: res.status, Message: strings.TrimSpace(string(res.body))}
-}
-
-// readBody drains a response body into one right-sized buffer.
-// io.ReadAll starts at 512 bytes and regrows; the daemon always sends
-// Content-Length, so the exact size is known up front.
-func readBody(resp *http.Response) ([]byte, error) {
-	// Only trust a positive length: a hand-built Response (tests, fakes)
-	// leaves ContentLength 0 even with a non-empty body.
-	if n := resp.ContentLength; n > 0 && n < 1<<20 {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(resp.Body, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
-	return io.ReadAll(resp.Body)
 }
 
 // newIdempotencyKey draws a random key for an /alloc retry family.

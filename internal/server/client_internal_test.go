@@ -12,37 +12,29 @@ import (
 )
 
 func TestParseRetryAfter(t *testing.T) {
-	hdr := func(v string) http.Header {
-		h := http.Header{}
-		if v != "" {
-			h.Set("Retry-After", v)
-		}
-		return h
+	if got := parseRetryAfter(""); got != 0 {
+		t.Errorf("absent value: %v, want 0", got)
 	}
-
-	if got := parseRetryAfter(hdr("")); got != 0 {
-		t.Errorf("absent header: %v, want 0", got)
-	}
-	if got := parseRetryAfter(hdr("2")); got != 2*time.Second {
+	if got := parseRetryAfter("2"); got != 2*time.Second {
 		t.Errorf("delay-seconds: %v, want 2s", got)
 	}
-	if got := parseRetryAfter(hdr("0")); got != 0 {
+	if got := parseRetryAfter("0"); got != 0 {
 		t.Errorf("zero seconds: %v, want 0", got)
 	}
-	if got := parseRetryAfter(hdr("-3")); got != 0 {
+	if got := parseRetryAfter("-3"); got != 0 {
 		t.Errorf("negative seconds: %v, want 0", got)
 	}
-	if got := parseRetryAfter(hdr("soonish")); got != 0 {
+	if got := parseRetryAfter("soonish"); got != 0 {
 		t.Errorf("garbage: %v, want 0", got)
 	}
 
 	// HTTP-date form, as a proxy might rewrite it.
 	future := time.Now().Add(3 * time.Second).UTC().Format(http.TimeFormat)
-	if got := parseRetryAfter(hdr(future)); got <= 0 || got > 3*time.Second {
+	if got := parseRetryAfter(future); got <= 0 || got > 3*time.Second {
 		t.Errorf("future HTTP-date: %v, want in (0, 3s]", got)
 	}
 	past := time.Now().Add(-time.Minute).UTC().Format(http.TimeFormat)
-	if got := parseRetryAfter(hdr(past)); got != 0 {
+	if got := parseRetryAfter(past); got != 0 {
 		t.Errorf("past HTTP-date: %v, want 0", got)
 	}
 }

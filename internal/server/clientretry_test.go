@@ -9,10 +9,11 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -64,58 +65,49 @@ func TestClientTreats4xxAsTerminal(t *testing.T) {
 	}
 }
 
-// flakyTransport refuses connections while failing is set, counting
-// every attempt that actually reaches it.
-type flakyTransport struct {
-	failing atomic.Bool
-	calls   atomic.Int32
-}
-
-func (ft *flakyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
-	ft.calls.Add(1)
-	if ft.failing.Load() {
-		return nil, errors.New("connection refused (simulated)")
-	}
-	return &http.Response{
-		StatusCode: http.StatusOK,
-		Header:     http.Header{"Content-Type": []string{"application/json"}},
-		Body:       io.NopCloser(strings.NewReader(`{"status":"ok"}`)),
-		Request:    r,
-	}, nil
-}
-
+// TestCircuitBreakerFailsFastAndRecovers: refusals from a closed port
+// trip the breaker; while it is open, requests fail fast even though
+// the daemon is back on that port, and after the cooldown one probe
+// closes it again.
 func TestCircuitBreakerFailsFastAndRecovers(t *testing.T) {
 	ctx := context.Background()
-	ft := &flakyTransport{}
-	ft.failing.Store(true)
-	cl := server.NewClient("http://hetmemd.invalid",
-		server.WithHTTPClient(&http.Client{Transport: ft}),
+	addr := closedAddr(t)
+	cl := server.NewClient("http://"+addr,
 		server.WithRetryPolicy(server.NoRetry),
 		server.WithCircuitBreaker(2, 250*time.Millisecond),
 		server.WithoutHeartbeat())
 
-	// Two transport failures trip the breaker.
+	// Two refused dials trip the breaker.
 	for i := 0; i < 2; i++ {
-		if _, err := cl.Health(ctx); err == nil {
-			t.Fatal("transport failure reported success")
+		if _, err := cl.Health(ctx); !errors.Is(err, syscall.ECONNREFUSED) {
+			t.Fatalf("attempt %d against a closed port: err %v, want a refused connection", i, err)
 		}
 	}
-	if got := ft.calls.Load(); got != 2 {
-		t.Fatalf("transport saw %d calls, want 2", got)
+
+	// The daemon comes back, counting what reaches it.
+	var hits atomic.Int32
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("port %s taken before the daemon came back: %v", addr, err)
 	}
+	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		io.WriteString(w, `{"status":"ok"}`)
+	})}
+	go srv.Serve(ln)
+	defer srv.Close()
 
 	// Open: requests fail fast without touching the network.
-	_, err := cl.Health(ctx)
+	_, err = cl.Health(ctx)
 	if !errors.Is(err, server.ErrCircuitOpen) {
 		t.Fatalf("open breaker: err %v, want ErrCircuitOpen", err)
 	}
-	if got := ft.calls.Load(); got != 2 {
-		t.Fatalf("open breaker leaked a request to the network (%d calls)", got)
+	if got := hits.Load(); got != 0 {
+		t.Fatalf("open breaker leaked a request to the network (%d hits)", got)
 	}
 
-	// After the cooldown the daemon is back; the probe closes the
-	// breaker and traffic flows again.
-	ft.failing.Store(false)
+	// After the cooldown the probe closes the breaker and traffic flows
+	// again.
 	time.Sleep(300 * time.Millisecond)
 	if _, err := cl.Health(ctx); err != nil {
 		t.Fatalf("probe after recovery failed: %v", err)
@@ -123,8 +115,8 @@ func TestCircuitBreakerFailsFastAndRecovers(t *testing.T) {
 	if _, err := cl.Health(ctx); err != nil {
 		t.Fatalf("closed breaker rejected traffic: %v", err)
 	}
-	if got := ft.calls.Load(); got != 4 {
-		t.Fatalf("transport saw %d calls, want 4", got)
+	if got := hits.Load(); got != 2 {
+		t.Fatalf("daemon saw %d requests, want 2", got)
 	}
 }
 

@@ -3,7 +3,7 @@ package server
 // The client half of the binary transport. NewClient picks the
 // transport from the base URL's scheme:
 //
-//	http://host:port     HTTP/1.1, the stable compat path (default)
+//	http://host:port     HTTP/1.1 (https:// over TLS); see clienthttp.go
 //	unix:///path.sock    binary protocol over a unix domain socket
 //	tcp+bin://host:port  binary protocol over multiplexed TCP conns
 //

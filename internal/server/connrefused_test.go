@@ -9,8 +9,8 @@ package server_test
 // while idempotent ones keep retrying.
 
 import (
+	"bufio"
 	"context"
-	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -28,12 +28,7 @@ import (
 // replayed on ambiguous failures — still lands, because a refused
 // connection is provably unprocessed.
 func TestAllocBatchRetriesConnRefused(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
+	addr := closedAddr(t)
 
 	var hits atomic.Int32
 	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -66,16 +61,48 @@ func TestAllocBatchRetriesConnRefused(t *testing.T) {
 	}
 }
 
-// ambiguousTransport fails every attempt with a transport error that
-// is NOT a refused connection — the request may have reached the
-// daemon before the failure.
-type ambiguousTransport struct {
-	calls atomic.Int32
+// closedAddr reserves a loopback port and closes it, so dials to it
+// are refused until someone listens there again.
+func closedAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	return addr
 }
 
-func (at *ambiguousTransport) RoundTrip(r *http.Request) (*http.Response, error) {
-	at.calls.Add(1)
-	return nil, errors.New("broken pipe mid-response (simulated)")
+// hangUpServer reads each request sent to it and hangs up without
+// answering: the daemon may have processed the request, and the client
+// cannot tell. hits counts the requests read.
+func hangUpServer(t *testing.T) (base string, hits *atomic.Int32) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	hits = new(atomic.Int32)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				req, err := http.ReadRequest(bufio.NewReader(c))
+				if err != nil {
+					return
+				}
+				io.Copy(io.Discard, req.Body)
+				hits.Add(1)
+			}()
+		}
+	}()
+	return "http://" + ln.Addr().String(), hits
 }
 
 // TestNonIdempotentFailsFastOnAmbiguousError: a Migrate (not
@@ -83,9 +110,8 @@ func (at *ambiguousTransport) RoundTrip(r *http.Request) (*http.Response, error)
 // must not be blindly replayed when the transport error leaves the
 // first attempt's fate unknown.
 func TestNonIdempotentFailsFastOnAmbiguousError(t *testing.T) {
-	at := &ambiguousTransport{}
-	cl := server.NewClient("http://hetmemd.invalid",
-		server.WithHTTPClient(&http.Client{Transport: at}),
+	base, hits := hangUpServer(t)
+	cl := server.NewClient(base,
 		server.WithRetryPolicy(fastRetry(5)),
 		server.WithoutHeartbeat())
 	_, err := cl.Migrate(context.Background(), server.MigrateRequest{Lease: 1, Attr: "bandwidth"})
@@ -95,8 +121,8 @@ func TestNonIdempotentFailsFastOnAmbiguousError(t *testing.T) {
 	if !strings.Contains(err.Error(), "non-idempotent") {
 		t.Fatalf("error should say the request was not replayed: %v", err)
 	}
-	if got := at.calls.Load(); got != 1 {
-		t.Fatalf("transport saw %d attempts, want exactly 1 (no blind replay)", got)
+	if got := hits.Load(); got != 1 {
+		t.Fatalf("daemon saw %d attempts, want exactly 1 (no blind replay)", got)
 	}
 }
 
@@ -104,16 +130,15 @@ func TestNonIdempotentFailsFastOnAmbiguousError(t *testing.T) {
 // an idempotent request (keyed Alloc) is retried — replaying it is
 // harmless because the daemon dedupes on the idempotency key.
 func TestIdempotentRetriesAmbiguousError(t *testing.T) {
-	at := &ambiguousTransport{}
-	cl := server.NewClient("http://hetmemd.invalid",
-		server.WithHTTPClient(&http.Client{Transport: at}),
+	base, hits := hangUpServer(t)
+	cl := server.NewClient(base,
 		server.WithRetryPolicy(fastRetry(3)),
 		server.WithoutHeartbeat())
 	_, err := cl.Alloc(context.Background(), server.AllocRequest{Name: "a", Size: 64, Attr: "bandwidth"})
 	if err == nil {
 		t.Fatal("dead transport reported success")
 	}
-	if got := at.calls.Load(); got != 3 {
-		t.Fatalf("transport saw %d attempts, want 3 (keyed alloc retries ambiguous errors)", got)
+	if got := hits.Load(); got != 3 {
+		t.Fatalf("daemon saw %d attempts, want 3 (keyed alloc retries ambiguous errors)", got)
 	}
 }

@@ -326,7 +326,7 @@ func TestClientRetryBackoffAndIdempotencyKeyStamping(t *testing.T) {
 		if n < 3 {
 			w.Header().Set("Retry-After", "0")
 			w.WriteHeader(http.StatusServiceUnavailable)
-			json.NewEncoder(w).Encode(server.ErrorResponse{Error: "try again"})
+			json.NewEncoder(w).Encode(server.ErrorBody{Code: server.CodeShedding, Message: "try again", Retryable: true})
 			return
 		}
 		json.NewEncoder(w).Encode(server.AllocResponse{Lease: 7, Placement: "DRAM#0"})
@@ -385,7 +385,7 @@ func TestClientFreeToleratesLostResponse(t *testing.T) {
 		}
 		// The retry finds the lease gone.
 		w.WriteHeader(http.StatusNotFound)
-		json.NewEncoder(w).Encode(server.ErrorResponse{Error: "no such lease"})
+		json.NewEncoder(w).Encode(server.ErrorBody{Code: server.CodeNotFound, Message: "no such lease"})
 	})
 	ts := httptest.NewServer(h)
 	defer ts.Close()

@@ -247,12 +247,6 @@ type HealthResponse struct {
 	Nodes   []NodeHealth `json:"nodes"`
 }
 
-// ErrorResponse is the pre-v1 error body. The daemon no longer writes
-// it; Client still reads it from any HTTP peer that does.
-type ErrorResponse struct {
-	Error string `json:"error"`
-}
-
 // Request bodies decode in two steps. The hot shapes — alloc, free and
 // lease detail, renew — first meet a jsonenc.Scanner, which reads the
 // canonical spelling every client in this repository sends without
