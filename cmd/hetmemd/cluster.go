@@ -1,19 +1,17 @@
 package main
 
 // The cluster-mode subcommands: `hetmemd router` fronts a fleet of
-// running daemons with the placement router, and the -cluster modes
-// of loadtest/bench boot an in-process heterogeneous fleet (router
-// plus four simulated platforms) to exercise the federation path.
+// running daemons with the placement router, and `hetmemd loadtest
+// -cluster` boots an in-process heterogeneous fleet (router plus four
+// simulated platforms) to exercise the federation path.
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"os/signal"
 	"strings"
 	"syscall"
@@ -277,96 +275,6 @@ func clusterLoadtest(opts clusterLoadtestOptions, out io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "hetmemd: books %s\n", desc)
-	}
-	return nil
-}
-
-// clusterChaostestOptions is the -cluster branch of `hetmemd
-// chaostest`.
-type clusterChaostestOptions struct {
-	seed        int64
-	netSeed     int64
-	steps       int
-	interval    time.Duration
-	clients     int
-	requests    int
-	restart     int
-	netFaults   bool
-	timeout     time.Duration
-	scrubReport string
-}
-
-// clusterChaostest runs the partition chaos suite and, when asked,
-// writes the scrub-convergence report artifact.
-func clusterChaostest(opts clusterChaostestOptions, out io.Writer) error {
-	dir, err := os.MkdirTemp("", "hetmem-netchaos-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	ctx, cancel := context.WithTimeout(context.Background(), opts.timeout)
-	defer cancel()
-	rep, runErr := cluster.NetChaosRun(ctx, cluster.NetChaosOptions{
-		NetSeed:       opts.netSeed,
-		Steps:         opts.steps,
-		StepInterval:  opts.interval,
-		JournalDir:    dir,
-		RestartMember: opts.restart,
-		DisableFaults: !opts.netFaults,
-		Load: server.LoadOptions{
-			Clients:           opts.clients,
-			RequestsPerClient: opts.requests,
-			Seed:              opts.seed,
-		},
-	}, out)
-	if opts.scrubReport != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err == nil {
-			err = os.WriteFile(opts.scrubReport, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			if runErr == nil {
-				runErr = err
-			}
-		} else {
-			fmt.Fprintf(out, "hetmemd: scrub report written to %s\n", opts.scrubReport)
-		}
-	}
-	if runErr != nil {
-		return runErr
-	}
-	fmt.Fprintf(out, "hetmemd: cluster chaos converged after %d scrub cycle(s), %d leases alive, books %s\n",
-		rep.ConvergedAfter, rep.LeasesAlive, rep.Consistency)
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		return fmt.Errorf("cluster chaostest timed out after %s", opts.timeout)
-	}
-	return nil
-}
-
-// clusterBench runs the router-vs-single-daemon benchmark and writes
-// the BENCH_cluster.json artifact.
-func clusterBench(clients, requests int, size uint64, outPath string, out io.Writer) error {
-	report, err := cluster.RunBench(context.Background(), cluster.BenchOptions{
-		Clients:   clients,
-		Requests:  requests,
-		SizeBytes: size,
-	}, out)
-	if err != nil {
-		return err
-	}
-	if report.RouterOverhead > 0 {
-		fmt.Fprintf(out, "hetmemd: bench router p50 overhead %.2fx over single daemon\n", report.RouterOverhead)
-	}
-	if outPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "hetmemd: cluster bench report written to %s\n", outPath)
 	}
 	return nil
 }

@@ -38,6 +38,12 @@ func TestServeFlagValidation(t *testing.T) {
 		{"group-commit-linger-is-gone", []string{"serve", "-group-commit-linger", "1ms"}, "not defined"},
 		// The hot responses have one encoder.
 		{"legacy-encoding-is-gone", []string{"serve", "-legacy-encoding"}, "not defined"},
+		// Performance is measured by ./benchmark and the stress
+		// scenarios are package tests; the harness subcommands are gone.
+		{"bench-is-gone", []string{"bench"}, `unknown subcommand "bench" (want serve, router, loadtest, or platforms)`},
+		{"chaostest-is-gone", []string{"chaostest"}, `unknown subcommand "chaostest" (want serve, router, loadtest, or platforms)`},
+		{"reapstress-is-gone", []string{"reapstress"}, `unknown subcommand "reapstress" (want serve, router, loadtest, or platforms)`},
+		{"tenantstress-is-gone", []string{"tenantstress"}, `unknown subcommand "tenantstress" (want serve, router, loadtest, or platforms)`},
 	} {
 		err := run(tc.args, io.Discard)
 		if err == nil {
@@ -107,9 +113,9 @@ func TestRouterFlagValidation(t *testing.T) {
 // TestFlagCount pins how many flags the subcommands register, counted
 // from their -h listings, so that a flag comes or goes on purpose.
 func TestFlagCount(t *testing.T) {
-	const want = 102
+	const want = 56 // serve 28, router 16, loadtest 12
 	var usage bytes.Buffer
-	for _, sub := range []string{"serve", "router", "loadtest", "chaostest", "reapstress", "tenantstress", "bench"} {
+	for _, sub := range []string{"serve", "router", "loadtest"} {
 		if err := run([]string{sub, "-h"}, &usage); !errors.Is(err, flag.ErrHelp) {
 			t.Errorf("%s -h: %v", sub, err)
 		}

@@ -13,11 +13,11 @@
 //	hetmemd loadtest -clients 64               # self-hosted load test
 //	hetmemd loadtest -addr http://host:7077    # load-test a running daemon
 //	hetmemd loadtest -cluster                  # 1000 clients across a 4-daemon fleet, one member killed mid-run
-//	hetmemd bench -cluster                     # router-vs-single-daemon benchmark (BENCH_cluster.json)
-//	hetmemd chaostest -steps 60                # fault-inject a daemon under load
-//	hetmemd reapstress -ttl 1s                 # orphan-reaper acceptance run
-//	hetmemd tenantstress                       # multi-tenant QoS isolation run (TENANT_report.json)
 //	hetmemd platforms                          # list available platforms
+//
+// Performance is measured by `go run ./benchmark`; the fault, reaper,
+// tenant-isolation and advisor scenarios are tests in internal/server
+// and internal/cluster.
 //
 // Try it:
 //
@@ -29,8 +29,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -39,12 +37,9 @@ import (
 	_ "net/http/pprof" // /debug/pprof on the -pprof-addr side listener
 	"os"
 	"os/signal"
-	"path/filepath"
-	"runtime/debug"
 	"syscall"
 	"time"
 
-	"hetmem/internal/cluster"
 	"hetmem/internal/core"
 	"hetmem/internal/platform"
 	"hetmem/internal/server"
@@ -60,7 +55,7 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: hetmemd <serve|router|loadtest|chaostest|reapstress|tenantstress|bench|platforms> [flags] (-h for flags)")
+		return fmt.Errorf("usage: hetmemd <serve|router|loadtest|platforms> [flags] (-h for flags)")
 	}
 	switch args[0] {
 	case "serve":
@@ -69,14 +64,6 @@ func run(args []string, out io.Writer) error {
 		return runRouter(args[1:], out)
 	case "loadtest":
 		return runLoadtest(args[1:], out)
-	case "chaostest":
-		return runChaostest(args[1:], out)
-	case "reapstress":
-		return runReapstress(args[1:], out)
-	case "tenantstress":
-		return runTenantstress(args[1:], out)
-	case "bench":
-		return runBench(args[1:], out)
 	case "platforms":
 		for _, n := range platform.Names() {
 			p, err := platform.Get(n)
@@ -87,7 +74,7 @@ func run(args []string, out io.Writer) error {
 		}
 		return nil
 	default:
-		return fmt.Errorf("unknown subcommand %q (want serve, router, loadtest, chaostest, reapstress, tenantstress, bench, or platforms)", args[0])
+		return fmt.Errorf("unknown subcommand %q (want serve, router, loadtest, or platforms)", args[0])
 	}
 }
 
@@ -119,25 +106,6 @@ func newHTTPServer(h http.Handler) *http.Server {
 		ReadTimeout:       30 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
-}
-
-// startServer binds the daemon to addr and serves it in the
-// background; the returned base URL is ready for clients, and stop
-// shuts the listener and daemon down.
-func startServer(addr, platName string, forceBench bool, out io.Writer) (base string, stop func(), err error) {
-	srv, err := buildServer(platName, forceBench, server.Config{}, out)
-	if err != nil {
-		return "", nil, err
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, err
-	}
-	base = "http://" + ln.Addr().String()
-	fmt.Fprintf(out, "hetmemd: listening on %s\n", base)
-	hs := newHTTPServer(srv.Handler())
-	go hs.Serve(ln)
-	return base, func() { hs.Close(); srv.Close() }, nil
 }
 
 func runServe(args []string, out io.Writer) error {
@@ -462,431 +430,6 @@ func runLoadtest(args []string, out io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "hetmemd: books %s\n", desc)
-	}
-	return nil
-}
-
-// runBench is the fast-path acceptance measurement: the same
-// alloc/free load against the durable daemon in its pre-fast-path
-// configuration (fsync per record, no candidate cache), the fast path
-// (group commit + cache on the zero-allocation hot path), and the
-// batched endpoint — then the restart-time benchmark
-// (sequential vs parallel journal replay). Results land in a JSON
-// artifact (BENCH_alloc.json) for CI to archive.
-func runBench(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("hetmemd bench", flag.ContinueOnError)
-	fs.SetOutput(out)
-	var (
-		platName    = fs.String("p", "xeon", "platform for the daemon under test")
-		clients     = fs.Int("clients", 32, "concurrent client goroutines")
-		requests    = fs.Int("requests", 200, "allocations per client")
-		size        = fs.Uint64("size", 1<<20, "bytes per allocation")
-		batch       = fs.Int("batch", 16, "items per /v1/alloc/batch round trip in the batch run (0: skip)")
-		trials      = fs.Int("trials", 3, "interleaved trials per configuration; the median throughput is reported")
-		restartRecs = fs.Int("restart-records", 120000, "journal records for the restart-time benchmark (0: skip)")
-		outPath     = fs.String("out", "BENCH_alloc.json", "JSON artifact path (empty: stdout only)")
-		restartPath = fs.String("restart-out", "BENCH_restart.json", "restart benchmark artifact path (empty: embed in -out only)")
-		clust       = fs.Bool("cluster", false, "benchmark the cluster router path against a single daemon instead of the fast-path A/B")
-		clustPath   = fs.String("cluster-out", "BENCH_cluster.json", "with -cluster: JSON artifact path (empty: stdout only)")
-		adv         = fs.Bool("advisor", false, "benchmark the tiering advisor: phased workload with the advisor on vs off")
-		advPath     = fs.String("advisor-out", "BENCH_advisor.json", "with -advisor: JSON artifact path (empty: stdout only)")
-		advPhases   = fs.Int("advisor-phases", 8, "with -advisor: pointer-chase phases per run")
-		noWire      = fs.Bool("no-wire", false, "skip the transport-comparison runs (http vs uds vs tcp-bin) and their acceptance gates")
-		wireClients = fs.Int("wire-clients", 4, "concurrent clients for the transport-comparison runs (low on purpose: they measure per-request latency, not saturation)")
-		basePath    = fs.String("baseline", "", "prior BENCH_alloc.json to gate the transport runs against (empty: read -out before overwriting it)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *clust {
-		return clusterBench(*clients, *requests, *size, *clustPath, out)
-	}
-	if *adv {
-		return advisorBench(*platName, *advPhases, *advPath, out)
-	}
-	dir, err := os.MkdirTemp("", "hetmemd-bench-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	// The bench process hosts daemon and clients together, so GC runs
-	// steal cycles from both sides of every configuration equally; a
-	// laxer GC target keeps the measurement about the request path.
-	defer debug.SetGCPercent(debug.SetGCPercent(400))
-
-	ctx := context.Background()
-	runs := []struct {
-		name string
-		opts server.BenchOptions
-	}{
-		{"baseline", server.BenchOptions{Server: server.Config{
-			JournalPath:           filepath.Join(dir, "baseline.wal"),
-			SyncEveryAppend:       true,
-			DisableCandidateCache: true,
-		}}},
-		// "fast" is the default daemon: group commit, candidate cache and
-		// the pooled zero-allocation hot path.
-		{"fast", server.BenchOptions{Server: server.Config{
-			JournalPath: filepath.Join(dir, "fast.wal"),
-			GroupCommit: true,
-		}}},
-	}
-	if *batch > 1 {
-		runs = append(runs, struct {
-			name string
-			opts server.BenchOptions
-		}{"fast_batch", server.BenchOptions{Batch: *batch, Server: server.Config{
-			JournalPath: filepath.Join(dir, "batch.wal"),
-			GroupCommit: true,
-		}}})
-	}
-	if !*noWire {
-		// The transport trio: the same single-item workload over HTTP,
-		// the unix-socket wire protocol, and multiplexed binary TCP —
-		// journal off and few clients, so the numbers are per-request
-		// transport cost, not fsync queueing. wire_http is the
-		// like-for-like control for the two binary rows.
-		for _, t := range []struct{ name, transport string }{
-			{"wire_http", "http"}, {"wire_uds", "uds"}, {"wire_tcpbin", "tcp-bin"},
-		} {
-			runs = append(runs, struct {
-				name string
-				opts server.BenchOptions
-			}{t.name, server.BenchOptions{Transport: t.transport, Clients: *wireClients}})
-		}
-	}
-	// The gates compare against the last recorded report; read it
-	// before -out overwrites it.
-	prior := readPriorBench(*basePath, *outPath)
-
-	report := server.BenchReport{
-		Benchmark: "server_alloc",
-		Platform:  *platName,
-		Clients:   *clients,
-	}
-	if *trials < 1 {
-		*trials = 1
-	}
-	// Interleave the trials (baseline, fast, ... then again) instead of
-	// running each configuration back to back, so slow-disk phases and
-	// page-cache warmth spread evenly across configurations; the median
-	// trial per configuration is what lands in the report.
-	samples := make([][]server.BenchResult, len(runs))
-	for trial := 0; trial < *trials; trial++ {
-		for i, r := range runs {
-			r.opts.Platform = *platName
-			if r.opts.Clients == 0 {
-				r.opts.Clients = *clients
-			}
-			r.opts.Requests = *requests
-			r.opts.SizeBytes = *size
-			res, err := server.RunAllocBench(ctx, r.name, r.opts)
-			if err != nil {
-				return fmt.Errorf("bench %s: %w", r.name, err)
-			}
-			samples[i] = append(samples[i], res)
-		}
-	}
-	for _, trials := range samples {
-		res := server.MedianResult(trials)
-		fmt.Fprintf(out, "hetmemd: bench %s\n", res)
-		report.Results = append(report.Results, res)
-	}
-	if len(report.Results) >= 2 {
-		report.Speedup = report.Results[1].AllocsPerSec / report.Results[0].AllocsPerSec
-		fmt.Fprintf(out, "hetmemd: bench fast/baseline speedup %.2fx\n", report.Speedup)
-	}
-	if *restartRecs > 0 {
-		res, err := server.RunRestartBench(server.RestartBenchOptions{
-			Records: *restartRecs,
-			Trials:  *trials,
-		})
-		if err != nil {
-			return fmt.Errorf("bench restart: %w", err)
-		}
-		fmt.Fprintf(out, "hetmemd: bench %s\n", res)
-		report.Restart = &res
-		if *restartPath != "" {
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*restartPath, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "hetmemd: restart benchmark written to %s\n", *restartPath)
-		}
-	}
-	if *outPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*outPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "hetmemd: bench report written to %s\n", *outPath)
-	}
-	if !*noWire {
-		// Gate after writing the artifact, so a failed gate still
-		// leaves the numbers behind for inspection.
-		return wireGates(report, prior, out)
-	}
-	return nil
-}
-
-// readPriorBench loads the last recorded BENCH_alloc.json (explicit
-// path, else the -out path before it is overwritten); nil when there
-// is none or it does not parse — first runs gate only on the absolute
-// targets.
-func readPriorBench(basePath, outPath string) *server.BenchReport {
-	if basePath == "" {
-		basePath = outPath
-	}
-	if basePath == "" {
-		return nil
-	}
-	data, err := os.ReadFile(basePath)
-	if err != nil {
-		return nil
-	}
-	var p server.BenchReport
-	if json.Unmarshal(data, &p) != nil {
-		return nil
-	}
-	return &p
-}
-
-// wireGates enforces the binary-transport acceptance bars on a bench
-// report: the UDS wire path must hold a sub-100µs single-item p50,
-// beat the recorded single-item HTTP fast path (the committed
-// fast row) by 10x in allocs/sec, and not regress its own
-// recorded p50 by more than 25%. CI greps for the PASS line.
-func wireGates(report server.BenchReport, prior *server.BenchReport, out io.Writer) error {
-	find := func(rs []server.BenchResult, name string) *server.BenchResult {
-		for i := range rs {
-			if rs[i].Name == name {
-				return &rs[i]
-			}
-		}
-		return nil
-	}
-	uds := find(report.Results, "wire_uds")
-	if uds == nil {
-		return fmt.Errorf("wire gate: no wire_uds result in the report")
-	}
-	if uds.P50Micros >= 100 {
-		return fmt.Errorf("wire gate: uds single-item p50 %.0fµs misses the 100µs target", uds.P50Micros)
-	}
-	if prior != nil {
-		if base := find(prior.Results, "fast"); base != nil && base.AllocsPerSec > 0 {
-			speedup := uds.AllocsPerSec / base.AllocsPerSec
-			fmt.Fprintf(out, "hetmemd: bench wire_uds vs recorded single-item fast path: %.1fx\n", speedup)
-			if speedup < 10 {
-				return fmt.Errorf("wire gate: uds %.0f allocs/s is %.1fx the recorded single-item fast path (%.0f allocs/s); the bar is 10x",
-					uds.AllocsPerSec, speedup, base.AllocsPerSec)
-			}
-		}
-		if pu := find(prior.Results, "wire_uds"); pu != nil && pu.P50Micros > 0 && uds.P50Micros > 1.25*pu.P50Micros {
-			return fmt.Errorf("wire gate: uds p50 %.0fµs regressed more than 25%% against the recorded %.0fµs",
-				uds.P50Micros, pu.P50Micros)
-		}
-	}
-	fmt.Fprintf(out, "hetmemd: wire transports PASS (uds %.0f allocs/s, p50 %.0fµs)\n", uds.AllocsPerSec, uds.P50Micros)
-	return nil
-}
-
-// advisorBench runs the phased-workload advisor A/B (see
-// server.RunAdvisorBench) and writes the BENCH_advisor.json artifact.
-func advisorBench(platName string, phases int, outPath string, out io.Writer) error {
-	report, err := server.RunAdvisorBench(server.AdvisorBenchOptions{
-		Platform: platName,
-		Phases:   phases,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "hetmemd: bench advisor on:  %.2f s simulated, %d move(s), final placement %s\n",
-		report.WithAdvisor.ElapsedSeconds, report.WithAdvisor.Moves, report.WithAdvisor.Placement)
-	fmt.Fprintf(out, "hetmemd: bench advisor off: %.2f s simulated, final placement %s\n",
-		report.Without.ElapsedSeconds, report.Without.Placement)
-	fmt.Fprintf(out, "hetmemd: bench advisor speedup %.2fx\n", report.Speedup)
-	if outPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "hetmemd: advisor benchmark written to %s\n", outPath)
-	}
-	// The acceptance floor: the advisor must win by enough to have
-	// clearly paid for its migrations in simulated time.
-	if report.Speedup < 1.15 {
-		return fmt.Errorf("advisor speedup %.2fx below the 1.15x acceptance floor", report.Speedup)
-	}
-	return nil
-}
-
-func runReapstress(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("hetmemd reapstress", flag.ContinueOnError)
-	fs.SetOutput(out)
-	var (
-		platName = fs.String("p", "xeon", "platform for the daemon under test")
-		ttl      = fs.Duration("ttl", time.Second, "lease TTL requested by every client")
-		reap     = fs.Duration("reap-interval", 0, "daemon reaper interval (0: ttl/4)")
-		crashers = fs.Int("crashers", 16, "clients that allocate and vanish")
-		holders  = fs.Int("holders", 8, "clients that allocate and keep heartbeating")
-		size     = fs.Uint64("size", 1<<20, "bytes per lease")
-		timeout  = fs.Duration("timeout", 2*time.Minute, "overall run timeout")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ri := *reap
-	if ri == 0 {
-		ri = *ttl / 4
-	}
-	sys, err := core.NewSystem(*platName, core.Options{})
-	if err != nil {
-		return err
-	}
-	srv, err := server.NewWithConfig(sys, server.Config{
-		DefaultLeaseTTL: *ttl,
-		MinLeaseTTL:     ri,
-		ReapInterval:    ri,
-	})
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := newHTTPServer(srv.Handler())
-	go hs.Serve(ln)
-	defer hs.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-	defer cancel()
-	rep, err := server.ReapStress(ctx, "http://"+ln.Addr().String(), server.ReapStressOptions{
-		Crashers:  *crashers,
-		Holders:   *holders,
-		LeaseTTL:  *ttl,
-		SizeBytes: *size,
-	})
-	fmt.Fprintf(out, "hetmemd: reapstress %s\n", rep)
-	return err
-}
-
-func runTenantstress(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("hetmemd tenantstress", flag.ContinueOnError)
-	fs.SetOutput(out)
-	var (
-		noiseClients = fs.Int("noise-clients", 8, "greedy best-effort client goroutines")
-		noiseAllocs  = fs.Int("noise-allocs", 400, "max allocations per noise client (saturation backstop)")
-		noiseSize    = fs.Uint64("noise-size", 64<<20, "bytes per noise allocation")
-		goldAllocs   = fs.Int("gold-allocs", 100, "guaranteed-tenant probe allocations per phase")
-		goldSize     = fs.Uint64("gold-size", 8<<20, "bytes per guaranteed probe")
-		floor        = fs.Duration("baseline-floor", 25*time.Millisecond, "minimum baseline p99 the 2x isolation bar is computed from")
-		timeout      = fs.Duration("timeout", 3*time.Minute, "overall run timeout")
-		outPath      = fs.String("report", "TENANT_report.json", "JSON report artifact path (empty: stdout only)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	dir, err := os.MkdirTemp("", "hetmemd-tenantstress-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-	defer cancel()
-	rep, err := cluster.TenantStress(ctx, cluster.TenantStressOptions{
-		JournalDir:     dir,
-		NoiseClients:   *noiseClients,
-		NoiseMaxAllocs: *noiseAllocs,
-		NoiseSizeBytes: *noiseSize,
-		GoldAllocs:     *goldAllocs,
-		GoldSizeBytes:  *goldSize,
-		BaselineFloor:  *floor,
-	}, out)
-	if *outPath != "" {
-		if werr := cluster.WriteTenantStressReport(rep, *outPath); werr != nil && err == nil {
-			err = werr
-		} else if werr == nil {
-			fmt.Fprintf(out, "hetmemd: tenant isolation report written to %s\n", *outPath)
-		}
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "hetmemd: tenantstress PASS: gold p99 %.2fms under load (bar %.2fms), %d/%d gold leases intact, 0 sheds/evictions\n",
-		rep.LoadedP99Ms, rep.P99BarMs, rep.GoldLeases-rep.GoldLost, rep.GoldLeases)
-	return nil
-}
-
-func runChaostest(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("hetmemd chaostest", flag.ContinueOnError)
-	fs.SetOutput(out)
-	var (
-		platName    = fs.String("p", "xeon", "platform for the daemon under test")
-		seed        = fs.Int64("seed", 1, "seed for the fault plan and traffic mix")
-		steps       = fs.Int("steps", 40, "fault steps in the plan")
-		interval    = fs.Duration("interval", 10*time.Millisecond, "pause between fault steps")
-		clients     = fs.Int("clients", 16, "concurrent client goroutines")
-		requests    = fs.Int("requests", 50, "operations per client")
-		journal     = fs.String("journal", "", "journal path for the daemon under test (empty: none)")
-		shed        = fs.Float64("shed", 0.95, "admission-control watermark")
-		timeout     = fs.Duration("timeout", 2*time.Minute, "overall run timeout")
-		clusterMode = fs.Bool("cluster", false, "chaos-test the in-process cluster: network faults on every router->member link, a wiped-journal member restart mid-load, then anti-entropy scrub convergence")
-		netFaults   = fs.Bool("netfaults", true, "with -cluster: inject the seeded network-fault plan (false: restart-only run)")
-		netSeed     = fs.Int64("net-seed", 1, "with -cluster: seed for the network-fault plan; the same seed replays the same schedule")
-		restart     = fs.Int("restart", 1, "with -cluster: member index restarted with a wiped journal mid-run (negative: nobody)")
-		scrubOut    = fs.String("scrub-report", "", "with -cluster: write the per-cycle scrub report JSON to this path")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *clusterMode {
-		return clusterChaostest(clusterChaostestOptions{
-			seed: *seed, netSeed: *netSeed, steps: *steps, interval: *interval,
-			clients: *clients, requests: *requests, restart: *restart,
-			netFaults: *netFaults, timeout: *timeout, scrubReport: *scrubOut,
-		}, out)
-	}
-	sys, err := core.NewSystem(*platName, core.Options{})
-	if err != nil {
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-	defer cancel()
-	rep, err := server.ChaosRun(ctx, sys, server.ChaosOptions{
-		Seed:         *seed,
-		Steps:        *steps,
-		StepInterval: *interval,
-		Load: server.LoadOptions{
-			Clients:           *clients,
-			RequestsPerClient: *requests,
-		},
-		Server: server.Config{JournalPath: *journal, ShedWatermark: *shed},
-	})
-	fmt.Fprintf(out, "hetmemd: chaos load %s\n", rep.Load)
-	fmt.Fprintf(out, "hetmemd: %d fault events injected\n", rep.FaultEvents)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "hetmemd: auto-migrated %.0f leases off dying nodes (%.0f stranded), shed %.0f allocs, %.0f health transitions\n",
-		server.SumSeries(rep.Metrics, "hetmemd_auto_migrate_total"),
-		server.SumSeries(rep.Metrics, "hetmemd_auto_migrate_failed_total"),
-		server.SumSeries(rep.Metrics, "hetmemd_shed_total"),
-		server.SumSeries(rep.Metrics, "hetmemd_health_transitions_total"))
-	fmt.Fprintf(out, "hetmemd: books %s\n", rep.Consistency)
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		return fmt.Errorf("chaostest timed out after %s", *timeout)
 	}
 	return nil
 }

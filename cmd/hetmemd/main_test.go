@@ -20,16 +20,19 @@ import (
 // boot starts the daemon on a random port and returns its base URL.
 func boot(t *testing.T, platform string) string {
 	t.Helper()
-	var log strings.Builder
-	base, stop, err := startServer("127.0.0.1:0", platform, false, &log)
+	srv, err := buildServer(platform, false, server.Config{}, io.Discard)
 	if err != nil {
-		t.Fatalf("%v (log: %s)", err, log.String())
+		t.Fatal(err)
 	}
-	t.Cleanup(stop)
-	if !strings.Contains(log.String(), "listening on http://127.0.0.1:") {
-		t.Fatalf("startup log: %q", log.String())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		srv.Close()
+		t.Fatal(err)
 	}
-	return base
+	hs := newHTTPServer(srv.Handler())
+	go hs.Serve(ln)
+	t.Cleanup(func() { hs.Close(); srv.Close() })
+	return "http://" + ln.Addr().String()
 }
 
 // TestDaemonEndToEnd boots the daemon on a random port, hits every
@@ -170,59 +173,6 @@ func TestLoadtestAgainstRunningDaemon(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics after load: HTTP %d", resp.StatusCode)
-	}
-}
-
-// TestChaostestSubcommand runs a scaled-down chaos scenario end to
-// end: faults injected under client load, then a clean audit.
-func TestChaostestSubcommand(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{
-		"chaostest", "-clients", "8", "-requests", "10",
-		"-steps", "10", "-interval", "1ms", "-seed", "5",
-		"-journal", filepath.Join(t.TempDir(), "wal"),
-	}, &out)
-	if err != nil {
-		t.Fatalf("%v (output: %s)", err, out.String())
-	}
-	if !strings.Contains(out.String(), "fault events injected") {
-		t.Fatalf("no fault report: %q", out.String())
-	}
-	if !strings.Contains(out.String(), "books consistent") {
-		t.Fatalf("no consistency check: %q", out.String())
-	}
-}
-
-// TestChaostestClusterMode runs the scaled-down partition chaos
-// suite: network faults on every router->member link, one member
-// restarted with a wiped journal mid-load, scrub convergence, and the
-// JSON scrub-report artifact.
-func TestChaostestClusterMode(t *testing.T) {
-	report := filepath.Join(t.TempDir(), "scrub.json")
-	var out strings.Builder
-	err := run([]string{
-		"chaostest", "-cluster",
-		"-clients", "8", "-requests", "40",
-		"-steps", "20", "-interval", "5ms",
-		"-net-seed", "7", "-restart", "1",
-		"-scrub-report", report,
-	}, &out)
-	if err != nil {
-		t.Fatalf("%v (output: %s)", err, out.String())
-	}
-	for _, want := range []string{"restarted member", "scrub cycle 1", "converged after", "books consistent"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("missing %q in: %s", want, out.String())
-		}
-	}
-	data, err := os.ReadFile(report)
-	if err != nil {
-		t.Fatalf("scrub report artifact: %v", err)
-	}
-	for _, want := range []string{`"net_seed": 7`, `"restarted_member": "m1"`, `"converged_after_cycles"`} {
-		if !strings.Contains(string(data), want) {
-			t.Fatalf("scrub report missing %q: %s", want, data)
-		}
 	}
 }
 

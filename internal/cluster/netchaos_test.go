@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"hetmem/internal/netfaults"
 	"hetmem/internal/server"
 )
 
@@ -414,4 +417,188 @@ func TestAsymmetricPartitionWipedRestartUnderLoad(t *testing.T) {
 		t.Fatalf("router tracks %d leases, load generator left %d — lost or phantom leases", leases.Count, stats.LeasesLeft)
 	}
 	requireBooksConverged(t, ctx, sim)
+}
+
+// TestNetChaosConverges runs the seeded partition suite end to end: a
+// network-fault plan on every router->member link under live load,
+// member 1 restarted with a wiped journal halfway through, then the
+// scrubber driven until a clean cycle. The same net seed replays the
+// same fault schedule.
+func TestNetChaosConverges(t *testing.T) {
+	rep := netChaosRun(t, netChaosOptions{
+		NetSeed:       7,
+		Steps:         20,
+		StepInterval:  5 * time.Millisecond,
+		RestartMember: 1,
+		Load:          server.LoadOptions{Clients: 8, RequestsPerClient: 40, Seed: 1},
+	})
+	t.Logf("%d fault events, converged after %d scrub cycle(s), %d leases alive, books %s",
+		rep.FaultEvents, rep.ConvergedAfter, rep.LeasesAlive, rep.Consistency)
+	if rep.NetSeed != 7 || rep.FaultEvents == 0 {
+		t.Errorf("net seed %d injected %d fault events, want seed 7 and a non-empty plan", rep.NetSeed, rep.FaultEvents)
+	}
+	if rep.Restarted != "m1" {
+		t.Errorf("restarted member %q, want m1", rep.Restarted)
+	}
+	if rep.ConvergedAfter < 1 || len(rep.Scrubs) != rep.ConvergedAfter {
+		t.Errorf("converged after %d cycle(s) with %d scrub reports", rep.ConvergedAfter, len(rep.Scrubs))
+	}
+	if !strings.HasPrefix(rep.Consistency, "consistent:") {
+		t.Errorf("books: %q", rep.Consistency)
+	}
+}
+
+// netChaosOptions configures one netChaosRun.
+type netChaosOptions struct {
+	// NetSeed seeds the network-fault plan (netfaults.RandomPlan).
+	NetSeed int64
+	// Steps is the fault-plan length, StepInterval the pause between
+	// steps.
+	Steps        int
+	StepInterval time.Duration
+	// RestartMember is the member index hard-restarted with a wiped
+	// journal halfway through the plan (-1: nobody restarts).
+	RestartMember int
+	// Load shapes the traffic driven through the router during the
+	// fault plan. Tolerate and Retry are filled in by the harness.
+	Load server.LoadOptions
+}
+
+// netChaosReport is what the load saw, what the fault plan injected,
+// and cycle by cycle what the scrubber repaired.
+type netChaosReport struct {
+	FaultEvents    int
+	NetSeed        int64
+	Restarted      string
+	Scrubs         []ScrubReport
+	ConvergedAfter int
+	Consistency    string
+	LeasesAlive    int
+}
+
+// netChaosRun boots a journaled four-member fleet with a chaos proxy
+// on every router->member link and runs the fault plan against live
+// load. It fails the test if the load generator hits an untolerated
+// error, the fleet does not return to health, the scrubber does not
+// converge within five cycles, a lease is lost, or the final books
+// are inconsistent.
+func netChaosRun(t *testing.T, opts netChaosOptions) netChaosReport {
+	t.Helper()
+	const maxScrubCycles = 5
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	rep := netChaosReport{NetSeed: opts.NetSeed}
+	dir := t.TempDir()
+	sim := startTestSim(t, SimOptions{
+		Platforms: DefaultSimPlatforms,
+		Member:    server.Config{JournalPath: filepath.Join(dir, "member")},
+		Router: Config{
+			JournalPath:    filepath.Join(dir, "router"),
+			PollInterval:   50 * time.Millisecond,
+			OfflineAfter:   2,
+			ProbeTimeout:   500 * time.Millisecond,
+			EvacTimeout:    2 * time.Second,
+			ForwardTimeout: 2 * time.Second,
+			HedgeDelay:     50 * time.Millisecond,
+		},
+		NetFaults: true,
+	})
+
+	plan := netfaults.RandomPlan(opts.NetSeed, opts.Steps, len(sim.Members), netfaults.RandomOptions{})
+	rep.FaultEvents = len(plan.Events)
+	restartAt := -1
+	if opts.RestartMember >= 0 && opts.RestartMember < len(sim.Members) {
+		restartAt = plan.Steps() / 2
+	}
+
+	load := opts.Load
+	load.Tolerate = func(err error) bool {
+		return errors.Is(err, server.ErrCodeMemberUnavailable) ||
+			errors.Is(err, server.ErrShedding) ||
+			errors.Is(err, server.ErrCapacityExhausted) ||
+			errors.Is(err, server.ErrLeaseExpired)
+	}
+	load.Retry = &server.RetryPolicy{MaxAttempts: 6, BaseDelay: 25 * time.Millisecond, MaxDelay: 500 * time.Millisecond}
+	done := make(chan struct{})
+	var stats server.LoadStats
+	var loadErr error
+	go func() {
+		defer close(done)
+		stats, loadErr = server.LoadTest(ctx, sim.Base, load)
+	}()
+
+	for step := 0; step <= plan.Steps() && ctx.Err() == nil; step++ {
+		for _, ev := range plan.StepEvents(step) {
+			if err := sim.Injector.Apply(ev); err != nil {
+				t.Fatalf("net fault %+v: %v", ev, err)
+			}
+		}
+		if step == restartAt {
+			if err := sim.Restart(opts.RestartMember, true); err != nil {
+				t.Fatal(err)
+			}
+			rep.Restarted = sim.Members[opts.RestartMember].Name
+			t.Logf("restarted member %s with a wiped journal at fault step %d", rep.Restarted, step)
+		}
+		select {
+		case <-time.After(opts.StepInterval):
+		case <-done:
+		}
+	}
+	sim.Injector.HealAll()
+	<-done
+	t.Logf("chaos load %s", stats)
+	if loadErr != nil {
+		t.Fatalf("load: %v", loadErr)
+	}
+
+	// Fabric is healed; wait for the poller's view to catch up and the
+	// evacuations it owes (offline transitions, the restarted member)
+	// to land.
+	healthDeadline := time.Now().Add(30 * time.Second)
+	for {
+		sim.Router.PollOnce(ctx)
+		h, err := sim.Router.Health(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Status == "ok" {
+			break
+		}
+		if time.Now().After(healthDeadline) {
+			t.Fatalf("fleet not healthy 30s after the fabric healed: %+v", h.Nodes)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+
+	// Drive the scrubber to convergence: a clean cycle means no
+	// orphans, no lost leases, no drift — the books agree everywhere.
+	for cycle := 1; cycle <= maxScrubCycles && rep.ConvergedAfter == 0; cycle++ {
+		sim.Router.PollOnce(ctx)
+		sr, err := sim.Router.ScrubOnce(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep.Scrubs = append(rep.Scrubs, sr)
+		t.Logf("scrub cycle %d: %+v", cycle, sr)
+		if sr.Clean() {
+			rep.ConvergedAfter = cycle
+		}
+	}
+	if rep.ConvergedAfter == 0 {
+		t.Fatalf("scrubber did not converge in %d cycles: %+v", maxScrubCycles, rep.Scrubs)
+	}
+
+	leases, err := sim.Router.Leases(ctx, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.LeasesAlive = leases.Count
+	if stats.LeasesLeft != leases.Count {
+		t.Fatalf("router tracks %d leases, load generator left %d alive — leases lost", leases.Count, stats.LeasesLeft)
+	}
+	if rep.Consistency, err = server.VerifyConsistency(ctx, sim.Base); err != nil {
+		t.Fatal(err)
+	}
+	return rep
 }

@@ -51,19 +51,18 @@ type orphanKey struct {
 	memberLease uint64
 }
 
-// ScrubReport summarizes one anti-entropy cycle; chaostest emits it
-// as the scrub artifact.
+// ScrubReport summarizes one anti-entropy cycle.
 type ScrubReport struct {
-	Cycle           uint64 `json:"cycle"`
-	MembersScanned  int    `json:"members_scanned"`
-	MembersSkipped  int    `json:"members_skipped"`
-	OrphansFreed    int    `json:"orphans_freed"`
-	OrphanSuspects  int    `json:"orphan_suspects"`
-	LostRepaired    int    `json:"lost_repaired"`
-	LostFailed      int    `json:"lost_failed"`
-	DriftAlarms     int    `json:"drift_alarms"`
-	BytesRepaired   uint64 `json:"bytes_repaired"`
-	BudgetExhausted bool   `json:"budget_exhausted"`
+	Cycle           uint64
+	MembersScanned  int
+	MembersSkipped  int
+	OrphansFreed    int
+	OrphanSuspects  int
+	LostRepaired    int
+	LostFailed      int
+	DriftAlarms     int
+	BytesRepaired   uint64
+	BudgetExhausted bool
 }
 
 // Clean reports whether the cycle found the books fully converged:
@@ -96,7 +95,7 @@ type memberScan struct {
 }
 
 // ScrubOnce runs one full anti-entropy cycle and returns its report.
-// Exported so tests and chaostest drive cycles without a ticker;
+// Exported so tests drive cycles without a ticker;
 // cycles are serialized, a concurrent call waits its turn.
 func (r *Router) ScrubOnce(ctx context.Context) (ScrubReport, error) {
 	r.scrubMu.Lock()

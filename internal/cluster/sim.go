@@ -15,7 +15,7 @@ import (
 
 // The in-process cluster harness: N simulated daemons on loopback
 // listeners with a router in front, used by `hetmemd loadtest
-// -cluster`, `hetmemd bench -cluster`, and the chaos tests. Each
+// -cluster` and the cluster tests. Each
 // member gets its own memsim Machine, so the fleet is heterogeneous
 // by construction.
 

@@ -11,9 +11,8 @@
 // faults drive the same re-ranking, auto-migration, and load-shedding
 // paths a production monitor would.
 //
-// Tests and the `hetmemd chaostest` subcommand script scenarios through
-// the same small Target interface, so chaos runs and unit tests share
-// one fault vocabulary.
+// Tests script scenarios through the same small Target interface, so
+// chaos runs and unit tests share one fault vocabulary.
 package faults
 
 import (

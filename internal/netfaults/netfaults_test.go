@@ -177,7 +177,7 @@ func TestSetTargetRepoints(t *testing.T) {
 	}
 }
 
-// The determinism contract the chaostest replay flag depends on: the
+// The determinism contract seeded chaos runs depend on: the
 // same seed yields byte-for-byte the same schedule, a different seed a
 // different one, and the plan never cuts every link at once and always
 // ends healed.

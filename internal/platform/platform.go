@@ -69,8 +69,8 @@ func register(name string, f func() *Platform) {
 // Get builds the named platform. Names of the form
 // "synthetic:<desc>" build an ad-hoc machine from the FromSynthetic
 // grammar instead of the registry, so every -platform flag can take a
-// purpose-built topology (the tenantstress harness uses this for a
-// fleet small enough to saturate).
+// purpose-built topology (the cluster tenant-isolation test uses this
+// for a fleet small enough to saturate).
 func Get(name string) (*Platform, error) {
 	if desc, ok := strings.CutPrefix(name, "synthetic:"); ok {
 		return FromSynthetic("synthetic", desc)

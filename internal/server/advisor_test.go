@@ -7,8 +7,8 @@ package server
 // counters byte-for-byte, and the /v1 surface around it (lease detail,
 // advice on attribute-less allocs, the advisor_paused error code).
 //
-// The scenario mirrors the paper's motivating workload and the
-// `hetmemd bench -advisor` harness: a latency-bound lease is allocated
+// The scenario mirrors the paper's motivating workload and
+// TestAdvisorPhasedAB's A/B: a latency-bound lease is allocated
 // while the local fast tier is full of init scratch, so it lands on
 // the capacity tier; the scratch is freed after the first phase; the
 // advisor must notice the misplacement from telemetry alone and walk
@@ -19,6 +19,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -564,4 +566,68 @@ func TestAdvisorDisabledDaemon(t *testing.T) {
 	if batch.Failed != 1 || batch.Results[0].Error == nil || batch.Results[0].Error.Code != CodeBadRequest {
 		t.Errorf("attr-less batch item without advisor: %+v, want bad_request item error", batch)
 	}
+}
+
+// TestAdvisorPhasedAB is the advisor's end-to-end A/B: guidance must
+// pay for its own migrations (Olson et al., PAPERS.md). The same
+// eight-phase pointer chase runs on two identical machines, one with
+// an advisor cycle after every phase and one without, and the advisor
+// side's simulated clock is charged every migration's copy cost. The
+// run is in simulated time, so the result is exact: a change here is
+// a change to the advisor or the machine model, not noise.
+func TestAdvisorPhasedAB(t *testing.T) {
+	on := advisorPhasedRun(t, true)
+	off := advisorPhasedRun(t, false)
+	speedup := off.elapsed / on.elapsed
+	t.Logf("advisor on: %.2f s simulated, %d move(s), %s; off: %.2f s, %s; speedup %.2fx",
+		on.elapsed, on.moves, on.placement, off.elapsed, off.placement, speedup)
+	if speedup < 1.15 {
+		t.Errorf("speedup %.2fx below the 1.15x floor", speedup)
+	}
+	if got := math.Round(speedup*100) / 100; got != 1.47 {
+		t.Errorf("speedup %.2fx, pinned at 1.47x", speedup)
+	}
+	if on.moves != 1 || on.placement != "DRAM#0" {
+		t.Errorf("with the advisor: %d move(s), final placement %s; want 1 move to DRAM#0", on.moves, on.placement)
+	}
+	if off.moves != 0 || off.placement != "NVDIMM#2" {
+		t.Errorf("without the advisor: %d move(s), final placement %s; want none, NVDIMM#2", off.moves, off.placement)
+	}
+}
+
+// advisorPhase is one side of TestAdvisorPhasedAB.
+type advisorPhase struct {
+	elapsed   float64 // simulated seconds, migration copies included
+	moves     int
+	placement string // the hot lease's final placement
+}
+
+// advisorPhasedRun leases a latency-bound buffer while DRAM is full of
+// scratch (so it lands on the capacity tier), frees the scratch after
+// the first phase, and chases pointers through the lease for eight
+// phases. With the advisor on, a cycle runs after every phase.
+func advisorPhasedRun(t *testing.T, withAdvisor bool) advisorPhase {
+	var cfg Config
+	if withAdvisor {
+		cfg = Config{AdvisorInterval: time.Hour, AdvisorHysteresis: 2, AdvisorCooldown: 2}
+	}
+	a := newAdvScenario(t, cfg)
+	_, index := a.lease("graph-index", 6*advGiB)
+	var run advisorPhase
+	for p := 1; p <= 8; p++ {
+		a.eng.Phase(fmt.Sprintf("phase-%d", p), []memsim.Access{
+			{Buffer: index, RandomReads: 250_000_000, MLP: 4},
+		})
+		if p == 1 {
+			a.freeScratch()
+		}
+		if withAdvisor {
+			n, cost := a.s.AdviseCycle()
+			run.moves += n
+			a.eng.AdvanceClock(cost)
+		}
+	}
+	run.elapsed = a.eng.Elapsed()
+	run.placement = index.NodeNames()
+	return run
 }

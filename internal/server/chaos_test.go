@@ -2,12 +2,15 @@ package server_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net/http"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"hetmem/internal/core"
+	"hetmem/internal/faults"
 	"hetmem/internal/server"
 )
 
@@ -26,7 +29,7 @@ func TestChaosUnderLoad(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
 
-	rep, err := server.ChaosRun(ctx, sys, server.ChaosOptions{
+	rep, err := chaosRun(ctx, sys, chaosOptions{
 		Seed:         7,
 		Steps:        24,
 		StepInterval: 2 * time.Millisecond,
@@ -82,7 +85,7 @@ func TestChaosSeedsAreDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := server.ChaosRun(ctx, sys, server.ChaosOptions{
+		rep, err := chaosRun(ctx, sys, chaosOptions{
 			Seed:         3,
 			Steps:        10,
 			StepInterval: time.Millisecond,
@@ -96,4 +99,141 @@ func TestChaosSeedsAreDeterministic(t *testing.T) {
 	if counts[0] != counts[1] {
 		t.Fatalf("same seed injected %d then %d fault events", counts[0], counts[1])
 	}
+}
+
+// chaosOptions configures a chaosRun.
+type chaosOptions struct {
+	// Seed drives both the fault plan and the client traffic mix.
+	Seed int64
+	// Steps is the number of fault steps in the plan.
+	Steps int
+	// StepInterval is the pause between fault steps, so client traffic
+	// interleaves with the faults.
+	StepInterval time.Duration
+	// Load shapes the client traffic (Tolerate and Retry are set by the
+	// harness).
+	Load server.LoadOptions
+	// Server configures the daemon under test; set JournalPath to make
+	// the run durable.
+	Server server.Config
+}
+
+// chaosReport is the outcome of a chaosRun.
+type chaosReport struct {
+	Load        server.LoadStats
+	FaultEvents int
+	// Consistency is server.VerifyConsistency's description of the final
+	// state.
+	Consistency string
+	// Metrics is the final parsed /metrics snapshot.
+	Metrics map[string]float64
+}
+
+// tolerateDegraded accepts the errors a correctly degrading daemon is
+// allowed to return while faults are active: 503 (shedding, offline,
+// transient) and 507 (capacity shrunk under the workload). Anything
+// else — 500s, bad JSON, accounting errors — still fails the run.
+func tolerateDegraded(err error) bool {
+	var apiErr *server.APIError
+	if errors.As(err, &apiErr) {
+		return apiErr.StatusCode == http.StatusServiceUnavailable ||
+			apiErr.StatusCode == http.StatusInsufficientStorage
+	}
+	return false
+}
+
+// chaosRun boots a daemon on a loopback listener, drives concurrent
+// client load against it while a seeded fault plan kills, degrades,
+// shrinks, and trips the machine's nodes, heals everything, and then
+// audits the daemon's books: the lease table, /metrics per-node bytes,
+// and (when a journal is configured) the journaled state must all
+// agree.
+func chaosRun(ctx context.Context, sys *core.System, opts chaosOptions) (chaosReport, error) {
+	var rep chaosReport
+	srv, err := server.NewWithConfig(sys, opts.Server)
+	if err != nil {
+		return rep, err
+	}
+	defer srv.Close()
+
+	base, stop, err := server.ServeTransport(srv, "http")
+	if err != nil {
+		return rep, err
+	}
+	defer stop()
+
+	injector := faults.NewInjector(faults.NewMachineTarget(sys.Machine))
+	injector.Subscribe(srv.ApplyFault)
+
+	var nodeOS []int
+	caps := map[int]uint64{}
+	for _, n := range sys.Machine.Nodes() {
+		nodeOS = append(nodeOS, n.OSIndex())
+		caps[n.OSIndex()] = n.Capacity()
+	}
+	plan := faults.RandomPlan(opts.Seed, opts.Steps, nodeOS, faults.RandomOptions{Capacities: caps})
+
+	load := opts.Load
+	load.Seed = opts.Seed
+	load.Tolerate = tolerateDegraded
+
+	// Faults and load run concurrently; the plan's built-in heal step
+	// runs last, so the daemon always finishes the run nominal.
+	faultErr := make(chan error, 1)
+	go func() {
+		defer close(faultErr)
+		for step := 0; step <= plan.Steps(); step++ {
+			select {
+			case <-ctx.Done():
+				// Heal before bailing so the audit below still runs
+				// against a nominal machine.
+				if err := injector.HealAll(); err != nil {
+					faultErr <- err
+				}
+				return
+			case <-time.After(opts.StepInterval):
+			}
+			for _, ev := range plan.StepEvents(step) {
+				if err := injector.Apply(ev); err != nil {
+					faultErr <- err
+					return
+				}
+			}
+		}
+	}()
+
+	stats, loadErr := server.LoadTest(ctx, base, load)
+	rep.Load = stats
+	if err := <-faultErr; err != nil {
+		return rep, fmt.Errorf("server: fault injection failed: %w", err)
+	}
+	rep.FaultEvents = len(injector.Log())
+	if loadErr != nil {
+		return rep, loadErr
+	}
+
+	// The plan healed the machine; every node must have found its way
+	// back to healthy through the daemon's state machine.
+	auditCtx := context.Background()
+	cl := server.NewClient(base)
+	health, err := cl.Health(auditCtx)
+	if err != nil {
+		return rep, err
+	}
+	for _, n := range health.Nodes {
+		if n.State != server.Healthy.String() {
+			return rep, fmt.Errorf("server: node %s still %s after heal", n.Node, n.State)
+		}
+	}
+
+	desc, err := server.VerifyConsistency(auditCtx, base)
+	if err != nil {
+		return rep, err
+	}
+	rep.Consistency = desc
+	rep.Metrics, err = cl.Metrics(auditCtx)
+	if err != nil {
+		return rep, err
+	}
+	return rep, nil
 }

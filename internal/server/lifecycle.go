@@ -2,8 +2,7 @@ package server
 
 // Lease lifecycle and durable-state maintenance: the background
 // goroutines NewWithConfig starts (and Close stops) plus their
-// manually-invokable cores, which tests and the reapstress harness
-// drive directly.
+// manually-invokable cores, which tests drive directly.
 //
 //   - The orphan reaper reclaims leases whose clients stopped
 //     heartbeating: an expired lease is taken from the table, its
@@ -51,8 +50,8 @@ func (s *Server) reapLoop() {
 }
 
 // ReapNow scans the lease table once and reclaims every expired lease,
-// returning how many it reaped. Exported so tests and the reapstress
-// harness can force a scan without waiting out the ReapInterval.
+// returning how many it reaped. Exported so tests can force a scan
+// without waiting out the ReapInterval.
 func (s *Server) ReapNow() int {
 	now := time.Now()
 	reaped := 0

@@ -201,23 +201,120 @@ func TestOrphanReaperReclaimsAbandonedLeases(t *testing.T) {
 	}
 }
 
-// TestReapStressHarness runs the reapstress acceptance harness (the
-// same code `hetmemd reapstress` uses) against an in-process daemon.
+// TestReapStressHarness aims crasher clients (allocate TTL leases,
+// then vanish without freeing or heartbeating) and holder clients
+// (allocate and keep heartbeating) at a daemon and checks the two
+// invariants the orphan reaper promises: every abandoned lease is
+// reclaimed within 2×TTL, and no heartbeating client loses a lease.
 func TestReapStressHarness(t *testing.T) {
 	_, _, ts := startLifecycle(t, server.Config{
 		DefaultLeaseTTL: 250 * time.Millisecond,
 		MinLeaseTTL:     50 * time.Millisecond,
 		ReapInterval:    60 * time.Millisecond,
 	})
-	rep, err := server.ReapStress(context.Background(), ts.URL, server.ReapStressOptions{
-		Crashers: 8, Holders: 4, LeaseTTL: 250 * time.Millisecond,
-	})
+	rep, err := reapStress(context.Background(), ts.URL, 8, 4, 250*time.Millisecond)
 	if err != nil {
-		t.Fatalf("%v (%s)", err, rep)
+		t.Fatalf("%v (%+v)", err, rep)
 	}
 	if rep.Reaped != 8 || rep.HoldersKept != 4 {
-		t.Fatalf("unexpected report: %s", rep)
+		t.Fatalf("unexpected report: %+v", rep)
 	}
+}
+
+// reapStressReport is what reapStress saw.
+type reapStressReport struct {
+	Orphaned    int // leases abandoned
+	Reaped      int // of those, reclaimed by the deadline
+	HoldersKept int // holder leases still alive at the end
+	HoldersLost int // holder leases the reaper wrongly took
+}
+
+// reapStress allocates crashers abandoned and holders heartbeat-renewed
+// 1 MiB leases with the given TTL against the daemon at base. The
+// daemon must be configured so the TTL survives clamping and with a
+// ReapInterval well under it. It returns an error (with the report
+// still filled in) if any orphan outlives 2×TTL or any heartbeating
+// client loses a lease.
+func reapStress(ctx context.Context, base string, crashers, holders int, ttl time.Duration) (reapStressReport, error) {
+	var rep reapStressReport
+	alloc := func(cl *server.Client, name string) (server.AllocResponse, error) {
+		return cl.Alloc(ctx, server.AllocRequest{
+			Name: name, Size: 1 << 20, Attr: "Capacity", Partial: true, Remote: true,
+			TTLSeconds: ttl.Seconds(),
+		})
+	}
+
+	// Crashers: allocate, never heartbeat, never free — the client-side
+	// heartbeater is disabled so the leases are true orphans.
+	crasher := server.NewClient(base, server.WithoutHeartbeat())
+	orphans := make(map[uint64]bool, crashers)
+	for i := 0; i < crashers; i++ {
+		resp, err := alloc(crasher, fmt.Sprintf("orphan-%d", i))
+		if err != nil {
+			return rep, fmt.Errorf("orphan alloc %d: %w", i, err)
+		}
+		if resp.TTLSeconds <= 0 {
+			return rep, fmt.Errorf("orphan alloc %d granted no TTL — is the daemon's lease lifecycle on?", i)
+		}
+		orphans[resp.Lease] = true
+	}
+	rep.Orphaned = len(orphans)
+
+	// Holders: same TTL, but the client heartbeats them automatically.
+	holder := server.NewClient(base)
+	defer holder.Close()
+	held := make([]uint64, 0, holders)
+	for i := 0; i < holders; i++ {
+		resp, err := alloc(holder, fmt.Sprintf("holder-%d", i))
+		if err != nil {
+			return rep, fmt.Errorf("holder alloc %d: %w", i, err)
+		}
+		held = append(held, resp.Lease)
+	}
+
+	// Watch the lease table until every orphan is gone or 2×TTL is up;
+	// the last look lands exactly at the deadline.
+	deadline := time.Now().Add(2 * ttl)
+	poll := max(ttl/10, 5*time.Millisecond)
+	remaining := len(orphans)
+	for remaining > 0 {
+		lr, err := crasher.Leases(ctx, true)
+		if err != nil {
+			return rep, fmt.Errorf("polling leases: %w", err)
+		}
+		remaining = 0
+		for _, l := range lr.Leases {
+			if orphans[l.Lease] {
+				remaining++
+			}
+		}
+		if remaining == 0 || !time.Now().Before(deadline) {
+			break
+		}
+		select {
+		case <-ctx.Done():
+			return rep, ctx.Err()
+		case <-time.After(min(poll, time.Until(deadline))):
+		}
+	}
+	rep.Reaped = rep.Orphaned - remaining
+
+	// The holders must all still be renewable — the reaper may never
+	// take a lease whose client is heartbeating.
+	var lost []error
+	for _, id := range held {
+		if _, err := holder.Renew(ctx, id, 0); err != nil {
+			rep.HoldersLost++
+			lost = append(lost, fmt.Errorf("lease %d: %w", id, err))
+			continue
+		}
+		rep.HoldersKept++
+		holder.Free(ctx, id)
+	}
+	if remaining > 0 {
+		lost = append(lost, fmt.Errorf("%d of %d orphans still alive after 2×TTL (%s)", remaining, rep.Orphaned, 2*ttl))
+	}
+	return rep, errors.Join(lost...)
 }
 
 // TestCheckpointBoundsWAL drives sequential alloc/free churn against a

@@ -5,9 +5,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net"
+	"net/http"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"hetmem/internal/wire"
 )
 
 // LoadOptions configures a load-generation run.
@@ -282,4 +288,46 @@ func VerifyConsistency(ctx context.Context, base string) (string, error) {
 		return "", fmt.Errorf("server: tenant bytes sum to %d, lease table holds %d", tenantBytes, leaseBytes)
 	}
 	return fmt.Sprintf("consistent: %d leases, %d bytes across %d nodes, %d tenants", leases.Count, leaseBytes, len(leases.NodeBytes), len(leases.TenantBytes)), nil
+}
+
+// ServeTransport binds srv to a fresh ephemeral listener speaking the
+// named transport ("" or "http", "uds", "tcp-bin") and serves it in
+// the background. The returned base is ready for NewClient; stop
+// shuts the listener down (the daemon itself is left to the caller).
+// `hetmemd loadtest` and the tests use it to run the same workload
+// over every transport.
+func ServeTransport(srv *Server, transport string) (base string, stop func(), err error) {
+	switch transport {
+	case "", "http":
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return "", nil, err
+		}
+		hs := &http.Server{Handler: srv.Handler()}
+		go hs.Serve(ln)
+		return "http://" + ln.Addr().String(), func() { hs.Close() }, nil
+	case "uds":
+		dir, err := os.MkdirTemp("", "hetmemd-uds-")
+		if err != nil {
+			return "", nil, err
+		}
+		path := filepath.Join(dir, "hetmemd.sock")
+		ln, err := net.Listen("unix", path)
+		if err != nil {
+			os.RemoveAll(dir)
+			return "", nil, err
+		}
+		ws := wire.NewServer(srv.WireHandler(), srv.Metrics().TransportStats(TransportUDS))
+		go ws.Serve(ln)
+		return "unix://" + path, func() { ws.Close(); os.RemoveAll(dir) }, nil
+	case "tcp-bin":
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return "", nil, err
+		}
+		ws := wire.NewServer(srv.WireHandler(), srv.Metrics().TransportStats(TransportTCPBin))
+		go ws.Serve(ln)
+		return "tcp+bin://" + ln.Addr().String(), func() { ws.Close() }, nil
+	}
+	return "", nil, fmt.Errorf("unknown transport %q (want http, uds, or tcp-bin)", transport)
 }

@@ -18,7 +18,7 @@ import (
 )
 
 // startConfigured boots a daemon with a Config and wires a fault
-// injector into its health state machine, the way chaostest does.
+// injector into its health state machine, the way chaosRun does.
 func startConfigured(t testing.TB, platform string, cfg server.Config) (*core.System, *faults.Injector, *httptest.Server, *server.Client) {
 	t.Helper()
 	sys, err := core.NewSystem(platform, core.Options{})

@@ -130,7 +130,8 @@ type Config struct {
 
 	// DisableCandidateCache turns off the allocator's ranked-candidate
 	// cache, re-ranking targets on every placement — the pre-cache
-	// behaviour, kept for A/B benchmarking (`hetmemd bench` baseline).
+	// behaviour, kept for A/B benchmarking (`hetmemd serve
+	// -no-candidate-cache`).
 	DisableCandidateCache bool
 
 	// ReplayWorkers sets the journal-replay parallelism on startup:
