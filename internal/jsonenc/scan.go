@@ -6,34 +6,56 @@ import (
 	"unicode/utf8"
 )
 
-// Scanner reads one flat JSON object in canonical spelling without
+// Scanner reads one JSON object in canonical spelling without
 // reflecting or buffering: the decode-side counterpart of the Append
 // functions, for the handful of fixed shapes on the daemon's hot path.
 //
 // Canonical spelling is what the Append functions (and encoding/json)
-// emit for a struct of strings, numbers and bools: one level deep,
-// each key written once in its exact case, strings free of escapes and
-// valid UTF-8, numbers in plain decimal without an exponent, true or
-// false spelled out, nothing but whitespace after the closing brace.
-// Everything else that encoding/json would also read — escapes, null,
-// nested values, a repeated or case-folded key, 1e3 — the Scanner
+// emit for a struct whose fields are strings, numbers, bools, structs
+// of the same kind or slices of them: each key written once per
+// object in its exact case, strings free of escapes and valid
+// UTF-8, numbers in plain decimal without an exponent, true or false
+// spelled out, nothing but whitespace after the top-level object's
+// closing brace. Everything else that encoding/json would also read —
+// escapes, null, a repeated or case-folded key, 1e3 — the Scanner
 // declines rather than interprets, so a caller that falls back to
 // encoding/json on a decline has exactly encoding/json's semantics:
 // what the Scanner accepts, it reads to the same values.
 //
-// A decline is sticky. The value methods return zero after one, and
-// Next keeps answering Declined, so a caller checks once, at the end.
+// Scan enters the top-level object. Next walks the members of the
+// object the Scanner is in; Object and Array enter a nested value the
+// Scanner stands on, Elem walks an array's elements, and the End of a
+// nested object (or Elem's false at a closing bracket) returns to the
+// enclosing value. The rules above hold at every level: every object
+// keeps its own key set, so a key may repeat across objects but not
+// within one.
+//
+// A decline is sticky. The value methods return zero after one, Elem
+// answers false and Next keeps answering Declined, so a caller checks
+// once, at the end.
 type Scanner struct {
 	data []byte
 	pos  int
-	n    int    // members read so far
-	seen uint64 // bit i: keys[i] has appeared
+	n    int    // members or elements of the innermost open value read so far
+	seen uint64 // bit i: keys[i] has appeared in the innermost open object
 	bad  bool
+	// The values enclosing the innermost one, outermost first: their n
+	// and seen, put back when it closes.
+	depth int
+	outer [maxDepth - 1]level
+}
+
+// maxDepth bounds nesting; a deeper value is a decline.
+const maxDepth = 8
+
+type level struct {
+	n    int
+	seen uint64
 }
 
 // Next's answers besides a key index.
 const (
-	End      = -1 // the object closed and only whitespace followed
+	End      = -1 // the object closed (and, at the top, only whitespace followed)
 	Declined = -2 // not canonical; decode data some other way
 )
 
@@ -48,16 +70,78 @@ func Scan(data []byte) Scanner {
 	return s
 }
 
+// Object enters the object value the Scanner stands on; Next then
+// reads its members.
+func (s *Scanner) Object() { s.enter('{') }
+
+// Array enters the array value the Scanner stands on; Elem then moves
+// through its elements.
+func (s *Scanner) Array() { s.enter('[') }
+
+func (s *Scanner) enter(open byte) {
+	if s.bad {
+		return
+	}
+	if s.skipSpace() != open || s.depth == len(s.outer) {
+		s.decline()
+		return
+	}
+	s.pos++
+	s.outer[s.depth] = level{s.n, s.seen}
+	s.depth++
+	s.n, s.seen = 0, 0
+}
+
+// leave closes the innermost value, past its closing byte, and returns
+// to the one enclosing it.
+func (s *Scanner) leave() {
+	s.pos++
+	s.depth--
+	l := s.outer[s.depth]
+	s.n, s.seen = l.n, l.seen
+}
+
+// Elem moves to the array's next element, leaving the Scanner on it
+// for a value method (or Object) to read, and reports whether there was
+// one. At the closing bracket it leaves the array and returns false; so
+// does a decline.
+func (s *Scanner) Elem() bool {
+	if s.bad {
+		return false
+	}
+	c := s.skipSpace()
+	if c == ']' {
+		s.leave()
+		return false
+	}
+	if s.n > 0 {
+		if c != ',' {
+			s.decline()
+			return false
+		}
+		s.pos++
+		s.skipSpace()
+	}
+	s.n++
+	return true
+}
+
 // Next moves to the object's next member and returns the index of its
 // key in keys (at most 64 of them), leaving the Scanner on the value
-// for exactly one of the value methods to read. A key that is not in
-// keys, or that already appeared, is a decline.
+// for exactly one of the value methods (or Object, or Array) to read.
+// A key that is not in keys, or that already appeared in this object,
+// is a decline. At the closing brace Next returns End and leaves the
+// object for the enclosing value.
 func (s *Scanner) Next(keys []string) int {
 	if s.bad {
 		return Declined
 	}
 	c := s.skipSpace()
 	if c == '}' {
+		if s.depth > 0 {
+			s.leave()
+			return End
+		}
 		s.pos++
 		if s.skipSpace(); s.pos < len(s.data) {
 			return s.decline()

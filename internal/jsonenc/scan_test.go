@@ -196,3 +196,175 @@ func TestScannerDoesNotAllocate(t *testing.T) {
 		t.Errorf("scanning %s costs %.0f allocations, want 1 (the string)", data, n)
 	}
 }
+
+// nested has the member values the Scanner enters: an array of
+// objects, an object, and a recursive array for the depth bound.
+type nested struct {
+	S     string   `json:"s"`
+	Items []flat   `json:"items"`
+	In    *flat    `json:"in"`
+	K     []nested `json:"k"`
+}
+
+var nestedKeys = []string{"s", "items", "in", "k"}
+
+// scanFlatFields is scanFlat's loop on an object already entered, the
+// way a shape's loop serves both a top-level body and a nested item.
+func scanFlatFields(s *jsonenc.Scanner, v *flat) bool {
+	for {
+		switch s.Next(flatKeys) {
+		case 0:
+			v.S = s.String()
+		case 1:
+			v.U = s.Uint()
+		case 2:
+			v.I = s.Int()
+		case 3:
+			v.F = s.Float()
+		case 4:
+			v.B = s.Bool()
+		case jsonenc.End:
+			return true
+		default:
+			return false
+		}
+	}
+}
+
+func scanNestedFields(s *jsonenc.Scanner, v *nested) bool {
+	for {
+		switch s.Next(nestedKeys) {
+		case 0:
+			v.S = s.String()
+		case 1:
+			s.Array()
+			v.Items = []flat{} // [] reads as empty, not nil, as in encoding/json
+			for s.Elem() {
+				v.Items = append(v.Items, flat{})
+				s.Object()
+				if !scanFlatFields(s, &v.Items[len(v.Items)-1]) {
+					return false
+				}
+			}
+		case 2:
+			v.In = new(flat)
+			s.Object()
+			if !scanFlatFields(s, v.In) {
+				return false
+			}
+		case 3:
+			s.Array()
+			v.K = []nested{}
+			for s.Elem() {
+				v.K = append(v.K, nested{})
+				s.Object()
+				if !scanNestedFields(s, &v.K[len(v.K)-1]) {
+					return false
+				}
+			}
+		case jsonenc.End:
+			return true
+		default:
+			return false
+		}
+	}
+}
+
+func scanNested(data []byte) (v nested, ok bool) {
+	s := jsonenc.Scan(data)
+	if !scanNestedFields(&s, &v) {
+		return nested{}, false
+	}
+	return v, true
+}
+
+// TestScannerNestedAgreesWithEncodingJSON is the same contract one and
+// more levels down: each object keeps its own keys, a decline anywhere
+// declines the whole value, and only the top level checks what
+// follows it.
+func TestScannerNestedAgreesWithEncodingJSON(t *testing.T) {
+	cases := []struct {
+		in     string
+		accept bool
+	}{
+		{`{"items":[]}`, true},
+		{` { "items" : [ ] } `, true},
+		{`{"items":[{}]}`, true},
+		{`{"items":[{"s":"a","u":1},{"s":"b","u":2}],"s":"top"}`, true},
+		{"{\"items\":[ {\"u\":1} ,\n\t{\"b\":true} ]}", true},
+		{`{"s":"x","in":{"u":7,"f":0.5},"items":[{"i":-1}]}`, true},
+		{`{"in":{}}`, true},
+		{`{"k":[{"k":[{"k":[{"k":[]}]}]}]}`, true}, // 8 levels, the bound
+
+		// Valid JSON the Scanner leaves to encoding/json.
+		{`{"k":[{"k":[{"k":[{"k":[{}]}]}]}]}`, false}, // past the bound
+		{`{"items":null}`, false},
+		{`{"in":null}`, false},
+		{`{"items":[null]}`, false},
+		{`{"items":[{"s":"a\"b"}]}`, false},
+		{`{"items":[{"u":1,"u":2}]}`, false},
+		{`{"items":[{"U":1}]}`, false},
+		{`{"items":[{"f":1e3}]}`, false},
+		{`{"Items":[]}`, false},
+		{`{"items":[],"items":[]}`, false},
+		{`{"in":{"s":"x"},"in":{"s":"y"}}`, false},
+
+		// Refused by encoding/json too.
+		{`{"items":[{}],}`, false},
+		{`{"items":[{},]}`, false},
+		{`{"items":[,{}]}`, false},
+		{`{"items":[{}{}]}`, false},
+		{`{"items":[{}`, false},
+		{`{"items":[{}]`, false},
+		{`{"items":[{"x":1}]}`, false},
+		{`{"items":[1]}`, false},
+		{`{"items":["s"]}`, false},
+		{`{"items":{"s":"x"}}`, false},
+		{`{"in":[]}`, false},
+		{`{"in":{"u":1}}}`, false},
+		{`{"items":[]}]`, false},
+		{`{"items":[{"u":1}]]}`, false},
+		{`{"in":{"u":1]}`, false},
+		{`{"items":[}`, false},
+	}
+	for _, c := range cases {
+		got, ok := scanNested([]byte(c.in))
+		if ok != c.accept {
+			t.Errorf("scan(%q) accepted=%v, want %v", c.in, ok, c.accept)
+		}
+		if !ok {
+			continue
+		}
+		var want nested
+		dec := json.NewDecoder(bytes.NewReader([]byte(c.in)))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&want); err != nil {
+			t.Errorf("scan(%q) accepted what encoding/json refuses: %v", c.in, err)
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("scan(%q) = %+v, encoding/json says %+v", c.in, got, want)
+		}
+	}
+}
+
+// TestScannerNestedDeclineIsSticky: a decline inside an array element
+// stops the walk, and the enclosing object declines from then on.
+func TestScannerNestedDeclineIsSticky(t *testing.T) {
+	s := jsonenc.Scan([]byte(`{"items":[{"u":1},{"u":null},{"u":3}],"s":"x"}`))
+	if got := s.Next(nestedKeys); got != 1 {
+		t.Fatalf("Next = %d, want key 1", got)
+	}
+	s.Array()
+	var items []flat
+	for s.Elem() {
+		var v flat
+		s.Object()
+		scanFlatFields(&s, &v)
+		items = append(items, v)
+	}
+	if len(items) != 2 || items[0].U != 1 {
+		t.Fatalf("walked %+v, want the first item and the declined second", items)
+	}
+	if s.Elem() || s.Next(nestedKeys) != jsonenc.Declined {
+		t.Fatal("the walk went on after a decline")
+	}
+}

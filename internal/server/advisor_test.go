@@ -568,6 +568,55 @@ func TestAdvisorDisabledDaemon(t *testing.T) {
 	}
 }
 
+// TestAttrlessAllocWithoutAdvisorRefused holds the invariant the
+// decoders leave open: an alloc may reach placement without an attr,
+// and a daemon with no advisor refuses it there — a single alloc as a
+// 400 bad_request, a batch item as a bad_request item error — over
+// HTTP and over the binary transport alike.
+func TestAttrlessAllocWithoutAdvisorRefused(t *testing.T) {
+	sys, err := core.NewSystem("xeon", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(sys)
+	defer s.Close()
+	ctx := context.Background()
+	for _, transport := range []string{"http", "uds"} {
+		t.Run(transport, func(t *testing.T) {
+			base, stop, err := ServeTransport(s, transport)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stop()
+			cl := NewClient(base, WithRetryPolicy(NoRetry), WithoutHeartbeat())
+			defer cl.Close()
+
+			_, err = cl.Alloc(ctx, AllocRequest{Name: "no-attr", Size: 4096})
+			var apiErr *APIError
+			if !errors.As(err, &apiErr) || apiErr.StatusCode != 400 || apiErr.Code != CodeBadRequest ||
+				!strings.Contains(apiErr.Message, "missing attr") {
+				t.Errorf("attr-less alloc: %v, want 400 bad_request (missing attr)", err)
+			}
+			batch, err := cl.AllocBatch(ctx, []AllocRequest{
+				{Name: "with-attr", Size: 4096, Attr: "Capacity"},
+				{Name: "no-attr", Size: 4096},
+			})
+			if err != nil {
+				t.Fatalf("batch: %v", err)
+			}
+			if batch.Succeeded != 1 || batch.Failed != 1 {
+				t.Fatalf("batch: %+v, want one placed item and one refused", batch)
+			}
+			if e := batch.Results[1].Error; e == nil || e.Code != CodeBadRequest || !strings.Contains(e.Message, "missing attr") {
+				t.Errorf("attr-less batch item: %+v, want bad_request (missing attr)", batch.Results[1])
+			}
+			if err := cl.Free(ctx, batch.Results[0].Alloc.Lease); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestAdvisorPhasedAB is the advisor's end-to-end A/B: guidance must
 // pay for its own migrations (Olson et al., PAPERS.md). The same
 // eight-phase pointer chase runs on two identical machines, one with

@@ -49,6 +49,11 @@ const (
 	// made per round trip instead of pooled would add two to each of
 	// the pair's requests.
 	wireAllocFreeBudget = 30
+	// One 16-item Client.AllocBatch on the same socket, leases kept:
+	// client and daemon, 12.5 per item. Measured 200 (204 under
+	// -race); through encoding/json at both ends the same batch cost
+	// 222 (230), so the budget sits between the two.
+	wireBatchBudget = 212
 	// The same pair over HTTP/1.1 on loopback TCP. Measured 70 (75
 	// under -race); the client's exchange is 2 of them, a copy of each
 	// response body, and net/http's server half about 55, whose count
@@ -196,11 +201,11 @@ func TestAllocBudget(t *testing.T) {
 }
 
 // TestWireAllocBudget is the binary transport's budget: the typed
-// client's alloc+free pair against a journal-less daemon on a unix
-// socket. AllocsPerRun counts the whole process, so this is the cost of
-// both codecs, the wire client's response copy, and the daemon's
-// placement — the benchmark's uds_hot pair without the
-// benchmark's own bookkeeping.
+// client's alloc+free pair, and its 16-item batch alloc, against a
+// journal-less daemon on a unix socket. AllocsPerRun counts the whole
+// process, so this is the cost of both codecs, the wire client's
+// response copy, and the daemon's placement — the benchmark's uds_hot
+// pair and set-up batches without the benchmark's own bookkeeping.
 func TestWireAllocBudget(t *testing.T) {
 	sys, err := core.NewSystem("xeon", core.Options{})
 	if err != nil {
@@ -215,27 +220,56 @@ func TestWireAllocBudget(t *testing.T) {
 	defer stop()
 	cl := NewClient(base, WithRetryPolicy(NoRetry), WithoutHeartbeat())
 	defer cl.Close()
-
 	ctx := context.Background()
-	req := AllocRequest{Name: "budget-wire", Size: 4096, Attr: "Capacity", Initiator: "0-19"}
-	roundTrip := func() {
-		resp, err := cl.Alloc(ctx, req)
-		if err != nil {
-			t.Fatal(err)
+
+	t.Run("alloc_free", func(t *testing.T) {
+		req := AllocRequest{Name: "budget-wire", Size: 4096, Attr: "Capacity", Initiator: "0-19"}
+		roundTrip := func() {
+			resp, err := cl.Alloc(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Free(ctx, resp.Lease); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := cl.Free(ctx, resp.Lease); err != nil {
-			t.Fatal(err)
+		for i := 0; i < 64; i++ { // dial, and warm the pools on both ends
+			roundTrip()
 		}
-	}
-	for i := 0; i < 64; i++ { // dial, and warm the pools on both ends
-		roundTrip()
-	}
-	allocs := testing.AllocsPerRun(500, roundTrip)
-	t.Logf("wire alloc+free: %.1f allocs/op (budget %d)", allocs, wireAllocFreeBudget)
-	if allocs > wireAllocFreeBudget {
-		t.Errorf("wire alloc+free round trip costs %.1f allocs/op, budget %d — reflection, a per-request context or a per-request waiter is back on the path",
-			allocs, wireAllocFreeBudget)
-	}
+		allocs := testing.AllocsPerRun(500, roundTrip)
+		t.Logf("wire alloc+free: %.1f allocs/op (budget %d)", allocs, wireAllocFreeBudget)
+		if allocs > wireAllocFreeBudget {
+			t.Errorf("wire alloc+free round trip costs %.1f allocs/op, budget %d — reflection, a per-request context or a per-request waiter is back on the path",
+				allocs, wireAllocFreeBudget)
+		}
+	})
+
+	t.Run("batch", func(t *testing.T) {
+		reqs := make([]AllocRequest, 16)
+		for i := range reqs {
+			reqs[i] = AllocRequest{Name: "budget-batch", Size: 4096, Attr: "Capacity", Initiator: "0-19"}
+		}
+		// The leases stay: freeing them would count the frees too.
+		// The lease table's growth over the run is amortized in.
+		batch := func() {
+			resp, err := cl.AllocBatch(ctx, reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Succeeded != len(reqs) {
+				t.Fatalf("batch placed %d of %d: %+v", resp.Succeeded, len(reqs), resp)
+			}
+		}
+		for i := 0; i < 16; i++ {
+			batch()
+		}
+		allocs := testing.AllocsPerRun(200, batch)
+		t.Logf("wire 16-item batch: %.1f allocs/op (budget %d)", allocs, wireBatchBudget)
+		if allocs > wireBatchBudget {
+			t.Errorf("wire 16-item batch costs %.1f allocs/op, budget %d — encoding/json is back on the batch path",
+				allocs, wireBatchBudget)
+		}
+	})
 }
 
 // TestHTTPAllocBudget is TestWireAllocBudget over HTTP: the typed

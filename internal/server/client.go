@@ -520,9 +520,29 @@ func (c *Client) Alloc(ctx context.Context, req AllocRequest) (AllocResponse, er
 // placements. TTL leases granted by a batch are heartbeat-renewed
 // like Alloc's.
 func (c *Client) AllocBatch(ctx context.Context, reqs []AllocRequest) (BatchAllocResponse, error) {
-	var out BatchAllocResponse
-	if err := c.postJSON(ctx, "/v1/alloc/batch", BatchAllocRequest{Requests: reqs}, &out, false); err != nil {
+	for i := range reqs {
+		if ttl := reqs[i].TTLSeconds; math.IsNaN(ttl) || math.IsInf(ttl, 0) {
+			// Not representable in JSON; json.Marshal's error says so.
+			_, err := json.Marshal(ttl)
+			return BatchAllocResponse{}, err
+		}
+	}
+	// Room for a typical item up front; a batch of long names grows it
+	// once or twice instead of from nothing.
+	payload := appendBatchAllocRequest(make([]byte, 0, 16+128*len(reqs)), reqs)
+	body, err := c.post(ctx, "/v1/alloc/batch", payload, false)
+	if err != nil {
 		return BatchAllocResponse{}, err
+	}
+	// The daemon's and the router's appender write the canonical
+	// spelling the scanner reads; anything else decodes the slow way.
+	out, ok := scanBatchAllocResponse(body)
+	if !ok {
+		var slow BatchAllocResponse // apart from out, so only this path escapes
+		if err := json.Unmarshal(body, &slow); err != nil {
+			return BatchAllocResponse{}, err
+		}
+		out = slow
 	}
 	if !c.noHB {
 		for _, it := range out.Results {

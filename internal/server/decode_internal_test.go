@@ -9,12 +9,16 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+
+	"hetmem/internal/core"
 )
 
 // decodeCases are the spellings worth naming: canonical ones, valid
@@ -66,6 +70,24 @@ var decodeCases = []string{
 	``,
 	`not json`,
 	`[]`,
+	// Batches: the canonical request and response, the empty and null
+	// spellings, one more item than a batch may hold, and items the
+	// scanner declines, which send the whole body to encoding/json.
+	`{"requests":[{"name":"a","size":1,"attr":"Capacity"},{"name":"b","size":4096,"attr":"Bandwidth","initiator":"0-19","ttl_seconds":30}]}`,
+	`{"results":[{"alloc":{"lease":1,"placement":"DRAM#0","attr_used":"Capacity","rank":0}},{"error":{"code":"bad_request","message":"server: bad request: missing attr","retryable":false}}],"succeeded":1,"failed":1}`,
+	`{"requests":null}`,
+	`{"requests":[]}`,
+	`{"results":null,"succeeded":0,"failed":0}`,
+	`{"results":[],"succeeded":0,"failed":0}`,
+	`{"requests":[` + strings.Repeat(`{"name":"x","size":1,"attr":"Capacity"},`, MaxBatchAllocs) + `{"name":"x","size":1,"attr":"Capacity"}]}`,
+	`{"requests":[{"name":"a","size":1,"attr":"Capacity"},null]}`,
+	`{"requests":[{"name":"a","size":1,"attr":"Capacity","bogus":1}]}`,
+	`{"requests":[{"name":"a","size":1,"attr":"Capacity"},{"name":"b\"c","size":2,"attr":"Latency"},{"name":"d","size":3,"attr":"Bandwidth"}]}`,
+	`{"requests":[{"name":"a","size":1,"attr":"Capacity"},]}`,
+	`{"results":[{"alloc":{"lease":1,"placement":"DRAM#0","attr_used":"Capacity","rank":0}},{"error":{"code":"bad_request","message":"unknown attribute \"Zap\"","retryable":false}}],"succeeded":1,"failed":1}`,
+	`{"results":[{"alloc":null}],"succeeded":0,"failed":0}`,
+	`{"results":[{}],"succeeded":0,"failed":0}`,
+	`{"results":[{"error":{"code":"shedding","message":"shed","retryable":true,"retry_after_seconds":2}}],"succeeded":0,"failed":1}`,
 }
 
 // TestDecodersRejectTrailingData: a stray closing brace or bracket
@@ -160,10 +182,13 @@ func FuzzScanMatchesJSON(f *testing.F) {
 			return RenewResponse(r), ok
 		}, json.Unmarshal)
 		checkScan(t, "scanAllocResponse", data, scanAllocResponse, json.Unmarshal)
+		checkScan(t, "scanBatchAllocRequest", data, scanBatchAllocRequest, decodeStrict)
+		checkScan(t, "scanBatchAllocResponse", data, scanBatchAllocResponse, json.Unmarshal)
 
 		checkDecode(t, "decodeAllocRequest", data, decodeAllocRequest, validateAllocRequest)
 		checkDecode(t, "decodeFreeRequest", data, decodeFreeRequest, validateFreeRequest)
 		checkDecode(t, "decodeRenewRequest", data, decodeRenewRequest, validateRenewRequest)
+		checkDecode(t, "decodeBatchAllocRequest", data, decodeBatchAllocRequest, validateBatchAllocRequest)
 	})
 }
 
@@ -191,6 +216,21 @@ func TestScannersTakeTheHotShapes(t *testing.T) {
 	if got, ok := scanAllocResponse(appendAllocResponse(nil, &resp)); !ok || got != resp {
 		t.Errorf("scanAllocResponse = %+v, %v", got, ok)
 	}
+	batch := BatchAllocRequest{Requests: []AllocRequest{
+		{Name: "b1099511627777-9f3a11c2", Size: 1 << 20, Attr: "Bandwidth", Initiator: "0-19", TTLSeconds: 30},
+		{Name: "b1099511627778-9f3a11c2", Size: 4096, Attr: "Capacity"},
+	}}
+	if got, ok := scanBatchAllocRequest(appendBatchAllocRequest(nil, batch.Requests)); !ok || !reflect.DeepEqual(got, batch) {
+		t.Errorf("scanBatchAllocRequest = %+v, %v", got, ok)
+	}
+	miss := ErrorBodyFor(fmt.Errorf("%w: missing attr", ErrBadRequest), 0)
+	batchResp := BatchAllocResponse{
+		Results:   []BatchAllocItem{{Alloc: &resp}, {Error: &miss}},
+		Succeeded: 1, Failed: 1,
+	}
+	if got, ok := scanBatchAllocResponse(appendBatchAllocResponse(nil, &batchResp)); !ok || !reflect.DeepEqual(got, batchResp) {
+		t.Errorf("scanBatchAllocResponse = %+v, %v", got, ok)
+	}
 }
 
 // FuzzRequestEncodersMatchJSON: the bodies server.Client appends are
@@ -208,7 +248,7 @@ func FuzzRequestEncodersMatchJSON(f *testing.F) {
 	f.Add("x", uint64(7), "y", "", "", false, false, "", math.SmallestNonzeroFloat64, uint64(7))
 	f.Fuzz(func(t *testing.T, name string, size uint64, attr, initiator, policy string, partial, remote bool, key string, ttl float64, lease uint64) {
 		if math.IsNaN(ttl) || math.IsInf(ttl, 0) {
-			t.Skip("json.Marshal refuses it; Client.Alloc returns that error")
+			t.Skip("json.Marshal refuses it; Client.Alloc and Client.AllocBatch return that error")
 		}
 		alloc := AllocRequest{Name: name, Size: size, Attr: attr, Initiator: initiator, Policy: policy,
 			Partial: partial, Remote: remote, IdempotencyKey: key, TTLSeconds: ttl}
@@ -216,7 +256,53 @@ func FuzzRequestEncodersMatchJSON(f *testing.F) {
 		renew := RenewRequest{Lease: lease, TTLSeconds: ttl}
 		matchesMarshal(t, appendRenewRequest(nil, &renew), renew)
 		matchesMarshal(t, appendFreeRequest(nil, lease), FreeRequest{Lease: lease})
+		for _, reqs := range [][]AllocRequest{nil, {}, {alloc}, {alloc, {Name: key, Size: lease, Attr: initiator, Policy: policy}}} {
+			matchesMarshal(t, appendBatchAllocRequest(nil, reqs), BatchAllocRequest{Requests: reqs})
+		}
 	})
+}
+
+// TestNonFiniteTTLRefusedBeforeSending: JSON has no NaN or infinity,
+// so json.Marshal refuses such a TTL, and Client.Alloc and
+// Client.AllocBatch return its error before anything is sent — the
+// appenders would otherwise write 0, "no TTL", and the daemon would
+// grant a lease that never expires.
+func TestNonFiniteTTLRefusedBeforeSending(t *testing.T) {
+	sys, err := core.NewSystem("xeon", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(sys)
+	defer srv.Close()
+	ctx := context.Background()
+	for _, transport := range []string{"http", "uds"} {
+		t.Run(transport, func(t *testing.T) {
+			base, stop, err := ServeTransport(srv, transport)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stop()
+			cl := NewClient(base, WithRetryPolicy(NoRetry), WithoutHeartbeat())
+			defer cl.Close()
+			for _, ttl := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				_, want := json.Marshal(ttl)
+				if want == nil {
+					t.Fatalf("json.Marshal(%v) succeeded", ttl)
+				}
+				req := AllocRequest{Name: "ttl", Size: 4096, Attr: "Capacity", TTLSeconds: ttl}
+				if _, err := cl.Alloc(ctx, req); err == nil || err.Error() != want.Error() {
+					t.Errorf("Alloc with ttl %v: %v, want %v", ttl, err, want)
+				}
+				ok := AllocRequest{Name: "ok", Size: 4096, Attr: "Capacity"}
+				if _, err := cl.AllocBatch(ctx, []AllocRequest{ok, req}); err == nil || err.Error() != want.Error() {
+					t.Errorf("AllocBatch with ttl %v: %v, want %v", ttl, err, want)
+				}
+			}
+			if n := srv.Metrics().Requests(EpAlloc) + srv.Metrics().Requests(EpAllocBatch); n != 0 {
+				t.Errorf("the daemon saw %d alloc requests; one with a non-finite TTL was sent", n)
+			}
+		})
+	}
 }
 
 func matchesMarshal(t *testing.T, got []byte, v any) {

@@ -169,7 +169,7 @@ func appendFreeResponse(dst []byte, r *FreeResponse) []byte {
 	return append(dst, '}')
 }
 
-// The client's side of the same bargain: the three hot request bodies,
+// The client's side of the same bargain: the four hot request bodies,
 // byte for byte what json.Marshal writes for them (HTML escaping
 // included — FuzzRequestEncodersMatchJSON), so a daemon cannot tell
 // which encoder a client used and the canonical spelling the server's
@@ -211,6 +211,26 @@ func appendAllocRequest(dst []byte, r *AllocRequest) []byte {
 		dst = jsonenc.AppendFloat(dst, r.TTLSeconds)
 	}
 	return append(dst, '}')
+}
+
+// appendBatchAllocRequest appends {"requests":[...]}, each item as
+// appendAllocRequest writes it; a nil slice is null, as json.Marshal
+// writes it. Every TTLSeconds must be finite (see Client.AllocBatch).
+func appendBatchAllocRequest(dst []byte, reqs []AllocRequest) []byte {
+	dst = append(dst, '{')
+	dst = jsonenc.AppendKey(dst, "requests")
+	if reqs == nil {
+		dst = append(dst, "null"...)
+		return append(dst, '}')
+	}
+	dst = append(dst, '[')
+	for i := range reqs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendAllocRequest(dst, &reqs[i])
+	}
+	return append(dst, ']', '}')
 }
 
 // appendRenewRequest appends a heartbeat (ttl_seconds omitempty: 0

@@ -247,10 +247,10 @@ type HealthResponse struct {
 	Nodes   []NodeHealth `json:"nodes"`
 }
 
-// Request bodies decode in two steps. The hot shapes — alloc, free and
-// lease detail, renew — first meet a jsonenc.Scanner, which reads the
-// canonical spelling every client in this repository sends without
-// reflection or a second buffer. Whatever it declines, and every other
+// Request bodies decode in two steps. The hot shapes — alloc, batch
+// alloc, free and lease detail, renew — first meet a jsonenc.Scanner,
+// which reads the canonical spelling every client in this repository
+// sends without reflection or a second buffer. Whatever it declines, and every other
 // shape, goes to decodeStrict, which is the definition of what the
 // daemon accepts and of the error a client sees; the scanner only ever
 // agrees with it (FuzzScanMatchesJSON holds it to that).
@@ -328,6 +328,16 @@ var allocRequestKeys = []string{"name", "size", "attr", "initiator", "policy",
 
 func scanAllocRequest(data []byte) (req AllocRequest, ok bool) {
 	s := jsonenc.Scan(data)
+	if !scanAllocRequestFields(&s, &req) {
+		return AllocRequest{}, false
+	}
+	return req, true
+}
+
+// scanAllocRequestFields reads the members of one AllocRequest object
+// the Scanner is in — a /v1/alloc body or a batch item — and reports
+// whether it closed without a decline.
+func scanAllocRequestFields(s *jsonenc.Scanner, req *AllocRequest) bool {
 	for {
 		switch s.Next(allocRequestKeys) {
 		case 0:
@@ -349,9 +359,45 @@ func scanAllocRequest(data []byte) (req AllocRequest, ok bool) {
 		case 8:
 			req.TTLSeconds = s.Float()
 		case jsonenc.End:
+			return true
+		default:
+			return false
+		}
+	}
+}
+
+// scanObjects reads the array of objects the Scanner stands on into
+// *dst, each element's members with fields.
+func scanObjects[T any](s *jsonenc.Scanner, dst *[]T, fields func(*jsonenc.Scanner, *T) bool) bool {
+	s.Array()
+	*dst = []T{} // [] is empty, not nil, as in encoding/json
+	for s.Elem() {
+		var zero T
+		*dst = append(*dst, zero)
+		s.Object()
+		if !fields(s, &(*dst)[len(*dst)-1]) {
+			return false
+		}
+	}
+	return true
+}
+
+var batchRequestKeys = []string{"requests"}
+
+// scanBatchAllocRequest reads {"requests":[item,...]}. One declined
+// item declines the whole body, which then decodes the slow way.
+func scanBatchAllocRequest(data []byte) (req BatchAllocRequest, ok bool) {
+	s := jsonenc.Scan(data)
+	for {
+		switch s.Next(batchRequestKeys) {
+		case 0:
+			if !scanObjects(&s, &req.Requests, scanAllocRequestFields) {
+				return BatchAllocRequest{}, false
+			}
+		case jsonenc.End:
 			return req, true
 		default:
-			return AllocRequest{}, false
+			return BatchAllocRequest{}, false
 		}
 	}
 }
@@ -397,6 +443,15 @@ var allocResponseKeys = []string{"lease", "placement", "attr_used", "attr_fell_b
 
 func scanAllocResponse(data []byte) (resp AllocResponse, ok bool) {
 	s := jsonenc.Scan(data)
+	if !scanAllocResponseFields(&s, &resp) {
+		return AllocResponse{}, false
+	}
+	return resp, true
+}
+
+// scanAllocResponseFields reads the members of one AllocResponse
+// object: an /v1/alloc answer or a batch item's alloc.
+func scanAllocResponseFields(s *jsonenc.Scanner, resp *AllocResponse) bool {
 	for {
 		switch s.Next(allocResponseKeys) {
 		case 0:
@@ -420,9 +475,82 @@ func scanAllocResponse(data []byte) (resp AllocResponse, ok bool) {
 		case 9:
 			resp.Advice = s.String()
 		case jsonenc.End:
+			return true
+		default:
+			return false
+		}
+	}
+}
+
+var errorBodyKeys = []string{"code", "message", "retryable", "retry_after_seconds"}
+
+// scanErrorBodyFields reads the members of one v1 error envelope, as
+// a batch item carries it.
+func scanErrorBodyFields(s *jsonenc.Scanner, e *ErrorBody) bool {
+	for {
+		switch s.Next(errorBodyKeys) {
+		case 0:
+			e.Code = s.String()
+		case 1:
+			e.Message = s.String()
+		case 2:
+			e.Retryable = s.Bool()
+		case 3:
+			e.RetryAfterSeconds = s.Int()
+		case jsonenc.End:
+			return true
+		default:
+			return false
+		}
+	}
+}
+
+var (
+	batchResponseKeys = []string{"results", "succeeded", "failed"}
+	batchItemKeys     = []string{"alloc", "error"}
+)
+
+// scanBatchAllocResponse reads a /v1/alloc/batch answer, alloc and
+// error items alike. One declined item declines the whole body.
+func scanBatchAllocResponse(data []byte) (resp BatchAllocResponse, ok bool) {
+	s := jsonenc.Scan(data)
+	for {
+		switch s.Next(batchResponseKeys) {
+		case 0:
+			if !scanObjects(&s, &resp.Results, scanBatchAllocItemFields) {
+				return BatchAllocResponse{}, false
+			}
+		case 1:
+			resp.Succeeded = s.Int()
+		case 2:
+			resp.Failed = s.Int()
+		case jsonenc.End:
 			return resp, true
 		default:
-			return AllocResponse{}, false
+			return BatchAllocResponse{}, false
+		}
+	}
+}
+
+func scanBatchAllocItemFields(s *jsonenc.Scanner, it *BatchAllocItem) bool {
+	for {
+		switch s.Next(batchItemKeys) {
+		case 0:
+			it.Alloc = new(AllocResponse)
+			s.Object()
+			if !scanAllocResponseFields(s, it.Alloc) {
+				return false
+			}
+		case 1:
+			it.Error = new(ErrorBody)
+			s.Object()
+			if !scanErrorBodyFields(s, it.Error) {
+				return false
+			}
+		case jsonenc.End:
+			return true
+		default:
+			return false
 		}
 	}
 }
@@ -474,16 +602,18 @@ func validateAllocRequest(req AllocRequest) error {
 // field validation is per-item and happens in the backend, so one bad
 // item cannot veto its siblings.
 func decodeBatchAllocRequest(data []byte) (BatchAllocRequest, error) {
-	return decodeBody(data, nil, func(req BatchAllocRequest) error {
-		if len(req.Requests) == 0 {
-			return fmt.Errorf("%w: empty batch", ErrBadRequest)
-		}
-		if len(req.Requests) > MaxBatchAllocs {
-			return fmt.Errorf("%w: batch of %d exceeds %d items",
-				ErrBadRequest, len(req.Requests), MaxBatchAllocs)
-		}
-		return nil
-	})
+	return decodeBody(data, scanBatchAllocRequest, validateBatchAllocRequest)
+}
+
+func validateBatchAllocRequest(req BatchAllocRequest) error {
+	if len(req.Requests) == 0 {
+		return fmt.Errorf("%w: empty batch", ErrBadRequest)
+	}
+	if len(req.Requests) > MaxBatchAllocs {
+		return fmt.Errorf("%w: batch of %d exceeds %d items",
+			ErrBadRequest, len(req.Requests), MaxBatchAllocs)
+	}
+	return nil
 }
 
 func decodeFreeRequest(data []byte) (FreeRequest, error) {
