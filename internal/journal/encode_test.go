@@ -3,7 +3,9 @@ package journal
 import (
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
+	"reflect"
 	"testing"
 )
 
@@ -43,6 +45,48 @@ func TestAppendRecordJSONMatchesMarshal(t *testing.T) {
 		if string(got) != string(want) {
 			t.Errorf("record %+v:\n  hand: %s\n  json: %s", r, got, want)
 		}
+	}
+}
+
+// TestAppendRecordJSONCoversEveryField sets every exported field of
+// Record and Segment to its own non-zero value by reflection, so a
+// field added to Record without a branch in appendRecordJSON's
+// hand-kept list fails here instead of silently vanishing from the WAL.
+func TestAppendRecordJSONCoversEveryField(t *testing.T) {
+	n := 0
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		n++
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				if v.Type().Field(i).IsExported() {
+					fill(v.Field(i))
+				}
+			}
+		case reflect.String:
+			v.SetString(fmt.Sprintf("v%d", n))
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			v.SetInt(int64(n))
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			v.SetUint(uint64(n))
+		case reflect.Slice:
+			v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+			for i := 0; i < v.Len(); i++ {
+				fill(v.Index(i))
+			}
+		default:
+			t.Fatalf("Record holds a %s field: teach this test and appendRecordJSON about it", v.Kind())
+		}
+	}
+	var r Record
+	fill(reflect.ValueOf(&r).Elem())
+	want, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := appendRecordJSON(nil, r); string(got) != string(want) {
+		t.Fatalf("every field set:\n  hand: %s\n  json: %s", got, want)
 	}
 }
 

@@ -2,6 +2,9 @@ package journal
 
 import "time"
 
+// WALReserve is how far ahead of its records the WAL file is extended.
+const WALReserve = walReserve
+
 // GroupPending reports how many records wait for the next group-commit
 // flush, so tests can order arrivals on the queue instead of on sleeps.
 func (s *Store) GroupPending() int {

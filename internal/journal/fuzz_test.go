@@ -28,6 +28,11 @@ func frame(payload []byte) []byte {
 // every input, ReplayParallel must agree with Replay byte for byte:
 // same records, same Recovery (GoodBytes, Truncated, Reason), same
 // error — the equivalence that lets a restart pick either decoder.
+//
+// The semantic oracle is the WAL's zero tail: an input that replays
+// without a torn tail, followed by any run of zero bytes, replays to
+// the same records and recovery point, still untorn, under both
+// decoders — a reserved WAL reads exactly like the one it reserves for.
 func FuzzJournalReplay(f *testing.F) {
 	valid := append([]byte(nil), journal.Magic...)
 	valid = append(valid, frame([]byte(`{"op":1,"lease":1,"name":"a","size":4096,"segments":[{"node":0,"bytes":4096}]}`))...)
@@ -43,35 +48,43 @@ func FuzzJournalReplay(f *testing.F) {
 	snapshot = append(snapshot, frame([]byte(`{"op":4,"seq":3,"count":1,"next":9}`))...)
 	snapshot = append(snapshot, frame([]byte(`{"op":1,"lease":7,"size":4096,"segments":[{"node":0,"bytes":4096}]}`))...)
 
-	f.Add([]byte{})
-	f.Add(append([]byte(nil), journal.Magic...))
-	f.Add(valid)
-	f.Add(valid[:len(valid)-5])                              // torn tail
-	f.Add(append(append([]byte(nil), valid...), 0, 0, 0, 0)) // trailing garbage header
-	f.Add([]byte("HMWJ1\nnot a frame at all"))
+	zeros := func(b []byte, n int) []byte { return append(append([]byte(nil), b...), make([]byte, n)...) }
+
+	f.Add([]byte{}, uint16(8))
+	f.Add(append([]byte(nil), journal.Magic...), uint16(0))
+	f.Add(valid, uint16(1))
+	f.Add(valid[:len(valid)-5], uint16(8)) // torn tail
+	// A short zero remainder: the clean end, not a torn header.
+	f.Add(zeros(valid, 4), uint16(3))
+	f.Add([]byte("HMWJ1\nnot a frame at all"), uint16(8))
 	huge := append([]byte(nil), journal.Magic...)
 	huge = append(huge, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0) // absurd length
-	f.Add(huge)
-	f.Add(compacted)
-	f.Add(compacted[:len(compacted)-3]) // torn compacted suffix
-	f.Add(snapshot)
+	f.Add(huge, uint16(8))
+	f.Add(compacted, uint16(7))
+	f.Add(compacted[:len(compacted)-3], uint16(8)) // torn compacted suffix
+	f.Add(snapshot, uint16(9))
 	badCkpt := append([]byte(nil), journal.Magic...)
 	badCkpt = append(badCkpt, frame([]byte(`{"op":4}`))...) // checkpoint without a sequence
-	f.Add(badCkpt)
+	f.Add(badCkpt, uint16(8))
 	// Mid-checkpoint crash: a compaction that died between snapshot
 	// publication and WAL truncation leaves a checkpoint marker
 	// mid-stream with live frames after it.
 	midCkpt := append(append([]byte(nil), valid...), frame([]byte(`{"op":4,"seq":5}`))...)
 	midCkpt = append(midCkpt, frame([]byte(`{"op":1,"lease":9,"size":64,"segments":[{"node":1,"bytes":64}]}`))...)
-	f.Add(midCkpt)
+	f.Add(midCkpt, uint16(8))
 	// Corruption followed by VALID frames: a parallel decoder decodes
 	// the tail frames happily, and only the in-order merge may keep
 	// them out of the result.
 	corruptMid := append([]byte(nil), midCkpt...)
 	corruptMid[len(valid)+10] ^= 0x01
-	f.Add(corruptMid)
+	f.Add(corruptMid, uint16(8))
+	// Reserved WALs: records, then the zero tail.
+	f.Add(zeros(valid, 8), uint16(4096))
+	f.Add(zeros(valid, 3), uint16(5))
+	f.Add(zeros(journal.Magic, 4096), uint16(1))
+	f.Add(zeros(compacted, 64), uint16(8))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, zeroRun uint16) {
 		recs, rec, err := journal.Replay(bytes.NewReader(data))
 
 		// Parallel replay must agree exactly, at more than one width.
@@ -112,6 +125,18 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 		if rec2.Truncated || len(recs2) != len(recs) || rec2.GoodBytes != rec.GoodBytes {
 			t.Fatalf("clean prefix replay diverged: %+v vs %+v", rec2, rec)
+		}
+
+		if rec.Truncated {
+			return
+		}
+		padded := zeros(data, int(zeroRun))
+		for _, workers := range []int{1, 2, 5} {
+			zrecs, zrec, zerr := journal.ReplayParallel(padded, workers)
+			if zerr != nil || !reflect.DeepEqual(zrecs, recs) || zrec != rec {
+				t.Fatalf("workers=%d: %d zero bytes changed the replay to %v (err %v); without them %v",
+					workers, zeroRun, zrec, zerr, rec)
+			}
 		}
 	})
 }

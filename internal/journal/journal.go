@@ -14,14 +14,24 @@
 // payload, so a torn write (a crash mid-append) is detected as a
 // length/checksum mismatch on the final frame.
 //
+// A WAL file may run up to walReserve zero bytes past its last frame:
+// the Store extends the file ahead of its appends (see writeLocked),
+// so a frame never starts with eight zero bytes, and an all-zero
+// frame header — or an all-zero remainder shorter than one — is the
+// clean end of the log, not a torn tail. A file of zeros alone is an
+// empty journal: a store killed before its magic reached the disk can
+// leave one.
+//
 // # Recovery
 //
 // Replay never panics on corrupt input. It decodes frames until the
-// first truncated or corrupt one, returns every record before it, and
-// reports the clean recovery point (the byte offset up to which the
-// file is intact). Open truncates the file to that point, so the daemon
-// appends after the last good record — a crash costs at most the
-// in-flight record, never the journal.
+// clean end or the first truncated or corrupt frame, returns every
+// record before it, and reports the clean recovery point (the byte
+// offset up to which the file is intact). OpenStore truncates the WAL
+// to that point, dropping a torn tail and the zero tail alike, so the
+// daemon appends after the last good record — a crash costs at most
+// the in-flight record, never the journal. A binary that predates the
+// zero tail reads it as a dropped tail and truncates it the same way.
 package journal
 
 import (
@@ -32,10 +42,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
-	"sync"
-
-	"hetmem/internal/faults"
 )
 
 // Magic identifies a journal file.
@@ -155,20 +161,21 @@ func (r Recovery) String() string {
 }
 
 // Replay decodes a journal stream. It returns the records up to the
-// first corruption and a Recovery describing the clean prefix; it never
-// panics on corrupt or truncated input. A stream not starting with the
-// magic returns ErrNotJournal (with a zero recovery point).
+// clean end (EOF or a zero tail) or the first corruption, and a
+// Recovery describing the clean prefix; it never panics on corrupt or
+// truncated input. A stream not starting with the magic returns
+// ErrNotJournal (with a zero recovery point), unless it is empty or
+// all zeros: a fresh journal.
 func Replay(r io.Reader) ([]Record, Recovery, error) {
 	br := newByteCounter(r)
 	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		if errors.Is(err, io.EOF) && br.n == 0 {
-			// Empty stream: a fresh journal.
-			return nil, Recovery{}, nil
-		}
-		return nil, Recovery{}, ErrNotJournal
+	// The bytes read decide, not the error: a short or failed read
+	// leaves a prefix that is neither the magic nor zeros to a clean EOF.
+	n, _ := io.ReadFull(br, magic)
+	if allZero(magic[:n]) && zeroToEOF(br) {
+		return nil, Recovery{}, nil
 	}
-	if !bytes.Equal(magic, Magic) {
+	if !bytes.Equal(magic[:n], Magic) {
 		return nil, Recovery{}, ErrNotJournal
 	}
 
@@ -176,10 +183,12 @@ func Replay(r io.Reader) ([]Record, Recovery, error) {
 	var out []Record
 	var hdr [8]byte
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return out, rec, nil // clean end
-			}
+		n, err := io.ReadFull(br, hdr[:])
+		readFailed := err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF)
+		if !readFailed && allZero(hdr[:n]) {
+			return out, rec, nil // clean end: EOF or the zeroed reservation
+		}
+		if err != nil {
 			rec.Truncated, rec.Reason = true, "truncated frame header"
 			return out, rec, nil
 		}
@@ -218,6 +227,33 @@ func Replay(r io.Reader) ([]Record, Recovery, error) {
 	}
 }
 
+// allZero reports whether b holds only zero bytes. A frame header
+// never does, because every payload is a JSON object, so a zero header
+// is the clean end of the log.
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// zeroToEOF reports whether r holds nothing but zero bytes from here
+// to a clean EOF.
+func zeroToEOF(r io.Reader) bool {
+	var buf [4096]byte
+	for {
+		n, err := r.Read(buf[:])
+		if !allZero(buf[:n]) {
+			return false
+		}
+		if err != nil {
+			return errors.Is(err, io.EOF)
+		}
+	}
+}
+
 // byteCounter counts bytes consumed from the underlying reader.
 type byteCounter struct {
 	r io.Reader
@@ -230,112 +266,4 @@ func (b *byteCounter) Read(p []byte) (int, error) {
 	n, err := b.r.Read(p)
 	b.n += int64(n)
 	return n, err
-}
-
-// Journal is an open, appendable lease log. Append is safe for
-// concurrent use; records are written directly to the file (no
-// userspace buffering), so a killed process loses at most the record
-// being written — the OS still holds everything already appended.
-type Journal struct {
-	path string
-
-	mu     sync.Mutex
-	f      faults.File
-	closed bool
-}
-
-// Open opens (or creates) the journal at path, replays any existing
-// records, truncates a corrupt tail back to the clean recovery point,
-// and returns the journal positioned for appending.
-func Open(path string) (*Journal, []Record, Recovery, error) {
-	return OpenFS(path, faults.OS)
-}
-
-// OpenFS is Open with the file I/O routed through an injectable
-// filesystem, so tests can serve the journal disk faults.
-func OpenFS(path string, fsys faults.FS) (*Journal, []Record, Recovery, error) {
-	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, Recovery{}, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, nil, Recovery{}, err
-	}
-	if st.Size() == 0 {
-		// Fresh journal: write the magic.
-		if _, err := f.Write(Magic); err != nil {
-			f.Close()
-			return nil, nil, Recovery{}, err
-		}
-		return &Journal{path: path, f: f}, nil, Recovery{GoodBytes: int64(len(Magic))}, nil
-	}
-
-	recs, rec, err := Replay(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, rec, fmt.Errorf("journal: replaying %s: %w", path, err)
-	}
-	// Drop any corrupt tail and position at the clean end.
-	if err := f.Truncate(rec.GoodBytes); err != nil {
-		f.Close()
-		return nil, nil, rec, err
-	}
-	if _, err := f.Seek(rec.GoodBytes, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, rec, err
-	}
-	return &Journal{path: path, f: f}, recs, rec, nil
-}
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
-// Append frames and writes one record. The write reaches the OS before
-// Append returns (process-crash durable); call Sync for power-failure
-// durability.
-func (j *Journal) Append(r Record) error {
-	bp := getFrameBuf()
-	defer putFrameBuf(bp)
-	frame, err := appendFrame(*bp, r)
-	*bp = frame[:0]
-	if err != nil {
-		return err
-	}
-
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
-	_, err = j.f.Write(frame)
-	return err
-}
-
-// Sync flushes the journal to stable storage (fsync).
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
-	return j.f.Sync()
-}
-
-// Close syncs and closes the journal. Further appends fail with
-// ErrClosed.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.closed = true
-	serr := j.f.Sync()
-	cerr := j.f.Close()
-	if serr != nil {
-		return serr
-	}
-	return cerr
 }

@@ -22,116 +22,118 @@ func sampleRecords() []journal.Record {
 	}
 }
 
-func TestAppendReopenRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal")
-	j, recs, rec, err := journal.Open(path)
+// writeSample appends sampleRecords to a fresh store at path and
+// closes it, returning the bytes of its records (the file runs on
+// into the zero tail).
+func writeSample(t *testing.T, path string) int64 {
+	t.Helper()
+	s, _, err := journal.OpenStore(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 0 || rec.Records != 0 {
-		t.Fatalf("fresh journal replayed %d records", len(recs))
-	}
-	want := sampleRecords()
-	for _, r := range want {
-		if err := j.Append(r); err != nil {
+	for _, r := range sampleRecords() {
+		if err := s.Append(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := j.Close(); err != nil {
+	end := s.WALBytes()
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(journal.Record{Op: journal.OpFree, Lease: 1}); !errors.Is(err, journal.ErrClosed) {
-		t.Fatalf("append after close: %v, want ErrClosed", err)
-	}
+	return end
+}
 
-	_, got, rec2, err := journal.Open(path)
+func TestAppendReopenRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal")
+	s, res, err := journal.OpenStore(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("replay mismatch:\ngot  %+v\nwant %+v", got, want)
+	if len(res.Records) != 0 || res.WAL.Records != 0 {
+		t.Fatalf("fresh journal replayed %d records", len(res.Records))
 	}
-	if rec2.Records != len(want) || rec2.Truncated {
-		t.Fatalf("recovery: %+v", rec2)
+	want := sampleRecords()
+	for _, r := range want {
+		if err := s.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(journal.Record{Op: journal.OpFree, Lease: 1}); !errors.Is(err, journal.ErrClosed) {
+		t.Fatalf("append after close: %v, want ErrClosed", err)
+	}
+
+	s2, res2, err := journal.OpenStore(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if !reflect.DeepEqual(res2.Records, want) {
+		t.Fatalf("replay mismatch:\ngot  %+v\nwant %+v", res2.Records, want)
+	}
+	if res2.WAL.Records != len(want) || res2.WAL.Truncated {
+		t.Fatalf("recovery: %+v", res2.WAL)
 	}
 }
 
 func TestTornTailIsDroppedCleanly(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	j, _, _, err := journal.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range sampleRecords() {
-		if err := j.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	end := writeSample(t, path)
 
-	// Simulate a torn final write: chop bytes off the end.
+	// Simulate a torn final write: cut the last record short. The file
+	// runs on into the zero tail, so the cut goes at the records' end.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
+	if err := os.WriteFile(path, data[:end-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	j2, recs, rec, err := journal.Open(path)
+	s2, res, err := journal.OpenStore(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec.Truncated {
-		t.Fatalf("recovery not marked truncated: %+v", rec)
+	if !res.WAL.Truncated {
+		t.Fatalf("recovery not marked truncated: %+v", res.WAL)
 	}
-	if len(recs) != len(sampleRecords())-1 {
-		t.Fatalf("recovered %d records, want %d", len(recs), len(sampleRecords())-1)
+	if len(res.Records) != len(sampleRecords())-1 {
+		t.Fatalf("recovered %d records, want %d", len(res.Records), len(sampleRecords())-1)
 	}
 	// The journal must be appendable again after tail truncation, and
 	// the new record must survive a reopen.
 	extra := journal.Record{Op: journal.OpFree, Lease: 1}
-	if err := j2.Append(extra); err != nil {
+	if err := s2.Append(extra); err != nil {
 		t.Fatal(err)
 	}
-	if err := j2.Close(); err != nil {
+	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, recs3, rec3, err := journal.Open(path)
+	s3, res3, err := journal.OpenStore(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec3.Truncated || len(recs3) != len(sampleRecords()) {
-		t.Fatalf("after repair+append: %d records, recovery %+v", len(recs3), rec3)
+	defer s3.Close()
+	if res3.WAL.Truncated || len(res3.Records) != len(sampleRecords()) {
+		t.Fatalf("after repair+append: %d records, recovery %+v", len(res3.Records), res3.WAL)
 	}
-	if !reflect.DeepEqual(recs3[len(recs3)-1], extra) {
-		t.Fatalf("last record = %+v, want %+v", recs3[len(recs3)-1], extra)
+	if got := res3.Records[len(res3.Records)-1]; !reflect.DeepEqual(got, extra) {
+		t.Fatalf("last record = %+v, want %+v", got, extra)
 	}
 }
 
 func TestCorruptPayloadStopsReplayAtCleanPoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	j, _, _, err := journal.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range sampleRecords() {
-		if err := j.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	end := writeSample(t, path)
 
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Flip a byte in the middle of the last record's payload.
-	data[len(data)-2] ^= 0xff
+	data[end-2] ^= 0xff
 	recs, rec, err := journal.Replay(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)

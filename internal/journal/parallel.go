@@ -51,13 +51,17 @@ type chunkFail struct {
 }
 
 // scanFrames walks whole frames from the byte after the magic. It
-// stops at the first structural problem — a short header, an
+// stops at the clean end — the end of the buffer or a zero tail, as in
+// Replay — or at the first structural problem — a short header, an
 // over-limit length, or a payload running past the buffer — and
 // returns the sequential-replay reason for it ("" for a clean end).
 // Checksum, decode, and validation failures are the workers' to find.
 func scanFrames(data []byte) (frames []frameRef, tailReason string) {
 	off, n := int64(len(Magic)), int64(len(data))
 	for off < n {
+		if allZero(data[off:min(off+8, n)]) {
+			return frames, ""
+		}
 		if n-off < 8 {
 			return frames, "truncated frame header"
 		}
@@ -105,7 +109,7 @@ func decodeFrame(fr frameRef, r *Record) (reason string) {
 // identical Records, GoodBytes, Truncated, and Reason. workers <= 0
 // means GOMAXPROCS; workers == 1 delegates to sequential Replay.
 func ReplayParallel(data []byte, workers int) ([]Record, Recovery, error) {
-	if len(data) == 0 {
+	if allZero(data) {
 		return nil, Recovery{}, nil
 	}
 	if len(data) < len(Magic) || !bytes.Equal(data[:len(Magic)], Magic) {

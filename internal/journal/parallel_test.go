@@ -63,7 +63,11 @@ func replayCases() map[string][]byte {
 		"bad_checkpoint":    stream(`{"op":4,"seq":3}`, `{"op":4}`, fmt.Sprintf(alloc, 2)),
 		"anchored_wal":      stream(`{"op":4,"seq":3}`, `{"op":2,"lease":7}`),
 		"snapshot_stream":   stream(`{"op":4,"seq":3,"count":1,"next":9}`, fmt.Sprintf(alloc, 7)),
-		"empty_payload":     stream(fmt.Sprintf(alloc, 1), ""),
+		"empty_payload":     stream(fmt.Sprintf(alloc, 1), ""), // an all-zero header: the clean end
+		"zero_tail":         append(stream(fmt.Sprintf(alloc, 1)), make([]byte, 4096)...),
+		"short_zero_tail":   append(stream(fmt.Sprintf(alloc, 1)), 0, 0, 0),
+		"zeros_only":        make([]byte, 4096),
+		"zeros_then_frame":  append(make([]byte, 14), frame([]byte(fmt.Sprintf(alloc, 1)))...),
 		"garbage_after_mag": append(append([]byte(nil), journal.Magic...), []byte("not a frame at all")...),
 	}
 }
@@ -122,15 +126,18 @@ func TestOpenStoreWorkersEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		end := s.WALBytes()
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if tear {
-			f, err := os.OpenFile(base, os.O_WRONLY|os.O_APPEND, 0)
+			// A torn frame where the next append would have gone: at the
+			// records' end, inside the zero tail.
+			f, err := os.OpenFile(base, os.O_WRONLY, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := f.Write([]byte{0x20, 0x00, 0x00, 0x00, 0xde, 0xad}); err != nil {
+			if _, err := f.WriteAt([]byte{0x20, 0x00, 0x00, 0x00, 0xde, 0xad}, end); err != nil {
 				t.Fatal(err)
 			}
 			f.Close()
@@ -156,6 +163,9 @@ func TestOpenStoreWorkersEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			seq.Close()
+			if seqRes.WAL.Truncated != tear {
+				t.Fatalf("sequential recovery %v, want torn tail %v", seqRes.WAL, tear)
+			}
 			for _, workers := range []int{0, 2, 4} {
 				pbase := filepath.Join(t.TempDir(), "wal")
 				if err := os.WriteFile(pbase, raw, 0o644); err != nil {

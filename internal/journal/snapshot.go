@@ -13,6 +13,12 @@ package journal
 // per live lease. A compacted WAL starts with the same OpCheckpoint
 // header (Seq only), anchoring its suffix to the snapshot it builds on.
 //
+// Only the WAL carries a zero tail. An append that would cross the
+// file's end first extends it by walReserve, so the fsyncs that follow
+// land inside a file whose size is already on disk. The zero tail is
+// truncated away by OpenStore (with any torn tail) and by a rolled-back
+// append (with the torn bytes); a compacted WAL starts without one.
+//
 // # Checkpoint protocol
 //
 // Checkpoint holds the append lock for the whole operation, so the
@@ -57,6 +63,13 @@ var (
 	ErrWALAnchorLost = errors.New("journal: WAL anchor lost but a snapshot exists")
 )
 
+// walReserve is how far past its records the WAL file is extended
+// when an append would cross its end. Inside the reservation an fsync
+// commits no change to the file's size: on ext4 in a 2-vCPU VM, a
+// 200-byte write+fsync took a median 95–110 µs appended and 61–78 µs
+// inside an extended file.
+const walReserve = 1 << 20
+
 // Restored is what OpenStore recovered.
 type Restored struct {
 	// Records is the full logical history to fold: the snapshot's live
@@ -92,6 +105,9 @@ type Store struct {
 	seq     uint64 // snapshot sequence the live WAL is anchored to
 	ckptSeq uint64 // sequence of the snapshot currently at .ckpt
 	closed  bool
+	// size is the WAL file's length: walBytes plus the zero tail still
+	// reserved ahead of the appends.
+	size int64
 	// walBytes is written under mu; WALBytes reads it without, so a
 	// request whose record is already durable never waits out the next
 	// batch's fsync just to check the checkpoint trigger.
@@ -187,15 +203,6 @@ func OpenStoreWorkers(base string, fsys faults.FS, workers int) (*Store, Restore
 		return nil, res, err
 	}
 	s := &Store{base: base, fs: fsys, f: f}
-	if st.Size() == 0 {
-		if _, err := f.Write(Magic); err != nil {
-			f.Close()
-			return nil, res, err
-		}
-		s.walBytes.Store(int64(len(Magic)))
-		return s, res, nil
-	}
-
 	walRecs, walRec, err := replayFile(f, st.Size(), workers)
 	if err != nil {
 		f.Close()
@@ -248,8 +255,9 @@ func OpenStoreWorkers(base string, fsys faults.FS, workers int) (*Store, Restore
 	} else {
 		// No anchor: the whole WAL is the history. If the WAL decayed
 		// to nothing while a valid snapshot sits next to it, the anchor
-		// frame itself was destroyed — refuse to silently reset.
-		if len(walRecs) == 0 && walRec.Truncated {
+		// frame itself was destroyed (corrupted, or zeroed so that it
+		// reads as the clean end) — refuse to silently reset.
+		if len(walRecs) == 0 && st.Size() > walRec.GoodBytes {
 			if data, err := readFile(fsys, s.ckptPath()); err == nil {
 				if _, _, perr := parseSnapshot(data, workers); perr == nil {
 					f.Close()
@@ -260,7 +268,8 @@ func OpenStoreWorkers(base string, fsys faults.FS, workers int) (*Store, Restore
 		res.Records = suffix
 	}
 
-	// Drop any corrupt tail and position at the clean end.
+	// Drop any corrupt or zero tail and position at the clean end. A
+	// fresh WAL (empty, or zeros alone) starts with the magic.
 	if err := f.Truncate(walRec.GoodBytes); err != nil {
 		f.Close()
 		return nil, res, err
@@ -269,7 +278,16 @@ func OpenStoreWorkers(base string, fsys faults.FS, workers int) (*Store, Restore
 		f.Close()
 		return nil, res, err
 	}
-	s.walBytes.Store(walRec.GoodBytes)
+	end := walRec.GoodBytes
+	if end == 0 {
+		if _, err := f.Write(Magic); err != nil {
+			f.Close()
+			return nil, res, err
+		}
+		end = int64(len(Magic))
+	}
+	s.walBytes.Store(end)
+	s.size = end
 	return s, res, nil
 }
 
@@ -283,12 +301,12 @@ func (s *Store) Seq() uint64 {
 	return s.seq
 }
 
-// WALBytes returns the current WAL size, for size-triggered
-// checkpoints.
+// WALBytes returns the bytes of the WAL's records (magic and frames,
+// not the zero tail), for size-triggered checkpoints.
 func (s *Store) WALBytes() int64 { return s.walBytes.Load() }
 
-// Append frames and writes one record to the WAL. Like
-// Journal.Append, the write is process-crash durable; call Sync for
+// Append frames and writes one record to the WAL. The write reaches
+// the OS before Append returns (process-crash durable); call Sync for
 // power-failure durability.
 //
 // A failed write is rolled back: the WAL is truncated to the last
@@ -325,6 +343,12 @@ func (s *Store) writeLocked(buf []byte, sync bool) (int, error) {
 	if s.closed {
 		return 0, ErrClosed
 	}
+	if end := s.walBytes.Load() + int64(len(buf)); end > s.size {
+		if err := s.f.Truncate(end + walReserve); err != nil {
+			return 0, err
+		}
+		s.size = end + walReserve
+	}
 	n, err := s.f.Write(buf)
 	if err != nil {
 		if n > 0 {
@@ -332,6 +356,7 @@ func (s *Store) writeLocked(buf []byte, sync bool) (int, error) {
 				s.walBytes.Add(int64(n))
 				return n, fmt.Errorf("journal: torn append not rolled back (%v): %w", terr, err)
 			}
+			s.size = s.walBytes.Load()
 			if _, serr := s.f.Seek(s.walBytes.Load(), io.SeekStart); serr != nil {
 				return 0, fmt.Errorf("journal: seek after rollback (%v): %w", serr, err)
 			}
@@ -472,5 +497,6 @@ func (s *Store) Checkpoint(capture func() (live []Record, nextLease uint64, err 
 		return err
 	}
 	s.walBytes.Store(st.Size())
+	s.size = st.Size()
 	return nil
 }

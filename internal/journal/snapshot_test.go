@@ -1,9 +1,13 @@
 package journal_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"hetmem/internal/faults"
@@ -137,7 +141,9 @@ func TestStoreRecoversEveryCrashWindow(t *testing.T) {
 		return base, map[uint64]uint64{1: 4096, 2: 4096, 3: 4096, 4: 4096, 5: 4096, 7: 4096}
 	}
 
-	check := func(t *testing.T, base string, want map[uint64]uint64, wantFallback bool) {
+	// check reopens base and requires the wanted leases, fallback and
+	// torn-tail verdict.
+	check := func(t *testing.T, base string, want map[uint64]uint64, wantFallback, wantTorn bool) {
 		t.Helper()
 		s, res, err := journal.OpenStore(base, nil)
 		if err != nil {
@@ -146,6 +152,9 @@ func TestStoreRecoversEveryCrashWindow(t *testing.T) {
 		defer s.Close()
 		if res.UsedFallback != wantFallback {
 			t.Fatalf("UsedFallback = %v, want %v", res.UsedFallback, wantFallback)
+		}
+		if res.WAL.Truncated != wantTorn {
+			t.Fatalf("WAL recovery %v, want torn tail %v", res.WAL, wantTorn)
 		}
 		got := foldLive(t, res.Records)
 		if len(got) != len(want) {
@@ -158,25 +167,43 @@ func TestStoreRecoversEveryCrashWindow(t *testing.T) {
 		}
 	}
 
+	// killed reopens the built store, acknowledges three more allocs
+	// (leases 8..10) and copies its files while it is still open, as a
+	// kill leaves them: the WAL runs on into its reserved zero tail. It
+	// returns the copy's base and the end of its records.
+	killed := func(t *testing.T, base string, want map[uint64]uint64) (string, int64) {
+		t.Helper()
+		s, _, err := journal.OpenStore(base, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		for i := uint64(8); i <= 10; i++ {
+			if _, err := s.AppendDurable(allocRec(i, 4096)); err != nil {
+				t.Fatal(err)
+			}
+			want[i] = 4096
+		}
+		image := filepath.Join(t.TempDir(), "wal")
+		copyStore(t, base, image)
+		end := s.WALBytes()
+		st, err := os.Stat(image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size() <= end {
+			t.Fatalf("killed WAL is %d bytes, its records end at %d: want a reserved tail", st.Size(), end)
+		}
+		return image, end
+	}
+
 	// The next checkpoint would capture {1..5,7} as snapshot seq 2.
 	snap2 := func(t *testing.T, base string) []byte {
 		t.Helper()
 		// Forge snapshot 2 bytes by running a real checkpoint in a
 		// scratch copy, then stealing the .ckpt file.
-		dir := t.TempDir()
-		scratch := filepath.Join(dir, "wal")
-		data, err := os.ReadFile(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(scratch, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		for _, suf := range []string{".ckpt", ".ckpt.1"} {
-			if d, err := os.ReadFile(base + suf); err == nil {
-				os.WriteFile(scratch+suf, d, 0o644)
-			}
-		}
+		scratch := filepath.Join(t.TempDir(), "wal")
+		copyStore(t, base, scratch)
 		s, _, err := journal.OpenStore(scratch, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -197,7 +224,30 @@ func TestStoreRecoversEveryCrashWindow(t *testing.T) {
 
 	t.Run("clean", func(t *testing.T) {
 		base, want := build(t)
-		check(t, base, want, false)
+		check(t, base, want, false, false)
+	})
+
+	t.Run("killed-inside-reservation", func(t *testing.T) {
+		base, want := build(t)
+		image, _ := killed(t, base, want)
+		check(t, image, want, false, false)
+	})
+
+	t.Run("torn-record-inside-reservation", func(t *testing.T) {
+		// The last record reached the disk only in part, so it was never
+		// acknowledged: its final bytes are still the reservation's zeros.
+		base, want := build(t)
+		image, end := killed(t, base, want)
+		data, err := os.ReadFile(image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clear(data[end-3 : end])
+		if err := os.WriteFile(image, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		delete(want, 10)
+		check(t, image, want, false, true)
 	})
 
 	t.Run("crash-after-snapshot-published", func(t *testing.T) {
@@ -211,7 +261,7 @@ func TestStoreRecoversEveryCrashWindow(t *testing.T) {
 		if err := os.WriteFile(base+".ckpt", snap, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		check(t, base, want, true)
+		check(t, base, want, true, false)
 	})
 
 	t.Run("torn-ckpt-falls-back", func(t *testing.T) {
@@ -224,7 +274,7 @@ func TestStoreRecoversEveryCrashWindow(t *testing.T) {
 		if err := os.WriteFile(base+".ckpt", snap[:len(snap)-7], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		check(t, base, want, true)
+		check(t, base, want, true, false)
 	})
 
 	t.Run("torn-wal-tail", func(t *testing.T) {
@@ -235,11 +285,17 @@ func TestStoreRecoversEveryCrashWindow(t *testing.T) {
 		}
 		// Tear the last record (alloc of lease 7) mid-frame: an
 		// unacknowledged write may be lost, never a resurrected one.
-		if err := os.WriteFile(base, data[:len(data)-3], 0o644); err != nil {
+		// The file runs on into the zero tail, so cut at the records'
+		// end, not the file's.
+		_, rec, err := journal.Replay(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(base, data[:rec.GoodBytes-3], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		delete(want, 7)
-		check(t, base, want, false)
+		check(t, base, want, false, true)
 	})
 
 	t.Run("anchor-mismatch-is-an-error", func(t *testing.T) {
@@ -270,6 +326,152 @@ func TestStoreRecoversEveryCrashWindow(t *testing.T) {
 			t.Fatalf("recovery with destroyed anchor: %v, want ErrWALAnchorLost", err)
 		}
 	})
+
+	t.Run("zeroed-anchor-refuses-reset", func(t *testing.T) {
+		// Zero the WAL's first frame: replay reads it as the clean end,
+		// not a torn tail, and must still refuse to reset.
+		base, _ := build(t)
+		data, err := os.ReadFile(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := len(journal.Magic)
+		clear(data[m : m+8+int(binary.LittleEndian.Uint32(data[m:]))])
+		if err := os.WriteFile(base, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = journal.OpenStore(base, nil)
+		if !errors.Is(err, journal.ErrWALAnchorLost) {
+			t.Fatalf("recovery with zeroed anchor: %v, want ErrWALAnchorLost", err)
+		}
+	})
+}
+
+// copyStore copies a store's WAL and snapshot files from one base to
+// another.
+func copyStore(t *testing.T, from, to string) {
+	t.Helper()
+	for _, suf := range []string{"", ".ckpt", ".ckpt.1"} {
+		data, err := os.ReadFile(from + suf)
+		if errors.Is(err, os.ErrNotExist) && suf != "" {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(to+suf, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestParentWALOpensUnchanged opens a WAL and snapshot written before
+// the WAL carried a zero tail (testdata/parentwal): every record
+// replays, nothing is dropped or rewritten, and the store appends on.
+func TestParentWALOpensUnchanged(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "wal")
+	copyStore(t, filepath.Join("testdata", "parentwal", "wal"), base)
+	raw, err := os.ReadFile(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, res, err := journal.OpenStore(base, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.WAL.Truncated || res.WAL.GoodBytes != int64(len(raw)) || res.Seq != 1 ||
+		res.SnapshotRecords != 4 || res.NextLease != 5 || res.UsedFallback {
+		t.Fatalf("restored %+v", res)
+	}
+	if after, err := os.ReadFile(base); err != nil || !bytes.Equal(after, raw) {
+		t.Fatalf("open rewrote the WAL (%v)", err)
+	}
+	live := foldLive(t, res.Records)
+	if len(live) != 4 || live[2] != 0 || live[5] != 4096 {
+		t.Fatalf("live leases %v, want 1, 3, 4 and 5", live)
+	}
+	if got := res.Records[len(res.Records)-2]; got.Origin != journal.OriginAdvisor || got.Segments[0].NodeOS != 1 {
+		t.Fatalf("advisor migrate replayed as %+v", got)
+	}
+	if err := s.Append(journal.Record{Op: journal.OpFree, Lease: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, res2, err := journal.OpenStore(base, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if res2.WAL.Truncated || len(foldLive(t, res2.Records)) != 3 {
+		t.Fatalf("after an append: %d records, recovery %v", len(res2.Records), res2.WAL)
+	}
+}
+
+// countFS counts Truncate and Sync calls on the files it opens. Its
+// Sync skips the real fsync: the test counts calls, it does not crash
+// or time them.
+type countFS struct {
+	faults.FS
+	truncates, syncs atomic.Int64
+}
+
+func (c *countFS) OpenFile(name string, flag int, perm os.FileMode) (faults.File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &countFile{File: f, c: c}, nil
+}
+
+type countFile struct {
+	faults.File
+	c *countFS
+}
+
+func (f *countFile) Truncate(size int64) error {
+	f.c.truncates.Add(1)
+	return f.File.Truncate(size)
+}
+
+func (f *countFile) Sync() error {
+	f.c.syncs.Add(1)
+	return nil
+}
+
+// TestWALReserveIsCounted: durable appends extend the WAL once per
+// walReserve bytes, not once per flush, and still fsync once each.
+func TestWALReserveIsCounted(t *testing.T) {
+	const appends = 10000
+	cfs := &countFS{FS: faults.OS}
+	base := filepath.Join(t.TempDir(), "wal")
+	s, _, err := journal.OpenStore(base, cfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.EnableGroupCommit(0, 0, nil)
+	r := allocRec(0, 4096)
+	r.Name = strings.Repeat("n", 300)
+	for i := uint64(1); i <= appends; i++ {
+		r.Lease = i
+		if _, err := s.AppendDurable(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := s.WALBytes()
+	// One Truncate is the open's; each reservation spans walReserve.
+	maxTruncates := (n+journal.WALReserve-1)/journal.WALReserve + 1
+	if got := cfs.truncates.Load(); got < 2 || got > maxTruncates {
+		t.Fatalf("%d Truncate calls for %d bytes of records, want 2..%d", got, n, maxTruncates)
+	}
+	if got := cfs.syncs.Load(); got != appends {
+		t.Fatalf("%d Sync calls for %d durable appends", got, appends)
+	}
+	if st, err := os.Stat(base); err != nil || st.Size() <= n {
+		t.Fatalf("WAL file has no reserved tail past its %d bytes of records (%v)", n, err)
+	}
 }
 
 func TestStoreDiskFaults(t *testing.T) {
@@ -360,6 +562,62 @@ func TestStoreDiskFaults(t *testing.T) {
 		}
 		if res.WAL.Truncated {
 			t.Fatal("rollback should leave a clean tail, not a torn one")
+		}
+	})
+
+	t.Run("short-write-mid-reservation-keeps-acked", func(t *testing.T) {
+		// A durable append torn inside the reserved tail is rolled back
+		// with the reservation; the appends after it reserve afresh,
+		// and a kill loses none of the acknowledged records.
+		base := filepath.Join(t.TempDir(), "wal")
+		ffs := faults.NewFaultFS(faults.OS, 2)
+		s, _, err := journal.OpenStore(base, ffs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		s.EnableGroupCommit(0, 0, nil)
+		want := map[uint64]uint64{}
+		for i := uint64(1); i <= 30; i++ {
+			if i == 11 {
+				ffs.ShortWrites(1)
+			}
+			appended, err := s.AppendDurable(allocRec(i, 4096))
+			if i != 11 {
+				if err != nil {
+					t.Fatalf("append %d: %v", i, err)
+				}
+				want[i] = 4096
+				continue
+			}
+			if appended || !errors.Is(err, faults.ErrInjectedShortWrite) {
+				t.Fatalf("torn append: appended=%v, %v", appended, err)
+			}
+			st, err := os.Stat(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Size() != s.WALBytes() {
+				t.Fatalf("rollback left the WAL at %d bytes, its records end at %d", st.Size(), s.WALBytes())
+			}
+		}
+		image := filepath.Join(t.TempDir(), "wal")
+		copyStore(t, base, image)
+		_, res, err := journal.OpenStore(image, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.WAL.Truncated {
+			t.Fatalf("kill after a rollback left a torn tail: %v", res.WAL)
+		}
+		live := foldLive(t, res.Records)
+		if len(live) != len(want) {
+			t.Fatalf("recovered %d leases, want %d", len(live), len(want))
+		}
+		for id := range want {
+			if _, ok := live[id]; !ok {
+				t.Fatalf("acknowledged lease %d lost", id)
+			}
 		}
 	})
 
