@@ -336,23 +336,23 @@ func BenchmarkLeasesSummary(b *testing.B) {
 	}
 }
 
-// benchClients is the concurrency the journal benchmarks model: the
-// PR-4 acceptance criterion is measured at 32 concurrent clients,
-// where every fsync carries the records that arrived during the one
-// before it. (At 1 client group commit is one fsync per record, the
-// same as -sync.)
+// benchClients is the concurrency the journal benchmarks model: at 32
+// concurrent clients every fsync carries the records that arrived
+// during the one before it. (A lone client pays one fsync per record.)
 const benchClients = 32
 
-// benchServerAllocConfig runs the BenchmarkServerAlloc loop against a
-// daemon with the given durability configuration, so the journal
-// strategies can be compared on the same harness.
-func benchServerAllocConfig(b *testing.B, cfg server.Config) {
-	b.Helper()
+// BenchmarkServerAllocJournalGroupCommit is the durable daemon: every
+// acked record is on stable storage, concurrent appends share one
+// fsync, and placements hit the ranked-candidate cache.
+func BenchmarkServerAllocJournalGroupCommit(b *testing.B) {
 	sys, err := core.NewSystem("xeon", core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := server.NewWithConfig(sys, cfg)
+	srv, err := server.NewWithConfig(sys, server.Config{
+		JournalPath: b.TempDir() + "/bench.wal",
+		GroupCommit: true,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -379,27 +379,6 @@ func benchServerAllocConfig(b *testing.B, cfg server.Config) {
 	})
 	b.StopTimer()
 	b.ReportMetric(float64(2*b.N)/b.Elapsed().Seconds(), "req/s")
-}
-
-// BenchmarkServerAllocJournalSyncEach is the durable pre-fast-path
-// daemon: one fsync per journaled record, candidate cache off. This is
-// the baseline the PR-4 speedup is measured against.
-func BenchmarkServerAllocJournalSyncEach(b *testing.B) {
-	benchServerAllocConfig(b, server.Config{
-		JournalPath:           b.TempDir() + "/bench.wal",
-		SyncEveryAppend:       true,
-		DisableCandidateCache: true,
-	})
-}
-
-// BenchmarkServerAllocJournalGroupCommit is the fast path: concurrent
-// appends share one fsync and placements hit the ranked-candidate
-// cache, with the same durability guarantee as SyncEveryAppend.
-func BenchmarkServerAllocJournalGroupCommit(b *testing.B) {
-	benchServerAllocConfig(b, server.Config{
-		JournalPath: b.TempDir() + "/bench.wal",
-		GroupCommit: true,
-	})
 }
 
 // BenchmarkServerAllocBatch drives the same load through

@@ -51,7 +51,7 @@ func runRouter(args []string, out io.Writer) error {
 		udsPath      = fs.String("uds", "", "also serve the binary wire protocol on this unix socket path (empty: disabled)")
 		tcpBin       = fs.String("tcp-bin", "", "also serve the binary wire protocol on this TCP address (empty: disabled)")
 		journal      = fs.String("journal", "", "router lease-journal path (empty: routed leases do not survive router restarts)")
-		syncEvery    = fs.Bool("journal-sync", false, "fsync the router journal after every record")
+		syncJ        = fs.Bool("journal-sync", false, "ack a routed lease only once its record is on stable storage (needs -journal)")
 		pollEvery    = fs.Duration("poll-interval", 500*time.Millisecond, "member health-poll period")
 		offlineAfter = fs.Int("offline-after", 2, "consecutive failed polls before a member is offline and its leases evacuate")
 		retryAfter   = fs.Int("retry-after", 1, "Retry-After hint (seconds) on 503 responses")
@@ -72,7 +72,7 @@ func runRouter(args []string, out io.Writer) error {
 	cfg := cluster.Config{
 		Members:              members,
 		JournalPath:          *journal,
-		SyncEveryAppend:      *syncEvery,
+		GroupCommit:          *syncJ,
 		PollInterval:         *pollEvery,
 		OfflineAfter:         *offlineAfter,
 		RetryAfterSeconds:    *retryAfter,
@@ -93,6 +93,9 @@ func runRouter(args []string, out io.Writer) error {
 // validateRouterConfig front-runs cluster.New with flag-named errors,
 // the router twin of validateServeConfig.
 func validateRouterConfig(cfg cluster.Config) error {
+	if cfg.GroupCommit && cfg.JournalPath == "" {
+		return fmt.Errorf("-journal-sync needs -journal: there is nothing to sync without a WAL")
+	}
 	if cfg.ProbeTimeout <= 0 {
 		return fmt.Errorf("-probe-timeout must be positive, got %v", cfg.ProbeTimeout)
 	}

@@ -34,8 +34,16 @@ func TestServeFlagValidation(t *testing.T) {
 		{"negative-queue-timeout", []string{"serve", "-queue-depth", "4", "-queue-timeout", "-1s"}, "negative"},
 		{"headroom-out-of-range", []string{"serve", "-shed", "0.8", "-guaranteed-headroom", "1.5"}, "-guaranteed-headroom"},
 		{"headroom-without-watermark", []string{"serve", "-shed", "0", "-guaranteed-headroom", "0.2"}, "-shed"},
+		{"journal-sync-without-journal", []string{"serve", "-journal-sync"}, "-journal-sync needs -journal"},
 		// Batches form on the in-flight fsync; there is no wait to set.
 		{"group-commit-linger-is-gone", []string{"serve", "-group-commit-linger", "1ms"}, "not defined"},
+		// -journal-sync is the one durability switch, and it is group
+		// commit with the batch cap fixed at journal.DefaultGroupBatch.
+		{"group-commit-is-gone", []string{"serve", "-group-commit"}, "not defined"},
+		{"group-commit-batch-is-gone", []string{"serve", "-group-commit-batch", "16"}, "not defined"},
+		// The ranked-candidate cache and parallel replay are always on.
+		{"no-candidate-cache-is-gone", []string{"serve", "-no-candidate-cache"}, "not defined"},
+		{"replay-workers-is-gone", []string{"serve", "-replay-workers", "1"}, "not defined"},
 		// The hot responses have one encoder.
 		{"legacy-encoding-is-gone", []string{"serve", "-legacy-encoding"}, "not defined"},
 		// Performance is measured by ./benchmark and the stress
@@ -61,8 +69,7 @@ func TestServeFlagValidation(t *testing.T) {
 		{},
 		{DefaultLeaseTTL: 30 * time.Second, ReapInterval: 5 * time.Second},
 		{JournalPath: "wal", CheckpointEvery: time.Minute, CheckpointMaxWAL: 1 << 20},
-		{JournalPath: "wal", SyncEveryAppend: true, CheckpointMaxWAL: 8 << 10},
-		{JournalPath: "wal", GroupCommit: true, GroupCommitBatch: 16},
+		{JournalPath: "wal", GroupCommit: true, CheckpointMaxWAL: 8 << 10},
 		{ShedWatermark: 0.7, GuaranteedHeadroom: 0.25, QueueDepth: 32, QueueTimeout: time.Second},
 		{ShedWatermark: 0.9, QueueDepth: 8},
 	} {
@@ -88,6 +95,7 @@ func TestRouterFlagValidation(t *testing.T) {
 		{"scrub-faster-than-probe", append([]string{"router", "-scrub-interval", "1s", "-probe-timeout", "5s"}, member...), "-scrub-interval"},
 		{"zero-poll-interval", append([]string{"router", "-poll-interval", "0s"}, member...), "-poll-interval"},
 		{"zero-offline-after", append([]string{"router", "-offline-after", "0"}, member...), "-offline-after"},
+		{"journal-sync-without-journal", append([]string{"router", "-journal-sync"}, member...), "-journal-sync needs -journal"},
 	} {
 		err := run(tc.args, io.Discard)
 		if err == nil {
@@ -103,6 +111,7 @@ func TestRouterFlagValidation(t *testing.T) {
 	for _, cfg := range []cluster.Config{
 		{PollInterval: time.Second, OfflineAfter: 2, ProbeTimeout: 2 * time.Second, EvacTimeout: 10 * time.Second, ForwardTimeout: 10 * time.Second},
 		{PollInterval: time.Second, OfflineAfter: 2, ProbeTimeout: time.Second, EvacTimeout: time.Second, ForwardTimeout: time.Second, ScrubInterval: 30 * time.Second, ScrubBudgetBytes: 1 << 20},
+		{JournalPath: "router.wal", GroupCommit: true, PollInterval: time.Second, OfflineAfter: 2, ProbeTimeout: time.Second, EvacTimeout: time.Second, ForwardTimeout: time.Second},
 	} {
 		if err := validateRouterConfig(cfg); err != nil {
 			t.Errorf("config %+v rejected: %v", cfg, err)
@@ -113,7 +122,7 @@ func TestRouterFlagValidation(t *testing.T) {
 // TestFlagCount pins how many flags the subcommands register, counted
 // from their -h listings, so that a flag comes or goes on purpose.
 func TestFlagCount(t *testing.T) {
-	const want = 56 // serve 28, router 16, loadtest 12
+	const want = 52 // serve 24, router 16, loadtest 12
 	var usage bytes.Buffer
 	for _, sub := range []string{"serve", "router", "loadtest"} {
 		if err := run([]string{sub, "-h"}, &usage); !errors.Is(err, flag.ErrHelp) {

@@ -119,11 +119,7 @@ func runServe(args []string, out io.Writer) error {
 		platName   = fs.String("p", "xeon", "platform to serve (see `hetmemd platforms`)")
 		forceBench = fs.Bool("force-bench", false, "benchmark attributes even when the firmware has an HMAT")
 		journal    = fs.String("journal", "", "write-ahead lease journal path (empty: no durability)")
-		syncEvery  = fs.Bool("journal-sync", false, "fsync the journal after every record")
-		groupC     = fs.Bool("group-commit", false, "coalesce concurrent journal appends into one fsync (needs -journal)")
-		groupBatch = fs.Int("group-commit-batch", 0, "max records per coalesced fsync (0: 64)")
-		noCache    = fs.Bool("no-candidate-cache", false, "disable the ranked-candidate cache (re-rank every placement)")
-		replayW    = fs.Int("replay-workers", 0, "journal-replay parallelism on startup (0: GOMAXPROCS, 1: sequential)")
+		syncJ      = fs.Bool("journal-sync", false, "ack a record only once it is on stable storage; concurrent appends share one fsync (needs -journal)")
 		shed       = fs.Float64("shed", 0.95, "admission-control watermark in (0,1]; 0 disables shedding")
 		leaseTTL   = fs.Duration("lease-ttl", 0, "default lease TTL (0: leases never expire)")
 		maxTTL     = fs.Duration("max-lease-ttl", 0, "ceiling for client-requested TTLs (0: 1h)")
@@ -145,27 +141,23 @@ func runServe(args []string, out io.Writer) error {
 		return err
 	}
 	cfg := server.Config{
-		JournalPath:           *journal,
-		SyncEveryAppend:       *syncEvery,
-		GroupCommit:           *groupC,
-		GroupCommitBatch:      *groupBatch,
-		DisableCandidateCache: *noCache,
-		ReplayWorkers:         *replayW,
-		ShedWatermark:         *shed,
-		DefaultLeaseTTL:       *leaseTTL,
-		MaxLeaseTTL:           *maxTTL,
-		ReapInterval:          *reapEvery,
-		CheckpointEvery:       *ckptEvery,
-		CheckpointMaxWAL:      *ckptBytes,
-		RebalanceInterval:     *rebalEvery,
-		RebalanceBudget:       *rebalBytes,
-		TenantsPath:           *tenants,
-		QueueDepth:            *queueDepth,
-		QueueTimeout:          *queueWaitT,
-		GuaranteedHeadroom:    *headroom,
-		AdvisorInterval:       *advEvery,
-		AdvisorHysteresis:     *advHyst,
-		AdvisorCooldown:       *advCool,
+		JournalPath:        *journal,
+		GroupCommit:        *syncJ,
+		ShedWatermark:      *shed,
+		DefaultLeaseTTL:    *leaseTTL,
+		MaxLeaseTTL:        *maxTTL,
+		ReapInterval:       *reapEvery,
+		CheckpointEvery:    *ckptEvery,
+		CheckpointMaxWAL:   *ckptBytes,
+		RebalanceInterval:  *rebalEvery,
+		RebalanceBudget:    *rebalBytes,
+		TenantsPath:        *tenants,
+		QueueDepth:         *queueDepth,
+		QueueTimeout:       *queueWaitT,
+		GuaranteedHeadroom: *headroom,
+		AdvisorInterval:    *advEvery,
+		AdvisorHysteresis:  *advHyst,
+		AdvisorCooldown:    *advCool,
 	}
 	if *noAdvisor {
 		cfg.AdvisorInterval = 0
@@ -200,7 +192,7 @@ func validateServeConfig(cfg server.Config) error {
 		return fmt.Errorf("-checkpoint-every/-checkpoint-bytes need -journal: there is nothing to compact without a WAL")
 	}
 	if cfg.GroupCommit && cfg.JournalPath == "" {
-		return fmt.Errorf("-group-commit needs -journal: there is nothing to commit without a WAL")
+		return fmt.Errorf("-journal-sync needs -journal: there is nothing to sync without a WAL")
 	}
 	if cfg.DefaultLeaseTTL < 0 || cfg.ReapInterval < 0 || cfg.CheckpointEvery < 0 || cfg.RebalanceInterval < 0 || cfg.CheckpointMaxWAL < 0 || cfg.QueueTimeout < 0 || cfg.AdvisorInterval < 0 {
 		return fmt.Errorf("duration and byte flags must not be negative")

@@ -186,8 +186,8 @@ type Allocator struct {
 	localGen atomic.Uint64
 }
 
-// New creates an allocator. The ranked-candidate cache is on by
-// default; see DisableCandidateCache and InvalidateCandidates.
+// New creates an allocator with its ranked-candidate cache; see
+// InvalidateCandidates.
 func New(m *memsim.Machine, reg *memattr.Registry) *Allocator {
 	return &Allocator{m: m, reg: reg, cache: newCandCache()}
 }
@@ -207,30 +207,23 @@ func (a *Allocator) Registry() *memattr.Registry { return a.reg }
 // machine's placement generation moves, so the returned slice may be
 // shared with the cache and other callers: treat it as read-only.
 func (a *Allocator) Candidates(attr memattr.ID, initiator *bitmap.Bitmap, remote bool) ([]memattr.TargetValue, memattr.ID, bool, error) {
-	cache := a.cache
 	if initiator == nil {
-		cache = nil // nothing to key on; rank uncached
+		return a.rankCandidates(attr, initiator, remote) // nothing to key on
 	}
-	var key candKey
-	var gen uint64
-	if cache != nil {
-		gen = a.cacheGen()
-		key = candKey{attr: attr, ini: initiator.Hash(), remote: remote}
-		if e, ok := cache.lookup(key, gen, initiator); ok {
-			cache.hits.Add(1)
-			return e.ranked, e.used, e.fell, nil
-		}
-		cache.misses.Add(1)
+	gen := a.cacheGen()
+	key := candKey{attr: attr, ini: initiator.Hash(), remote: remote}
+	if e, ok := a.cache.lookup(key, gen, initiator); ok {
+		a.cache.hits.Add(1)
+		return e.ranked, e.used, e.fell, nil
 	}
+	a.cache.misses.Add(1)
 	ranked, used, fell, err := a.rankCandidates(attr, initiator, remote)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	if cache != nil {
-		cache.store(key, &candEntry{
-			gen: gen, ini: initiator.Copy(), ranked: ranked, used: used, fell: fell,
-		})
-	}
+	a.cache.store(key, &candEntry{
+		gen: gen, ini: initiator.Copy(), ranked: ranked, used: used, fell: fell,
+	})
 	return ranked, used, fell, nil
 }
 

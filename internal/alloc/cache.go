@@ -101,13 +101,5 @@ func (a *Allocator) InvalidateCandidates() { a.localGen.Add(1) }
 // CacheStats returns how many Candidates calls were served from the
 // ranked-candidate cache and how many had to re-rank.
 func (a *Allocator) CacheStats() (hits, misses uint64) {
-	if a.cache == nil {
-		return 0, 0
-	}
 	return a.cache.hits.Load(), a.cache.misses.Load()
 }
-
-// DisableCandidateCache makes every Candidates call re-rank (the
-// pre-cache behaviour). For A/B benchmarking; not safe to toggle
-// concurrently with allocation.
-func (a *Allocator) DisableCandidateCache() { a.cache = nil }

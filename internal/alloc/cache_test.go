@@ -140,18 +140,40 @@ func TestCandidateCacheRegistryInvalidation(t *testing.T) {
 	}
 }
 
-// TestCandidateCacheDisabled: with the cache off every call re-ranks
-// and the stats stay zero.
-func TestCandidateCacheDisabled(t *testing.T) {
+// TestCandidateCacheMatchesUncachedRanking: for every key, a miss and
+// a hit both return what rankCandidates, the uncached reference,
+// computes.
+func TestCandidateCacheMatchesUncachedRanking(t *testing.T) {
 	a, ini := xeonAlloc(t)
-	a.DisableCandidateCache()
-	for i := 0; i < 3; i++ {
-		if _, _, _, err := a.Candidates(memattr.Bandwidth, ini, false); err != nil {
-			t.Fatal(err)
+	other := bitmap.NewFromRange(20, 39)
+	for _, attr := range []memattr.ID{memattr.Bandwidth, memattr.Latency, memattr.Capacity} {
+		for _, c := range []*bitmap.Bitmap{ini, other} {
+			for _, remote := range []bool{false, true} {
+				want, wantUsed, wantFell, err := a.rankCandidates(attr, c, remote)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for pass := 0; pass < 2; pass++ { // miss, then hit
+					got, used, fell, err := a.Candidates(attr, c, remote)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if used != wantUsed || fell != wantFell || len(got) != len(want) {
+						t.Fatalf("attr %v ini %v remote %v pass %d: got %v/%v/%v, want %v/%v/%v",
+							attr, c, remote, pass, got, used, fell, want, wantUsed, wantFell)
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("attr %v ini %v remote %v pass %d rank %d: %v, want %v",
+								attr, c, remote, pass, i, got[i], want[i])
+						}
+					}
+				}
+			}
 		}
 	}
-	if hits, misses := a.CacheStats(); hits != 0 || misses != 0 {
-		t.Fatalf("disabled cache must not count: hits=%d misses=%d", hits, misses)
+	if hits, misses := a.CacheStats(); hits != 12 || misses != 12 {
+		t.Fatalf("cache stats: hits=%d misses=%d, want 12/12", hits, misses)
 	}
 }
 

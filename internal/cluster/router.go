@@ -30,8 +30,11 @@ type Config struct {
 	// the routerLease -> (member, member lease) mapping survives router
 	// restarts. Empty disables durability.
 	JournalPath string
-	// SyncEveryAppend fsyncs the router journal after every record.
-	SyncEveryAppend bool
+	// GroupCommit makes every acked journal record power-failure
+	// durable (requires JournalPath): appends go through the store's
+	// group commit, so a record is on stable storage before the
+	// routed lease is visible.
+	GroupCommit bool
 	// PollInterval is the member health-poll period (default 500ms).
 	PollInterval time.Duration
 	// OfflineAfter is how many consecutive failed polls mark a member
@@ -190,6 +193,9 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Members) == 0 {
 		return nil, errors.New("cluster: no members configured")
 	}
+	if cfg.GroupCommit && cfg.JournalPath == "" {
+		return nil, errors.New("cluster: GroupCommit without a JournalPath: there is nothing to commit")
+	}
 	cfg = cfg.withDefaults()
 	r := &Router{
 		cfg:            cfg,
@@ -231,6 +237,9 @@ func New(cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("cluster: journal: %w", err)
 		}
 		r.store = st
+		if cfg.GroupCommit {
+			st.EnableGroupCommit(journal.DefaultGroupBatch, 0, nil)
+		}
 		r.replay(restored)
 	}
 	r.api = server.NewAPI(r, server.APIOptions{RetryAfterSeconds: cfg.RetryAfterSeconds})
@@ -314,13 +323,14 @@ func (r *Router) appendLocked(rec journal.Record) error {
 	if r.store == nil {
 		return nil
 	}
-	if err := r.store.Append(rec); err != nil {
-		return fmt.Errorf("cluster: journal append: %w", err)
+	var err error
+	if r.cfg.GroupCommit {
+		_, err = r.store.AppendDurable(rec)
+	} else {
+		err = r.store.Append(rec)
 	}
-	if r.cfg.SyncEveryAppend {
-		if err := r.store.Sync(); err != nil {
-			return fmt.Errorf("cluster: journal sync: %w", err)
-		}
+	if err != nil {
+		return fmt.Errorf("cluster: journal append: %w", err)
 	}
 	return nil
 }

@@ -211,10 +211,22 @@ func TestRouterErrorEnvelopePassthrough(t *testing.T) {
 	}
 }
 
+// TestRouterJournalRestart restarts a journaled router and checks the
+// restored lease map, with and without -journal-sync.
 func TestRouterJournalRestart(t *testing.T) {
+	for _, groupCommit := range []bool{false, true} {
+		name := "process-crash-durable"
+		if groupCommit {
+			name = "group-commit"
+		}
+		t.Run(name, func(t *testing.T) { testRouterJournalRestart(t, groupCommit) })
+	}
+}
+
+func testRouterJournalRestart(t *testing.T, groupCommit bool) {
 	dir := t.TempDir()
 	sim := startTestSim(t, SimOptions{
-		Router: Config{JournalPath: filepath.Join(dir, "router.wal")},
+		Router: Config{JournalPath: filepath.Join(dir, "router.wal"), GroupCommit: groupCommit},
 	})
 	ctx := context.Background()
 
@@ -237,9 +249,15 @@ func TestRouterJournalRestart(t *testing.T) {
 	for i, m := range sim.Members {
 		specs[i] = MemberSpec{Name: m.Name, URL: m.URL}
 	}
+	if groupCommit {
+		if _, err := New(Config{Members: specs, GroupCommit: true}); err == nil {
+			t.Fatal("router accepted GroupCommit without a JournalPath")
+		}
+	}
 	r2, err := New(Config{
 		Members:     specs,
 		JournalPath: filepath.Join(dir, "router.wal"),
+		GroupCommit: groupCommit,
 		MemberRetry: &server.RetryPolicy{MaxAttempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
 	})
 	if err != nil {

@@ -51,7 +51,7 @@ type gcWaiter struct {
 // groupCommit is the leader/follower batcher attached to a Store.
 type groupCommit struct {
 	maxBatch int
-	onFlush  func(batched int) // observability hook (metrics histogram)
+	onFlush  func(batched int) // observability hook (metrics histogram), called under s.mu
 
 	mu      sync.Mutex
 	pending []*gcWaiter
@@ -71,7 +71,8 @@ type groupCommit struct {
 // EnableGroupCommit turns on group commit for AppendDurable: records
 // arriving while a flush is in flight share the next one, up to
 // maxBatch (default 64) per fsync. onFlush, if non-nil, observes every
-// flush's batch size. Call before serving traffic; not safe to toggle
+// flush's batch size, in flush order; it runs under the append lock, so
+// it must be cheap. Call before serving traffic; not safe to toggle
 // concurrently with appends.
 //
 // The duration was the linger and is unused; benchmark/probes.go still
@@ -83,12 +84,9 @@ func (s *Store) EnableGroupCommit(maxBatch int, _ time.Duration, onFlush func(ba
 	s.gc = &groupCommit{maxBatch: maxBatch, onFlush: onFlush, arrived: make(chan struct{}, 1)}
 }
 
-// GroupCommitEnabled reports whether AppendDurable coalesces fsyncs.
-func (s *Store) GroupCommitEnabled() bool { return s.gc != nil }
-
 // AppendDurable appends one record and returns once it is on stable
 // storage. With group commit enabled the fsync is shared with every
-// concurrently appending goroutine; without it this is Append+Sync.
+// concurrently appending goroutine; without it this is one write+fsync.
 //
 // Like Server-facing Append semantics: appended=false means the record
 // never reached the WAL (the write was rolled back), appended=true
@@ -172,12 +170,14 @@ func (s *Store) lead(gc *groupCommit) {
 	gc.mu.Lock()
 	gc.seen = min(len(batch)+len(gc.pending), gc.maxBatch)
 	gc.mu.Unlock()
-	s.mu.Unlock()
-	putFrameBuf(bp)
-
+	// Observed under s.mu, so the hook sees flushes in the order they
+	// reached the file; the next leader waits on s.mu.
 	if gc.onFlush != nil {
 		gc.onFlush(len(batch))
 	}
+	s.mu.Unlock()
+	putFrameBuf(bp)
+
 	appended := err == nil || s.frameInFile(err)
 	for _, w := range batch {
 		w.appended, w.err = appended, err

@@ -306,8 +306,8 @@ func (s *Store) Seq() uint64 {
 func (s *Store) WALBytes() int64 { return s.walBytes.Load() }
 
 // Append frames and writes one record to the WAL. The write reaches
-// the OS before Append returns (process-crash durable); call Sync for
-// power-failure durability.
+// the OS before Append returns (process-crash durable); AppendDurable
+// and AppendBatch with sync set add power-failure durability.
 //
 // A failed write is rolled back: the WAL is truncated to the last
 // whole frame, so one torn append cannot strand every later record
@@ -370,16 +370,6 @@ func (s *Store) writeLocked(buf []byte, sync bool) (int, error) {
 		}
 	}
 	return n, nil
-}
-
-// Sync flushes the WAL to stable storage.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.f.Sync()
 }
 
 // Close syncs and closes the store.

@@ -207,8 +207,7 @@ func (s *Server) journalBatch(placed []batchItem) error {
 			Segments:  segmentsOf(it.l.buf),
 		}
 	}
-	sync := s.cfg.GroupCommit || s.cfg.SyncEveryAppend
-	appended, err := s.store.AppendBatch(recs, sync)
+	appended, err := s.store.AppendBatch(recs, s.cfg.GroupCommit)
 	if appended {
 		// As in appendJournal: records whose fsync failed are still in
 		// the WAL, so they count and grow the log like any other.
@@ -222,7 +221,7 @@ func (s *Server) journalBatch(placed []batchItem) error {
 			}
 			// Best effort, like the single-alloc path: if the frees do
 			// not land either, the orphans carry a TTL.
-			if freed, _ := s.store.AppendBatch(frees, sync); freed {
+			if freed, _ := s.store.AppendBatch(frees, s.cfg.GroupCommit); freed {
 				s.journalHousekeeping(len(frees))
 			}
 		}

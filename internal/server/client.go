@@ -55,7 +55,6 @@ type Client struct {
 	// The caller's context bounds the whole call, retries and backoff
 	// included; whichever deadline is sooner wins.
 	attemptTimeout time.Duration
-	breaker        *breaker
 	hb             *heartbeater
 	noHB           bool
 	// tenant is stamped on every request as X-Hetmem-Tenant. A
@@ -86,16 +85,6 @@ func WithRetryPolicy(p RetryPolicy) ClientOption {
 // (the context alone governs).
 func WithAttemptTimeout(d time.Duration) ClientOption {
 	return func(c *Client) { c.attemptTimeout = d }
-}
-
-// WithCircuitBreaker arms a client-side circuit breaker: after
-// threshold consecutive transport failures the breaker opens and every
-// request fails fast with ErrCircuitOpen until cooldown elapses, at
-// which point one probe request is let through (half-open); its
-// outcome closes or re-opens the breaker. HTTP error statuses do NOT
-// trip it — a 503 is the daemon talking, not the daemon gone.
-func WithCircuitBreaker(threshold int, cooldown time.Duration) ClientOption {
-	return func(c *Client) { c.breaker = newBreaker(threshold, cooldown) }
 }
 
 // WithoutHeartbeat disables the automatic renewal of TTL leases.
@@ -293,12 +282,6 @@ func (c *Client) do(ctx context.Context, method, path string, payload []byte, id
 		return res, err
 	}
 	for attempt := 0; attempt < c.retry.MaxAttempts; attempt++ {
-		if err := c.breaker.allow(); err != nil {
-			if lastErr != nil {
-				return res, fmt.Errorf("%w (last transport error: %v)", err, lastErr)
-			}
-			return res, err
-		}
 		if attempt > 0 {
 			var retryAfter time.Duration
 			if lastErr == nil {
@@ -346,7 +329,6 @@ func (c *Client) do(ctx context.Context, method, path string, payload []byte, id
 			if ctx.Err() != nil {
 				return res, ctx.Err()
 			}
-			c.breaker.record(false)
 			// Only a request the daemon provably never saw is safe to
 			// replay when it is not idempotent: a refused dial, or the
 			// wire client's ErrNotSent (a failed dial, or registration on
@@ -361,9 +343,6 @@ func (c *Client) do(ctx context.Context, method, path string, payload []byte, id
 			lastErr = err
 			continue
 		}
-		// Any response — even an error status — means the daemon is
-		// reachable and talking: the breaker records success.
-		c.breaker.record(true)
 		if retryableStatus(res.status) {
 			// The status alone is not the last word: quota_exceeded
 			// rides on 429 but is terminal — the daemon has room, this

@@ -1,11 +1,9 @@
 package server
 
-// White-box tests for client-side retry and circuit-breaker plumbing:
-// Retry-After parsing in both RFC 9110 forms, and the breaker's state
-// machine including the single-probe half-open rule.
+// White-box tests for client-side retry plumbing: Retry-After parsing
+// in both RFC 9110 forms, and which statuses are retryable.
 
 import (
-	"errors"
 	"net/http"
 	"testing"
 	"time"
@@ -53,55 +51,4 @@ func TestRetryableStatus(t *testing.T) {
 			t.Errorf("retryableStatus(%d) = %v, want %v", code, got, want)
 		}
 	}
-}
-
-func TestBreakerStateMachine(t *testing.T) {
-	b := newBreaker(2, 250*time.Millisecond)
-
-	// Closed: requests flow; one failure is not enough to trip.
-	if err := b.allow(); err != nil {
-		t.Fatalf("closed breaker rejected: %v", err)
-	}
-	b.record(false)
-	if err := b.allow(); err != nil {
-		t.Fatalf("one failure tripped a threshold-2 breaker: %v", err)
-	}
-	b.record(false)
-
-	// Open: fail fast until the cooldown passes.
-	if err := b.allow(); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("open breaker allowed a request: %v", err)
-	}
-	time.Sleep(300 * time.Millisecond)
-
-	// Half-open: exactly one probe goes out; concurrents fail fast.
-	if err := b.allow(); err != nil {
-		t.Fatalf("half-open breaker rejected the probe: %v", err)
-	}
-	if err := b.allow(); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("half-open breaker admitted a second probe: %v", err)
-	}
-
-	// A failed probe reopens immediately.
-	b.record(false)
-	if err := b.allow(); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("failed probe did not reopen the breaker: %v", err)
-	}
-	time.Sleep(300 * time.Millisecond)
-
-	// A successful probe closes it again.
-	if err := b.allow(); err != nil {
-		t.Fatalf("second probe rejected: %v", err)
-	}
-	b.record(true)
-	if err := b.allow(); err != nil {
-		t.Fatalf("breaker did not close after successful probe: %v", err)
-	}
-
-	// A nil breaker (no WithCircuitBreaker option) never interferes.
-	var nb *breaker
-	if err := nb.allow(); err != nil {
-		t.Fatalf("nil breaker rejected: %v", err)
-	}
-	nb.record(false)
 }

@@ -1,9 +1,8 @@
 package server
 
-// Client-side lease lifecycle: the circuit breaker that fails fast
-// when the daemon is unreachable, and the heartbeater that renews TTL
-// leases in the background so a live client never loses one to the
-// orphan reaper.
+// Client-side lease lifecycle: the heartbeater that renews TTL leases
+// in the background so a live client never loses one to the orphan
+// reaper.
 
 import (
 	"context"
@@ -12,93 +11,6 @@ import (
 	"sync"
 	"time"
 )
-
-// ErrCircuitOpen is returned without touching the network while the
-// client's circuit breaker is open: recent requests all died in
-// transport, so the daemon is presumed down until the cooldown passes.
-var ErrCircuitOpen = errors.New("server: circuit breaker open")
-
-// breaker states.
-const (
-	breakerClosed = iota
-	breakerOpen
-	breakerHalfOpen
-)
-
-// breaker is a consecutive-transport-failure circuit breaker. A nil
-// breaker is always closed, so the client can call it unconditionally.
-type breaker struct {
-	threshold int
-	cooldown  time.Duration
-
-	mu       sync.Mutex
-	state    int
-	failures int
-	openedAt time.Time
-	probing  bool
-}
-
-func newBreaker(threshold int, cooldown time.Duration) *breaker {
-	if threshold < 1 {
-		threshold = 1
-	}
-	if cooldown <= 0 {
-		cooldown = time.Second
-	}
-	return &breaker{threshold: threshold, cooldown: cooldown}
-}
-
-// allow reports whether a request may go out. In the open state it
-// rejects until the cooldown elapses, then admits exactly one probe
-// (half-open); concurrent requests keep failing fast until the probe
-// reports back.
-func (b *breaker) allow() error {
-	if b == nil {
-		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerClosed:
-		return nil
-	case breakerOpen:
-		if time.Since(b.openedAt) < b.cooldown {
-			return ErrCircuitOpen
-		}
-		b.state = breakerHalfOpen
-		b.probing = true
-		return nil
-	default: // half-open
-		if b.probing {
-			return ErrCircuitOpen
-		}
-		b.probing = true
-		return nil
-	}
-}
-
-// record feeds one attempt's outcome back. Any received HTTP response
-// counts as success; only transport failures count against the
-// threshold.
-func (b *breaker) record(ok bool) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if ok {
-		b.state = breakerClosed
-		b.failures = 0
-		b.probing = false
-		return
-	}
-	b.failures++
-	b.probing = false
-	if b.state == breakerHalfOpen || b.failures >= b.threshold {
-		b.state = breakerOpen
-		b.openedAt = time.Now()
-	}
-}
 
 // heartbeater renews a client's TTL leases in the background. The
 // goroutine starts lazily with the first tracked lease and parks when

@@ -2,18 +2,15 @@ package server_test
 
 // Black-box client behavior under unhappy responses: 429 is retried
 // (honoring Retry-After), every other 4xx is terminal after a single
-// attempt, and the circuit breaker fails fast while the daemon is
-// unreachable, then recovers through a half-open probe.
+// attempt.
 
 import (
 	"context"
 	"errors"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
-	"syscall"
 	"testing"
 	"time"
 
@@ -62,61 +59,6 @@ func TestClientTreats4xxAsTerminal(t *testing.T) {
 		if got := hits.Load(); got != 1 {
 			t.Fatalf("status %d: server saw %d requests, want exactly 1", code, got)
 		}
-	}
-}
-
-// TestCircuitBreakerFailsFastAndRecovers: refusals from a closed port
-// trip the breaker; while it is open, requests fail fast even though
-// the daemon is back on that port, and after the cooldown one probe
-// closes it again.
-func TestCircuitBreakerFailsFastAndRecovers(t *testing.T) {
-	ctx := context.Background()
-	addr := closedAddr(t)
-	cl := server.NewClient("http://"+addr,
-		server.WithRetryPolicy(server.NoRetry),
-		server.WithCircuitBreaker(2, 250*time.Millisecond),
-		server.WithoutHeartbeat())
-
-	// Two refused dials trip the breaker.
-	for i := 0; i < 2; i++ {
-		if _, err := cl.Health(ctx); !errors.Is(err, syscall.ECONNREFUSED) {
-			t.Fatalf("attempt %d against a closed port: err %v, want a refused connection", i, err)
-		}
-	}
-
-	// The daemon comes back, counting what reaches it.
-	var hits atomic.Int32
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatalf("port %s taken before the daemon came back: %v", addr, err)
-	}
-	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		io.WriteString(w, `{"status":"ok"}`)
-	})}
-	go srv.Serve(ln)
-	defer srv.Close()
-
-	// Open: requests fail fast without touching the network.
-	_, err = cl.Health(ctx)
-	if !errors.Is(err, server.ErrCircuitOpen) {
-		t.Fatalf("open breaker: err %v, want ErrCircuitOpen", err)
-	}
-	if got := hits.Load(); got != 0 {
-		t.Fatalf("open breaker leaked a request to the network (%d hits)", got)
-	}
-
-	// After the cooldown the probe closes the breaker and traffic flows
-	// again.
-	time.Sleep(300 * time.Millisecond)
-	if _, err := cl.Health(ctx); err != nil {
-		t.Fatalf("probe after recovery failed: %v", err)
-	}
-	if _, err := cl.Health(ctx); err != nil {
-		t.Fatalf("closed breaker rejected traffic: %v", err)
-	}
-	if got := hits.Load(); got != 2 {
-		t.Fatalf("daemon saw %d requests, want 2", got)
 	}
 }
 

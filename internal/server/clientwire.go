@@ -11,9 +11,9 @@ package server
 // connections (one per concurrent caller, up to min(GOMAXPROCS, 4);
 // a lone caller opens one), many in-flight requests tagged with
 // request IDs, no per-request dial or header parsing. Everything above
-// the exchange — retry policy, circuit breaker, idempotency keys,
-// heartbeats, tenant stamping, error envelopes — is shared with the
-// HTTP path, so a caller only ever changes the base URL.
+// the exchange — retry policy, idempotency keys, heartbeats, tenant
+// stamping, error envelopes — is shared with the HTTP path, so a
+// caller only ever changes the base URL.
 
 import (
 	"context"

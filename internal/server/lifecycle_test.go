@@ -517,7 +517,7 @@ func TestChaosDiskFaultRecovery(t *testing.T) {
 	srv, err := server.NewWithConfig(sys, server.Config{
 		JournalPath:      path,
 		FS:               ffs,
-		SyncEveryAppend:  true,
+		GroupCommit:      true,
 		CheckpointEvery:  10 * time.Millisecond,
 		CheckpointMaxWAL: 64 << 10,
 	})

@@ -147,7 +147,7 @@ func TestRestartAfterGracefulShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "wal")
-	srv, err := server.NewWithConfig(sys, server.Config{JournalPath: path, SyncEveryAppend: true})
+	srv, err := server.NewWithConfig(sys, server.Config{JournalPath: path, GroupCommit: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,10 +83,6 @@ type Config struct {
 	// Opening replays any existing journal (and its checkpoint
 	// snapshots) into the lease table.
 	JournalPath string
-	// SyncEveryAppend fsyncs the journal after every record
-	// (power-failure durability). Appends are always process-crash
-	// durable; syncing each one trades throughput for media safety.
-	SyncEveryAppend bool
 	// ShedWatermark in (0, 1]: /alloc sheds load with 503 +
 	// Retry-After once (bytes in use + request size) would cross this
 	// fraction of the online capacity. 0 disables shedding.
@@ -118,26 +114,13 @@ type Config struct {
 	// sheds at the watermark.
 	GuaranteedHeadroom float64
 
-	// GroupCommit coalesces concurrent journal appends into one
-	// write+fsync (requires JournalPath): every acked alloc/free is
-	// power-failure durable, and requests that arrive while an fsync is
-	// in flight share the next one. Overrides SyncEveryAppend (group
-	// commit is always durable).
+	// GroupCommit makes every acked journal record power-failure
+	// durable (requires JournalPath; `hetmemd serve -journal-sync`).
+	// Appends that arrive while an fsync is in flight share the next
+	// one, up to journal.DefaultGroupBatch records; a lone writer pays
+	// one write+fsync. Without it appends are process-crash durable
+	// only.
 	GroupCommit bool
-	// GroupCommitBatch bounds the records per coalesced fsync
-	// (default 64).
-	GroupCommitBatch int
-
-	// DisableCandidateCache turns off the allocator's ranked-candidate
-	// cache, re-ranking targets on every placement — the pre-cache
-	// behaviour, kept for A/B benchmarking (`hetmemd serve
-	// -no-candidate-cache`).
-	DisableCandidateCache bool
-
-	// ReplayWorkers sets the journal-replay parallelism on startup:
-	// 0 auto-sizes to GOMAXPROCS, 1 forces the sequential decoder
-	// (kept for A/B benchmarking), >1 uses that many decode workers.
-	ReplayWorkers int
 
 	// DefaultLeaseTTL is granted to allocations that do not request a
 	// TTL. 0 means such leases never expire.
@@ -185,12 +168,6 @@ type Config struct {
 	// AdvisorCooldown is how many sample intervals a lease rests after
 	// an advisor move before it may move again (default 5).
 	AdvisorCooldown int
-	// AdvisorMinMissShare is the share of an interval's total LLC
-	// misses below which a lease is classified cold (default 0.01).
-	AdvisorMinMissShare float64
-	// AdvisorLogSize caps the rolling decision log served by
-	// GET /v1/advisor (default 256 entries).
-	AdvisorLogSize int
 
 	// FS routes all journal and snapshot I/O; nil means the real
 	// filesystem. Chaos tests install a faults.FaultFS here.
@@ -244,20 +221,11 @@ func (c Config) validate() error {
 	if c.GroupCommit && c.JournalPath == "" {
 		return fmt.Errorf("server: config: GroupCommit without a JournalPath: there is nothing to commit")
 	}
-	if c.GroupCommitBatch < 0 {
-		return fmt.Errorf("server: config: GroupCommitBatch must not be negative (got %d)", c.GroupCommitBatch)
-	}
-	if c.ReplayWorkers < 0 {
-		return fmt.Errorf("server: config: ReplayWorkers must not be negative (got %d)", c.ReplayWorkers)
-	}
 	if c.AdvisorHysteresis < 0 {
 		return fmt.Errorf("server: config: AdvisorHysteresis must not be negative (got %d)", c.AdvisorHysteresis)
 	}
 	if c.AdvisorCooldown < 0 {
 		return fmt.Errorf("server: config: AdvisorCooldown must not be negative (got %d)", c.AdvisorCooldown)
-	}
-	if c.AdvisorMinMissShare < 0 || c.AdvisorMinMissShare >= 1 {
-		return fmt.Errorf("server: config: AdvisorMinMissShare %v outside [0, 1)", c.AdvisorMinMissShare)
 	}
 	return nil
 }
@@ -412,11 +380,9 @@ func NewWithConfig(sys *core.System, cfg Config) (*Server, error) {
 		s.advisor = advisor.New(advisor.Config{
 			Interval: cfg.AdvisorInterval,
 			Options: sensitivity.Options{
-				MinMissShare:    cfg.AdvisorMinMissShare,
 				Hysteresis:      cfg.AdvisorHysteresis,
 				CooldownSamples: cfg.AdvisorCooldown,
 			},
-			LogSize: cfg.AdvisorLogSize,
 		})
 	}
 	topoJSON, err := topology.Export(sys.Topology())
@@ -424,17 +390,14 @@ func NewWithConfig(sys *core.System, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.topoJSON = topoJSON
-	if cfg.DisableCandidateCache {
-		sys.Allocator.DisableCandidateCache()
-	}
 	if cfg.JournalPath != "" {
-		st, res, err := journal.OpenStoreWorkers(cfg.JournalPath, cfg.FS, cfg.ReplayWorkers)
+		st, res, err := journal.OpenStoreWorkers(cfg.JournalPath, cfg.FS, 0)
 		if err != nil {
 			return nil, err
 		}
 		s.store = st
 		if cfg.GroupCommit {
-			st.EnableGroupCommit(cfg.GroupCommitBatch, 0, s.metrics.ObserveJournalBatch)
+			st.EnableGroupCommit(journal.DefaultGroupBatch, 0, s.metrics.ObserveJournalBatch)
 		}
 		if err := s.restoreFromJournal(res.Records, res.NextLease); err != nil {
 			st.Close()
@@ -509,9 +472,6 @@ func (s *Server) appendJournal(r journal.Record) (appended bool, err error) {
 		appended, err = s.store.AppendDurable(r)
 	} else if err = s.store.Append(r); err == nil {
 		appended = true
-		if s.cfg.SyncEveryAppend {
-			err = s.store.Sync()
-		}
 	}
 	if appended {
 		// A record whose fsync failed is still in the WAL: it counts

@@ -322,8 +322,7 @@ func TestGroupCommitServerConcurrentDurability(t *testing.T) {
 
 // TestJournalRecordsCountSyncFailedAppends: a record that reached the
 // WAL counts in hetmemd_journal_records_total even when its fsync
-// failed — on the group-commit path exactly as with SyncEveryAppend,
-// and for a batch exactly as for a single alloc. A failed alloc leaves
+// failed, for a batch exactly as for a single alloc. A failed alloc leaves
 // two records (itself and its compensating free), which is also what a
 // restart replays: the restarted daemon's counter starts at the number
 // of records it read back.
@@ -337,9 +336,7 @@ func TestJournalRecordsCountSyncFailedAppends(t *testing.T) {
 		want  float64
 	}{
 		{"group-commit", server.Config{GroupCommit: true}, 0, 2},
-		{"sync-every-append", server.Config{SyncEveryAppend: true}, 0, 2},
 		{"batch-group-commit", server.Config{GroupCommit: true}, 3, 6},
-		{"batch-sync-every-append", server.Config{SyncEveryAppend: true}, 3, 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ffs := faults.NewFaultFS(faults.OS, 1)

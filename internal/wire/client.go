@@ -60,10 +60,10 @@ const maxLanes = 4
 //
 // The Client retries nothing itself, and one RoundTrip uses one lane:
 // a drop fails the requests in flight on that connection only, and
-// nothing fails over to another lane. Retry policy, backoff, circuit
-// breaking, and idempotency live in server.Client, which treats this
-// as one transport attempt; the error classification above tells it
-// which failures are replayable.
+// nothing fails over to another lane. Retry policy, backoff and
+// idempotency live in server.Client, which treats this as one
+// transport attempt; the error classification above tells it which
+// failures are replayable.
 type Client struct {
 	network string // "unix" or "tcp"
 	addr    string
