@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet test race bench benchmark benchmark-compare repro cover fuzz chaos clustertest netchaos reapstress tenantstress clean
+.PHONY: all build vet test race benchmark benchmark-compare repro cover fuzz chaos clustertest netchaos reapstress tenantstress clean
 
 all: build vet test
 
@@ -18,9 +18,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-bench:
-	$(GO) test -bench=. -benchmem ./...
 
 # THE benchmark (benchmark/README.md): four workloads through real
 # sockets, every metric by name; the exit code gates correctness and

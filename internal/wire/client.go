@@ -41,7 +41,7 @@ func notSent(err error) error     { return &transportError{kind: ErrNotSent, err
 func connDropped(err error) error { return &transportError{kind: ErrConnDropped, err: err} }
 
 // maxLanes caps the connections one Client opens. A lane's frames all
-// pass through one client reader and one server reader and writer, so
+// pass through one frame writer and one reader at each end, so
 // callers running in parallel want a lane each — but more lanes than
 // Ps cannot run in parallel, and past a few the frames of many callers
 // stop sharing flushes.
@@ -194,7 +194,7 @@ func (c *Client) RoundTrip(ctx context.Context, timeout time.Duration, op Op, te
 		return 0, nil, notSent(err)
 	}
 	*bp = frame
-	if err := cc.write(frame); err != nil {
+	if _, err := cc.fw.write(frame); err != nil {
 		putBuf(bp)
 		cc.forget(id)
 		// A write error after bytes may have left the socket is
@@ -236,7 +236,7 @@ func (c *Client) conn(ctx context.Context, l *lane, timeout time.Duration) (*cli
 	}
 	cc := &clientConn{
 		c:       nc,
-		bw:      bufio.NewWriterSize(nc, 64<<10),
+		fw:      newFrameWriter(nc),
 		waiters: make(map[uint64]chan clientResult),
 		done:    make(chan struct{}),
 	}
@@ -251,15 +251,12 @@ type clientResult struct {
 	err    error
 }
 
-// clientConn is one live multiplexed connection: a write mutex
-// serializing frame writes, a waiter table keyed by request ID, and a
-// reader goroutine correlating responses.
+// clientConn is one live multiplexed connection: a frameWriter shared
+// by its callers, a waiter table keyed by request ID, and a reader
+// goroutine correlating responses.
 type clientConn struct {
-	c net.Conn
-
-	wmu     sync.Mutex    // serializes whole-frame writes
-	bw      *bufio.Writer // written under wmu
-	pending atomic.Int32  // senders that have committed to taking wmu
+	c  net.Conn
+	fw *frameWriter
 
 	mu      sync.Mutex
 	waiters map[uint64]chan clientResult
@@ -300,32 +297,6 @@ func (cc *clientConn) forget(id uint64) {
 	cc.mu.Lock()
 	delete(cc.waiters, id)
 	cc.mu.Unlock()
-}
-
-// write sends one whole frame under the write lock. net.Conn allows
-// concurrent Write calls but does not make them atomic, and an
-// interleaved frame would corrupt the stream for every request on the
-// connection.
-//
-// Frames group-commit: a sender that observes another sender already
-// committed to the lock (pending > 0 after its own decrement) leaves
-// its frame in the buffer and skips the flush — the last sender in
-// the burst flushes everyone's frames in one syscall, the same
-// coalescing the server's write loop does for responses.
-func (cc *clientConn) write(frame []byte) error {
-	cc.pending.Add(1)
-	cc.wmu.Lock()
-	defer cc.wmu.Unlock()
-	_, err := cc.bw.Write(frame)
-	if cc.pending.Add(-1) > 0 && err == nil {
-		// The observed sender increments pending before taking wmu, so
-		// it (or a later sender, inductively) reaches the flush below.
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	return cc.bw.Flush()
 }
 
 // fail marks the connection dead exactly once and delivers err to

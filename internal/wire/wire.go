@@ -45,6 +45,7 @@ import (
 	"hash/crc32"
 	"io"
 	"sync"
+	"sync/atomic"
 )
 
 // Version is the protocol version stamped on every payload. A peer
@@ -275,4 +276,38 @@ func readFrame(br *bufio.Reader, buf []byte, max int) (payload, newBuf []byte, e
 		return nil, buf, fmt.Errorf("%w: CRC mismatch", ErrBadFrame)
 	}
 	return payload, buf, nil
+}
+
+// frameWriter writes whole frames to one connection from many
+// goroutines: a client's callers, or a server connection's handlers.
+// net.Conn does not make concurrent Writes atomic, and one interleaved
+// frame corrupts the stream, so frames go in under mu. They
+// group-commit: a writer that sees another already committed to mu
+// (pending > 0 after its own decrement) leaves its frame in the buffer,
+// and the last writer of a burst flushes them all in one syscall. Only
+// the flushing writer sees a failed flush; its caller fails the
+// connection, which is how the writers it flushed for learn of it.
+type frameWriter struct {
+	mu      sync.Mutex
+	bw      *bufio.Writer // written under mu
+	pending atomic.Int32  // writers that have committed to taking mu
+}
+
+func newFrameWriter(w io.Writer) *frameWriter {
+	return &frameWriter{bw: bufio.NewWriterSize(w, 64<<10)}
+}
+
+// write buffers one frame and flushes unless another writer is queued
+// behind it. n counts the frame's bytes that were accepted.
+func (fw *frameWriter) write(frame []byte) (n int, err error) {
+	fw.pending.Add(1)
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	n, err = fw.bw.Write(frame)
+	// The observed writer increments pending before taking mu, so it (or
+	// a later writer, inductively) reaches the flush below.
+	if fw.pending.Add(-1) > 0 || err != nil {
+		return n, err
+	}
+	return n, fw.bw.Flush()
 }

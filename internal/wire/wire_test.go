@@ -470,3 +470,168 @@ func TestAttemptTimerIsReused(t *testing.T) {
 		t.Errorf("a round trip under an attempt timeout costs %.0f allocations, %.0f without: the timer is not reused", bounded, unbounded)
 	}
 }
+
+// gatedConn counts the Write calls that reach it. The first blocks
+// until release is closed; every Write fails with fail when it is set.
+type gatedConn struct {
+	release chan struct{}
+	fail    error
+
+	mu     sync.Mutex
+	writes int
+	got    bytes.Buffer
+}
+
+func (c *gatedConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.writes++
+	first := c.writes == 1
+	c.mu.Unlock()
+	if first {
+		<-c.release
+	}
+	if c.fail != nil {
+		return 0, c.fail
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.got.Write(p)
+}
+
+// TestFrameWriterCoalesces pins the one write policy both ends of a
+// connection share: writers that queue behind a flush in progress
+// leave their frames in the buffer, and the last of them flushes all
+// of them in one conn Write.
+func TestFrameWriterCoalesces(t *testing.T) {
+	conn := &gatedConn{release: make(chan struct{})}
+	fw := newFrameWriter(conn)
+	frames := make([][]byte, 4)
+	for i := range frames {
+		f, err := AppendResponse(nil, uint64(i+1), 200, []byte(strconv.Itoa(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = f
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, len(frames))
+	write := func(f []byte) {
+		defer wg.Done()
+		n, err := fw.write(f)
+		if err == nil && n != len(f) {
+			err = fmt.Errorf("wrote %d of %d bytes", n, len(f))
+		}
+		errs <- err
+	}
+	wg.Add(1)
+	go write(frames[0])
+	eventually(t, "the first flush to reach the conn", func() bool {
+		conn.mu.Lock()
+		defer conn.mu.Unlock()
+		return conn.writes == 1
+	})
+	for _, f := range frames[1:] {
+		wg.Add(1)
+		go write(f)
+	}
+	eventually(t, "three writers queued behind the flush", func() bool { return fw.pending.Load() == 3 })
+	close(conn.release)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if conn.writes != 2 {
+		t.Fatalf("%d conn writes, want 2: the first frame, then the three queued in one flush", conn.writes)
+	}
+	if want := len(bytes.Join(frames, nil)); conn.got.Len() != want {
+		t.Fatalf("conn got %d bytes, want %d", conn.got.Len(), want)
+	}
+	// The queued frames arrive whole, in whatever order they took the lock.
+	br := bufio.NewReader(&conn.got)
+	seen := map[uint64]bool{}
+	for range frames {
+		payload, _, err := readFrame(br, nil, MaxResponseFrame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := DecodeResponse(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[resp.ID] = true
+	}
+	if len(seen) != len(frames) {
+		t.Fatalf("response IDs %v, want 1..%d", seen, len(frames))
+	}
+
+	t.Run("failed flush", func(t *testing.T) {
+		boom := errors.New("boom")
+		conn := &gatedConn{release: make(chan struct{}), fail: boom}
+		close(conn.release)
+		if _, err := newFrameWriter(conn).write(frames[0]); !errors.Is(err, boom) {
+			t.Fatalf("flushing writer returned %v, want the conn's error", err)
+		}
+	})
+}
+
+// TestCloseWithUnreadResponses: a peer that sends large requests and
+// never reads the answers leaves the connection's handler goroutines
+// blocked writing into a full socket. Close must still return
+// promptly and leave no goroutine behind.
+func TestCloseWithUnreadResponses(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "unread.sock")
+	ln, err := net.Listen("unix", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats Stats
+	s := NewServer(echoHandler{}, &stats)
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ln) }()
+	before := runtime.NumGoroutine()
+
+	nc, err := net.Dial("unix", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	const requests = 64
+	body := bytes.Repeat([]byte("x"), 512<<10)
+	sent := make(chan error, 1)
+	go func() {
+		var frame []byte
+		for id := uint64(1); id <= requests; id++ {
+			var err error
+			if frame, err = AppendRequest(frame[:0], OpHealth, id, "", body); err != nil {
+				sent <- err
+				return
+			}
+			if _, err := nc.Write(frame); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "every request dispatched", func() bool { return stats.Requests.Load() == requests })
+
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return within 5s with responses unread")
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("Serve returned %v after Close", err)
+	}
+	nc.Close()
+	eventually(t, "the server's goroutines to exit", func() bool { return runtime.NumGoroutine() <= before })
+}
