@@ -152,7 +152,7 @@ func routerUntilSignal(addrs serveAddrs, cfg cluster.Config, out io.Writer) erro
 		return err
 	}
 
-	hs := newHTTPServer(r.Handler())
+	hs := newHTTPServer(r.Handler(), r.Metrics().TransportStats(server.TransportHTTP))
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

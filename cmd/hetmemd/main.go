@@ -98,13 +98,22 @@ func buildServer(platName string, forceBench bool, cfg server.Config, out io.Wri
 
 // newHTTPServer wraps a handler with the timeouts a daemon facing
 // untrusted clients needs: slow-loris headers and bodies cannot hold
-// connections open forever.
-func newHTTPServer(h http.Handler) *http.Server {
+// connections open forever. st is the HTTP transport's counter slot;
+// its live-connection gauge follows the server's connection states.
+func newHTTPServer(h http.Handler, st *wire.Stats) *http.Server {
 	return &http.Server{
 		Handler:           h,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		IdleTimeout:       2 * time.Minute,
+		ConnState: func(_ net.Conn, state http.ConnState) {
+			switch state {
+			case http.StateNew:
+				st.ActiveConns.Add(1)
+			case http.StateClosed, http.StateHijacked:
+				st.ActiveConns.Add(-1)
+			}
+		},
 	}
 }
 
@@ -264,7 +273,7 @@ func serveUntilSignal(addrs serveAddrs, platName string, forceBench bool, cfg se
 		return err
 	}
 
-	hs := newHTTPServer(srv.Handler())
+	hs := newHTTPServer(srv.Handler(), srv.Metrics().TransportStats(server.TransportHTTP))
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

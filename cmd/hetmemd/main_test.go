@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"io"
 	"net"
@@ -29,7 +30,7 @@ func boot(t *testing.T, platform string) string {
 		srv.Close()
 		t.Fatal(err)
 	}
-	hs := newHTTPServer(srv.Handler())
+	hs := newHTTPServer(srv.Handler(), srv.Metrics().TransportStats(server.TransportHTTP))
 	go hs.Serve(ln)
 	t.Cleanup(func() { hs.Close(); srv.Close() })
 	return "http://" + ln.Addr().String()
@@ -258,6 +259,70 @@ func TestServeGracefulShutdown(t *testing.T) {
 	defer srv.Close()
 	if srv.LeaseCount() != 1 {
 		t.Fatalf("restored %d leases, want 1", srv.LeaseCount())
+	}
+}
+
+// TestHTTPActiveConnsGauge checks that the HTTP transport's
+// live-connection series counts one kept-alive connection while it is
+// open and drops back to 0 once it closes.
+func TestHTTPActiveConnsGauge(t *testing.T) {
+	srv, err := buildServer("xeon", false, server.Config{}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := newHTTPServer(srv.Handler(), srv.Metrics().TransportStats(server.TransportHTTP))
+	go hs.Serve(ln)
+	defer hs.Close()
+	gauge := func() float64 {
+		t.Helper()
+		var text strings.Builder
+		if err := srv.WriteMetrics(context.Background(), &text); err != nil {
+			t.Fatal(err)
+		}
+		m, err := server.ParseMetrics(text.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m[`hetmemd_transport_active_conns{transport="http"}`]
+	}
+
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	br := bufio.NewReader(c)
+	for i := 0; i < 2; i++ { // two requests on the one kept-alive connection
+		if _, err := io.WriteString(c, "GET /v1/health HTTP/1.1\r\nHost: gauge.test\r\n\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Close {
+			t.Fatalf("health: status %d, close %v; want 200 on a kept-alive connection", resp.StatusCode, resp.Close)
+		}
+		if g := gauge(); g != 1 {
+			t.Fatalf("after request %d on one open connection the gauge reads %v, want 1", i+1, g)
+		}
+	}
+	c.Close()
+	// The server sees the close asynchronously, on the connection's
+	// own goroutine.
+	deadline := time.Now().Add(5 * time.Second)
+	for gauge() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("gauge still reads %v 5s after the connection closed, want 0", gauge())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

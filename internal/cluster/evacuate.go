@@ -180,7 +180,7 @@ func (r *Router) commitEvacuation(ctx context.Context, snap *rlease, target *mem
 	}
 	cur.slot = target.slot
 	cur.memberLease = mresp.Lease
-	cur.resp.Placement = target.name + "/" + mresp.Placement
+	cur.placement = target.name + "/" + mresp.Placement
 	r.mu.Unlock()
 
 	// Free-on-source, last: if the source daemon is unreachable (the

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"hetmem/internal/journal"
+	"hetmem/internal/promtext"
 	"hetmem/internal/server"
 	"hetmem/internal/tenant"
 	"hetmem/internal/topology"
@@ -136,9 +137,20 @@ type rlease struct {
 	// the lease through journal replay, evacuation, and scrub repair.
 	tenant string
 
-	// resp is the response the client saw, replayed verbatim on
-	// idempotent retries.
-	resp server.AllocResponse
+	// placement is the member-prefixed placement the lease holds now;
+	// it follows migrate and evacuation.
+	placement string
+	// replay is the response the client saw, kept only for a keyed
+	// lease: a retry with its idempotency key gets it back, with the
+	// current placement. An unkeyed lease can never be replayed.
+	replay *server.AllocResponse
+}
+
+// replayResponse is the answer to an idempotent retry of a keyed lease.
+func (rl *rlease) replayResponse() server.AllocResponse {
+	resp := *rl.replay
+	resp.Placement = rl.placement
+	return resp
 }
 
 // Router shards the lease keyspace over a fleet of hetmemd daemons
@@ -280,17 +292,17 @@ func (r *Router) replay(restored journal.Restored) {
 				rl.tenant = tenant.Default // pre-tenancy journal record
 			}
 			// The member-reported placement string is not journaled;
-			// after a restart the replayed response names the member.
-			rl.resp = server.AllocResponse{
-				Lease:      rec.Lease,
-				Placement:  r.members[rl.slot].name,
-				AttrUsed:   rec.Attr,
-				TTLSeconds: float64(rec.TTLMillis) / 1000,
-			}
-			r.leases[rec.Lease] = rl
+			// after a restart the lease's placement names the member.
+			rl.placement = r.members[rl.slot].name
 			if rec.Key != "" {
+				rl.replay = &server.AllocResponse{
+					Lease:      rec.Lease,
+					AttrUsed:   rec.Attr,
+					TTLSeconds: float64(rec.TTLMillis) / 1000,
+				}
 				r.idem[rec.Key] = rec.Lease
 			}
+			r.leases[rec.Lease] = rl
 			if rec.Lease >= r.nextLease {
 				r.nextLease = rec.Lease + 1
 			}
@@ -301,7 +313,7 @@ func (r *Router) replay(restored journal.Restored) {
 			}
 			rl.slot = rec.Segments[0].NodeOS
 			rl.memberLease = rec.Segments[0].Bytes
-			rl.resp.Placement = r.members[rl.slot].name
+			rl.placement = r.members[rl.slot].name
 		case journal.OpFree:
 			if rl, ok := r.leases[rec.Lease]; ok {
 				if rl.key != "" {
@@ -576,7 +588,7 @@ func (r *Router) Alloc(ctx context.Context, req server.AllocRequest) (server.All
 	if req.IdempotencyKey != "" {
 		r.mu.Lock()
 		if id, ok := r.idem[req.IdempotencyKey]; ok {
-			resp := r.leases[id].resp
+			resp := r.leases[id].replayResponse()
 			r.mu.Unlock()
 			r.idemReplays.Add(1)
 			return resp, nil
@@ -611,7 +623,7 @@ func (r *Router) commitAlloc(ctx context.Context, m *member, req server.AllocReq
 			// A concurrent duplicate won the race. Same key, same member
 			// (rendezvous is deterministic), same member lease (the member
 			// deduped) — return the winner's response, free nothing.
-			resp := r.leases[id].resp
+			resp := r.leases[id].replayResponse()
 			r.mu.Unlock()
 			r.idemReplays.Add(1)
 			return resp, nil
@@ -634,7 +646,11 @@ func (r *Router) commitAlloc(ctx context.Context, m *member, req server.AllocReq
 	resp := mresp
 	resp.Lease = id
 	resp.Placement = m.name + "/" + mresp.Placement
-	rl.resp = resp
+	rl.placement = resp.Placement
+	if rl.key != "" {
+		replay := resp
+		rl.replay = &replay
+	}
 	if err := r.appendLocked(allocRecord(rl)); err != nil {
 		r.mu.Unlock()
 		if ferr := m.cl.Free(context.WithoutCancel(ctx), mresp.Lease); ferr != nil {
@@ -859,7 +875,7 @@ func (r *Router) Migrate(ctx context.Context, req server.MigrateRequest) (server
 	r.mu.Lock()
 	if cur, ok := r.leases[req.Lease]; ok && cur.slot == slot && cur.memberLease == memberLease {
 		cur.attr = req.Attr
-		cur.resp.Placement = m.name + "/" + mresp.Placement
+		cur.placement = m.name + "/" + mresp.Placement
 	}
 	r.mu.Unlock()
 	return server.MigrateResponse{
@@ -888,7 +904,7 @@ func (r *Router) Leases(ctx context.Context, list bool) (server.LeasesResponse, 
 		resp.TenantBytes[rl.tenant] += rl.size
 		if list {
 			resp.Leases = append(resp.Leases, server.LeaseInfo{
-				Lease: rl.id, Name: rl.name, Size: rl.size, Placement: rl.resp.Placement,
+				Lease: rl.id, Name: rl.name, Size: rl.size, Placement: rl.placement,
 				Tenant: rl.tenant,
 			})
 		}
@@ -1023,18 +1039,19 @@ func (r *Router) Attrs(ctx context.Context) ([]server.AttrReport, error) {
 // routed-lease count — so the single-daemon consistency checks and
 // dashboards work against the router unchanged.
 func (r *Router) WriteMetrics(ctx context.Context, w io.Writer) error {
-	fmt.Fprintf(w, "hetmemd_instance_info{instance_id=%q} 1\n", r.instanceID)
-	fmt.Fprintf(w, "hetmemd_cluster_members %d\n", len(r.members))
-	fmt.Fprintf(w, "hetmemd_cluster_forward_errors_total %d\n", r.forwardErrors.Load())
-	fmt.Fprintf(w, "hetmemd_cluster_migrations_total %d\n", r.migrations.Load())
-	fmt.Fprintf(w, "hetmemd_cluster_migrations_failed_total %d\n", r.migrationsFailed.Load())
-	fmt.Fprintf(w, "hetmemd_cluster_evacuations_total %d\n", r.evacuations.Load())
-	fmt.Fprintf(w, "hetmemd_cluster_idempotent_replays_total %d\n", r.idemReplays.Load())
-	fmt.Fprintf(w, "hetmemd_cluster_scrub_cycles_total %d\n", r.scrubCycles.Load())
-	fmt.Fprintf(w, "hetmemd_cluster_scrub_failures_total %d\n", r.scrubFailures.Load())
-	fmt.Fprintf(w, "hetmemd_cluster_scrub_repairs_total{kind=\"orphan\"} %d\n", r.scrubOrphans.Load())
-	fmt.Fprintf(w, "hetmemd_cluster_scrub_repairs_total{kind=\"lost\"} %d\n", r.scrubLost.Load())
-	fmt.Fprintf(w, "hetmemd_cluster_scrub_repairs_total{kind=\"drift\"} %d\n", r.scrubDrift.Load())
+	t := promtext.NewWriter(w)
+	t.Series("hetmemd_instance_info").Label("instance_id", r.instanceID).Uint(1)
+	t.Series("hetmemd_cluster_members").Int(int64(len(r.members)))
+	t.Series("hetmemd_cluster_forward_errors_total").Uint(r.forwardErrors.Load())
+	t.Series("hetmemd_cluster_migrations_total").Uint(r.migrations.Load())
+	t.Series("hetmemd_cluster_migrations_failed_total").Uint(r.migrationsFailed.Load())
+	t.Series("hetmemd_cluster_evacuations_total").Uint(r.evacuations.Load())
+	t.Series("hetmemd_cluster_idempotent_replays_total").Uint(r.idemReplays.Load())
+	t.Series("hetmemd_cluster_scrub_cycles_total").Uint(r.scrubCycles.Load())
+	t.Series("hetmemd_cluster_scrub_failures_total").Uint(r.scrubFailures.Load())
+	t.Series("hetmemd_cluster_scrub_repairs_total").Label("kind", "orphan").Uint(r.scrubOrphans.Load())
+	t.Series("hetmemd_cluster_scrub_repairs_total").Label("kind", "lost").Uint(r.scrubLost.Load())
+	t.Series("hetmemd_cluster_scrub_repairs_total").Label("kind", "drift").Uint(r.scrubDrift.Load())
 
 	r.mu.Lock()
 	bytesBySlot := make([]uint64, len(r.members))
@@ -1055,18 +1072,18 @@ func (r *Router) WriteMetrics(ctx context.Context, w io.Writer) error {
 	}
 	sort.Strings(tenants)
 	for _, name := range tenants {
-		fmt.Fprintf(w, "hetmemd_tenant_bytes{tenant=%q} %d\n", name, tenantBytes[name])
+		t.Series("hetmemd_tenant_bytes").Label("tenant", name).Uint(tenantBytes[name])
 	}
 
 	nodes := make([]server.NodeUsage, len(r.members))
 	for i, m := range r.members {
 		state, id, pressure := m.snapshotState()
-		fmt.Fprintf(w, "hetmemd_cluster_member_state{member=%q} %d\n", m.name, state)
-		fmt.Fprintf(w, "hetmemd_cluster_member_pressure{member=%q} %g\n", m.name, pressure)
-		fmt.Fprintf(w, "hetmemd_cluster_member_pending_free{member=%q} %d\n", m.name, m.pendingFreeDepth())
-		fmt.Fprintf(w, "hetmemd_cluster_member_overload_total{member=%q} %d\n", m.name, m.overloads.Load())
+		t.Series("hetmemd_cluster_member_state").Label("member", m.name).Int(int64(state))
+		t.Series("hetmemd_cluster_member_pressure").Label("member", m.name).Float(pressure)
+		t.Series("hetmemd_cluster_member_pending_free").Label("member", m.name).Int(int64(m.pendingFreeDepth()))
+		t.Series("hetmemd_cluster_member_overload_total").Label("member", m.name).Uint(m.overloads.Load())
 		if id != "" {
-			fmt.Fprintf(w, "hetmemd_cluster_member_info{member=%q,instance_id=%q} 1\n", m.name, id)
+			t.Series("hetmemd_cluster_member_info").Label("member", m.name).Label("instance_id", id).Uint(1)
 		}
 		nodes[i] = server.NodeUsage{Node: m.name, InUse: bytesBySlot[i], Health: state}
 	}

@@ -86,10 +86,15 @@ func TestRouterForwardsCoreOps(t *testing.T) {
 	}
 }
 
+// TestRouterIdempotentReplay checks that a keyed retry gets the whole
+// first response back — every AllocResponse field — and that the
+// replayed placement follows a migrate and survives a journal restart,
+// while an unkeyed lease still lists its placement.
 func TestRouterIdempotentReplay(t *testing.T) {
-	sim := startTestSim(t, SimOptions{})
+	wal := filepath.Join(t.TempDir(), "router.wal")
+	sim := startTestSim(t, SimOptions{Router: Config{JournalPath: wal}})
 	ctx := context.Background()
-	req := server.AllocRequest{Name: "buf", Size: 1 << 20, Attr: "Bandwidth", IdempotencyKey: "key-1"}
+	req := server.AllocRequest{Name: "buf", Size: 1 << 20, Attr: "Bandwidth", TTLSeconds: 30, IdempotencyKey: "key-1"}
 
 	first, err := sim.Router.Alloc(ctx, req)
 	if err != nil {
@@ -99,11 +104,78 @@ func TestRouterIdempotentReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Lease != second.Lease || first.Placement != second.Placement {
-		t.Fatalf("idempotent replay diverged: %+v vs %+v", first, second)
+	if second != first {
+		t.Fatalf("idempotent replay diverged:\n first %+v\nreplay %+v", first, second)
 	}
 	if n := sim.Router.LeaseCount(); n != 1 {
 		t.Fatalf("replay allocated a second lease (count=%d)", n)
+	}
+
+	plain, err := sim.Router.Alloc(ctx, server.AllocRequest{Name: "plain", Size: 1 << 20, Attr: "Bandwidth"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := func(r *Router) map[uint64]string {
+		t.Helper()
+		resp, err := r.Leases(ctx, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[uint64]string, len(resp.Leases))
+		for _, li := range resp.Leases {
+			out[li.Lease] = li.Placement
+		}
+		return out
+	}
+	if got := listed(sim.Router)[plain.Lease]; got != plain.Placement {
+		t.Fatalf("unkeyed lease %d lists placement %q, want %q", plain.Lease, got, plain.Placement)
+	}
+
+	migReq := server.MigrateRequest{Lease: first.Lease, Attr: "Capacity"}
+	mig, err := sim.Router.Migrate(ctx, migReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := first
+	want.Placement = mig.Placement
+	third, err := sim.Router.Alloc(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if third != want {
+		t.Fatalf("replay after migrate:\n got %+v\nwant %+v", third, want)
+	}
+	if got := listed(sim.Router)[first.Lease]; got != mig.Placement {
+		t.Fatalf("migrated lease lists placement %q, want %q", got, mig.Placement)
+	}
+
+	// The journal keeps the lease's request, with the attribute its
+	// last migrate asked for, and its member, but not the member's
+	// placement string: after a restart the replay names the member.
+	if err := sim.Router.Close(); err != nil {
+		t.Fatalf("router close: %v", err)
+	}
+	specs := make([]MemberSpec, len(sim.Members))
+	for i, m := range sim.Members {
+		specs[i] = MemberSpec{Name: m.Name, URL: m.URL}
+	}
+	r2, err := New(Config{Members: specs, JournalPath: wal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	member, _, _ := strings.Cut(first.Placement, "/")
+	plainMember, _, _ := strings.Cut(plain.Placement, "/")
+	want = server.AllocResponse{Lease: first.Lease, Placement: member, AttrUsed: migReq.Attr, TTLSeconds: first.TTLSeconds}
+	restored, err := r2.Alloc(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored != want {
+		t.Fatalf("replay after restart:\n got %+v\nwant %+v", restored, want)
+	}
+	if got := listed(r2)[plain.Lease]; got != plainMember {
+		t.Fatalf("restored unkeyed lease lists placement %q, want %q", got, plainMember)
 	}
 }
 

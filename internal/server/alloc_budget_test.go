@@ -43,23 +43,29 @@ const (
 	// Measured steady state 2: the path-value string and the placement
 	// string. The encoder itself is pooled and free.
 	leaseDetailBudget = 4
+	// One GET /v1/metrics on a journaled daemon with three tenants.
+	// Measured 25 (27-29 under -race): the node-usage slice and its
+	// sort, the tenant snapshot, one line buffer per renderer and the
+	// response buffer's growth. Through fmt.Fprintf it cost 564.
+	metricsBudget = 36
 	// One Client.Alloc + Client.Free over a unix socket to a daemon
 	// without a journal, counted process-wide: client and daemon, both
-	// ends of the wire. Measured 24 (29 under -race); a waiter channel
-	// made per round trip instead of pooled would add two to each of
-	// the pair's requests.
-	wireAllocFreeBudget = 30
+	// ends of the wire. Measured 19 (24-25 under -race); a waiter
+	// channel made per round trip instead of pooled would add two to
+	// each of the pair's requests, and encoding the alloc body into a
+	// fresh slice instead of a pooled one five.
+	wireAllocFreeBudget = 25
 	// One 16-item Client.AllocBatch on the same socket, leases kept:
 	// client and daemon, 12.5 per item. Measured 200 (204 under
 	// -race); through encoding/json at both ends the same batch cost
 	// 222 (230), so the budget sits between the two.
 	wireBatchBudget = 212
-	// The same pair over HTTP/1.1 on loopback TCP. Measured 70 (75
+	// The same pair over HTTP/1.1 on loopback TCP. Measured 65 (71
 	// under -race); the client's exchange is 2 of them, a copy of each
 	// response body, and net/http's server half about 55, whose count
 	// drifts between toolchains more than the headroom's worth. Through
 	// net/http's Transport the pair cost 204.
-	httpAllocFreeBudget = 90
+	httpAllocFreeBudget = 85
 )
 
 // budgetRW is a recyclable ResponseWriter: headers survive across
@@ -172,6 +178,30 @@ func TestAllocBudget(t *testing.T) {
 		if allocs > leaseDetailBudget {
 			t.Errorf("lease detail costs %.1f allocs/op, budget %d — the encoder path regressed",
 				allocs, leaseDetailBudget)
+		}
+	})
+
+	t.Run("metrics", func(t *testing.T) {
+		for _, tn := range bookTenants {
+			ctx := ContextWithTenant(context.Background(), tn)
+			if _, err := srv.Alloc(ctx, AllocRequest{Name: "budget-" + tn, Size: 4096, Attr: "Capacity"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		metricsBody := bytes.NewReader(nil)
+		metricsReq := budgetReq("GET", "/v1/metrics", metricsBody)
+		render := func() { serve(metricsReq, metricsBody, nil) }
+		render()
+		for _, tn := range bookTenants {
+			if !bytes.Contains(w.body, []byte(`hetmemd_tenant_sheds_total{tenant="`+tn+`"}`)) {
+				t.Fatalf("metrics render lacks tenant %s:\n%s", tn, w.body)
+			}
+		}
+		allocs := testing.AllocsPerRun(200, render)
+		t.Logf("metrics render: %.1f allocs/op (budget %d)", allocs, metricsBudget)
+		if allocs > metricsBudget {
+			t.Errorf("metrics render costs %.1f allocs/op, budget %d — fmt is back on the render path",
+				allocs, metricsBudget)
 		}
 	})
 

@@ -367,7 +367,9 @@ func (a *API) handler(route wire.Op) http.HandlerFunc {
 	ep := opEndpoints[route]
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		r = withRequestTenant(r)
+		// The tenant reaches the backend in the context; r.WithContext
+		// would copy the whole request for it.
+		ctx := ContextWithTenant(r.Context(), r.Header.Get(TenantHeader))
 		op := route
 		switch {
 		case op == wire.OpLeases && r.URL.Query().Get("list") != "":
@@ -386,17 +388,17 @@ func (a *API) handler(route wire.Op) http.HandlerFunc {
 			if id, perr := strconv.ParseUint(v, 10, 64); perr != nil || id == 0 {
 				err = fmt.Errorf("%w: bad lease id %q", ErrBadRequest, v)
 			} else {
-				out, err = a.leaseDetail(r.Context(), id, *bp)
+				out, err = a.leaseDetail(ctx, id, *bp)
 			}
 		case r.Method == http.MethodPost:
 			rb := getReqBuf()
 			var body []byte
 			if body, err = readRequest(r.Body, rb); err == nil {
-				out, err = a.serve(r.Context(), op, body, *bp)
+				out, err = a.serve(ctx, op, body, *bp)
 			}
 			putReqBuf(rb)
 		default:
-			out, err = a.serve(r.Context(), op, nil, *bp)
+			out, err = a.serve(ctx, op, nil, *bp)
 		}
 		status, ctype := http.StatusOK, "application/json"
 		if op == wire.OpMetrics || op == opAttrsText {

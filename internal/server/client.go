@@ -14,6 +14,7 @@ import (
 	"strings"
 	"syscall"
 	"time"
+	"unsafe"
 
 	"hetmem/internal/advisor"
 	"hetmem/internal/topology"
@@ -465,7 +466,11 @@ func (c *Client) Alloc(ctx context.Context, req AllocRequest) (AllocResponse, er
 		_, err := json.Marshal(req.TTLSeconds)
 		return AllocResponse{}, err
 	}
-	body, err := c.post(ctx, "/v1/alloc", appendAllocRequest(nil, &req), req.IdempotencyKey != "")
+	// Both transports are done with the payload when post returns.
+	rb := getReqBuf()
+	*rb = appendAllocRequest(*rb, &req)
+	body, err := c.post(ctx, "/v1/alloc", *rb, req.IdempotencyKey != "")
+	putReqBuf(rb)
 	if err != nil {
 		return AllocResponse{}, err
 	}
@@ -644,7 +649,12 @@ func (c *Client) Health(ctx context.Context) (HealthResponse, error) {
 // MetricsRaw fetches the /metrics text.
 func (c *Client) MetricsRaw(ctx context.Context) (string, error) {
 	body, err := c.get(ctx, "/v1/metrics")
-	return string(body), err
+	if len(body) == 0 {
+		return "", err
+	}
+	// Both transports hand back a body no one else holds, so the text
+	// can share its bytes.
+	return unsafe.String(&body[0], len(body)), err
 }
 
 // Metrics fetches and parses /metrics into a series→value map.

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hetmem/internal/promtext"
 	"hetmem/internal/wire"
 )
 
@@ -59,6 +60,22 @@ func (e Endpoint) String() string { return endpointNames[e] }
 const numBuckets = 8
 
 var latencyBuckets = [numBuckets]float64{4e-6, 16e-6, 64e-6, 256e-6, 1e-3, 4e-3, 16e-3, 67e-3}
+
+// latencyBounds and journalBatchBounds are the buckets' le labels,
+// formatted once.
+var (
+	latencyBounds      [numBuckets]string
+	journalBatchBounds [numBatchBuckets]string
+)
+
+func init() {
+	for i, ub := range latencyBuckets {
+		latencyBounds[i] = strconv.FormatFloat(ub, 'g', -1, 64)
+	}
+	for i, ub := range journalBatchBuckets {
+		journalBatchBounds[i] = strconv.FormatUint(ub, 10)
+	}
+}
 
 // Metrics is the daemon's lock-free instrumentation: per-endpoint
 // request/error counters and latency histograms, plus allocator
@@ -125,8 +142,9 @@ type Metrics struct {
 	// frame/request bytes, live connections, and decode errors, one
 	// slot per transport label. The binary listeners write their slots
 	// directly (each wire.Server is built with a pointer into this
-	// array); the HTTP slot is fed by instrument and the ConnState
-	// hook.
+	// array); the API's handler feeds the HTTP slot's request and byte
+	// counters, and the daemon's http.Server's ConnState hook its
+	// live-connection gauge.
 	transports [numTransports]wire.Stats
 }
 
@@ -193,88 +211,80 @@ type NodeUsage struct {
 // lease count are passed in by the server so the text always reflects
 // the allocator's ground truth.
 func (m *Metrics) Render(w io.Writer, nodes []NodeUsage, leases int) {
-	counter := func(name string, v uint64) {
-		fmt.Fprintf(w, "%s %d\n", name, v)
-	}
-	counter("hetmemd_alloc_total", m.AllocTotal.Load())
-	counter("hetmemd_alloc_failed_total", m.AllocFailed.Load())
-	counter("hetmemd_alloc_fallback_total", m.FallbackTotal.Load())
-	counter("hetmemd_alloc_attr_fallback_total", m.AttrFallback.Load())
-	counter("hetmemd_alloc_partial_total", m.PartialTotal.Load())
-	counter("hetmemd_alloc_remote_total", m.RemoteTotal.Load())
-	counter("hetmemd_free_total", m.FreeTotal.Load())
-	counter("hetmemd_migrate_total", m.MigrateTotal.Load())
-	counter("hetmemd_bytes_placed_total", m.BytesPlaced.Load())
-	counter("hetmemd_shed_total", m.ShedTotal.Load())
-	counter("hetmemd_auto_migrate_total", m.AutoMigrateTotal.Load())
-	counter("hetmemd_auto_migrate_failed_total", m.AutoMigrateFailed.Load())
-	counter("hetmemd_health_transitions_total", m.HealthTransitions.Load())
-	counter("hetmemd_idempotent_replays_total", m.IdemReplays.Load())
-	counter("hetmemd_journal_records_total", m.JournalRecords.Load())
-	counter("hetmemd_journal_tail_dropped_total", m.JournalTailDropped.Load())
-	counter("hetmemd_renew_total", m.RenewTotal.Load())
-	counter("hetmemd_leases_reaped_total", m.LeasesReaped.Load())
-	counter("hetmemd_checkpoint_total", m.CheckpointTotal.Load())
-	counter("hetmemd_checkpoint_failed_total", m.CheckpointFailed.Load())
-	counter("hetmemd_snapshot_fallback_total", m.SnapshotFallbacks.Load())
-	counter("hetmemd_rebalance_total", m.RebalanceTotal.Load())
-	counter("hetmemd_rebalance_failed_total", m.RebalanceFailed.Load())
-	counter("hetmemd_rebalance_bytes_total", m.RebalanceBytes.Load())
-	counter("hetmemd_placement_cache_hits_total", m.PlacementCacheHits.Load())
-	counter("hetmemd_placement_cache_misses_total", m.PlacementCacheMisses.Load())
-	counter("hetmemd_advisor_promoted_total", m.AdvisorPromoted.Load())
-	counter("hetmemd_advisor_demoted_total", m.AdvisorDemoted.Load())
-	counter("hetmemd_advisor_held_budget_total", m.AdvisorHeldBudget.Load())
-	counter("hetmemd_advisor_held_hysteresis_total", m.AdvisorHeldHysteresis.Load())
-	counter("hetmemd_advisor_cycles_total", m.AdvisorCycles.Load())
-	counter("hetmemd_advisor_bytes_moved_total", m.AdvisorBytesMoved.Load())
-	fmt.Fprintf(w, "hetmemd_leases_active %d\n", leases)
+	t := promtext.NewWriter(w)
+	t.Series("hetmemd_alloc_total").Uint(m.AllocTotal.Load())
+	t.Series("hetmemd_alloc_failed_total").Uint(m.AllocFailed.Load())
+	t.Series("hetmemd_alloc_fallback_total").Uint(m.FallbackTotal.Load())
+	t.Series("hetmemd_alloc_attr_fallback_total").Uint(m.AttrFallback.Load())
+	t.Series("hetmemd_alloc_partial_total").Uint(m.PartialTotal.Load())
+	t.Series("hetmemd_alloc_remote_total").Uint(m.RemoteTotal.Load())
+	t.Series("hetmemd_free_total").Uint(m.FreeTotal.Load())
+	t.Series("hetmemd_migrate_total").Uint(m.MigrateTotal.Load())
+	t.Series("hetmemd_bytes_placed_total").Uint(m.BytesPlaced.Load())
+	t.Series("hetmemd_shed_total").Uint(m.ShedTotal.Load())
+	t.Series("hetmemd_auto_migrate_total").Uint(m.AutoMigrateTotal.Load())
+	t.Series("hetmemd_auto_migrate_failed_total").Uint(m.AutoMigrateFailed.Load())
+	t.Series("hetmemd_health_transitions_total").Uint(m.HealthTransitions.Load())
+	t.Series("hetmemd_idempotent_replays_total").Uint(m.IdemReplays.Load())
+	t.Series("hetmemd_journal_records_total").Uint(m.JournalRecords.Load())
+	t.Series("hetmemd_journal_tail_dropped_total").Uint(m.JournalTailDropped.Load())
+	t.Series("hetmemd_renew_total").Uint(m.RenewTotal.Load())
+	t.Series("hetmemd_leases_reaped_total").Uint(m.LeasesReaped.Load())
+	t.Series("hetmemd_checkpoint_total").Uint(m.CheckpointTotal.Load())
+	t.Series("hetmemd_checkpoint_failed_total").Uint(m.CheckpointFailed.Load())
+	t.Series("hetmemd_snapshot_fallback_total").Uint(m.SnapshotFallbacks.Load())
+	t.Series("hetmemd_rebalance_total").Uint(m.RebalanceTotal.Load())
+	t.Series("hetmemd_rebalance_failed_total").Uint(m.RebalanceFailed.Load())
+	t.Series("hetmemd_rebalance_bytes_total").Uint(m.RebalanceBytes.Load())
+	t.Series("hetmemd_placement_cache_hits_total").Uint(m.PlacementCacheHits.Load())
+	t.Series("hetmemd_placement_cache_misses_total").Uint(m.PlacementCacheMisses.Load())
+	t.Series("hetmemd_advisor_promoted_total").Uint(m.AdvisorPromoted.Load())
+	t.Series("hetmemd_advisor_demoted_total").Uint(m.AdvisorDemoted.Load())
+	t.Series("hetmemd_advisor_held_budget_total").Uint(m.AdvisorHeldBudget.Load())
+	t.Series("hetmemd_advisor_held_hysteresis_total").Uint(m.AdvisorHeldHysteresis.Load())
+	t.Series("hetmemd_advisor_cycles_total").Uint(m.AdvisorCycles.Load())
+	t.Series("hetmemd_advisor_bytes_moved_total").Uint(m.AdvisorBytesMoved.Load())
+	t.Series("hetmemd_leases_active").Int(int64(leases))
 
-	var batchCum, batchCount uint64
-	for i, ub := range journalBatchBuckets {
+	var batchCum uint64
+	for i := range journalBatchBuckets {
 		batchCum += m.journalBatch[i].Load()
-		fmt.Fprintf(w, "hetmemd_journal_batch_size_bucket{le=\"%d\"} %d\n", ub, batchCum)
+		t.Series("hetmemd_journal_batch_size_bucket").Label("le", journalBatchBounds[i]).Uint(batchCum)
 	}
 	batchCum += m.journalBatch[numBatchBuckets].Load()
-	batchCount = batchCum
-	fmt.Fprintf(w, "hetmemd_journal_batch_size_bucket{le=\"+Inf\"} %d\n", batchCum)
-	fmt.Fprintf(w, "hetmemd_journal_batch_size_sum %d\n", m.journalBatchSum.Load())
-	fmt.Fprintf(w, "hetmemd_journal_batch_size_count %d\n", batchCount)
+	t.Series("hetmemd_journal_batch_size_bucket").Label("le", "+Inf").Uint(batchCum)
+	t.Series("hetmemd_journal_batch_size_sum").Uint(m.journalBatchSum.Load())
+	t.Series("hetmemd_journal_batch_size_count").Uint(batchCum)
 
-	for t := 0; t < numTransports; t++ {
-		name := transportNames[t]
-		st := &m.transports[t]
-		fmt.Fprintf(w, "hetmemd_transport_requests_total{transport=%q} %d\n", name, st.Requests.Load())
-		fmt.Fprintf(w, "hetmemd_transport_bytes_rx_total{transport=%q} %d\n", name, st.BytesRx.Load())
-		fmt.Fprintf(w, "hetmemd_transport_bytes_tx_total{transport=%q} %d\n", name, st.BytesTx.Load())
-		fmt.Fprintf(w, "hetmemd_transport_active_conns{transport=%q} %d\n", name, st.ActiveConns.Load())
-		fmt.Fprintf(w, "hetmemd_transport_decode_errors_total{transport=%q} %d\n", name, st.DecodeErrors.Load())
+	for i, name := range transportNames {
+		st := &m.transports[i]
+		t.Series("hetmemd_transport_requests_total").Label("transport", name).Uint(st.Requests.Load())
+		t.Series("hetmemd_transport_bytes_rx_total").Label("transport", name).Uint(st.BytesRx.Load())
+		t.Series("hetmemd_transport_bytes_tx_total").Label("transport", name).Uint(st.BytesTx.Load())
+		t.Series("hetmemd_transport_active_conns").Label("transport", name).Int(st.ActiveConns.Load())
+		t.Series("hetmemd_transport_decode_errors_total").Label("transport", name).Uint(st.DecodeErrors.Load())
 	}
 
 	for _, n := range nodes {
-		fmt.Fprintf(w, "hetmemd_node_capacity_bytes{node=%q} %d\n", n.Node, n.Capacity)
-		fmt.Fprintf(w, "hetmemd_node_bytes_in_use{node=%q} %d\n", n.Node, n.InUse)
-		fmt.Fprintf(w, "hetmemd_node_health{node=%q} %d\n", n.Node, n.Health)
+		t.Series("hetmemd_node_capacity_bytes").Label("node", n.Node).Uint(n.Capacity)
+		t.Series("hetmemd_node_bytes_in_use").Label("node", n.Node).Uint(n.InUse)
+		t.Series("hetmemd_node_health").Label("node", n.Node).Int(int64(n.Health))
 	}
 
-	for e := Endpoint(0); e < numEndpoints; e++ {
-		name := endpointNames[e]
-		fmt.Fprintf(w, "hetmemd_requests_total{endpoint=%q} %d\n", name, m.requests[e].Load())
-		fmt.Fprintf(w, "hetmemd_request_errors_total{endpoint=%q} %d\n", name, m.errors[e].Load())
+	for e, name := range endpointNames {
+		requests := m.requests[e].Load()
+		t.Series("hetmemd_requests_total").Label("endpoint", name).Uint(requests)
+		t.Series("hetmemd_request_errors_total").Label("endpoint", name).Uint(m.errors[e].Load())
 		cum := uint64(0)
-		for i, ub := range latencyBuckets {
+		for i := range latencyBuckets {
 			cum += m.latency[e][i].Load()
-			fmt.Fprintf(w, "hetmemd_request_seconds_bucket{endpoint=%q,le=%q} %d\n", name, formatBound(ub), cum)
+			t.Series("hetmemd_request_seconds_bucket").Label("endpoint", name).Label("le", latencyBounds[i]).Uint(cum)
 		}
 		cum += m.latency[e][numBuckets].Load()
-		fmt.Fprintf(w, "hetmemd_request_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", name, cum)
-		fmt.Fprintf(w, "hetmemd_request_seconds_sum{endpoint=%q} %g\n", name, float64(m.latencyNS[e].Load())/1e9)
-		fmt.Fprintf(w, "hetmemd_request_seconds_count{endpoint=%q} %d\n", name, m.requests[e].Load())
+		t.Series("hetmemd_request_seconds_bucket").Label("endpoint", name).Label("le", "+Inf").Uint(cum)
+		t.Series("hetmemd_request_seconds_sum").Label("endpoint", name).Float(float64(m.latencyNS[e].Load()) / 1e9)
+		t.Series("hetmemd_request_seconds_count").Label("endpoint", name).Uint(requests)
 	}
-}
-
-func formatBound(ub float64) string {
-	return strconv.FormatFloat(ub, 'g', -1, 64)
 }
 
 // ParseMetrics parses the Render text format back into a map keyed by

@@ -71,6 +71,7 @@ import (
 	"hetmem/internal/journal"
 	"hetmem/internal/lstopo"
 	"hetmem/internal/memsim"
+	"hetmem/internal/promtext"
 	"hetmem/internal/sensitivity"
 	"hetmem/internal/tenant"
 	"hetmem/internal/topology"
@@ -965,13 +966,14 @@ func (s *Server) WriteMetrics(ctx context.Context, w io.Writer) error {
 	hits, misses := s.sys.Allocator.CacheStats()
 	s.metrics.PlacementCacheHits.Store(hits)
 	s.metrics.PlacementCacheMisses.Store(misses)
-	fmt.Fprintf(w, "hetmemd_instance_info{instance_id=%q} 1\n", s.instanceID)
+	t := promtext.NewWriter(w)
+	t.Series("hetmemd_instance_info").Label("instance_id", s.instanceID).Uint(1)
 	s.metrics.Render(w, usage, s.leases.count())
 	s.tenants.WriteMetrics(w)
-	fmt.Fprintf(w, "hetmemd_admission_queue_waiting %d\n", s.queueWaiting.Load())
+	t.Series("hetmemd_admission_queue_waiting").Int(int64(s.queueWaiting.Load()))
 	if s.store != nil {
-		fmt.Fprintf(w, "hetmemd_wal_bytes %d\n", s.store.WALBytes())
-		fmt.Fprintf(w, "hetmemd_checkpoint_seq %d\n", s.store.Seq())
+		t.Series("hetmemd_wal_bytes").Int(s.store.WALBytes())
+		t.Series("hetmemd_checkpoint_seq").Uint(s.store.Seq())
 	}
 	return nil
 }

@@ -11,7 +11,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"sync"
 	"time"
 
@@ -40,18 +39,6 @@ func ContextWithTenant(ctx context.Context, name string) context.Context {
 func TenantFromContext(ctx context.Context) string {
 	name, _ := ctx.Value(tenantCtxKey{}).(string)
 	return name
-}
-
-// withRequestTenant stamps the request's tenant header into its
-// context. Requests without the header pass through untouched — the
-// empty name reads as the default tenant, and the untenanted hot path
-// stays allocation-free.
-func withRequestTenant(r *http.Request) *http.Request {
-	name := r.Header.Get(TenantHeader)
-	if name == "" {
-		return r
-	}
-	return r.WithContext(ContextWithTenant(r.Context(), name))
 }
 
 // Tenants returns the daemon's tenant registry.

@@ -789,3 +789,63 @@ func TestTransportMetricsRender(t *testing.T) {
 		}
 	}
 }
+
+// TestWireFramesLargerThanConnBuffers round-trips frames far larger
+// than a connection's 4 KiB read and write buffers on both binary
+// transports: an alloc whose 256 KiB name makes a 256 KiB request
+// body, and the lease list that echoes it back, while other callers'
+// small frames share the same connections. Run with -race.
+func TestWireFramesLargerThanConnBuffers(t *testing.T) {
+	_, _, udsBase, tcpBase := startWireDaemon(t, "xeon", server.Config{})
+	for name, base := range map[string]string{"uds": udsBase, "tcp-bin": tcpBase} {
+		t.Run(name, func(t *testing.T) {
+			cl := wireClient(t, base)
+			ctx := context.Background()
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < 4; i++ {
+						if err := largeFrameRound(ctx, cl, g, i); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+		})
+	}
+}
+
+// largeFrameRound is one caller's step of
+// TestWireFramesLargerThanConnBuffers: odd callers send small frames,
+// even ones a 256 KiB alloc and the lease list naming it.
+func largeFrameRound(ctx context.Context, cl *server.Client, g, i int) error {
+	req := server.AllocRequest{Name: fmt.Sprintf("small-%d-%d", g, i), Size: 1 << 20, Attr: "Bandwidth", Initiator: "0-19"}
+	if g%2 == 0 {
+		req.Name = fmt.Sprintf("%d-%d-", g, i) + strings.Repeat("x", 256<<10)
+	}
+	ar, err := cl.Alloc(ctx, req)
+	if err != nil {
+		return fmt.Errorf("alloc of a %d-byte name: %w", len(req.Name), err)
+	}
+	if g%2 == 0 {
+		ls, err := cl.Leases(ctx, true)
+		if err != nil {
+			return fmt.Errorf("lease list: %w", err)
+		}
+		found := false
+		for _, li := range ls.Leases {
+			found = found || li.Lease == ar.Lease && li.Name == req.Name
+		}
+		if !found {
+			return fmt.Errorf("lease list of %d leases lacks lease %d with its %d-byte name", len(ls.Leases), ar.Lease, len(req.Name))
+		}
+	}
+	if err := cl.Free(ctx, ar.Lease); err != nil {
+		return fmt.Errorf("free %d: %w", ar.Lease, err)
+	}
+	return nil
+}

@@ -23,6 +23,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"hetmem/internal/promtext"
 )
 
 // Class is a tenant's priority class. Ordering matters: a higher class
@@ -347,6 +349,7 @@ func (r *Registry) Snapshot() []Stats {
 // (sorted by tenant then kind). The tenant label always comes first so
 // rollup consumers can prefix-match `{tenant="name"`.
 func (r *Registry) WriteMetrics(w io.Writer) {
+	t := promtext.NewWriter(w)
 	for _, st := range r.Snapshot() {
 		kinds := make([]string, 0, len(st.Bytes))
 		for k := range st.Bytes {
@@ -354,13 +357,13 @@ func (r *Registry) WriteMetrics(w io.Writer) {
 		}
 		sort.Strings(kinds)
 		for _, k := range kinds {
-			fmt.Fprintf(w, "hetmemd_tenant_bytes{tenant=%q,kind=%q} %d\n", st.Name, k, st.Bytes[k])
+			t.Series("hetmemd_tenant_bytes").Label("tenant", st.Name).Label("kind", k).Uint(st.Bytes[k])
 		}
-		fmt.Fprintf(w, "hetmemd_tenant_sheds_total{tenant=%q} %d\n", st.Name, st.Sheds)
-		fmt.Fprintf(w, "hetmemd_tenant_queue_waits_total{tenant=%q} %d\n", st.Name, st.QueueWaits)
-		fmt.Fprintf(w, "hetmemd_tenant_queue_timeouts_total{tenant=%q} %d\n", st.Name, st.QueueTimeouts)
-		fmt.Fprintf(w, "hetmemd_tenant_quota_rejects_total{tenant=%q} %d\n", st.Name, st.QuotaRejects)
-		fmt.Fprintf(w, "hetmemd_tenant_evictions_total{tenant=%q} %d\n", st.Name, st.Evictions)
+		t.Series("hetmemd_tenant_sheds_total").Label("tenant", st.Name).Uint(st.Sheds)
+		t.Series("hetmemd_tenant_queue_waits_total").Label("tenant", st.Name).Uint(st.QueueWaits)
+		t.Series("hetmemd_tenant_queue_timeouts_total").Label("tenant", st.Name).Uint(st.QueueTimeouts)
+		t.Series("hetmemd_tenant_quota_rejects_total").Label("tenant", st.Name).Uint(st.QuotaRejects)
+		t.Series("hetmemd_tenant_evictions_total").Label("tenant", st.Name).Uint(st.Evictions)
 	}
 }
 

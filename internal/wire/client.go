@@ -11,14 +11,12 @@ import (
 	"time"
 )
 
-// Error kinds for transport-failure classification. The distinction is
-// the whole point of satellite retry safety: a request that provably
-// never reached the server (the dial failed, or the connection was
-// already dead before a byte of the frame was queued) is safe to retry
-// even when non-idempotent; a connection that dropped after the frame
-// was written is ambiguous — the server may have processed the request
-// without us seeing the answer — so only idempotent requests may
-// replay it.
+// Error kinds for transport-failure classification. A request that
+// provably never reached the server (the dial failed, or the connection
+// died before a byte of the frame was queued) is safe to retry even
+// when non-idempotent; after a drop once the frame was written, the
+// server may have processed it unseen, so only idempotent requests
+// may replay it.
 var (
 	// ErrNotSent: the request provably never reached the server.
 	ErrNotSent = errors.New("wire: request not sent")
@@ -318,7 +316,7 @@ func (cc *clientConn) fail(err error) {
 }
 
 func (cc *clientConn) readLoop() {
-	br := bufio.NewReaderSize(cc.c, 64<<10)
+	br := bufio.NewReaderSize(cc.c, connBufSize)
 	var buf []byte
 	for {
 		payload, nbuf, err := readFrame(br, buf[:0], MaxResponseFrame)

@@ -190,7 +190,7 @@ func (s *Server) serveConn(sc *serverConn) {
 		s.mu.Unlock()
 	}()
 
-	br := bufio.NewReaderSize(sc.c, 64<<10)
+	br := bufio.NewReaderSize(sc.c, connBufSize)
 	for {
 		bp := getBuf()
 		payload, buf, err := readFrame(br, (*bp)[:0], MaxRequestFrame)
@@ -283,8 +283,7 @@ func (s *Server) dispatchWorker(sc *serverConn, w dispatchWork) {
 
 // dispatch runs one request to completion and writes its response
 // frame on this goroutine; a failed write closes the connection.
-// reqBuf backs req.Body and is recycled here.
-// (The wg slot belongs to the worker goroutine, not to dispatch.)
+// reqBuf backs req.Body and is recycled here. The wg slot is the worker's.
 func (s *Server) dispatch(sc *serverConn, req Request, reqBuf *[]byte) {
 	rb := getBuf()
 	out, start := beginFrame((*rb)[:0])

@@ -55,6 +55,10 @@ const Version = 1
 // frameHeaderSize is the fixed length+CRC prefix on every frame.
 const frameHeaderSize = 8
 
+// connBufSize is a connection's read and write buffer, net/http's size;
+// bufio moves a larger frame straight to or from its own buffer.
+const connBufSize = 4 << 10
+
 // MaxRequestFrame bounds a request payload: the /v1 body limit plus
 // the request envelope. Anything larger is a decode error and closes
 // the connection before the daemon buffers it.
@@ -294,7 +298,7 @@ type frameWriter struct {
 }
 
 func newFrameWriter(w io.Writer) *frameWriter {
-	return &frameWriter{bw: bufio.NewWriterSize(w, 64<<10)}
+	return &frameWriter{bw: bufio.NewWriterSize(w, connBufSize)}
 }
 
 // write buffers one frame and flushes unless another writer is queued
