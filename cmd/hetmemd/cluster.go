@@ -11,10 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"hetmem/internal/cluster"
@@ -87,7 +84,15 @@ func runRouter(args []string, out io.Writer) error {
 	if err := validateRouterConfig(cfg); err != nil {
 		return err
 	}
-	return routerUntilSignal(serveAddrs{http: *addr, uds: *udsPath, tcpBin: *tcpBin}, cfg, out)
+	r, err := cluster.New(cfg)
+	if err != nil {
+		return err
+	}
+	if cfg.JournalPath != "" {
+		fmt.Fprintf(out, "hetmemd: router journal %s, %d leases restored\n", cfg.JournalPath, r.LeaseCount())
+	}
+	return serveUntilSignal(r, serveAddrs{http: *addr, uds: *udsPath, tcpBin: *tcpBin},
+		nodeLog{subject: "router ", detail: fmt.Sprintf(" (%d members)", len(cfg.Members)), closeErr: "router close"}, out)
 }
 
 // validateRouterConfig front-runs cluster.New with flag-named errors,
@@ -117,63 +122,6 @@ func validateRouterConfig(cfg cluster.Config) error {
 	if cfg.OfflineAfter <= 0 {
 		return fmt.Errorf("-offline-after must be positive, got %d", cfg.OfflineAfter)
 	}
-	return nil
-}
-
-// routerUntilSignal runs the router until SIGINT/SIGTERM, then drains
-// and checkpoints its journal — the cluster twin of serveUntilSignal.
-func routerUntilSignal(addrs serveAddrs, cfg cluster.Config, out io.Writer) error {
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	r, err := cluster.New(cfg)
-	if err != nil {
-		return err
-	}
-	if cfg.JournalPath != "" {
-		fmt.Fprintf(out, "hetmemd: router journal %s, %d leases restored\n", cfg.JournalPath, r.LeaseCount())
-	}
-	ln, err := net.Listen("tcp", addrs.http)
-	if err != nil {
-		r.Close()
-		return err
-	}
-	fmt.Fprintf(out, "hetmemd: router listening on http://%s (%d members)\n", ln.Addr(), len(cfg.Members))
-
-	stopWire, err := serveWireListeners(wireEndpoints{
-		handler: r.WireHandler(),
-		metrics: r.Metrics(),
-		uds:     addrs.uds,
-		tcpBin:  addrs.tcpBin,
-	}, out)
-	if err != nil {
-		ln.Close()
-		r.Close()
-		return err
-	}
-
-	hs := newHTTPServer(r.Handler(), r.Metrics().TransportStats(server.TransportHTTP))
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		stopWire()
-		r.Close()
-		return err
-	case <-ctx.Done():
-	}
-	fmt.Fprintln(out, "hetmemd: router shutting down")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(shutCtx); err != nil {
-		hs.Close()
-	}
-	stopWire()
-	if err := r.Close(); err != nil {
-		return fmt.Errorf("router close: %w", err)
-	}
-	fmt.Fprintln(out, "hetmemd: router journal flushed, bye")
 	return nil
 }
 

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"hetmem/internal/cluster"
 	"hetmem/internal/server"
 )
 
@@ -19,7 +18,7 @@ import (
 // flags.
 
 // TestRouterSubcommandEndToEnd boots two real daemons, fronts them
-// with the router subcommand's serve loop, does real work through the
+// with the router subcommand, does real work through the
 // router over the wire, and shuts it down with SIGTERM.
 func TestRouterSubcommandEndToEnd(t *testing.T) {
 	m0 := boot(t, "xeon")
@@ -44,14 +43,9 @@ func TestRouterSubcommandEndToEnd(t *testing.T) {
 	defer os.Remove(udsPath)
 	done := make(chan error, 1)
 	go func() {
-		done <- routerUntilSignal(serveAddrs{http: addr, uds: udsPath}, cluster.Config{
-			Members: []cluster.MemberSpec{
-				{Name: "m0", URL: m0},
-				{Name: "m1", URL: m1},
-			},
-			JournalPath:  filepath.Join(t.TempDir(), "router.wal"),
-			PollInterval: 50 * time.Millisecond,
-		}, w)
+		done <- run([]string{"router", "-addr", addr, "-uds", udsPath,
+			"-member", "m0=" + m0, "-member", "m1=" + m1,
+			"-journal", filepath.Join(t.TempDir(), "router.wal"), "-poll-interval", "50ms"}, w)
 	}()
 
 	base := "http://" + addr

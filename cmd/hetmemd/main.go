@@ -174,17 +174,32 @@ func runServe(args []string, out io.Writer) error {
 	if err := validateServeConfig(cfg); err != nil {
 		return err
 	}
-	return serveUntilSignal(serveAddrs{http: *addr, uds: *udsPath, tcpBin: *tcpBin, pprof: *pprofAddr},
-		*platName, *forceBench, cfg, out)
+	srv, err := buildServer(*platName, *forceBench, cfg, out)
+	if err != nil {
+		return err
+	}
+	if *pprofAddr != "" {
+		// The profiler gets its own listener so the API surface stays
+		// clean: net/http/pprof registers on the default mux, which the
+		// daemon's handler never serves.
+		pln, err := net.Listen("tcp", *pprofAddr)
+		if err != nil {
+			srv.Close()
+			return fmt.Errorf("pprof listener: %w", err)
+		}
+		defer pln.Close()
+		fmt.Fprintf(out, "hetmemd: pprof on http://%s/debug/pprof/\n", pln.Addr())
+		go http.Serve(pln, nil)
+	}
+	return serveUntilSignal(srv, serveAddrs{http: *addr, uds: *udsPath, tcpBin: *tcpBin}, nodeLog{closeErr: "journal close"}, out)
 }
 
-// serveAddrs is where one daemon listens: the HTTP surface plus the
-// optional binary-protocol and pprof side listeners.
+// serveAddrs is where one node listens: the HTTP surface plus the
+// optional binary-protocol listeners.
 type serveAddrs struct {
 	http   string
 	uds    string // unix socket path for the wire protocol
 	tcpBin string // TCP address for the wire protocol
-	pprof  string
 }
 
 // validateServeConfig front-runs server.NewWithConfig's validation so
@@ -229,119 +244,105 @@ func validateServeConfig(cfg server.Config) error {
 	return nil
 }
 
-// serveUntilSignal runs the daemon until SIGINT/SIGTERM, then shuts
-// down gracefully: in-flight requests drain and the journal flushes.
-func serveUntilSignal(addrs serveAddrs, platName string, forceBench bool, cfg server.Config, out io.Writer) error {
+// node is what one run loop serves: the daemon's Server or the
+// cluster Router.
+type node interface {
+	Handler() http.Handler
+	WireHandler() wire.Handler
+	Metrics() *server.Metrics
+	Close() error
+}
+
+// nodeLog is what a subcommand's run loop says: the daemon's lines, or
+// the router's with subject "router ".
+type nodeLog struct {
+	subject  string // before each line's verb
+	detail   string // after the listening line's address
+	closeErr string // what a failed Close is reported as
+}
+
+// serveUntilSignal serves a built node — a daemon or a router — until
+// SIGINT/SIGTERM, then shuts down gracefully: in-flight requests
+// drain, the wire listeners close, and closing the node flushes its
+// journal.
+func serveUntilSignal(n node, addrs serveAddrs, lg nodeLog, out io.Writer) error {
 	// Register for signals before announcing the listener, so anything
 	// that saw "listening" can already shut us down cleanly.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	srv, err := buildServer(platName, forceBench, cfg, out)
-	if err != nil {
-		return err
-	}
-	if addrs.pprof != "" {
-		// The profiler gets its own listener so the API surface stays
-		// clean: net/http/pprof registers on the default mux, which the
-		// daemon's handler never serves.
-		pln, err := net.Listen("tcp", addrs.pprof)
-		if err != nil {
-			srv.Close()
-			return fmt.Errorf("pprof listener: %w", err)
-		}
-		defer pln.Close()
-		fmt.Fprintf(out, "hetmemd: pprof on http://%s/debug/pprof/\n", pln.Addr())
-		go http.Serve(pln, nil)
-	}
 	ln, err := net.Listen("tcp", addrs.http)
 	if err != nil {
-		srv.Close()
+		n.Close()
 		return err
 	}
-	fmt.Fprintf(out, "hetmemd: listening on http://%s\n", ln.Addr())
+	fmt.Fprintf(out, "hetmemd: %slistening on http://%s%s\n", lg.subject, ln.Addr(), lg.detail)
 
-	stopWire, err := serveWireListeners(wireEndpoints{
-		handler: srv.WireHandler(),
-		metrics: srv.Metrics(),
-		uds:     addrs.uds,
-		tcpBin:  addrs.tcpBin,
-	}, out)
+	stopWire, err := serveWireListeners(n, addrs, out)
 	if err != nil {
 		ln.Close()
-		srv.Close()
+		n.Close()
 		return err
 	}
 
-	hs := newHTTPServer(srv.Handler(), srv.Metrics().TransportStats(server.TransportHTTP))
+	hs := newHTTPServer(n.Handler(), n.Metrics().TransportStats(server.TransportHTTP))
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
 	select {
 	case err := <-serveErr:
 		stopWire()
-		srv.Close()
+		n.Close()
 		return err
 	case <-ctx.Done():
 	}
-	fmt.Fprintln(out, "hetmemd: shutting down")
+	fmt.Fprintf(out, "hetmemd: %sshutting down\n", lg.subject)
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := hs.Shutdown(shutCtx); err != nil {
 		hs.Close()
 	}
 	stopWire()
-	if err := srv.Close(); err != nil {
-		return fmt.Errorf("journal close: %w", err)
+	if err := n.Close(); err != nil {
+		return fmt.Errorf("%s: %w", lg.closeErr, err)
 	}
-	fmt.Fprintln(out, "hetmemd: journal flushed, bye")
+	fmt.Fprintf(out, "hetmemd: %sjournal flushed, bye\n", lg.subject)
 	return nil
 }
 
-// wireEndpoints is a node's binary-protocol serving configuration:
-// the dispatcher, the metrics its listeners feed, and where to bind.
-// Both the daemon and the cluster router serve the wire protocol
-// through it.
-type wireEndpoints struct {
-	handler wire.Handler
-	metrics *server.Metrics
-	uds     string
-	tcpBin  string
-}
-
-// serveWireListeners binds the requested binary-protocol listeners
-// and serves them in the background; the returned stop closes them
-// (and removes the socket file). With neither address set it is a
+// serveWireListeners binds the node's requested binary-protocol
+// listeners and serves them in the background; the returned stop closes
+// them (and removes the socket file). With neither address set it is a
 // no-op.
-func serveWireListeners(eps wireEndpoints, out io.Writer) (stop func(), err error) {
+func serveWireListeners(n node, addrs serveAddrs, out io.Writer) (stop func(), err error) {
 	var stops []func()
 	stop = func() {
 		for _, s := range stops {
 			s()
 		}
 	}
-	if eps.uds != "" {
+	if addrs.uds != "" {
 		// A socket file left by a crashed daemon would fail the bind;
 		// the daemon owns its path, so a stale file is removed, not
 		// reported.
-		os.Remove(eps.uds)
-		uln, err := net.Listen("unix", eps.uds)
+		os.Remove(addrs.uds)
+		uln, err := net.Listen("unix", addrs.uds)
 		if err != nil {
 			return nil, fmt.Errorf("wire uds listener: %w", err)
 		}
-		ws := wire.NewServer(eps.handler, eps.metrics.TransportStats(server.TransportUDS))
+		ws := wire.NewServer(n.WireHandler(), n.Metrics().TransportStats(server.TransportUDS))
 		go ws.Serve(uln)
-		fmt.Fprintf(out, "hetmemd: wire listening on unix://%s\n", eps.uds)
-		path := eps.uds
+		fmt.Fprintf(out, "hetmemd: wire listening on unix://%s\n", addrs.uds)
+		path := addrs.uds
 		stops = append(stops, func() { ws.Close(); os.Remove(path) })
 	}
-	if eps.tcpBin != "" {
-		bln, err := net.Listen("tcp", eps.tcpBin)
+	if addrs.tcpBin != "" {
+		bln, err := net.Listen("tcp", addrs.tcpBin)
 		if err != nil {
 			stop()
 			return nil, fmt.Errorf("wire tcp listener: %w", err)
 		}
-		ws := wire.NewServer(eps.handler, eps.metrics.TransportStats(server.TransportTCPBin))
+		ws := wire.NewServer(n.WireHandler(), n.Metrics().TransportStats(server.TransportTCPBin))
 		go ws.Serve(bln)
 		fmt.Fprintf(out, "hetmemd: wire listening on tcp+bin://%s\n", bln.Addr())
 		stops = append(stops, func() { ws.Close() })

@@ -202,7 +202,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	defer os.Remove(udsPath)
 	done := make(chan error, 1)
 	go func() {
-		done <- serveUntilSignal(serveAddrs{http: addr, uds: udsPath}, "xeon", false, server.Config{JournalPath: journal}, w)
+		done <- run([]string{"serve", "-addr", addr, "-uds", udsPath, "-p", "xeon", "-journal", journal, "-no-advisor"}, w)
 	}()
 
 	// Wait for the daemon to come up, then do real work over the wire.

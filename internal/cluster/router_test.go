@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -283,8 +284,9 @@ func TestRouterErrorEnvelopePassthrough(t *testing.T) {
 	}
 }
 
-// TestRouterJournalRestart restarts a journaled router and checks the
-// restored lease map, with and without -journal-sync.
+// TestRouterJournalRestart crashes a journaled router, with and
+// without -journal-sync, and checks that a restart rebuilds the lease
+// map from the WAL's alloc and free records.
 func TestRouterJournalRestart(t *testing.T) {
 	for _, groupCommit := range []bool{false, true} {
 		name := "process-crash-durable"
@@ -292,6 +294,20 @@ func TestRouterJournalRestart(t *testing.T) {
 			name = "group-commit"
 		}
 		t.Run(name, func(t *testing.T) { testRouterJournalRestart(t, groupCommit) })
+	}
+}
+
+// crash stops r as a killed process stops: its loops end and its
+// journal and member clients close, but nothing is checkpointed, so a
+// restart replays whatever the WAL holds.
+func crash(t *testing.T, r *Router) {
+	r.stopOnce.Do(func() { close(r.stopCh) })
+	r.wg.Wait()
+	if err := r.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range r.members {
+		m.cl.Close()
 	}
 }
 
@@ -313,8 +329,16 @@ func testRouterJournalRestart(t *testing.T, groupCommit bool) {
 		}
 		ids = append(ids, resp.Lease)
 	}
-	if err := sim.Router.Close(); err != nil {
-		t.Fatalf("router close: %v", err)
+	// One free before the crash, so the replay must apply a free record
+	// after the allocs.
+	freed := ids[7]
+	ids = ids[:7]
+	if _, err := sim.Router.Free(ctx, server.FreeRequest{Lease: freed}); err != nil {
+		t.Fatal(err)
+	}
+	crash(t, sim.Router)
+	if _, err := os.Stat(filepath.Join(dir, "router.wal.ckpt")); err == nil {
+		t.Fatal("the crashed router left a checkpoint: the restart would not replay the WAL")
 	}
 
 	specs := make([]MemberSpec, len(sim.Members))
@@ -338,6 +362,9 @@ func testRouterJournalRestart(t *testing.T, groupCommit bool) {
 	defer r2.Close()
 	if got := r2.LeaseCount(); got != len(ids) {
 		t.Fatalf("restarted router restored %d leases, want %d", got, len(ids))
+	}
+	if _, err := r2.Free(ctx, server.FreeRequest{Lease: freed}); err == nil {
+		t.Fatalf("lease %d, freed before the crash, came back", freed)
 	}
 	// The restored mapping must still point at the real member leases:
 	// a replayed idempotency key dedupes, and a free reaches the member.

@@ -9,7 +9,9 @@ package server
 // answer goes out in one Write. WireBackend (wirebridge.go) frames it
 // over the binary protocol: the body is the frame's, the answer is the
 // frame's. Either way a request gets the same status and the same bytes,
-// because they are produced once.
+// because they are produced once. The route table below names each op
+// once: the method and path the mux serves and the client writes, and
+// the endpoint every framing counts it under.
 //
 // A Backend is a placement node: the daemon's Server (an attached memsim
 // Machine) or the cluster Router (a fleet of member daemons). The routes
@@ -29,6 +31,7 @@ import (
 	mrand "math/rand"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"hetmem/internal/advisor"
@@ -94,11 +97,54 @@ var errNotServed = errors.New("server: not served by this backend")
 // The ops only HTTP can name. They sit past the binary protocol's last
 // op, where wire decoding refuses a frame before it reaches a handler.
 const (
-	opAttrsText wire.Op = 128 + iota // GET /v1/attrs?format=text
+	opAttrsText = wire.OpMetrics + 1 + iota
 	opAdvisor
 	opAdvisorPause
 	opAdvisorResume
+	numOps
 )
+
+// route is how one op is named outside the op code: its HTTP method and
+// path, and the endpoint it is counted under on every transport.
+type route struct {
+	method string
+	// path is the request target. A query marks a variant the base
+	// path's handler picks from the query; "{id}" stands for the lease
+	// ID.
+	path string
+	ep   endpoint
+}
+
+// routes names every op once, indexed by op. The mux patterns, the
+// client's request lines and the metrics endpoints all come from here;
+// adding an op is a row here and a case in ops.serve.
+var routes = [numOps]route{
+	wire.OpTopology:    {http.MethodGet, "/v1/topology", epTopology},
+	wire.OpAttrs:       {http.MethodGet, "/v1/attrs", epAttrs},
+	opAttrsText:        {http.MethodGet, "/v1/attrs?format=text", epAttrs},
+	wire.OpAlloc:       {http.MethodPost, "/v1/alloc", epAlloc},
+	wire.OpAllocBatch:  {http.MethodPost, "/v1/alloc/batch", epAllocBatch},
+	wire.OpFree:        {http.MethodPost, "/v1/free", epFree},
+	wire.OpRenew:       {http.MethodPost, "/v1/renew", epRenew},
+	wire.OpMigrate:     {http.MethodPost, "/v1/migrate", epMigrate},
+	wire.OpLeases:      {http.MethodGet, "/v1/leases", epLeases},
+	wire.OpLeaseList:   {http.MethodGet, "/v1/leases?list=1", epLeases},
+	wire.OpLeaseDetail: {http.MethodGet, "/v1/leases/{id}", epLeaseDetail},
+	wire.OpHealth:      {http.MethodGet, "/v1/health", epHealth},
+	wire.OpMetrics:     {http.MethodGet, "/v1/metrics", epMetrics},
+	opAdvisor:          {http.MethodGet, "/v1/advisor", epAdvisor},
+	opAdvisorPause:     {http.MethodPost, "/v1/advisor/pause", epAdvisor},
+	opAdvisorResume:    {http.MethodPost, "/v1/advisor/resume", epAdvisor},
+}
+
+// appendTarget appends the request target of one call of the route,
+// with id in place of "{id}".
+func (rt *route) appendTarget(b []byte, id uint64) []byte {
+	if p, ok := strings.CutSuffix(rt.path, "{id}"); ok {
+		return strconv.AppendUint(append(b, p...), id, 10)
+	}
+	return append(b, rt.path...)
+}
 
 // ops is the op table: a Backend, the optional extensions it
 // implements, and the metrics every framing records into.
@@ -197,7 +243,8 @@ func (o *ops) serve(ctx context.Context, op wire.Op, body, dst []byte) ([]byte, 
 
 	case wire.OpLeaseDetail:
 		// The binary body reuses the free-request shape: {"lease": N}.
-		req, err := decodeFreeRequest(body)
+		// A zero lease is refused by leaseDetail, as on HTTP.
+		req, err := decodeBody(body, scanFreeRequest, nil)
 		if err != nil {
 			return dst, err
 		}
@@ -241,6 +288,9 @@ func (o *ops) serve(ctx context.Context, op wire.Op, body, dst []byte) ([]byte, 
 // leaseDetail is the lease-detail op once the framing has the ID: from
 // the path on HTTP, from the body on the binary transport.
 func (o *ops) leaseDetail(ctx context.Context, id uint64, dst []byte) ([]byte, error) {
+	if id == 0 {
+		return dst, badLeaseID("0")
+	}
 	if o.detail == nil {
 		return dst, fmt.Errorf("%w: %d", errNoSuchLease, id)
 	}
@@ -249,6 +299,11 @@ func (o *ops) leaseDetail(ctx context.Context, id uint64, dst []byte) ([]byte, e
 		return dst, err
 	}
 	return appendLeaseDetailResponse(dst, &resp), nil
+}
+
+// badLeaseID refuses a lease-detail ID that names no lease.
+func badLeaseID(v string) error {
+	return fmt.Errorf("%w: bad lease id %q", ErrBadRequest, v)
 }
 
 // appendJSON appends v exactly as encoding/json's Encoder writes it,
@@ -336,23 +391,11 @@ func NewAPI(b Backend, opts APIOptions) *API {
 // daemon passes its own, so the HTTP and binary series are one set.
 func newAPI(b Backend, metrics *Metrics, retryAfterSeconds int) *API {
 	a := &API{ops: newOps(b, metrics, retryAfterSeconds), mux: http.NewServeMux()}
-	for pattern, op := range map[string]wire.Op{
-		"GET /v1/topology":        wire.OpTopology,
-		"GET /v1/attrs":           wire.OpAttrs,
-		"POST /v1/alloc":          wire.OpAlloc,
-		"POST /v1/alloc/batch":    wire.OpAllocBatch,
-		"POST /v1/free":           wire.OpFree,
-		"POST /v1/renew":          wire.OpRenew,
-		"POST /v1/migrate":        wire.OpMigrate,
-		"GET /v1/leases":          wire.OpLeases,
-		"GET /v1/leases/{id}":     wire.OpLeaseDetail,
-		"GET /v1/health":          wire.OpHealth,
-		"GET /v1/metrics":         wire.OpMetrics,
-		"GET /v1/advisor":         opAdvisor,
-		"POST /v1/advisor/pause":  opAdvisorPause,
-		"POST /v1/advisor/resume": opAdvisorResume,
-	} {
-		a.mux.HandleFunc(pattern, a.handler(op))
+	for op, rt := range routes {
+		// A variant is served by its base path's handler.
+		if rt.path != "" && !strings.Contains(rt.path, "?") {
+			a.mux.HandleFunc(rt.method+" "+rt.path, a.handler(wire.Op(op)))
+		}
 	}
 	return a
 }
@@ -363,14 +406,13 @@ func newAPI(b Backend, metrics *Metrics, retryAfterSeconds int) *API {
 // written in one Write, and the request is counted under its endpoint
 // and the HTTP transport. The X-Hetmem-Tenant header reaches the
 // backend through the context.
-func (a *API) handler(route wire.Op) http.HandlerFunc {
-	ep := opEndpoints[route]
+func (a *API) handler(base wire.Op) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		// The tenant reaches the backend in the context; r.WithContext
 		// would copy the whole request for it.
 		ctx := ContextWithTenant(r.Context(), r.Header.Get(TenantHeader))
-		op := route
+		op := base
 		switch {
 		case op == wire.OpLeases && r.URL.Query().Get("list") != "":
 			op = wire.OpLeaseList
@@ -385,8 +427,8 @@ func (a *API) handler(route wire.Op) http.HandlerFunc {
 		switch {
 		case op == wire.OpLeaseDetail:
 			v := r.PathValue("id")
-			if id, perr := strconv.ParseUint(v, 10, 64); perr != nil || id == 0 {
-				err = fmt.Errorf("%w: bad lease id %q", ErrBadRequest, v)
+			if id, perr := strconv.ParseUint(v, 10, 64); perr != nil {
+				err = badLeaseID(v)
 			} else {
 				out, err = a.leaseDetail(ctx, id, *bp)
 			}
@@ -435,7 +477,7 @@ func (a *API) handler(route wire.Op) http.HandlerFunc {
 		}
 		putRespBuf(bp)
 
-		a.metrics.Observe(ep, time.Since(start), status >= 400)
+		a.metrics.observe(routes[op].ep, time.Since(start), status >= 400)
 		// The HTTP slot of the per-transport counters; the binary
 		// listeners feed theirs from inside wire.Server.
 		hs := a.metrics.TransportStats(TransportHTTP)

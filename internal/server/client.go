@@ -265,19 +265,23 @@ type doResult struct {
 // refused connection — provably never processed — so a member daemon
 // restarting under a router does not turn into duplicated work, and
 // an ambiguous mid-exchange failure is surfaced instead of replayed.
-func (c *Client) do(ctx context.Context, method, path string, payload []byte, idempotent bool) (doResult, error) {
+//
+// id is the lease a lease detail asks about: HTTP puts it in the path,
+// the binary transport in the body.
+func (c *Client) do(ctx context.Context, op wire.Op, id uint64, payload []byte, idempotent bool) (doResult, error) {
 	var res doResult
 	var lastErr error
 	// Refuse before burning attempts what fails identically every
-	// time: a path with no wire op (the advisor control surface) on a
-	// binary transport, an unusable base URL or tenant on HTTP.
+	// time: an HTTP-only op (the advisor control surface) on a binary
+	// transport, an unusable base URL or tenant on HTTP.
+	rt := &routes[op]
 	tenant := c.requestTenant(ctx)
-	var wop wire.Op
-	var wbody []byte
 	if c.wc != nil {
-		var err error
-		if wop, wbody, err = wireOpFor(method, path, payload); err != nil {
-			return res, err
+		if !op.Valid() {
+			return res, fmt.Errorf("server: %s %s is not available on the binary transport (use an http:// base)", rt.method, rt.path)
+		}
+		if op == wire.OpLeaseDetail {
+			payload = appendFreeRequest(nil, id)
 		}
 	} else if err := c.hc.check(tenant); err != nil {
 		return res, err
@@ -317,13 +321,13 @@ func (c *Client) do(ctx context.Context, method, path string, payload []byte, id
 		// client with a pooled timer, HTTP with a connection deadline.
 		var err error
 		if c.wc != nil {
-			res.status, res.body, err = c.wc.RoundTrip(ctx, c.attemptTimeout, wop, tenant, wbody)
+			res.status, res.body, err = c.wc.RoundTrip(ctx, c.attemptTimeout, op, tenant, payload)
 			if err == nil {
 				res.retryAfter = wireRetryAfter(res.status, res.body)
 			}
 		} else {
 			var r httpResponse
-			r, err = c.hc.roundTrip(ctx, c.attemptTimeout, method, path, tenant, payload)
+			r, err = c.hc.roundTrip(ctx, c.attemptTimeout, rt, id, tenant, payload)
 			res.status, res.body, res.retryAfter = r.status, r.body, parseRetryAfter(r.retryAfter)
 		}
 		if err != nil {
@@ -366,20 +370,18 @@ func (c *Client) do(ctx context.Context, method, path string, payload []byte, id
 	return res, nil
 }
 
-func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
-	res, err := c.do(ctx, http.MethodGet, path, nil, true)
-	if err != nil {
-		return nil, err
-	}
-	if res.status != http.StatusOK {
-		return nil, apiErrorFrom(res)
-	}
-	return res.body, nil
+// get runs a read op and returns the 200 response's body.
+func (c *Client) get(ctx context.Context, op wire.Op, id uint64) ([]byte, error) {
+	return okBody(c.do(ctx, op, id, nil, true))
 }
 
 // post sends an encoded request body and returns the 200 response's.
-func (c *Client) post(ctx context.Context, path string, payload []byte, idempotent bool) ([]byte, error) {
-	res, err := c.do(ctx, http.MethodPost, path, payload, idempotent)
+func (c *Client) post(ctx context.Context, op wire.Op, payload []byte, idempotent bool) ([]byte, error) {
+	return okBody(c.do(ctx, op, 0, payload, idempotent))
+}
+
+// okBody is a 200 response's body; any other status is its *APIError.
+func okBody(res doResult, err error) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -391,12 +393,12 @@ func (c *Client) post(ctx context.Context, path string, payload []byte, idempote
 
 // postJSON is post for the shapes off the hot path: encoding/json
 // both ways.
-func (c *Client) postJSON(ctx context.Context, path string, req, out any, idempotent bool) error {
+func (c *Client) postJSON(ctx context.Context, op wire.Op, req, out any, idempotent bool) error {
 	payload, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
-	body, err := c.post(ctx, path, payload, idempotent)
+	body, err := c.post(ctx, op, payload, idempotent)
 	if err != nil || out == nil {
 		return err
 	}
@@ -432,7 +434,7 @@ func newIdempotencyKey() string {
 
 // Topology fetches and rebuilds the daemon's machine topology.
 func (c *Client) Topology(ctx context.Context) (*topology.Topology, error) {
-	body, err := c.get(ctx, "/v1/topology")
+	body, err := c.get(ctx, wire.OpTopology, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -441,7 +443,7 @@ func (c *Client) Topology(ctx context.Context) (*topology.Topology, error) {
 
 // Attrs fetches the attribute dump (the Figure 5 report).
 func (c *Client) Attrs(ctx context.Context) ([]AttrReport, error) {
-	body, err := c.get(ctx, "/v1/attrs")
+	body, err := c.get(ctx, wire.OpAttrs, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -469,7 +471,7 @@ func (c *Client) Alloc(ctx context.Context, req AllocRequest) (AllocResponse, er
 	// Both transports are done with the payload when post returns.
 	rb := getReqBuf()
 	*rb = appendAllocRequest(*rb, &req)
-	body, err := c.post(ctx, "/v1/alloc", *rb, req.IdempotencyKey != "")
+	body, err := c.post(ctx, wire.OpAlloc, *rb, req.IdempotencyKey != "")
 	putReqBuf(rb)
 	if err != nil {
 		return AllocResponse{}, err
@@ -514,7 +516,7 @@ func (c *Client) AllocBatch(ctx context.Context, reqs []AllocRequest) (BatchAllo
 	// Room for a typical item up front; a batch of long names grows it
 	// once or twice instead of from nothing.
 	payload := appendBatchAllocRequest(make([]byte, 0, 16+128*len(reqs)), reqs)
-	body, err := c.post(ctx, "/v1/alloc/batch", payload, false)
+	body, err := c.post(ctx, wire.OpAllocBatch, payload, false)
 	if err != nil {
 		return BatchAllocResponse{}, err
 	}
@@ -542,7 +544,7 @@ func (c *Client) AllocBatch(ctx context.Context, reqs []AllocRequest) (BatchAllo
 // future. A zero ttl keeps the lease's granted TTL.
 func (c *Client) Renew(ctx context.Context, lease uint64, ttl time.Duration) (RenewResponse, error) {
 	req := RenewRequest{Lease: lease, TTLSeconds: ttl.Seconds()}
-	body, err := c.post(ctx, "/v1/renew", appendRenewRequest(nil, &req), true)
+	body, err := c.post(ctx, wire.OpRenew, appendRenewRequest(nil, &req), true)
 	if err != nil {
 		return RenewResponse{}, err
 	}
@@ -558,7 +560,7 @@ func (c *Client) Renew(ctx context.Context, lease uint64, ttl time.Duration) (Re
 // daemon freed the lease on an attempt whose answer never arrived.
 func (c *Client) Free(ctx context.Context, lease uint64) error {
 	c.hb.untrack(lease)
-	res, err := c.do(ctx, http.MethodPost, "/v1/free", appendFreeRequest(nil, lease), true)
+	res, err := c.do(ctx, wire.OpFree, 0, appendFreeRequest(nil, lease), true)
 	if err != nil {
 		return err
 	}
@@ -576,18 +578,18 @@ func (c *Client) Free(ctx context.Context, lease uint64) error {
 // again), so only connection-refused transport errors are retried.
 func (c *Client) Migrate(ctx context.Context, req MigrateRequest) (MigrateResponse, error) {
 	var out MigrateResponse
-	err := c.postJSON(ctx, "/v1/migrate", req, &out, false)
+	err := c.postJSON(ctx, wire.OpMigrate, req, &out, false)
 	return out, err
 }
 
 // Leases fetches the live lease table summary (with the per-lease list
 // when list is true).
 func (c *Client) Leases(ctx context.Context, list bool) (LeasesResponse, error) {
-	path := "/v1/leases"
+	op := wire.OpLeases
 	if list {
-		path += "?list=1"
+		op = wire.OpLeaseList
 	}
-	body, err := c.get(ctx, path)
+	body, err := c.get(ctx, op, 0)
 	if err != nil {
 		return LeasesResponse{}, err
 	}
@@ -599,7 +601,7 @@ func (c *Client) Leases(ctx context.Context, list bool) (LeasesResponse, error) 
 // LeaseDetail fetches one lease's full record — placement, attribute,
 // advisor classification, and access telemetry.
 func (c *Client) LeaseDetail(ctx context.Context, lease uint64) (LeaseDetailResponse, error) {
-	body, err := c.get(ctx, "/v1/leases/"+strconv.FormatUint(lease, 10))
+	body, err := c.get(ctx, wire.OpLeaseDetail, lease)
 	if err != nil {
 		return LeaseDetailResponse{}, err
 	}
@@ -613,7 +615,7 @@ func (c *Client) LeaseDetail(ctx context.Context, lease uint64) (LeaseDetailResp
 // without an advisor answer 409 advisor_paused
 // (errors.Is(err, server.ErrCodeAdvisorPaused)).
 func (c *Client) Advisor(ctx context.Context) (advisor.Snapshot, error) {
-	body, err := c.get(ctx, "/v1/advisor")
+	body, err := c.get(ctx, opAdvisor, 0)
 	if err != nil {
 		return advisor.Snapshot{}, err
 	}
@@ -626,18 +628,18 @@ func (c *Client) Advisor(ctx context.Context) (advisor.Snapshot, error) {
 // already-paused advisor is a 409 advisor_paused error, so callers
 // coordinating a maintenance window can detect a double-pause.
 func (c *Client) AdvisorPause(ctx context.Context) error {
-	return c.postJSON(ctx, "/v1/advisor/pause", struct{}{}, nil, false)
+	return c.postJSON(ctx, opAdvisorPause, struct{}{}, nil, false)
 }
 
 // AdvisorResume restarts automatic re-placement; resuming a running
 // advisor is a no-op.
 func (c *Client) AdvisorResume(ctx context.Context) error {
-	return c.postJSON(ctx, "/v1/advisor/resume", struct{}{}, nil, true)
+	return c.postJSON(ctx, opAdvisorResume, struct{}{}, nil, true)
 }
 
 // Health fetches the daemon's health report.
 func (c *Client) Health(ctx context.Context) (HealthResponse, error) {
-	body, err := c.get(ctx, "/v1/health")
+	body, err := c.get(ctx, wire.OpHealth, 0)
 	if err != nil {
 		return HealthResponse{}, err
 	}
@@ -648,7 +650,7 @@ func (c *Client) Health(ctx context.Context) (HealthResponse, error) {
 
 // MetricsRaw fetches the /metrics text.
 func (c *Client) MetricsRaw(ctx context.Context) (string, error) {
-	body, err := c.get(ctx, "/v1/metrics")
+	body, err := c.get(ctx, wire.OpMetrics, 0)
 	if len(body) == 0 {
 		return "", err
 	}

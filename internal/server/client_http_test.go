@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"hetmem/internal/core"
+	"hetmem/internal/wire"
 )
 
 const healthJSON = `{"status":"ok"}`
@@ -181,7 +182,7 @@ func TestHTTP204(t *testing.T) {
 	defer ts.Close()
 	cl := testClient(ts.URL)
 	for i := 0; i < 2; i++ {
-		resp, err := cl.hc.roundTrip(context.Background(), time.Second, http.MethodPost, "/v1/free", "", []byte(`{"lease":1}`))
+		resp, err := cl.hc.roundTrip(context.Background(), time.Second, &routes[wire.OpFree], 0, "", []byte(`{"lease":1}`))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,12 +206,12 @@ func TestHTTPRetryAfterBothForms(t *testing.T) {
 	cl := testClient(ts.URL)
 
 	next.Store("7")
-	res, err := cl.do(context.Background(), http.MethodGet, "/v1/health", nil, true)
+	res, err := cl.do(context.Background(), wire.OpHealth, 0, nil, true)
 	if err != nil || res.status != http.StatusServiceUnavailable || res.retryAfter != 7*time.Second {
 		t.Fatalf("delay-seconds: %+v, %v; want a 503 with a 7s hint", res, err)
 	}
 	next.Store(time.Now().Add(3 * time.Second).UTC().Format(http.TimeFormat))
-	res, err = cl.do(context.Background(), http.MethodGet, "/v1/health", nil, true)
+	res, err = cl.do(context.Background(), wire.OpHealth, 0, nil, true)
 	if err != nil || res.status != http.StatusServiceUnavailable || res.retryAfter <= 0 || res.retryAfter > 3*time.Second {
 		t.Fatalf("HTTP-date: %+v, %v; want a 503 with a hint in (0, 3s]", res, err)
 	}

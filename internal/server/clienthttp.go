@@ -113,7 +113,7 @@ func (t *httpTransport) check(tenant string) error {
 // bounds the whole attempt, dial included; ctx ends it early. A
 // response that arrived whole is returned even when ctx ended just
 // after it.
-func (t *httpTransport) roundTrip(ctx context.Context, timeout time.Duration, method, path, tenant string, payload []byte) (httpResponse, error) {
+func (t *httpTransport) roundTrip(ctx context.Context, timeout time.Duration, rt *route, id uint64, tenant string, payload []byte) (httpResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return httpResponse{}, err
 	}
@@ -133,7 +133,7 @@ func (t *httpTransport) roundTrip(ctx context.Context, timeout time.Duration, me
 	if ctx.Done() != nil {
 		stop = context.AfterFunc(ctx, pc.expire)
 	}
-	resp, err := pc.exchange(method, t.prefix, path, t.host, tenant, payload)
+	resp, err := pc.exchange(rt, id, t.prefix, t.host, tenant, payload)
 	if stop != nil && !stop() {
 		// The context ended mid-exchange and its deadline now poisons
 		// the connection; a complete response still stands.
@@ -229,13 +229,14 @@ func newHTTPConn(nc net.Conn) *httpConn {
 	return pc
 }
 
-// exchange writes the request in one Write and reads the final
-// response, skipping informational ones.
-func (pc *httpConn) exchange(method, prefix, path, host, tenant string, payload []byte) (httpResponse, error) {
-	b := append(pc.wbuf[:0], method...)
+// exchange writes the request in one Write, its request line from the
+// op's route, and reads the final response, skipping informational
+// ones.
+func (pc *httpConn) exchange(rt *route, id uint64, prefix, host, tenant string, payload []byte) (httpResponse, error) {
+	b := append(pc.wbuf[:0], rt.method...)
 	b = append(b, ' ')
 	b = append(b, prefix...)
-	b = append(b, path...)
+	b = rt.appendTarget(b, id)
 	b = append(b, " HTTP/1.1\r\nHost: "...)
 	b = append(b, host...)
 	if payload != nil {

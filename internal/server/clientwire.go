@@ -18,8 +18,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
@@ -36,46 +34,6 @@ func wireBaseFor(base string) *wire.Client {
 		return wire.NewClient("tcp", hp)
 	}
 	return nil
-}
-
-// wireOpFor maps the client's (method, path) vocabulary onto wire ops,
-// so the typed methods stay transport-agnostic. The lease-detail path
-// folds its ID into the op body (the free-request shape). Paths with
-// no wire op — the advisor control surface — are an immediate,
-// non-retryable error: they exist only on HTTP.
-func wireOpFor(method, path string, payload []byte) (wire.Op, []byte, error) {
-	switch path {
-	case "/v1/topology":
-		return wire.OpTopology, nil, nil
-	case "/v1/attrs":
-		return wire.OpAttrs, nil, nil
-	case "/v1/alloc":
-		return wire.OpAlloc, payload, nil
-	case "/v1/alloc/batch":
-		return wire.OpAllocBatch, payload, nil
-	case "/v1/free":
-		return wire.OpFree, payload, nil
-	case "/v1/renew":
-		return wire.OpRenew, payload, nil
-	case "/v1/migrate":
-		return wire.OpMigrate, payload, nil
-	case "/v1/leases":
-		return wire.OpLeases, nil, nil
-	case "/v1/leases?list=1":
-		return wire.OpLeaseList, nil, nil
-	case "/v1/health":
-		return wire.OpHealth, nil, nil
-	case "/v1/metrics":
-		return wire.OpMetrics, nil, nil
-	}
-	if id, ok := strings.CutPrefix(path, "/v1/leases/"); ok {
-		n, err := strconv.ParseUint(id, 10, 64)
-		if err != nil || n == 0 {
-			return 0, nil, fmt.Errorf("%w: bad lease id %q", ErrBadRequest, id)
-		}
-		return wire.OpLeaseDetail, appendFreeRequest(nil, n), nil
-	}
-	return 0, nil, fmt.Errorf("server: %s %s is not available on the binary transport (use an http:// base)", method, path)
 }
 
 // wireRetryAfter recovers the daemon's retry hint on the binary

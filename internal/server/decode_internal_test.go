@@ -298,7 +298,7 @@ func TestNonFiniteTTLRefusedBeforeSending(t *testing.T) {
 					t.Errorf("AllocBatch with ttl %v: %v, want %v", ttl, err, want)
 				}
 			}
-			if n := srv.Metrics().Requests(EpAlloc) + srv.Metrics().Requests(EpAllocBatch); n != 0 {
+			if n := srv.Metrics().requests[epAlloc].Load() + srv.Metrics().requests[epAllocBatch].Load(); n != 0 {
 				t.Errorf("the daemon saw %d alloc requests; one with a non-finite TTL was sent", n)
 			}
 		})

@@ -28,23 +28,24 @@ const (
 // member.
 var transportNames = [numTransports]string{"http", "uds", "tcp-bin"}
 
-// Endpoint indexes the daemon's request counters.
-type Endpoint int
+// endpoint indexes the daemon's request counters; each route names
+// the one it counts under.
+type endpoint int
 
 // The instrumented endpoints.
 const (
-	EpTopology Endpoint = iota
-	EpAttrs
-	EpAlloc
-	EpFree
-	EpRenew
-	EpMigrate
-	EpLeases
-	EpMetrics
-	EpHealth
-	EpAllocBatch
-	EpLeaseDetail
-	EpAdvisor
+	epTopology endpoint = iota
+	epAttrs
+	epAlloc
+	epFree
+	epRenew
+	epMigrate
+	epLeases
+	epMetrics
+	epHealth
+	epAllocBatch
+	epLeaseDetail
+	epAdvisor
 	numEndpoints
 )
 
@@ -52,8 +53,6 @@ var endpointNames = [numEndpoints]string{
 	"topology", "attrs", "alloc", "free", "renew", "migrate", "leases", "metrics", "health", "alloc_batch",
 	"lease_detail", "advisor",
 }
-
-func (e Endpoint) String() string { return endpointNames[e] }
 
 // latencyBuckets are the histogram upper bounds in seconds, roughly
 // quadrupling from 4µs to 67ms plus a catch-all.
@@ -177,9 +176,9 @@ func (m *Metrics) ObserveJournalBatch(n int) {
 // NewMetrics creates an empty metrics set.
 func NewMetrics() *Metrics { return &Metrics{} }
 
-// Observe records one request to the endpoint with its duration and
+// observe records one request to the endpoint with its duration and
 // whether it failed.
-func (m *Metrics) Observe(e Endpoint, d time.Duration, failed bool) {
+func (m *Metrics) observe(e endpoint, d time.Duration, failed bool) {
 	m.requests[e].Add(1)
 	if failed {
 		m.errors[e].Add(1)
@@ -194,9 +193,6 @@ func (m *Metrics) Observe(e Endpoint, d time.Duration, failed bool) {
 	m.latency[e][i].Add(1)
 	m.latencyNS[e].Add(uint64(d.Nanoseconds()))
 }
-
-// Requests returns the request count for one endpoint.
-func (m *Metrics) Requests(e Endpoint) uint64 { return m.requests[e].Load() }
 
 // NodeUsage is the per-node gauge snapshot rendered into /metrics.
 type NodeUsage struct {

@@ -5,20 +5,9 @@
 // et al. and the pool-tuning runtime of Vaverka et al.
 //
 // The daemon loads one platform, runs discovery once (HMAT or
-// benchmarking), and then serves the /v1 surface (api.go) over HTTP and
-// the binary transports:
-//
-//	GET  /v1/topology  — the machine's topology (JSON export)
-//	GET  /v1/attrs     — the Figure-5-style attribute dump (JSON, or
-//	                     ?format=text for the lstopo rendering)
-//	POST /v1/alloc     — size + attribute + initiator → ranked-fallback
-//	                     placement, returning a lease ID
-//	POST /v1/free      — release a lease
-//	POST /v1/migrate   — re-place a leased buffer for a new attribute/phase
-//	GET  /v1/leases    — the live lease table with per-node byte totals
-//	GET  /v1/metrics   — counters, fallback rates, per-node bytes in use,
-//	                     and request latency histograms (plain text)
-//	GET  /v1/health    — per-node health states and capacity pressure
+// benchmarking), and then serves the /v1 surface over HTTP and the
+// binary transports: the route table in api.go names every op, and
+// ops.serve answers it.
 //
 // # Failure model
 //

@@ -273,7 +273,8 @@ func decodeStrict(data []byte, v any) error {
 
 // decodeBody decodes and validates a request body held in memory,
 // bounded by MaxRequestBytes: scan's reading when it accepts,
-// decodeStrict's otherwise. A nil scan means the shape has no scanner.
+// decodeStrict's otherwise. A nil scan means the shape has no scanner,
+// a nil validate that any decoded value stands.
 func decodeBody[T any](data []byte, scan func([]byte) (T, bool), validate func(T) error) (T, error) {
 	var zero T
 	if len(data) > MaxRequestBytes {
@@ -293,8 +294,10 @@ func decodeBody[T any](data []byte, scan func([]byte) (T, bool), validate func(T
 		}
 		req = slow
 	}
-	if err := validate(req); err != nil {
-		return zero, err
+	if validate != nil {
+		if err := validate(req); err != nil {
+			return zero, err
+		}
 	}
 	return req, nil
 }

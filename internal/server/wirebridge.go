@@ -34,28 +34,6 @@ func (s *Server) WireHandler() wire.Handler { return s.api.WireHandler() }
 // WireHandler returns the surface's binary-protocol dispatcher.
 func (a *API) WireHandler() wire.Handler { return &WireBackend{a.ops} }
 
-// opEndpoints maps ops onto the endpoint counters, so
-// hetmemd_requests_total{endpoint=...} totals requests across every
-// transport.
-var opEndpoints = map[wire.Op]Endpoint{
-	wire.OpTopology:    EpTopology,
-	wire.OpAttrs:       EpAttrs,
-	wire.OpAlloc:       EpAlloc,
-	wire.OpAllocBatch:  EpAllocBatch,
-	wire.OpFree:        EpFree,
-	wire.OpRenew:       EpRenew,
-	wire.OpMigrate:     EpMigrate,
-	wire.OpLeases:      EpLeases,
-	wire.OpLeaseList:   EpLeases,
-	wire.OpLeaseDetail: EpLeaseDetail,
-	wire.OpHealth:      EpHealth,
-	wire.OpMetrics:     EpMetrics,
-	opAttrsText:        EpAttrs,
-	opAdvisor:          EpAdvisor,
-	opAdvisorPause:     EpAdvisor,
-	opAdvisorResume:    EpAdvisor,
-}
-
 // ServeWire implements wire.Handler: run the op on the frame's body and
 // answer with its bytes, or with the v1 error envelope.
 func (wb *WireBackend) ServeWire(ctx context.Context, op wire.Op, tenant string, body, dst []byte) (int, []byte) {
@@ -70,8 +48,8 @@ func (wb *WireBackend) ServeWire(ctx context.Context, op wire.Op, tenant string,
 		status, eb = errorBody(err, wb.retryAfterSeconds)
 		out = appendErrorEnvelope(dst, &eb)
 	}
-	if ep, ok := opEndpoints[op]; ok && wb.metrics != nil {
-		wb.metrics.Observe(ep, time.Since(start), status >= 400)
+	if op > 0 && op < numOps && wb.metrics != nil {
+		wb.metrics.observe(routes[op].ep, time.Since(start), status >= 400)
 	}
 	return status, out
 }

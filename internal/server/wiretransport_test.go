@@ -394,6 +394,10 @@ func testTypedClientParity(t *testing.T) {
 			_, err := cl.LeaseDetail(ctx, 999999)
 			return err
 		}},
+		{"zero lease detail", func(cl *server.Client) error {
+			_, err := cl.LeaseDetail(ctx, 0)
+			return err
+		}},
 		{"zero size", func(cl *server.Client) error {
 			_, err := cl.Alloc(ctx, server.AllocRequest{Name: "x", Attr: "Bandwidth"})
 			return err
