@@ -48,29 +48,59 @@ type candEntry struct {
 	fell   bool
 }
 
-// candCache memoizes Candidates results until the generation moves.
+// candCacheCap bounds the ranked-candidate cache. A daemon's steady
+// traffic ranks for a handful of keys; the bound keeps a stream of
+// one-off sparse initiators from growing the cache for the life of the
+// process.
+const candCacheCap = 1024
+
+// candSlot is one slot of the cache's clock.
+type candSlot struct {
+	key candKey
+	e   *candEntry
+	ref uint32 // set (atomically, under the read lock) by a hit; cleared as the hand passes
+}
+
+// candCache memoizes Candidates results until the generation moves. It
+// is a clock of at most candCacheCap slots: a full cache recycles a
+// stale-generation slot first, else the first slot the hand finds
+// unreferenced since its last pass.
 type candCache struct {
-	mu sync.RWMutex
-	m  map[candKey]*candEntry
+	mu    sync.RWMutex
+	idx   map[candKey]int // key -> slot
+	slots []candSlot
+	hand  int
+	// top is the newest generation stored, and fresh counts the slots
+	// holding an entry of it: fresh < len(slots) means a stale slot
+	// exists for the hand to find.
+	top   uint64
+	fresh int
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
 
 func newCandCache() *candCache {
-	return &candCache{m: make(map[candKey]*candEntry)}
+	return &candCache{idx: make(map[candKey]int)}
 }
 
 // lookup returns the entry for key if it was computed under gen for an
-// initiator equal to ini.
+// initiator equal to ini, and marks its slot referenced.
 func (c *candCache) lookup(key candKey, gen uint64, ini *bitmap.Bitmap) (*candEntry, bool) {
 	c.mu.RLock()
-	e, ok := c.m[key]
-	c.mu.RUnlock()
-	if !ok || e.gen != gen || !bitmap.Equal(e.ini, ini) {
+	defer c.mu.RUnlock()
+	i, ok := c.idx[key]
+	if !ok {
 		return nil, false
 	}
-	return e, true
+	sl := &c.slots[i]
+	if sl.e.gen != gen || !bitmap.Equal(sl.e.ini, ini) {
+		return nil, false
+	}
+	if atomic.LoadUint32(&sl.ref) == 0 {
+		atomic.StoreUint32(&sl.ref, 1)
+	}
+	return sl.e, true
 }
 
 // store publishes a freshly computed ranking. A racing store for the
@@ -78,11 +108,59 @@ func (c *candCache) lookup(key candKey, gen uint64, ini *bitmap.Bitmap) (*candEn
 // mutated.
 func (c *candCache) store(key candKey, e *candEntry) {
 	c.mu.Lock()
-	old, ok := c.m[key]
-	if !ok || old.gen <= e.gen {
-		c.m[key] = e
+	defer c.mu.Unlock()
+	if e.gen > c.top {
+		c.top, c.fresh = e.gen, 0
 	}
-	c.mu.Unlock()
+	if i, ok := c.idx[key]; ok {
+		sl := &c.slots[i]
+		if sl.e.gen <= e.gen {
+			if sl.e.gen != c.top && e.gen == c.top {
+				c.fresh++
+			}
+			sl.e = e
+		}
+		return
+	}
+	i := len(c.slots)
+	if i < candCacheCap {
+		c.slots = append(c.slots, candSlot{})
+	} else {
+		i = c.victim()
+		delete(c.idx, c.slots[i].key)
+		if c.slots[i].e.gen == c.top {
+			c.fresh--
+		}
+	}
+	c.slots[i] = candSlot{key: key, e: e}
+	c.idx[key] = i
+	if e.gen == c.top {
+		c.fresh++
+	}
+}
+
+// victim picks the slot a full cache recycles: the first
+// stale-generation slot from the hand on if there is one, else the
+// first slot whose reference bit is clear, clearing bits as the hand
+// passes them. Caller holds the write lock.
+func (c *candCache) victim() int {
+	n := len(c.slots)
+	if c.fresh < n {
+		for j := range n {
+			if i := (c.hand + j) % n; c.slots[i].e.gen < c.top {
+				c.hand = (i + 1) % n
+				return i
+			}
+		}
+	}
+	for {
+		i := c.hand
+		c.hand = (i + 1) % n
+		if c.slots[i].ref == 0 {
+			return i
+		}
+		c.slots[i].ref = 0
+	}
 }
 
 // cacheGen is the allocator's effective generation: the machine's

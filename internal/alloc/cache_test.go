@@ -212,3 +212,79 @@ func TestCachedRankingNotCorruptedByAvoid(t *testing.T) {
 		}
 	}
 }
+
+// sparseInitiator returns the i-th distinct initiator drawn from the
+// first package's cores: the set bits of i+1.
+func sparseInitiator(i int) *bitmap.Bitmap {
+	b := bitmap.New()
+	for bit := 0; i+1 >= 1<<bit; bit++ {
+		if (i+1)&(1<<bit) != 0 {
+			b.Set(bit)
+		}
+	}
+	return b
+}
+
+// TestCandidateCacheBounded: a stream of distinct initiators leaves at
+// most candCacheCap entries, and a key hit between the misses keeps
+// hitting.
+func TestCandidateCacheBounded(t *testing.T) {
+	a, hot := xeonAlloc(t)
+	if _, _, _, err := a.Candidates(memattr.Bandwidth, hot, false); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 10000 {
+		if _, _, _, err := a.Candidates(memattr.Bandwidth, sparseInitiator(i), false); err != nil {
+			t.Fatal(err)
+		}
+		hits, _ := a.CacheStats()
+		if _, _, _, err := a.Candidates(memattr.Bandwidth, hot, false); err != nil {
+			t.Fatal(err)
+		}
+		if now, _ := a.CacheStats(); now != hits+1 {
+			t.Fatalf("after %d distinct initiators the hot key missed", i+1)
+		}
+	}
+	if n := len(a.cache.idx); n > candCacheCap {
+		t.Fatalf("cache holds %d entries, cap %d", n, candCacheCap)
+	}
+	if n := len(a.cache.slots); n != candCacheCap {
+		t.Fatalf("cache has %d slots after 10000 keys, want %d", n, candCacheCap)
+	}
+}
+
+// TestCandidateCacheEvictsStaleFirst: once the generation moves, a full
+// cache recycles stale entries before any current one, referenced or
+// not.
+func TestCandidateCacheEvictsStaleFirst(t *testing.T) {
+	a, hot := xeonAlloc(t)
+	for i := range candCacheCap {
+		if _, _, _, err := a.Candidates(memattr.Bandwidth, sparseInitiator(i), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Referenced entries in the back half: a clock that ignored the
+	// generation would pass over them and come round to hot first.
+	for i := candCacheCap / 2; i < candCacheCap; i++ {
+		if _, _, _, err := a.Candidates(memattr.Bandwidth, sparseInitiator(i), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.InvalidateCandidates()
+	// Ranked under the new generation and never hit again.
+	if _, _, _, err := a.Candidates(memattr.Bandwidth, hot, false); err != nil {
+		t.Fatal(err)
+	}
+	for i := range candCacheCap - 1 {
+		if _, _, _, err := a.Candidates(memattr.Latency, sparseInitiator(i), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hits, _ := a.CacheStats()
+	if _, _, _, err := a.Candidates(memattr.Bandwidth, hot, false); err != nil {
+		t.Fatal(err)
+	}
+	if now, _ := a.CacheStats(); now != hits+1 {
+		t.Fatal("a current entry was evicted while stale ones remained")
+	}
+}

@@ -200,7 +200,7 @@ func (e *Engine) Phase(name string, accesses []Access) PhaseResult {
 	var totalStreamBytes float64
 	var totalRandom uint64
 	var extraCPU float64
-	var touched []*Buffer
+	var touched []*counters
 
 	for _, a := range accesses {
 		extraCPU += a.CPUSeconds
@@ -217,9 +217,10 @@ func (e *Engine) Phase(name string, accesses []Access) PhaseResult {
 		if mlp <= 0 {
 			mlp = 1
 		}
-		b.Loads += a.ReadBytes/8 + a.RandomReads
-		b.Stores += a.WriteBytes / 8
-		touched = append(touched, b)
+		c := b.counters()
+		c.loads += a.ReadBytes/8 + a.RandomReads
+		c.stores += a.WriteBytes / 8
+		touched = append(touched, c)
 		for _, seg := range b.SegmentsSnapshot() {
 			frac := 1.0
 			if b.Size > 0 {
@@ -235,8 +236,8 @@ func (e *Engine) Phase(name string, accesses []Access) PhaseResult {
 			t.misses += misses
 			t.missWeight += float64(misses) / mlp
 			t.workingSet += seg.Bytes
-			b.LLCMisses += (r+w)/lineSize + misses
-			b.RandomMisses += misses
+			c.llcMisses += (r+w)/lineSize + misses
+			c.randomMisses += misses
 			seg.Node.BytesRead += r + misses*lineSize
 			seg.Node.BytesWritten += w
 			seg.Node.RandomReads += misses
@@ -308,8 +309,8 @@ func (e *Engine) Phase(name string, accesses []Access) PhaseResult {
 		}
 	}
 	e.stats.Phases = append(e.stats.Phases, res)
-	for _, b := range touched {
-		b.publishTelemetry()
+	for _, c := range touched {
+		c.publish()
 	}
 	return res
 }

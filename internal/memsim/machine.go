@@ -240,33 +240,29 @@ type Segment struct {
 // Placement state (Segments, freed) is guarded by a per-buffer lock so
 // Free and Migrate are safe against concurrent calls on the same
 // buffer; the per-buffer counters belong to the single-threaded engine.
+//
+// A placement daemon holds one Buffer per lease, so the struct carries
+// only what every buffer needs: a one-node placement lives in seg0 (no
+// separate slice), and the access counters exist only once a phase
+// has touched the buffer.
 type Buffer struct {
 	Name string
 	Size uint64
 
 	// Segments is the buffer's placement. Guarded by mu: concurrent
-	// readers must use SegmentsSnapshot, NodeNames, or OnKind; direct
-	// access is only safe while no Migrate/Free can run.
+	// readers must use SegmentsSnapshot, AppendSegments, NodeNames or
+	// OnKind; direct access is only safe while no Migrate/Free can run.
+	// A one-node placement points into seg0, which Migrate rewrites in
+	// place.
 	Segments []Segment
+	seg0     [1]Segment
 
-	// Per-buffer counters for the profiler (Fig 7 of the paper).
-	LLCMisses uint64
-	// RandomMisses is the share of LLCMisses caused by irregular
-	// (latency-bound) accesses, used to classify buffer sensitivity.
-	RandomMisses uint64
-	Loads        uint64
-	Stores       uint64
-
-	mu    sync.Mutex // guards Segments and freed
+	mu    sync.Mutex // guards Segments, seg0 and freed
 	freed bool
-	m     *Machine
 
-	// tele mirrors the engine-owned counters above for concurrent
-	// readers: the engine publishes into it at the end of every Phase
-	// (and on ResetCounters), so a background sampler — the daemon's
-	// tiering advisor — can read a coherent snapshot without touching
-	// the single-threaded simulation state.
-	tele telemetry
+	// ctr holds the access counters, set by the engine when a phase
+	// first touches the buffer: nil reads as all zeros.
+	ctr atomic.Pointer[counters]
 }
 
 // Telemetry is a point-in-time copy of a buffer's access counters, safe
@@ -280,29 +276,83 @@ type Telemetry struct {
 	Stores       uint64 `json:"stores"`
 }
 
-// telemetry is the atomic mirror behind TelemetrySnapshot.
-type telemetry struct {
-	llcMisses, randomMisses, loads, stores atomic.Uint64
+// counters are a buffer's per-buffer counters for the profiler (Fig 7
+// of the paper). The plain fields belong to the single-threaded engine;
+// tele mirrors them for concurrent readers: the engine publishes into
+// it at the end of every Phase (and on ResetCounters), so a background
+// sampler — the daemon's tiering advisor — can read a coherent
+// snapshot without touching the simulation state.
+type counters struct {
+	llcMisses uint64
+	// randomMisses is the share of llcMisses caused by irregular
+	// (latency-bound) accesses, used to classify buffer sensitivity.
+	randomMisses  uint64
+	loads, stores uint64
+
+	tele struct {
+		llcMisses, randomMisses, loads, stores atomic.Uint64
+	}
 }
 
-// publishTelemetry copies the engine-owned counters into the atomic
-// mirror. Called by the engine at phase end and by ResetCounters; not
-// safe to race with other writers (the engine is single-threaded).
-func (b *Buffer) publishTelemetry() {
-	b.tele.llcMisses.Store(b.LLCMisses)
-	b.tele.randomMisses.Store(b.RandomMisses)
-	b.tele.loads.Store(b.Loads)
-	b.tele.stores.Store(b.Stores)
+// counters returns the buffer's counters, creating them on first use.
+// Only the engine creates them; the CompareAndSwap keeps a second
+// engine on the same buffer from dropping the first one's counts.
+func (b *Buffer) counters() *counters {
+	if c := b.ctr.Load(); c != nil {
+		return c
+	}
+	b.ctr.CompareAndSwap(nil, new(counters))
+	return b.ctr.Load()
+}
+
+// noCounters stands in for the counters of a buffer no phase touched.
+// Never written.
+var noCounters counters
+
+// read returns the buffer's counters, or zeros when it has none.
+func (b *Buffer) read() *counters {
+	if c := b.ctr.Load(); c != nil {
+		return c
+	}
+	return &noCounters
+}
+
+// LLCMisses returns the buffer's last-level-cache misses. Like the
+// engine that counts them, not safe to call concurrently with Phase;
+// concurrent readers use TelemetrySnapshot.
+func (b *Buffer) LLCMisses() uint64 { return b.read().llcMisses }
+
+// RandomMisses returns the share of LLCMisses caused by irregular
+// (latency-bound) accesses. Engine-owned, like LLCMisses.
+func (b *Buffer) RandomMisses() uint64 { return b.read().randomMisses }
+
+// Loads returns the buffer's 8-byte loads. Engine-owned, like LLCMisses.
+func (b *Buffer) Loads() uint64 { return b.read().loads }
+
+// Stores returns the buffer's 8-byte stores. Engine-owned, like
+// LLCMisses.
+func (b *Buffer) Stores() uint64 { return b.read().stores }
+
+// publish copies the engine-owned counters into the atomic mirror.
+// Called by the engine at phase end and by ResetCounters; not safe to
+// race with other writers (the engine is single-threaded).
+func (c *counters) publish() {
+	c.tele.llcMisses.Store(c.llcMisses)
+	c.tele.randomMisses.Store(c.randomMisses)
+	c.tele.loads.Store(c.loads)
+	c.tele.stores.Store(c.stores)
 }
 
 // TelemetrySnapshot returns the last published counters. Safe for
-// concurrent use; returns zeros until the first phase completes.
+// concurrent use; returns zeros until the first phase that touches the
+// buffer completes.
 func (b *Buffer) TelemetrySnapshot() Telemetry {
+	c := b.read()
 	return Telemetry{
-		LLCMisses:    b.tele.llcMisses.Load(),
-		RandomMisses: b.tele.randomMisses.Load(),
-		Loads:        b.tele.loads.Load(),
-		Stores:       b.tele.stores.Load(),
+		LLCMisses:    c.tele.llcMisses.Load(),
+		RandomMisses: c.tele.randomMisses.Load(),
+		Loads:        c.tele.loads.Load(),
+		Stores:       c.tele.stores.Load(),
 	}
 }
 
@@ -456,7 +506,9 @@ func (m *Machine) Alloc(name string, size uint64, node *Node) (*Buffer, error) {
 	if err := node.reserve(size); err != nil {
 		return nil, err
 	}
-	b := &Buffer{Name: name, Size: size, Segments: []Segment{{node, size}}, m: m}
+	b := &Buffer{Name: name, Size: size}
+	b.seg0[0] = Segment{node, size}
+	b.Segments = b.seg0[:]
 	m.track(b)
 	return b, nil
 }
@@ -476,9 +528,14 @@ func (m *Machine) AllocSplit(name string, parts []Segment) (*Buffer, error) {
 		}
 		total += p.Bytes
 	}
-	segs := make([]Segment, len(parts))
-	copy(segs, parts)
-	b := &Buffer{Name: name, Size: total, Segments: segs, m: m}
+	b := &Buffer{Name: name, Size: total}
+	if len(parts) == 1 {
+		b.seg0[0] = parts[0]
+		b.Segments = b.seg0[:]
+	} else {
+		b.Segments = make([]Segment, len(parts))
+		copy(b.Segments, parts)
+	}
 	m.track(b)
 	return b, nil
 }
@@ -600,7 +657,8 @@ func (m *Machine) Migrate(b *Buffer, dst *Node) (seconds float64, err error) {
 		}
 		seg.Node.release(seg.Bytes)
 	}
-	b.Segments = []Segment{{dst, b.Size}}
+	b.seg0[0] = Segment{dst, b.Size}
+	b.Segments = b.seg0[:]
 	return seconds, nil
 }
 
@@ -629,7 +687,9 @@ func (m *Machine) ResetCounters() {
 	m.bufMu.Lock()
 	defer m.bufMu.Unlock()
 	for _, b := range m.buffers {
-		b.LLCMisses, b.RandomMisses, b.Loads, b.Stores = 0, 0, 0, 0
-		b.publishTelemetry()
+		if c := b.ctr.Load(); c != nil {
+			c.llcMisses, c.randomMisses, c.loads, c.stores = 0, 0, 0, 0
+			c.publish()
+		}
 	}
 }

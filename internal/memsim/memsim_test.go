@@ -397,10 +397,10 @@ func TestCountersAndStats(t *testing.T) {
 	if nv.RandomReads == 0 || nv.BytesRead == 0 {
 		t.Fatal("NVDIMM random counters empty")
 	}
-	if a.LLCMisses == 0 || g.LLCMisses == 0 {
+	if a.LLCMisses() == 0 || g.LLCMisses() == 0 {
 		t.Fatal("per-buffer LLC miss counters empty")
 	}
-	if a.Loads == 0 || a.Stores == 0 || g.Loads == 0 {
+	if a.Loads() == 0 || a.Stores() == 0 || g.Loads() == 0 {
 		t.Fatal("per-buffer load/store counters empty")
 	}
 
@@ -425,7 +425,7 @@ func TestCountersAndStats(t *testing.T) {
 	}
 
 	m.ResetCounters()
-	if dram.BytesRead != 0 || a.LLCMisses != 0 {
+	if dram.BytesRead != 0 || a.LLCMisses() != 0 {
 		t.Fatal("ResetCounters incomplete")
 	}
 	e.ResetStats()

@@ -116,7 +116,7 @@ func NewManager(a *alloc.Allocator, initiator *bitmap.Bitmap, threads int) *Mana
 // Manage registers a buffer for observation.
 func (m *Manager) Manage(b *memsim.Buffer) {
 	m.managed = append(m.managed, b)
-	m.prev[b] = snapshot{b.LLCMisses, b.RandomMisses}
+	m.prev[b] = snapshot{b.LLCMisses(), b.RandomMisses()}
 }
 
 // classify derives the behaviour from the counter delta.
@@ -137,7 +137,7 @@ func (m *Manager) Observe() []Advice {
 	var out []Advice
 	for _, b := range m.managed {
 		last := m.prev[b]
-		cur := snapshot{b.LLCMisses, b.RandomMisses}
+		cur := snapshot{b.LLCMisses(), b.RandomMisses()}
 		delta := snapshot{cur.llcMisses - last.llcMisses, cur.randomMisses - last.randomMisses}
 		m.prev[b] = cur
 

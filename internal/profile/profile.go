@@ -159,12 +159,12 @@ func HotObjects(m *memsim.Machine) []ObjectReport {
 			Name:      b.Name,
 			Placement: b.NodeNames(),
 			Size:      b.Size,
-			LLCMisses: b.LLCMisses,
-			Loads:     b.Loads,
-			Stores:    b.Stores,
+			LLCMisses: b.LLCMisses(),
+			Loads:     b.Loads(),
+			Stores:    b.Stores(),
 		}
-		if b.LLCMisses > 0 {
-			r.RandomShare = float64(b.RandomMisses) / float64(b.LLCMisses)
+		if r.LLCMisses > 0 {
+			r.RandomShare = float64(b.RandomMisses()) / float64(r.LLCMisses)
 		}
 		out = append(out, r)
 	}

@@ -15,6 +15,7 @@ import (
 
 	"hetmem/internal/advisor"
 	"hetmem/internal/journal"
+	"hetmem/internal/memattr"
 )
 
 // Advisor returns the daemon's tiering-advisor tracker (nil when the
@@ -67,10 +68,10 @@ func (s *Server) AdviseCycle() (int, float64) {
 		byID[l.id] = l
 		samples = append(samples, advisor.Sample{
 			Lease:     l.id,
-			Name:      l.name,
+			Name:      l.buf.Name,
 			Placement: l.buf.NodeNames(),
-			Size:      l.size,
-			Attr:      attrOf(l),
+			Size:      l.buf.Size,
+			Attr:      s.sys.Registry.Name(attrOf(l)),
 			Telemetry: l.buf.TelemetrySnapshot(),
 		})
 	}
@@ -117,7 +118,9 @@ func (s *Server) AdviseCycle() (int, float64) {
 		if l.buf.Freed() {
 			err = errNoSuchLease
 		} else {
-			cost, _, err = s.migrateOriginLocked(l, r.AttrName, l.initiator, true, journal.OriginAdvisor)
+			// misplacedFor found the lease misplaced, so the name is known.
+			attr, _ := s.sys.Registry.ByName(r.AttrName)
+			cost, _, err = s.migrateOriginLocked(l, attr, l.initiator, true, journal.OriginAdvisor)
 		}
 		l.jmu.Unlock()
 		s.ckmu.RUnlock()
@@ -133,8 +136,8 @@ func (s *Server) AdviseCycle() (int, float64) {
 		} else {
 			s.metrics.AdvisorPromoted.Add(1)
 		}
-		s.metrics.AdvisorBytesMoved.Add(l.size)
-		spent += l.size
+		s.metrics.AdvisorBytesMoved.Add(l.buf.Size)
+		spent += l.buf.Size
 		costSum += cost
 		moved++
 	}
@@ -158,7 +161,7 @@ func (s *Server) misplacedFor(l *lease, attrName string) (misplaced, feasible bo
 	if !ok {
 		return false, false
 	}
-	ini, err := s.resolveInitiator(l.initiator)
+	_, ini, err := s.resolveInitiator(l.initiator)
 	if err != nil {
 		return false, false
 	}
@@ -189,7 +192,7 @@ func (s *Server) misplacedFor(l *lease, attrName string) (misplaced, feasible bo
 		if c.Value != best {
 			break // ranked, so no later candidate has the best value
 		}
-		if n := s.sys.Machine.NodeByOS(c.Target.OSIndex); n != nil && n.Available() >= l.size {
+		if n := s.sys.Machine.NodeByOS(c.Target.OSIndex); n != nil && n.Available() >= l.buf.Size {
 			return true, true
 		}
 	}
@@ -198,7 +201,7 @@ func (s *Server) misplacedFor(l *lease, attrName string) (misplaced, feasible bo
 
 // attrOf reads a lease's attribute under its journal-order lock: the
 // advisor reclassifies attributes concurrently with other readers.
-func attrOf(l *lease) string {
+func attrOf(l *lease) memattr.ID {
 	l.jmu.Lock()
 	a := l.attr
 	l.jmu.Unlock()
@@ -255,9 +258,9 @@ func (s *Server) LeaseDetail(ctx context.Context, id uint64) (LeaseDetailRespons
 	}
 	resp := LeaseDetailResponse{
 		Lease:      l.id,
-		Name:       l.name,
-		Size:       l.size,
-		Attr:       attrOf(l),
+		Name:       l.buf.Name,
+		Size:       l.buf.Size,
+		Attr:       s.sys.Registry.Name(attrOf(l)),
 		Placement:  l.buf.NodeNames(),
 		Tenant:     l.tenant,
 		Initiator:  l.initiator,

@@ -370,14 +370,14 @@ func TestAdvisorCrashRestartPreservesCounters(t *testing.T) {
 	if got := cold.NodeNames(); !strings.Contains(got, "NVDIMM") {
 		t.Fatalf("cold lease demoted to %s, want a NVDIMM node", got)
 	}
-	if got := attrOf(mustLease(t, a.s, coldID)); got != "Capacity" {
+	if got := a.s.sys.Registry.Name(attrOf(mustLease(t, a.s, coldID))); got != "Capacity" {
 		t.Fatalf("demoted lease attr %q, want Capacity", got)
 	}
 
 	preMetrics := advisorMetricLines(t, a.s)
 	prePlacement := map[uint64][2]string{
-		hotID:  {attrOf(mustLease(t, a.s, hotID)), hot.NodeNames()},
-		coldID: {attrOf(mustLease(t, a.s, coldID)), cold.NodeNames()},
+		hotID:  {a.s.sys.Registry.Name(attrOf(mustLease(t, a.s, hotID))), hot.NodeNames()},
+		coldID: {a.s.sys.Registry.Name(attrOf(mustLease(t, a.s, coldID))), cold.NodeNames()},
 	}
 	// No Close: the crash leaves the WAL as-is.
 
@@ -400,7 +400,7 @@ func TestAdvisorCrashRestartPreservesCounters(t *testing.T) {
 	}
 	for id, want := range prePlacement {
 		l := mustLease(t, s2, id)
-		if got := attrOf(l); got != want[0] {
+		if got := s2.sys.Registry.Name(attrOf(l)); got != want[0] {
 			t.Errorf("lease %d attr %q after restart, want %q", id, got, want[0])
 		}
 		l2, _ := s2.leases.get(id)

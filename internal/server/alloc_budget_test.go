@@ -29,8 +29,9 @@ import (
 )
 
 // Budgets, in average allocations per run. Measured steady state on
-// go1.24: alloc+free 10, renew 1 (13 and 2 under -race, where sync.Pool
-// drops a quarter of its puts). With the request scanner in front of
+// go1.24: alloc+free 9, renew 1 (12 and 2 under -race, where sync.Pool
+// drops a quarter of its puts); a one-node placement is one object, its
+// segment held inside the buffer. With the request scanner in front of
 // encoding/json and the handler writing status and body itself, what
 // remains is net/http's connection-less ServeHTTP path (route match,
 // context, header writes), the strings the request carries, and the
@@ -38,34 +39,35 @@ import (
 // build, not a leaked per-request allocation chain — one body through
 // encoding/json's decoder alone costs 8.
 const (
-	allocFreeBudget = 16
+	allocFreeBudget = 15
 	renewBudget     = 4
 	// Measured steady state 2: the path-value string and the placement
 	// string. The encoder itself is pooled and free.
 	leaseDetailBudget = 4
 	// One GET /v1/metrics on a journaled daemon with three tenants.
-	// Measured 25 (27-29 under -race): the node-usage slice and its
+	// Measured 27 (29 under -race): the node-usage slice and its
 	// sort, the tenant snapshot, one line buffer per renderer and the
 	// response buffer's growth. Through fmt.Fprintf it cost 564.
 	metricsBudget = 36
 	// One Client.Alloc + Client.Free over a unix socket to a daemon
 	// without a journal, counted process-wide: client and daemon, both
-	// ends of the wire. Measured 19 (24-25 under -race); a waiter
+	// ends of the wire. Measured 18 (24 under -race); a waiter
 	// channel made per round trip instead of pooled would add two to
 	// each of the pair's requests, and encoding the alloc body into a
 	// fresh slice instead of a pooled one five.
-	wireAllocFreeBudget = 25
+	wireAllocFreeBudget = 24
 	// One 16-item Client.AllocBatch on the same socket, leases kept:
-	// client and daemon, 12.5 per item. Measured 200 (204 under
+	// client and daemon, 11.5 per item. Measured 184 (188 under
 	// -race); through encoding/json at both ends the same batch cost
-	// 222 (230), so the budget sits between the two.
-	wireBatchBudget = 212
-	// The same pair over HTTP/1.1 on loopback TCP. Measured 65 (71
+	// 222 (230) before placements stopped allocating a segment slice,
+	// so the budget sits between the two.
+	wireBatchBudget = 196
+	// The same pair over HTTP/1.1 on loopback TCP. Measured 64 (70
 	// under -race); the client's exchange is 2 of them, a copy of each
 	// response body, and net/http's server half about 55, whose count
 	// drifts between toolchains more than the headroom's worth. Through
 	// net/http's Transport the pair cost 204.
-	httpAllocFreeBudget = 85
+	httpAllocFreeBudget = 84
 )
 
 // budgetRW is a recyclable ResponseWriter: headers survive across

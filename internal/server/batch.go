@@ -79,7 +79,7 @@ func (s *Server) AllocBatch(ctx context.Context, reqs []AllocRequest) (BatchAllo
 			fail(i, fmt.Errorf("%w: unknown attribute %q", ErrBadRequest, item.Attr))
 			continue
 		}
-		ini, err := s.resolveInitiator(item.Initiator)
+		iniList, ini, err := s.resolveInitiator(item.Initiator)
 		if err != nil {
 			fail(i, err)
 			continue
@@ -105,10 +105,8 @@ func (s *Server) AllocBatch(ctx context.Context, reqs []AllocRequest) (BatchAllo
 		}
 		ttl := s.grantTTL(item.TTLSeconds)
 		l := newLease()
-		l.name = item.Name
-		l.size = item.Size
-		l.attr = item.Attr
-		l.initiator = item.Initiator
+		l.attr = id
+		l.initiator = iniList
 		l.tenant = tn.Name
 		l.buf = buf
 		l.setTTL(ttl)
@@ -198,10 +196,10 @@ func (s *Server) journalBatch(placed []batchItem) error {
 		recs[i] = journal.Record{
 			Op:        journal.OpAlloc,
 			Lease:     it.l.id,
-			Name:      it.l.name,
-			Attr:      it.l.attr,
+			Name:      it.l.buf.Name,
+			Attr:      s.sys.Registry.Name(it.l.attr),
 			Initiator: it.l.initiator,
-			Size:      it.l.size,
+			Size:      it.l.buf.Size,
 			Tenant:    it.l.tenant,
 			TTLMillis: uint64(it.l.getTTL() / time.Millisecond),
 			Segments:  segmentsOf(it.l.buf),

@@ -39,7 +39,7 @@ func FuzzDecodeRequest(f *testing.F) {
 			default:
 				t.Fatalf("accepted invalid policy: %+v", req)
 			}
-			if _, err := parseInitiator(req.Initiator); err != nil {
+			if _, _, err := parseInitiator(req.Initiator); err != nil {
 				t.Fatalf("accepted invalid initiator: %+v: %v", req, err)
 			}
 		}

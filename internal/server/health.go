@@ -7,6 +7,7 @@ import (
 	"hetmem/internal/alloc"
 	"hetmem/internal/faults"
 	"hetmem/internal/journal"
+	"hetmem/internal/memattr"
 	"hetmem/internal/topology"
 )
 
@@ -163,32 +164,24 @@ func (s *Server) evacuate(nodeOS int) {
 // migrateLocked re-places a lease's buffer for the given attribute and
 // journals the move. The caller must hold l.jmu, so the journal's
 // record order matches the buffer's placement history.
-func (s *Server) migrateLocked(l *lease, attrName, iniList string, remote bool) (float64, alloc.Decision, error) {
-	return s.migrateOriginLocked(l, attrName, iniList, remote, "")
+func (s *Server) migrateLocked(l *lease, attr memattr.ID, iniList string, remote bool) (float64, alloc.Decision, error) {
+	return s.migrateOriginLocked(l, attr, iniList, remote, "")
 }
 
 // migrateOriginLocked is migrateLocked with an origin tag. A non-empty
 // origin (the tiering advisor) additionally reclassifies the lease:
-// its attribute becomes attrName, and the journal record carries both
+// its attribute becomes attr, and the journal record carries both
 // the attribute and the origin so restart replay reconstructs the
 // reclassification and the advisor's counters exactly.
-func (s *Server) migrateOriginLocked(l *lease, attrName, iniList string, remote bool, origin string) (float64, alloc.Decision, error) {
-	id, ok := s.sys.Registry.ByName(attrName)
-	if !ok {
-		// Replayed lease with an attribute this platform no longer
-		// registers; fall back to Capacity, the universal attribute.
-		if id, ok = s.sys.Registry.ByName("Capacity"); !ok {
-			return 0, alloc.Decision{}, fmt.Errorf("%w: unknown attribute %q", ErrBadRequest, attrName)
-		}
-	}
-	ini, err := s.resolveInitiator(iniList)
+func (s *Server) migrateOriginLocked(l *lease, attr memattr.ID, iniList string, remote bool, origin string) (float64, alloc.Decision, error) {
+	_, ini, err := s.resolveInitiator(iniList)
 	if err != nil {
 		return 0, alloc.Decision{}, err
 	}
 	// Snapshot the placement before the move so the tenant's per-kind
 	// books can follow the bytes across tiers.
 	before := l.buf.SegmentsSnapshot()
-	cost, dec, err := s.sys.Allocator.MigrateToBestSpec(l.buf, id, ini, alloc.Spec{Avoid: s.avoidFn, Remote: remote})
+	cost, dec, err := s.sys.Allocator.MigrateToBestSpec(l.buf, attr, ini, alloc.Spec{Avoid: s.avoidFn, Remote: remote})
 	if err != nil {
 		return 0, alloc.Decision{}, err
 	}
@@ -207,9 +200,9 @@ func (s *Server) migrateOriginLocked(l *lease, attrName, iniList string, remote 
 		Segments: segmentsOf(l.buf),
 	}
 	if origin != "" {
-		rec.Attr = attrName
+		rec.Attr = s.sys.Registry.Name(attr)
 		rec.Origin = origin
-		l.attr = attrName
+		l.attr = attr
 	}
 	if _, err := s.appendJournal(rec); err != nil {
 		return cost, dec, err

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hetmem/internal/memattr"
 	"hetmem/internal/memsim"
 )
 
@@ -16,16 +17,22 @@ const leaseShards = 64
 
 // lease ties a lease ID to its live buffer, plus the request context
 // (attribute, initiator, idempotency key) the daemon needs to re-place
-// it after a node failure and to replay it from the journal.
+// it after a node failure and to replay it from the journal. The
+// buffer's name and size are the lease's: both are immutable, so the
+// lease reads them from buf instead of keeping copies. One lease is
+// held per live allocation, so the record is kept to 128 bytes
+// (TestLeaseFootprint).
 type lease struct {
-	id        uint64
-	name      string
-	size      uint64
-	attr      string
+	id  uint64
+	buf *memsim.Buffer
+	// attr is the attribute the lease is placed for; its name comes
+	// from the registry where a response or a record needs it.
+	attr memattr.ID
+	// initiator is the request's cpuset list as the intern cache keeps
+	// it (see internInitiator), so leases share one copy of each list.
 	initiator string
 	key       string
 	tenant    string
-	buf       *memsim.Buffer
 
 	// ttlNS is the granted time-to-live in nanoseconds (0 = never
 	// expires); deadlineNS is the unix-nano expiry the reaper checks.
@@ -39,13 +46,14 @@ type lease struct {
 	// order matches the buffer's state history.
 	jmu sync.Mutex
 
-	// booked is the placement the lease's shard currently carries in its
-	// books (see leaseShard), guarded by the shard lock. take and rebook
-	// subtract these segments rather than the buffer's, so a free racing
-	// a migrate removes exactly what was added. bookedArr is its inline
-	// storage: placements of more than two segments spill to the heap.
-	booked    []memsim.Segment
-	bookedArr [2]memsim.Segment
+	// booked and spill are the placement the lease's shard currently
+	// carries in its books (see leaseShard and bookedSegs), guarded by
+	// the shard lock. take and rebook subtract these segments rather
+	// than the buffer's, so a free racing a migrate removes exactly what
+	// was added. A one-segment placement sits in booked; spill points at
+	// a placement of any other length.
+	booked [1]memsim.Segment
+	spill  *[]memsim.Segment
 
 	// refs counts who may still touch this lease: one reference owned
 	// by the table while the lease is registered, plus one per borrower
@@ -83,10 +91,11 @@ func (l *lease) release() {
 	// Zero field by field: the struct embeds mutexes, so a wholesale
 	// *l = lease{} would copy locks.
 	l.id = 0
-	l.name, l.attr, l.initiator, l.key, l.tenant = "", "", "", "", ""
-	l.size = 0
 	l.buf = nil
-	l.booked = nil
+	l.attr = 0
+	l.initiator, l.key, l.tenant = "", "", ""
+	l.booked[0] = memsim.Segment{}
+	l.spill = nil
 	l.ttlNS.Store(0)
 	l.deadlineNS.Store(0)
 	leasePool.Put(l)
@@ -168,21 +177,34 @@ func (t *leaseTable) shard(id uint64) *leaseShard {
 // on the lease. Lock order: shard, then Buffer.mu — never the reverse.
 // Caller holds s.mu.
 func (s *leaseShard) book(l *lease) {
-	l.booked = l.buf.AppendSegments(l.bookedArr[:0])
-	s.bytes += l.size
+	segs := l.buf.AppendSegments(l.booked[:0])
+	l.spill = nil
+	if len(segs) != 1 {
+		l.spill = new([]memsim.Segment)
+		*l.spill = segs
+	}
+	s.bytes += l.buf.Size
 	var placed uint64
-	for _, seg := range l.booked {
+	for _, seg := range segs {
 		s.nodeBytes[seg.Node.OSIndex()] += seg.Bytes
 		placed += seg.Bytes
 	}
 	s.tenantBytes[l.tenant] += placed
 }
 
+// bookedSegs returns the placement book last added. Caller holds s.mu.
+func (l *lease) bookedSegs() []memsim.Segment {
+	if l.spill != nil {
+		return *l.spill
+	}
+	return l.booked[:]
+}
+
 // unbook subtracts what book added. Caller holds s.mu.
 func (s *leaseShard) unbook(l *lease) {
-	s.bytes -= l.size
+	s.bytes -= l.buf.Size
 	var placed uint64
-	for _, seg := range l.booked {
+	for _, seg := range l.bookedSegs() {
 		s.nodeBytes[seg.Node.OSIndex()] -= seg.Bytes
 		placed += seg.Bytes
 	}

@@ -146,11 +146,11 @@ func (s *Server) CheckpointNow() error {
 			live = append(live, journal.Record{
 				Op:        journal.OpAlloc,
 				Lease:     l.id,
-				Name:      l.name,
-				Attr:      l.attr,
+				Name:      l.buf.Name,
+				Attr:      s.sys.Registry.Name(l.attr),
 				Initiator: l.initiator,
 				Key:       l.key,
-				Size:      l.size,
+				Size:      l.buf.Size,
 				Tenant:    l.tenant,
 				TTLMillis: uint64(l.getTTL() / time.Millisecond),
 				Segments:  segmentsOf(l.buf),
@@ -225,8 +225,8 @@ func (s *Server) rebalance(nodeOS int) {
 			continue
 		}
 		s.metrics.RebalanceTotal.Add(1)
-		s.metrics.RebalanceBytes.Add(l.size)
-		batch += l.size
+		s.metrics.RebalanceBytes.Add(l.buf.Size)
+		batch += l.buf.Size
 		if s.cfg.RebalanceBudget > 0 && batch >= s.cfg.RebalanceBudget {
 			batch = 0
 			select {
@@ -248,11 +248,8 @@ func (s *Server) wantsNode(l *lease, nodeOS int) bool {
 			return false
 		}
 	}
-	id, ok := s.sys.Registry.ByName(attrOf(l))
-	if !ok {
-		return false
-	}
-	ini, err := s.resolveInitiator(l.initiator)
+	id := attrOf(l)
+	_, ini, err := s.resolveInitiator(l.initiator)
 	if err != nil {
 		return false
 	}

@@ -48,27 +48,43 @@ func putReqBuf(b *[]byte) { *b = (*b)[:0]; reqBufPool.Put(b) }
 const iniCacheMax = 4096
 
 var (
-	iniCache     sync.Map // cpuset list string -> *bitmap.Bitmap
+	iniCache     sync.Map // cpuset list string -> *internedIni
 	iniCacheSize atomic.Int64
 )
 
+// internedIni is one intern cache entry: the list string the cache is
+// keyed by, and its parsed bitmap.
+type internedIni struct {
+	list string
+	bm   *bitmap.Bitmap
+}
+
 // internInitiator parses a cpuset list through a process-wide intern
 // cache: the same list string yields the same immutable bitmap, parsed
-// once. Safe to share because no consumer mutates parsed initiators —
-// the allocator's candidate cache copies before storing and otherwise
-// only reads.
-func internInitiator(s string) (*bitmap.Bitmap, error) {
+// once, and the same string — the cache's own key, which a long-lived
+// holder such as a lease keeps instead of the request's copy. Safe to
+// share because no consumer mutates parsed initiators — the
+// allocator's candidate cache copies before storing and otherwise only
+// reads. Callers that race on a new list all get the entry that won
+// the insert; only that insert counts against iniCacheMax.
+func internInitiator(s string) (string, *bitmap.Bitmap, error) {
 	if v, ok := iniCache.Load(s); ok {
-		return v.(*bitmap.Bitmap), nil
+		e := v.(*internedIni)
+		return e.list, e.bm, nil
 	}
 	b, err := bitmap.ParseList(s)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
-	if iniCacheSize.Add(1) <= iniCacheMax {
-		iniCache.Store(s, b)
-	} else {
+	// Reserve a slot first, so racing inserts never overshoot the bound.
+	if iniCacheSize.Add(1) > iniCacheMax {
 		iniCacheSize.Add(-1)
+		return s, b, nil
 	}
-	return b, nil
+	v, loaded := iniCache.LoadOrStore(s, &internedIni{list: s, bm: b})
+	if loaded {
+		iniCacheSize.Add(-1) // another caller's insert won
+	}
+	e := v.(*internedIni)
+	return e.list, e.bm, nil
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hetmem/internal/journal"
+	"hetmem/internal/memattr"
 	"hetmem/internal/memsim"
 	"hetmem/internal/tenant"
 )
@@ -25,6 +26,7 @@ import (
 func (s *Server) restoreFromJournal(recs []journal.Record, nextLease uint64) error {
 	type pending struct {
 		rec   journal.Record // the alloc record, segments updated by migrates
+		attr  memattr.ID     // rec.Attr, resolved
 		keyed bool
 	}
 	live := make(map[uint64]*pending)
@@ -42,7 +44,11 @@ func (s *Server) restoreFromJournal(recs []journal.Record, nextLease uint64) err
 				return fmt.Errorf("server: journal record %d: lease %d segments sum to %d, size %d",
 					i, r.Lease, sum, r.Size)
 			}
-			live[r.Lease] = &pending{rec: r, keyed: r.Key != ""}
+			attr, ok := s.sys.Registry.ByName(r.Attr)
+			if !ok {
+				return fmt.Errorf("server: journal record %d: lease %d references unknown attribute %q", i, r.Lease, r.Attr)
+			}
+			live[r.Lease] = &pending{rec: r, attr: attr, keyed: r.Key != ""}
 		case journal.OpFree:
 			if _, ok := live[r.Lease]; !ok {
 				return fmt.Errorf("server: journal record %d: free of unknown lease %d", i, r.Lease)
@@ -66,7 +72,11 @@ func (s *Server) restoreFromJournal(recs []journal.Record, nextLease uint64) err
 				// The move reclassified the lease (the tiering advisor
 				// journals its target attribute); the restored lease keeps
 				// the new attribute.
-				p.rec.Attr = r.Attr
+				attr, ok := s.sys.Registry.ByName(r.Attr)
+				if !ok {
+					return fmt.Errorf("server: journal record %d: lease %d references unknown attribute %q", i, r.Lease, r.Attr)
+				}
+				p.rec.Attr, p.attr = r.Attr, attr
 			}
 			if r.Origin == journal.OriginAdvisor {
 				// Restore the advisor's move counters exactly as they
@@ -106,10 +116,11 @@ func (s *Server) restoreFromJournal(recs []journal.Record, nextLease uint64) err
 		}
 		l := newLease()
 		l.id = id
-		l.name = p.rec.Name
-		l.size = p.rec.Size
-		l.attr = p.rec.Attr
+		l.attr = p.attr
 		l.initiator = p.rec.Initiator
+		if list, _, err := parseInitiator(l.initiator); err == nil {
+			l.initiator = list // share the intern cache's copy
+		}
 		l.key = p.rec.Key
 		l.tenant = p.rec.Tenant
 		if l.tenant == "" {

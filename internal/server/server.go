@@ -573,16 +573,17 @@ func (s *Server) Attrs(ctx context.Context) ([]AttrReport, error) {
 	return reports, nil
 }
 
-// resolveInitiator widens an absent initiator to the whole machine.
-func (s *Server) resolveInitiator(list string) (*bitmap.Bitmap, error) {
-	ini, err := parseInitiator(list)
+// resolveInitiator widens an absent initiator to the whole machine. It
+// also returns the intern cache's copy of the list (see parseInitiator).
+func (s *Server) resolveInitiator(list string) (string, *bitmap.Bitmap, error) {
+	list, ini, err := parseInitiator(list)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	if ini == nil {
 		ini = s.defaultInitiator
 	}
-	return ini, nil
+	return list, ini, nil
 }
 
 // pressure reports the online capacity and the bytes in use on it.
@@ -653,7 +654,7 @@ func (s *Server) doAlloc(ctx context.Context, req AllocRequest) (AllocResponse, 
 	if !ok {
 		return AllocResponse{}, fmt.Errorf("%w: unknown attribute %q", ErrBadRequest, req.Attr)
 	}
-	ini, err := s.resolveInitiator(req.Initiator)
+	iniList, ini, err := s.resolveInitiator(req.Initiator)
 	if err != nil {
 		return AllocResponse{}, err
 	}
@@ -681,10 +682,8 @@ func (s *Server) doAlloc(ctx context.Context, req AllocRequest) (AllocResponse, 
 
 	ttl := s.grantTTL(req.TTLSeconds)
 	l := newLease()
-	l.name = req.Name
-	l.size = req.Size
-	l.attr = req.Attr
-	l.initiator = req.Initiator
+	l.attr = id
+	l.initiator = iniList
 	l.key = req.IdempotencyKey
 	l.tenant = tn.Name
 	l.buf = buf
@@ -841,7 +840,8 @@ func (s *Server) Free(ctx context.Context, req FreeRequest) (FreeResponse, error
 
 // Migrate is the Backend entry behind /v1/migrate.
 func (s *Server) Migrate(ctx context.Context, req MigrateRequest) (MigrateResponse, error) {
-	if _, ok := s.sys.Registry.ByName(req.Attr); !ok {
+	attr, ok := s.sys.Registry.ByName(req.Attr)
+	if !ok {
 		return MigrateResponse{}, fmt.Errorf("%w: unknown attribute %q", ErrBadRequest, req.Attr)
 	}
 	l, ok := s.leases.get(req.Lease)
@@ -850,7 +850,7 @@ func (s *Server) Migrate(ctx context.Context, req MigrateRequest) (MigrateRespon
 	}
 	s.ckmu.RLock()
 	l.jmu.Lock()
-	cost, dec, err := s.migrateLocked(l, req.Attr, req.Initiator, req.Remote)
+	cost, dec, err := s.migrateLocked(l, attr, req.Initiator, req.Remote)
 	l.jmu.Unlock()
 	s.ckmu.RUnlock()
 	if err != nil {
@@ -878,18 +878,18 @@ func (s *Server) leaseList() LeasesResponse {
 	defer releaseAll(leases)
 	for _, l := range leases {
 		resp.Count++
-		resp.Bytes += l.size
+		resp.Bytes += l.buf.Size
 		for _, seg := range l.buf.SegmentsSnapshot() {
 			resp.NodeBytes[seg.Node.Label()] += seg.Bytes
 			resp.TenantBytes[l.tenant] += seg.Bytes
 		}
 		info := LeaseInfo{
 			Lease:     l.id,
-			Name:      l.name,
-			Size:      l.size,
+			Name:      l.buf.Name,
+			Size:      l.buf.Size,
 			Placement: l.buf.NodeNames(),
 			Tenant:    l.tenant,
-			Attr:      attrOf(l),
+			Attr:      s.sys.Registry.Name(attrOf(l)),
 		}
 		if s.advisor != nil {
 			info.Class = s.advisor.Classification(l.id)

@@ -594,7 +594,7 @@ func validateAllocRequest(req AllocRequest) error {
 	if req.TTLSeconds < 0 {
 		return fmt.Errorf("%w: negative ttl_seconds", ErrBadRequest)
 	}
-	if _, err := parseInitiator(req.Initiator); err != nil {
+	if _, _, err := parseInitiator(req.Initiator); err != nil {
 		return err
 	}
 	return nil
@@ -652,7 +652,7 @@ func decodeMigrateRequest(data []byte) (MigrateRequest, error) {
 		if req.Attr == "" {
 			return fmt.Errorf("%w: missing attr", ErrBadRequest)
 		}
-		_, err := parseInitiator(req.Initiator)
+		_, _, err := parseInitiator(req.Initiator)
 		return err
 	})
 }
@@ -661,17 +661,19 @@ func decodeMigrateRequest(data []byte) (MigrateRequest, error) {
 // caller did not say", which handlers widen to the whole machine. The
 // parse goes through a process-wide intern cache (see pool.go): each
 // distinct list string is parsed once and its immutable bitmap shared,
-// so validation and placement both read the cached value.
-func parseInitiator(s string) (*bitmap.Bitmap, error) {
+// so validation and placement both read the cached value. It also
+// returns the cache's copy of the list, for a holder that outlives the
+// request.
+func parseInitiator(s string) (string, *bitmap.Bitmap, error) {
 	if s == "" {
-		return nil, nil
+		return "", nil, nil
 	}
-	b, err := internInitiator(s)
+	list, b, err := internInitiator(s)
 	if err != nil {
-		return nil, fmt.Errorf("%w: initiator: %v", ErrBadRequest, err)
+		return "", nil, fmt.Errorf("%w: initiator: %v", ErrBadRequest, err)
 	}
 	if b.IsZero() {
-		return nil, fmt.Errorf("%w: empty initiator cpuset", ErrBadRequest)
+		return "", nil, fmt.Errorf("%w: empty initiator cpuset", ErrBadRequest)
 	}
-	return b, nil
+	return list, b, nil
 }
