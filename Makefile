@@ -53,12 +53,9 @@ chaos:
 	$(GO) test -race -run 'TestChaos' ./internal/server
 
 # Cluster acceptance: the federation tests (rendezvous properties,
-# router end-to-end, journal restart, member-kill chaos) under -race,
-# then the full 1000-client loadtest through the router with one
-# member killed mid-run.
+# router end-to-end, journal restart, member-kill chaos) under -race.
 clustertest:
 	$(GO) test -race ./internal/cluster
-	$(GO) run ./cmd/hetmemd loadtest -cluster -kill 1 -kill-after 2s
 
 # Partition tolerance under -race: the chaos-proxy and scrubber tests,
 # then the full suite (TestNetChaosConverges) — seeded network faults

@@ -1,12 +1,9 @@
 package main
 
-// The cluster-mode subcommands: `hetmemd router` fronts a fleet of
-// running daemons with the placement router, and `hetmemd loadtest
-// -cluster` boots an in-process heterogeneous fleet (router plus four
-// simulated platforms) to exercise the federation path.
+// The cluster-mode subcommand: `hetmemd router` fronts a fleet of
+// running daemons with the placement router.
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -15,7 +12,6 @@ import (
 	"time"
 
 	"hetmem/internal/cluster"
-	"hetmem/internal/server"
 )
 
 // memberFlags parses repeated -member name=url flags.
@@ -123,120 +119,4 @@ func validateRouterConfig(cfg cluster.Config) error {
 		return fmt.Errorf("-offline-after must be positive, got %d", cfg.OfflineAfter)
 	}
 	return nil
-}
-
-// tolerateClusterErrors accepts the failures a member death
-// legitimately surfaces mid-run: the retryable member_unavailable
-// while keys re-home, and shedding/capacity pressure.
-func tolerateClusterErrors(err error) bool {
-	return errors.Is(err, server.ErrCodeMemberUnavailable) ||
-		errors.Is(err, server.ErrShedding) ||
-		errors.Is(err, server.ErrCapacityExhausted)
-}
-
-// clusterLoadtestOptions is the -cluster branch of `hetmemd loadtest`.
-type clusterLoadtestOptions struct {
-	clients   int
-	requests  int
-	maxLive   int
-	maxSize   uint64
-	seed      int64
-	kill      int // member index to kill mid-run; -1 disables
-	killAfter time.Duration
-	verify    bool
-}
-
-// clusterLoadtest boots the in-process fleet, drives the load through
-// the router, injects one member failure mid-run, and proves zero
-// lost leases afterwards.
-func clusterLoadtest(opts clusterLoadtestOptions, out io.Writer) error {
-	sim, err := cluster.StartSim(cluster.SimOptions{Out: out})
-	if err != nil {
-		return err
-	}
-	defer sim.Close()
-	ctx := context.Background()
-
-	done := make(chan struct{})
-	var stats server.LoadStats
-	var loadErr error
-	go func() {
-		defer close(done)
-		stats, loadErr = server.LoadTest(ctx, sim.Base, server.LoadOptions{
-			Clients:           opts.clients,
-			RequestsPerClient: opts.requests,
-			MaxLive:           opts.maxLive,
-			MaxSizeBytes:      opts.maxSize,
-			Seed:              opts.seed,
-			Tolerate:          tolerateClusterErrors,
-			Retry:             &server.RetryPolicy{MaxAttempts: 6, BaseDelay: 25 * time.Millisecond, MaxDelay: 500 * time.Millisecond},
-		})
-	}()
-
-	killed := -1
-	if opts.kill >= 0 && opts.kill < len(sim.Members) {
-		select {
-		case <-time.After(opts.killAfter):
-			sim.Kill(opts.kill)
-			killed = opts.kill
-			fmt.Fprintf(out, "hetmemd: killed member %s after %s\n", sim.Members[opts.kill].Name, opts.killAfter)
-		case <-done:
-			fmt.Fprintln(out, "hetmemd: load finished before the scheduled kill; no failure injected")
-		}
-	}
-	<-done
-	fmt.Fprintf(out, "hetmemd: loadtest %s\n", stats)
-	if loadErr != nil {
-		return loadErr
-	}
-
-	if killed >= 0 {
-		// Wait for evacuation to settle: nothing may stay homed on the
-		// corpse.
-		victim := sim.Members[killed].Name
-		deadline := time.Now().Add(30 * time.Second)
-		for {
-			sim.Router.PollOnce(ctx)
-			leases, err := sim.Router.Leases(ctx, false)
-			if err != nil {
-				return err
-			}
-			if leases.NodeBytes[victim] == 0 {
-				break
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("%d bytes still homed on killed member %s after 30s", leases.NodeBytes[victim], victim)
-			}
-			time.Sleep(100 * time.Millisecond)
-		}
-		fmt.Fprintf(out, "hetmemd: all leases evacuated off %s\n", victim)
-	}
-
-	if opts.verify {
-		leases, err := sim.Router.Leases(ctx, false)
-		if err != nil {
-			return err
-		}
-		if leases.Count != stats.LeasesLeft {
-			return fmt.Errorf("router tracks %d leases, load generator left %d alive — leases lost", leases.Count, stats.LeasesLeft)
-		}
-		fmt.Fprintf(out, "hetmemd: zero lost leases (%d alive on both sides)\n", leases.Count)
-		desc, err := server.VerifyConsistency(ctx, sim.Base)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "hetmemd: books %s\n", desc)
-	}
-	return nil
-}
-
-// flagWasSet reports whether the user passed name explicitly.
-func flagWasSet(fs *flag.FlagSet, name string) bool {
-	set := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }

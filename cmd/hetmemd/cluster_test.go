@@ -108,24 +108,3 @@ func TestRouterSubcommandEndToEnd(t *testing.T) {
 		t.Fatalf("no journal flush confirmation: %q", logText)
 	}
 }
-
-// TestLoadtestClusterMode runs the -cluster loadtest (scaled down for
-// CI) with a mid-run member kill and expects the zero-lost-leases
-// verdict and consistent books.
-func TestLoadtestClusterMode(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{
-		"loadtest", "-cluster",
-		"-clients", "32", "-requests", "40",
-		"-kill", "1", "-kill-after", "200ms",
-		"-seed", "3",
-	}, &out)
-	if err != nil {
-		t.Fatalf("%v (output: %s)", err, out.String())
-	}
-	for _, want := range []string{"0 failed", "zero lost leases", "books consistent"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("missing %q in: %s", want, out.String())
-		}
-	}
-}

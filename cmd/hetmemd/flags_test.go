@@ -122,7 +122,7 @@ func TestRouterFlagValidation(t *testing.T) {
 // TestFlagCount pins how many flags the subcommands register, counted
 // from their -h listings, so that a flag comes or goes on purpose.
 func TestFlagCount(t *testing.T) {
-	const want = 52 // serve 24, router 16, loadtest 12
+	const want = 49 // serve 24, router 16, loadtest 9
 	var usage bytes.Buffer
 	for _, sub := range []string{"serve", "router", "loadtest"} {
 		if err := run([]string{sub, "-h"}, &usage); !errors.Is(err, flag.ErrHelp) {

@@ -12,7 +12,6 @@
 //	hetmemd router -member m0=http://h0:7077 -member m1=http://h1:7077  # federate daemons
 //	hetmemd loadtest -clients 64               # self-hosted load test
 //	hetmemd loadtest -addr http://host:7077    # load-test a running daemon
-//	hetmemd loadtest -cluster                  # 1000 clients across a 4-daemon fleet, one member killed mid-run
 //	hetmemd platforms                          # list available platforms
 //
 // Performance is measured by `go run ./benchmark`; the fault, reaper,
@@ -363,41 +362,10 @@ func runLoadtest(args []string, out io.Writer) error {
 		maxSize  = fs.Uint64("maxsize", 64<<20, "max allocation size in bytes")
 		seed     = fs.Int64("seed", 1, "traffic mix seed")
 		verify   = fs.Bool("verify", true, "cross-check /metrics against the lease table afterwards")
-		clust    = fs.Bool("cluster", false, "boot a 4-daemon fleet behind a router and load-test through it (defaults scale to 1000 clients)")
-		kill     = fs.Int("kill", 1, "with -cluster: member index to kill mid-run (-1: no failure injection)")
-		killWait = fs.Duration("kill-after", 2*time.Second, "with -cluster: how far into the run the kill lands")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *clust {
-		// Cluster mode scales the defaults to the acceptance shape:
-		// 1000+ concurrent clients across the 4-daemon fleet, sized so
-		// the fleet never runs out of room. Explicit flags still win.
-		if !flagWasSet(fs, "clients") {
-			*clients = 1000
-		}
-		if !flagWasSet(fs, "requests") {
-			*requests = 20
-		}
-		if !flagWasSet(fs, "live") {
-			*maxLive = 4
-		}
-		if !flagWasSet(fs, "maxsize") {
-			*maxSize = 8 << 20
-		}
-		return clusterLoadtest(clusterLoadtestOptions{
-			clients:   *clients,
-			requests:  *requests,
-			maxLive:   *maxLive,
-			maxSize:   *maxSize,
-			seed:      *seed,
-			kill:      *kill,
-			killAfter: *killWait,
-			verify:    *verify,
-		}, out)
-	}
-
 	ctx := context.Background()
 	base := *addr
 	if base == "" {

@@ -389,41 +389,68 @@ func (b *Bitmap) ListString() string {
 	return strings.Join(parts, ",")
 }
 
+// MaxCPUs bounds the indexes a range list may name: ParseList and
+// CheckList refuse an index at or above it. A list names CPUs, and 8192
+// is the largest NR_CPUS Linux builds for x86-64. Without the bound a
+// nine-byte list such as "100000000" would ask for a bitmap of tens of
+// megabytes.
+const MaxCPUs = 8192
+
 // ParseList parses the range list format produced by ListString.
 // An empty string yields an empty bitmap.
 func ParseList(s string) (*Bitmap, error) {
 	b := New()
+	if err := scanList(s, b.SetRange); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// CheckList reports the error ParseList would return for s, without
+// building the bitmap; it allocates nothing when s is well formed.
+func CheckList(s string) error {
+	return scanList(s, func(lo, hi int) {})
+}
+
+// scanList is the one grammar of the range list format: it calls set
+// with each element's [lo, hi] (lo == hi for a single index).
+func scanList(s string, set func(lo, hi int)) error {
 	s = strings.TrimSpace(s)
 	if s == "" {
-		return b, nil
+		return nil
 	}
-	for _, part := range strings.Split(s, ",") {
+	for more := true; more; {
+		var part string
+		part, s, more = strings.Cut(s, ",")
 		part = strings.TrimSpace(part)
+		var l, h int
 		if lo, hi, ok := strings.Cut(part, "-"); ok {
-			l, err := strconv.Atoi(lo)
-			if err != nil {
-				return nil, fmt.Errorf("bitmap: bad list element %q: %w", part, err)
+			var err error
+			if l, err = strconv.Atoi(lo); err != nil {
+				return fmt.Errorf("bitmap: bad list element %q: %w", part, err)
 			}
-			h, err := strconv.Atoi(hi)
-			if err != nil {
-				return nil, fmt.Errorf("bitmap: bad list element %q: %w", part, err)
+			if h, err = strconv.Atoi(hi); err != nil {
+				return fmt.Errorf("bitmap: bad list element %q: %w", part, err)
 			}
 			if l < 0 || h < l {
-				return nil, fmt.Errorf("bitmap: bad range %q", part)
+				return fmt.Errorf("bitmap: bad range %q", part)
 			}
-			b.SetRange(l, h)
 		} else {
 			i, err := strconv.Atoi(part)
 			if err != nil {
-				return nil, fmt.Errorf("bitmap: bad list element %q: %w", part, err)
+				return fmt.Errorf("bitmap: bad list element %q: %w", part, err)
 			}
 			if i < 0 {
-				return nil, fmt.Errorf("bitmap: negative index %q", part)
+				return fmt.Errorf("bitmap: negative index %q", part)
 			}
-			b.Set(i)
+			l, h = i, i
 		}
+		if h >= MaxCPUs {
+			return fmt.Errorf("bitmap: index in %q is not below %d", part, MaxCPUs)
+		}
+		set(l, h)
 	}
-	return b, nil
+	return nil
 }
 
 // ParseHex parses the hexadecimal mask format produced by String.

@@ -233,10 +233,25 @@ func TestParseList(t *testing.T) {
 	if got := b.ListString(); got != "0-3,12,14-15" {
 		t.Fatalf("round-trip = %q", got)
 	}
-	for _, bad := range []string{"x", "3-", "-2", "5-3", "1,,2", "1-2-3"} {
-		if _, err := ParseList(bad); err == nil {
+	if b, err := ParseList("8190-8191"); err != nil || b.Last() != MaxCPUs-1 {
+		t.Errorf("ParseList at the index bound: %v, %v", b, err)
+	}
+	for _, bad := range []string{"x", "3-", "-2", "5-3", "1,,2", "1-2-3", "8192", "0-100000000", "100000000"} {
+		_, err := ParseList(bad)
+		if err == nil {
 			t.Errorf("ParseList(%q) should fail", bad)
+			continue
 		}
+		if cerr := CheckList(bad); cerr == nil || cerr.Error() != err.Error() {
+			t.Errorf("CheckList(%q) = %v, ParseList says %v", bad, cerr, err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if CheckList(" 0-3, 12 ,14-15 ") != nil {
+			t.Fatal("CheckList refused a good list")
+		}
+	}); n != 0 {
+		t.Errorf("CheckList allocates %v times on a good list, want 0", n)
 	}
 }
 

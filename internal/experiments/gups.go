@@ -28,14 +28,19 @@ type GUPSCell struct {
 // table on each local memory kind.
 func GUPSData() ([]GUPSCell, error) {
 	var out []GUPSCell
+	// A slice, not a map: the table's rows come out in this order.
+	type placement struct {
+		kind   string
+		nodeOS int
+	}
 	cfgs := []struct {
 		machine string
 		tableB  uint64
 		updates uint64
-		nodes   map[string]int
+		nodes   []placement
 	}{
-		{"xeon", 8 << 30, 500_000_000, map[string]int{"DRAM": 0, "NVDIMM": 2}},
-		{"knl-snc4-flat", 3 << 30, 200_000_000, map[string]int{"DRAM": 0, "MCDRAM": 4}},
+		{"xeon", 8 << 30, 500_000_000, []placement{{"DRAM", 0}, {"NVDIMM", 2}}},
+		{"knl-snc4-flat", 3 << 30, 200_000_000, []placement{{"DRAM", 0}, {"MCDRAM", 4}}},
 	}
 	for _, cfg := range cfgs {
 		sys, err := core.NewSystem(cfg.machine, core.Options{})
@@ -43,15 +48,15 @@ func GUPSData() ([]GUPSCell, error) {
 			return nil, err
 		}
 		ini := sys.InitiatorForGroup(0)
-		for kind, nodeOS := range cfg.nodes {
-			table, err := sys.Machine.Alloc("gups-table", cfg.tableB, sys.Machine.NodeByOS(nodeOS))
+		for _, p := range cfg.nodes {
+			table, err := sys.Machine.Alloc("gups-table", cfg.tableB, sys.Machine.NodeByOS(p.nodeOS))
 			if err != nil {
 				return nil, err
 			}
 			e := sys.Engine(ini)
 			res := gups.Run(e, table, cfg.updates, gups.SimParams{})
 			sys.Free(table)
-			out = append(out, GUPSCell{cfg.machine, kind, res.GUPS})
+			out = append(out, GUPSCell{cfg.machine, p.kind, res.GUPS})
 		}
 	}
 	return out, nil

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -82,13 +83,6 @@ func TestLeaseFootprint(t *testing.T) {
 			}
 		}
 	}
-	liveHeap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 
 	const leases = 20000
 	populate(1024) // dial, warm the pools and grow the maps past their first buckets
@@ -105,17 +99,20 @@ func TestLeaseFootprint(t *testing.T) {
 	}
 }
 
-// TestInternInitiatorRacingInserts: callers that miss on the same new
-// list all get the one entry that won, and only that insert counts
-// against the cache bound.
-func TestInternInitiatorRacingInserts(t *testing.T) {
-	clearInterned := func() {
-		iniCache.Range(func(k, _ any) bool { iniCache.Delete(k); return true })
-		iniCacheSize.Store(0)
-	}
-	clearInterned()
-	defer clearInterned()
+// liveHeap is the heap still reachable after two collections.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
 
+// TestInternInitiatorRacingInserts: callers that miss on the same new
+// list all get the one entry that won, and the daemon's table holds
+// each list once.
+func TestInternInitiatorRacingInserts(t *testing.T) {
+	srv := newTestDaemon(t)
 	const workers, lists = 8, 256
 	type got struct {
 		list string
@@ -132,7 +129,7 @@ func TestInternInitiatorRacingInserts(t *testing.T) {
 			for i := range lists {
 				// A fresh string per call: the request's own copy.
 				s := strings.Clone(fmt.Sprintf("%d-%d", i, i+w%2))
-				list, bm, err := internInitiator(s)
+				list, bm, err := srv.resolveInitiator(s)
 				if err != nil {
 					t.Error(err)
 					return
@@ -144,13 +141,8 @@ func TestInternInitiatorRacingInserts(t *testing.T) {
 	close(start)
 	wg.Wait()
 
-	entries := 0
-	iniCache.Range(func(any, any) bool { entries++; return true })
-	if n := iniCacheSize.Load(); n != int64(entries) {
-		t.Errorf("intern cache counts %d entries, holds %d", n, entries)
-	}
-	if entries != 2*lists { // "i-i" from even workers, "i-(i+1)" from odd ones
-		t.Errorf("intern cache holds %d entries, want %d", entries, 2*lists)
+	if entries := len(srv.inis.m); entries != 2*lists { // "i-i" from even workers, "i-(i+1)" from odd ones
+		t.Errorf("intern table holds %d entries, want %d", entries, 2*lists)
 	}
 	for w := 2; w < workers; w++ {
 		for i, r := range results[w] {
@@ -159,6 +151,109 @@ func TestInternInitiatorRacingInserts(t *testing.T) {
 				t.Fatalf("worker %d list %q: got another bitmap or string than worker %d", w, r.list, w%2)
 			}
 		}
+	}
+}
+
+// internOneOffs resolves n distinct sparse cpuset lists on srv, each
+// from a fresh string, the way a stream of one-off requests does.
+func internOneOffs(t *testing.T, srv *Server, n int) {
+	t.Helper()
+	for i := range n {
+		s := fmt.Sprintf("%d,%d,%d", i%40, i/40%40, i/1600%40)
+		if _, _, err := srv.resolveInitiator(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// interns reports whether srv keeps list s interned: a second lookup
+// from another copy of the string returns the first one's bitmap.
+func interns(t *testing.T, srv *Server, s string) bool {
+	t.Helper()
+	_, a, err := srv.resolveInitiator(strings.Clone(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, b, err := srv.resolveInitiator(strings.Clone(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a == b
+}
+
+// TestInitiatorTableOutlivesOneOffs: a daemon that has resolved 20 000
+// one-off lists still interns a new one, and its table stays bounded.
+func TestInitiatorTableOutlivesOneOffs(t *testing.T) {
+	srv := newTestDaemon(t)
+	internOneOffs(t, srv, 20000)
+	if n := len(srv.inis.m); n > iniCacheMax {
+		t.Errorf("intern table holds %d entries, want <= %d", n, iniCacheMax)
+	}
+	if !interns(t, srv, "1-2,39") {
+		t.Error("a new list is not interned after 20 000 one-off lists")
+	}
+}
+
+// TestDaemonsShareNoInitiators: daemon A fills its intern table with
+// one-off lists and is closed; daemon B, in the same process, still
+// interns a new list, and none of A's lists stay live.
+func TestDaemonsShareNoInitiators(t *testing.T) {
+	b := newTestDaemon(t)
+	if !interns(t, b, "0-19") {
+		t.Fatal("daemon B does not intern a list")
+	}
+	before := liveHeap()
+	func() {
+		sys, err := core.NewSystem("xeon", core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := New(sys)
+		internOneOffs(t, a, 20000)
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if !interns(t, b, "3,5-7") {
+		t.Error("daemon B does not intern a new list after daemon A's one-off lists")
+	}
+	after := liveHeap()
+	t.Logf("live heap %d B before daemon A, %d B after it closed", before, after)
+	if after > before+before/20 {
+		t.Errorf("live heap %d B after daemon A closed, want within 5%% of %d B", after, before)
+	}
+}
+
+// TestHugeInitiatorRefused: a short list naming a CPU index far past
+// any machine is a 400 bad_request on every transport, refused before
+// anything is sized to it.
+func TestHugeInitiatorRefused(t *testing.T) {
+	srv := newTestDaemon(t)
+	ctx := context.Background()
+	for _, transport := range []string{"http", "uds"} {
+		t.Run(transport, func(t *testing.T) {
+			base, stop, err := ServeTransport(srv, transport)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stop()
+			cl := NewClient(base, WithRetryPolicy(NoRetry), WithoutHeartbeat())
+			defer cl.Close()
+			allocFree(t, cl) // dial and warm the pools
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err = cl.Alloc(ctx, AllocRequest{Name: "far", Size: 4096, Attr: "Capacity", Initiator: "100000000"})
+			runtime.ReadMemStats(&after)
+			var apiErr *APIError
+			if !errors.As(err, &apiErr) || apiErr.StatusCode != 400 || apiErr.Code != CodeBadRequest ||
+				!strings.Contains(apiErr.Message, "initiator") {
+				t.Errorf("alloc for CPU 100000000: %v, want 400 bad_request (initiator)", err)
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+				t.Errorf("refusing the alloc allocated %d B, want < 64 KiB", n)
+			}
+		})
 	}
 }
 

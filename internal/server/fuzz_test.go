@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"testing"
+
+	"hetmem/internal/bitmap"
 )
 
 // FuzzDecodeRequest throws arbitrary bytes at the daemon's request
@@ -39,8 +41,10 @@ func FuzzDecodeRequest(f *testing.F) {
 			default:
 				t.Fatalf("accepted invalid policy: %+v", req)
 			}
-			if _, _, err := parseInitiator(req.Initiator); err != nil {
-				t.Fatalf("accepted invalid initiator: %+v: %v", req, err)
+			if req.Initiator != "" {
+				if b, err := bitmap.ParseList(req.Initiator); err != nil || b.IsZero() {
+					t.Fatalf("accepted invalid initiator: %+v: %v", req, err)
+				}
 			}
 		}
 		if req, err := decodeBatchAllocRequest(data); err == nil {

@@ -28,8 +28,9 @@ type lease struct {
 	// attr is the attribute the lease is placed for; its name comes
 	// from the registry where a response or a record needs it.
 	attr memattr.ID
-	// initiator is the request's cpuset list as the intern cache keeps
-	// it (see internInitiator), so leases share one copy of each list.
+	// initiator is the request's cpuset list as the daemon's intern
+	// table keeps it (see initiators), so leases share one copy of each
+	// list.
 	initiator string
 	key       string
 	tenant    string

@@ -3,14 +3,13 @@ package server
 // Hot-path object pools. A placement daemon under 32-client load used
 // to pay a fresh request buffer, response buffer, lease object, and
 // parsed initiator bitmap per request; all four now come from pools
-// (or an intern cache), and the hot request shapes are scanned in
+// (or the daemon's intern table), and the hot request shapes are scanned in
 // place (types.go), so the steady-state request path allocates the
 // strings a request carries and little else. The budgets in
 // alloc_budget_test.go pin the result.
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"hetmem/internal/bitmap"
 )
@@ -42,49 +41,52 @@ var reqBufPool = sync.Pool{
 func getReqBuf() *[]byte  { return reqBufPool.Get().(*[]byte) }
 func putReqBuf(b *[]byte) { *b = (*b)[:0]; reqBufPool.Put(b) }
 
-// iniCacheMax bounds the initiator intern cache; a daemon sees a small
-// closed set of cpuset strings (one per client pool), so the bound only
-// guards against an adversarial stream of unique lists.
+// iniCacheMax bounds a daemon's intern table. A daemon sees a small
+// closed set of cpuset lists (one per client pool), so the bound only
+// guards against a stream of one-off lists: an insert that finds the
+// table full empties it, and a hot list dropped that way costs one
+// ParseList when it is next used.
 const iniCacheMax = 4096
 
-var (
-	iniCache     sync.Map // cpuset list string -> *internedIni
-	iniCacheSize atomic.Int64
-)
+// initiators is a daemon's intern table of cpuset lists: one list
+// string yields one immutable bitmap, parsed once, and one string, the
+// table's key, which a lease keeps instead of the request's copy (and
+// still holds after the table empties). No consumer mutates a parsed
+// initiator: the allocator's candidate cache copies before storing.
+type initiators struct {
+	mu sync.RWMutex
+	m  map[string]internedIni
+}
 
-// internedIni is one intern cache entry: the list string the cache is
+// internedIni is one intern table entry: the list string the table is
 // keyed by, and its parsed bitmap.
 type internedIni struct {
 	list string
 	bm   *bitmap.Bitmap
 }
 
-// internInitiator parses a cpuset list through a process-wide intern
-// cache: the same list string yields the same immutable bitmap, parsed
-// once, and the same string — the cache's own key, which a long-lived
-// holder such as a lease keeps instead of the request's copy. Safe to
-// share because no consumer mutates parsed initiators — the
-// allocator's candidate cache copies before storing and otherwise only
-// reads. Callers that race on a new list all get the entry that won
-// the insert; only that insert counts against iniCacheMax.
-func internInitiator(s string) (string, *bitmap.Bitmap, error) {
-	if v, ok := iniCache.Load(s); ok {
-		e := v.(*internedIni)
+// intern returns the table's copy of the non-empty list s and its
+// bitmap. A hit takes only the read lock and allocates nothing; callers
+// that race on a new list all get the entry that won the insert.
+func (t *initiators) intern(s string) (string, *bitmap.Bitmap, error) {
+	t.mu.RLock()
+	e, ok := t.m[s]
+	t.mu.RUnlock()
+	if ok {
 		return e.list, e.bm, nil
 	}
 	b, err := bitmap.ParseList(s)
-	if err != nil {
+	if err = initiatorError(s, err); err != nil {
 		return "", nil, err
 	}
-	// Reserve a slot first, so racing inserts never overshoot the bound.
-	if iniCacheSize.Add(1) > iniCacheMax {
-		iniCacheSize.Add(-1)
-		return s, b, nil
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if e, ok := t.m[s]; ok {
+		return e.list, e.bm, nil
 	}
-	v, loaded := iniCache.LoadOrStore(s, &internedIni{list: s, bm: b})
-	if loaded {
-		iniCacheSize.Add(-1) // another caller's insert won
+	if len(t.m) >= iniCacheMax || t.m == nil {
+		t.m = make(map[string]internedIni)
 	}
-	e := v.(*internedIni)
-	return e.list, e.bm, nil
+	t.m[s] = internedIni{list: s, bm: b}
+	return s, b, nil
 }

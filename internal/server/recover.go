@@ -118,8 +118,8 @@ func (s *Server) restoreFromJournal(recs []journal.Record, nextLease uint64) err
 		l.id = id
 		l.attr = p.attr
 		l.initiator = p.rec.Initiator
-		if list, _, err := parseInitiator(l.initiator); err == nil {
-			l.initiator = list // share the intern cache's copy
+		if list, _, err := s.resolveInitiator(l.initiator); err == nil {
+			l.initiator = list // share the intern table's copy
 		}
 		l.key = p.rec.Key
 		l.tenant = p.rec.Tenant

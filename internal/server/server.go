@@ -272,8 +272,9 @@ type Server struct {
 	adviseMu sync.Mutex
 
 	// defaultInitiator is used when a request does not name one: the
-	// whole machine's cpuset.
+	// whole machine's cpuset. inis interns the lists requests do name.
 	defaultInitiator *bitmap.Bitmap
+	inis             initiators
 
 	// avoidFn is s.avoidUnhealthy bound once: a method value allocates
 	// at every use, and the alloc hot path passes it on every request.
@@ -573,17 +574,14 @@ func (s *Server) Attrs(ctx context.Context) ([]AttrReport, error) {
 	return reports, nil
 }
 
-// resolveInitiator widens an absent initiator to the whole machine. It
-// also returns the intern cache's copy of the list (see parseInitiator).
+// resolveInitiator parses a cpuset list through the daemon's intern
+// table and widens an absent one to the whole machine. It also returns
+// the table's copy of the list, for a lease to keep.
 func (s *Server) resolveInitiator(list string) (string, *bitmap.Bitmap, error) {
-	list, ini, err := parseInitiator(list)
-	if err != nil {
-		return "", nil, err
+	if list == "" {
+		return "", s.defaultInitiator, nil
 	}
-	if ini == nil {
-		ini = s.defaultInitiator
-	}
-	return list, ini, nil
+	return s.inis.intern(list)
 }
 
 // pressure reports the online capacity and the bytes in use on it.

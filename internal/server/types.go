@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 
 	"hetmem/internal/bitmap"
 	"hetmem/internal/jsonenc"
@@ -594,10 +595,7 @@ func validateAllocRequest(req AllocRequest) error {
 	if req.TTLSeconds < 0 {
 		return fmt.Errorf("%w: negative ttl_seconds", ErrBadRequest)
 	}
-	if _, _, err := parseInitiator(req.Initiator); err != nil {
-		return err
-	}
-	return nil
+	return checkInitiator(req.Initiator)
 }
 
 // decodeBatchAllocRequest parses a /v1/alloc/batch body. Envelope
@@ -652,28 +650,28 @@ func decodeMigrateRequest(data []byte) (MigrateRequest, error) {
 		if req.Attr == "" {
 			return fmt.Errorf("%w: missing attr", ErrBadRequest)
 		}
-		_, _, err := parseInitiator(req.Initiator)
-		return err
+		return checkInitiator(req.Initiator)
 	})
 }
 
-// parseInitiator turns a cpuset list into a bitmap; empty means "the
-// caller did not say", which handlers widen to the whole machine. The
-// parse goes through a process-wide intern cache (see pool.go): each
-// distinct list string is parsed once and its immutable bitmap shared,
-// so validation and placement both read the cached value. It also
-// returns the cache's copy of the list, for a holder that outlives the
-// request.
-func parseInitiator(s string) (string, *bitmap.Bitmap, error) {
+// checkInitiator validates a request's cpuset list, building no bitmap;
+// empty means "the caller did not say", which handlers widen to the
+// whole machine. A daemon parses the list in Server.resolveInitiator.
+func checkInitiator(s string) error {
 	if s == "" {
-		return "", nil, nil
+		return nil
 	}
-	list, b, err := internInitiator(s)
+	return initiatorError(s, bitmap.CheckList(s))
+}
+
+// initiatorError is the 400 for a non-empty cpuset list s, given the
+// scanner's verdict on it, or for a list of blanks.
+func initiatorError(s string, err error) error {
 	if err != nil {
-		return "", nil, fmt.Errorf("%w: initiator: %v", ErrBadRequest, err)
+		return fmt.Errorf("%w: initiator: %v", ErrBadRequest, err)
 	}
-	if b.IsZero() {
-		return "", nil, fmt.Errorf("%w: empty initiator cpuset", ErrBadRequest)
+	if strings.TrimSpace(s) == "" {
+		return fmt.Errorf("%w: empty initiator cpuset", ErrBadRequest)
 	}
-	return list, b, nil
+	return nil
 }
