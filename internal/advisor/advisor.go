@@ -162,9 +162,11 @@ type Tracker struct {
 	leases map[uint64]*leaseState
 	advice map[string]string // by buffer name, for attr-less allocs
 
-	log     []Decision // ring of cfg.LogSize
+	// log is the decision ring. It grows as decisions are logged, so an
+	// idle advisor holds none, and wraps once it holds cfg.LogSize;
+	// logNext is then the oldest entry.
+	log     []Decision
 	logNext int
-	logFull bool
 
 	counters Counters
 }
@@ -189,7 +191,6 @@ func New(cfg Config) *Tracker {
 		cfg:    cfg,
 		leases: make(map[uint64]*leaseState),
 		advice: make(map[string]string),
-		log:    make([]Decision, cfg.LogSize),
 	}
 }
 
@@ -394,12 +395,16 @@ func (t *Tracker) RecordHeldBudget(r Recommendation) {
 // logDecision appends to the ring. Caller holds t.mu.
 func (t *Tracker) logDecision(d Decision) {
 	d.Cycle = t.cycle
-	t.log[t.logNext] = d
-	t.logNext++
-	if t.logNext == len(t.log) {
-		t.logNext = 0
-		t.logFull = true
+	if n := len(t.log); n < t.cfg.LogSize {
+		if n == cap(t.log) {
+			// Double as append would, but never past the cap.
+			t.log = append(make([]Decision, 0, min(max(2*n, 8), t.cfg.LogSize)), t.log...)
+		}
+		t.log = append(t.log, d)
+		return
 	}
+	t.log[t.logNext] = d
+	t.logNext = (t.logNext + 1) % len(t.log)
 }
 
 // Advice returns the advisor's current placement recommendation for a
@@ -442,12 +447,10 @@ func (t *Tracker) Snapshot() Snapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var decisions []Decision
-	if t.logFull {
+	if len(t.log) > 0 {
 		decisions = make([]Decision, 0, len(t.log))
 		decisions = append(decisions, t.log[t.logNext:]...)
 		decisions = append(decisions, t.log[:t.logNext]...)
-	} else if t.logNext > 0 {
-		decisions = append([]Decision(nil), t.log[:t.logNext]...)
 	}
 	return Snapshot{
 		Paused:         t.paused,

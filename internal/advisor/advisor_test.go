@@ -151,6 +151,28 @@ func TestDecisionRingWraps(t *testing.T) {
 	}
 }
 
+// TestDecisionRingGrowsOnDemand: an idle tracker holds no log, and the
+// ring grows one decision at a time, oldest first, up to LogSize.
+func TestDecisionRingGrowsOnDemand(t *testing.T) {
+	tr := New(Config{Options: sensitivity.DefaultOptions()})
+	if tr.log != nil || tr.Snapshot().Decisions != nil {
+		t.Fatalf("an idle tracker holds a %d-entry log, want none", cap(tr.log))
+	}
+	for i := uint64(1); i <= 3; i++ {
+		tr.RecordHeldBudget(tr.Classify([]Sample{hotSample(i, "x", 1000)})[0])
+	}
+	snap := tr.Snapshot()
+	if len(snap.Decisions) != 3 || snap.Decisions[0].Lease != 1 || snap.Decisions[2].Lease != 3 {
+		t.Fatalf("decisions %+v, want leases 1..3 oldest first", snap.Decisions)
+	}
+	for i := uint64(4); i <= 2*DefaultLogSize; i++ {
+		tr.RecordHeldBudget(tr.Classify([]Sample{hotSample(i, "x", 1000)})[0])
+	}
+	if n := len(tr.Snapshot().Decisions); n != DefaultLogSize || cap(tr.log) > DefaultLogSize {
+		t.Errorf("ring holds %d decisions in %d slots, want %d in at most %d", n, cap(tr.log), DefaultLogSize, DefaultLogSize)
+	}
+}
+
 // TestVanishedLeaseIsPruned: state for a freed lease is dropped, so a
 // recycled lease ID starts with a clean streak.
 func TestVanishedLeaseIsPruned(t *testing.T) {

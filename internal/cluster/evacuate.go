@@ -34,7 +34,7 @@ import (
 // SECOND evacuation of the same routed lease (its new home died too)
 // gets a fresh key, as it must — the previous grant is gone with the
 // previous target.
-func evacKey(rl *rlease) string {
+func evacKey(rl *heldLease) string {
 	return fmt.Sprintf("evac-%d-%d-%d", rl.id, rl.slot, rl.memberLease)
 }
 
@@ -60,10 +60,10 @@ func (r *Router) evacuateMember(ctx context.Context, m *member, freeSource bool)
 	defer m.evacMu.Unlock()
 
 	r.mu.Lock()
-	var stranded []rlease // copies: the fields evacuateLease needs
-	for _, rl := range r.leases {
+	var stranded []heldLease // copies: the fields evacuateLease needs
+	for id, rl := range r.leases {
 		if rl.slot == m.slot {
-			stranded = append(stranded, *rl)
+			stranded = append(stranded, heldLease{id, *rl})
 		}
 	}
 	r.mu.Unlock()
@@ -91,7 +91,7 @@ func (r *Router) evacuateMember(ctx context.Context, m *member, freeSource bool)
 // it, because there the member is alive and simply lost the lease
 // (restart with a wiped journal), so re-placing on the same member is
 // both legal and often the rendezvous-preferred answer.
-func (r *Router) evacuateLease(ctx context.Context, snap *rlease, allowSameSlot, freeSource bool) error {
+func (r *Router) evacuateLease(ctx context.Context, snap *heldLease, allowSameSlot, freeSource bool) error {
 	elig := r.eligible()
 	candidates := elig[:0:0]
 	for _, m := range elig {
@@ -109,15 +109,15 @@ func (r *Router) evacuateLease(ctx context.Context, snap *rlease, allowSameSlot,
 		byName[m.name] = m
 	}
 
-	key := snap.key
+	key := snap.key()
 	if key == "" {
 		key = snap.name
 	}
 	req := server.AllocRequest{
 		Name:           snap.name,
 		Size:           snap.size,
-		Attr:           snap.attr,
-		Initiator:      snap.initiator,
+		Attr:           *snap.attr,
+		Initiator:      *snap.initiator,
 		IdempotencyKey: evacKey(snap),
 		TTLSeconds:     float64(snap.ttlMillis) / 1000,
 	}
@@ -153,11 +153,11 @@ func (r *Router) evacuateLease(ctx context.Context, snap *rlease, allowSameSlot,
 // just created is released (safe: the idempotency key that guarded
 // creation is derived from a source pair that no longer exists, so
 // no concurrent evacuation can be sharing this grant).
-func (r *Router) commitEvacuation(ctx context.Context, snap *rlease, target *member, mresp server.AllocResponse, freeSource bool) error {
+func (r *Router) commitEvacuation(ctx context.Context, snap *heldLease, target *member, mresp server.AllocResponse, freeSource bool) error {
 	r.mu.Lock()
-	cur, ok := r.leases[snap.id]
-	if !ok || cur.slot != snap.slot || cur.memberLease != snap.memberLease {
-		alreadyThere := ok && cur.slot == target.slot && cur.memberLease == mresp.Lease
+	cur, ok := r.mapped(snap.id, snap.slot, snap.memberLease)
+	if !ok {
+		_, alreadyThere := r.mapped(snap.id, target.slot, mresp.Lease)
 		r.mu.Unlock()
 		if !alreadyThere {
 			if err := target.cl.Free(context.WithoutCancel(ctx), mresp.Lease); err != nil && !errors.Is(err, server.ErrLeaseExpired) {
@@ -169,7 +169,7 @@ func (r *Router) commitEvacuation(ctx context.Context, snap *rlease, target *mem
 	rec := journal.Record{
 		Op:       journal.OpMigrate,
 		Lease:    snap.id,
-		Segments: []journal.Segment{{NodeOS: target.slot, Bytes: mresp.Lease}},
+		Segments: []journal.Segment{{NodeOS: int(target.slot), Bytes: mresp.Lease}},
 	}
 	if err := r.appendLocked(rec); err != nil {
 		r.mu.Unlock()
@@ -180,7 +180,7 @@ func (r *Router) commitEvacuation(ctx context.Context, snap *rlease, target *mem
 	}
 	cur.slot = target.slot
 	cur.memberLease = mresp.Lease
-	cur.placement = target.name + "/" + mresp.Placement
+	cur.placement = target.places.share(mresp.Placement)
 	r.mu.Unlock()
 
 	// Free-on-source, last: if the source daemon is unreachable (the

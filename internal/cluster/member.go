@@ -49,8 +49,11 @@ type MemberSpec struct {
 type member struct {
 	name string
 	url  string
-	slot int // index into Router.members; NodeOS in journal records
+	slot int32 // index into Router.members; NodeOS in journal records
 	cl   *server.Client
+	// places shares this member's prefixed placements among routed
+	// leases. Guarded by the router's mu.
+	places strtab
 
 	// sem bounds concurrent data-plane forwards to this member (nil:
 	// unbounded). Control-plane traffic — polls, evacuations, scrubs,
@@ -96,7 +99,7 @@ func (m *member) snapshotState() (state int, instanceID string, pressure float64
 // healthRow is the member's row in the router's /v1/health report.
 func (m *member) healthRow() server.NodeHealth {
 	state, id, _ := m.snapshotState()
-	return server.NodeHealth{Node: m.name, OS: m.slot, State: memberStateName(state), InstanceID: id}
+	return server.NodeHealth{Node: m.name, OS: int(m.slot), State: memberStateName(state), InstanceID: id}
 }
 
 // poll runs one health probe and applies the state machine. It

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -117,40 +118,99 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// rlease is one routed lease: the router-scoped lease ID the client
-// holds, and the (member slot, member-local lease) pair it currently
-// maps to. The triple is exactly what the router journals.
+// rlease is one routed lease: the (member slot, member-local lease)
+// pair that the router-scoped lease ID the client holds (its key in
+// Router.leases) currently maps to. With the ID, that is exactly what
+// the router journals. One is held per routed lease, so the record is
+// kept to 88 bytes, in a 96-byte size class (TestRouterLeaseFootprint).
 type rlease struct {
-	id          uint64
-	slot        int
 	memberLease uint64
 
 	// The original request, kept so evacuation can re-place the buffer
 	// on a survivor with the same constraints.
-	name      string
-	attr      string
-	initiator string
-	key       string // client idempotency key, "" if none
-	size      uint64
-	ttlMillis uint64
+	name string
+	size uint64
 	// tenant owns the lease for quota and priority purposes; it follows
 	// the lease through journal replay, evacuation, and scrub repair.
 	tenant string
+	// attr and initiator are the request's, and placement is the
+	// member-prefixed placement the lease holds now; attr and placement
+	// follow migrate and evacuation. Each points at the one copy the
+	// router's string tables share among leases (strtab).
+	attr      *string
+	initiator *string
+	placement *string
 
-	// placement is the member-prefixed placement the lease holds now;
-	// it follows migrate and evacuation.
-	placement string
-	// replay is the response the client saw, kept only for a keyed
-	// lease: a retry with its idempotency key gets it back, with the
-	// current placement. An unkeyed lease can never be replayed.
-	replay *server.AllocResponse
+	// keyed is nil unless the client sent an idempotency key.
+	keyed *rkeyed
+
+	// ttlMillis is the TTL the member granted, saturating (ttlMillisOf).
+	ttlMillis uint32
+	slot      int32 // index into Router.members
+}
+
+// rkeyed is what a keyed lease adds: the client's idempotency key and
+// the response the client saw. A retry with the key gets the response
+// back, with the current placement. An unkeyed lease can never be
+// replayed.
+type rkeyed struct {
+	key    string
+	replay server.AllocResponse
+}
+
+// key returns the lease's idempotency key, "" if it has none.
+func (rl *rlease) key() string {
+	if rl.keyed == nil {
+		return ""
+	}
+	return rl.keyed.key
 }
 
 // replayResponse is the answer to an idempotent retry of a keyed lease.
 func (rl *rlease) replayResponse() server.AllocResponse {
-	resp := *rl.replay
-	resp.Placement = rl.placement
+	resp := rl.keyed.replay
+	resp.Placement = *rl.placement
 	return resp
+}
+
+// heldLease is a copy of a routed lease with its ID, taken under r.mu
+// for work done outside it (evacuation, scrub repair).
+type heldLease struct {
+	id uint64
+	rlease
+}
+
+// ttlMillisOf narrows a granted TTL to an rlease's milliseconds. It
+// saturates at math.MaxUint32 (about 49.7 days) rather than wrapping.
+func ttlMillisOf(seconds float64) uint32 {
+	return uint32(min(max(seconds*1000, 0), math.MaxUint32))
+}
+
+// strtabMax bounds each of the router's string tables, as the daemon's
+// intern table is bounded: a table that fills up starts over.
+const strtabMax = 4096
+
+// strtab holds one copy of each string that many routed leases repeat:
+// keyed by the string a request or member answer carries, it shares
+// prefix+key. A lease keeps the copy it points at when the table
+// starts over. Guarded by r.mu.
+type strtab struct {
+	prefix string
+	m      map[string]*string
+}
+
+// share returns the table's copy of prefix+s.
+func (t *strtab) share(s string) *string {
+	if p, ok := t.m[s]; ok {
+		return p
+	}
+	if len(t.m) >= strtabMax || t.m == nil {
+		t.m = make(map[string]*string)
+	}
+	p := new(string)
+	*p = t.prefix + s
+	t.m[s] = p
+	return p
 }
 
 // Router shards the lease keyspace over a fleet of hetmemd daemons
@@ -172,6 +232,9 @@ type Router struct {
 	idem      map[string]uint64 // client idempotency key -> router lease
 	nextLease uint64
 	store     *journal.Store // nil without -journal
+	// strs shares the attribute names and initiator lists of routed
+	// leases; each member's places shares its prefixed placements.
+	strs strtab
 
 	// Cluster-level counters surfaced in the /metrics rollup.
 	idemReplays      atomic.Uint64
@@ -236,7 +299,8 @@ func New(cfg Config) (*Router, error) {
 		if cfg.MemberRetry != nil {
 			opts = append(opts, server.WithRetryPolicy(*cfg.MemberRetry))
 		}
-		m := &member{name: spec.Name, url: spec.URL, slot: i, cl: server.NewClient(spec.URL, opts...)}
+		m := &member{name: spec.Name, url: spec.URL, slot: int32(i), cl: server.NewClient(spec.URL, opts...)}
+		m.places.prefix = spec.Name + "/"
 		if cfg.MaxInFlightPerMember > 0 {
 			m.sem = make(chan struct{}, cfg.MaxInFlightPerMember)
 		}
@@ -277,15 +341,13 @@ func (r *Router) replay(restored journal.Restored) {
 				continue
 			}
 			rl := &rlease{
-				id:          rec.Lease,
-				slot:        rec.Segments[0].NodeOS,
+				slot:        int32(rec.Segments[0].NodeOS),
 				memberLease: rec.Segments[0].Bytes,
 				name:        rec.Name,
-				attr:        rec.Attr,
-				initiator:   rec.Initiator,
-				key:         rec.Key,
+				attr:        r.strs.share(rec.Attr),
+				initiator:   r.strs.share(rec.Initiator),
 				size:        rec.Size,
-				ttlMillis:   rec.TTLMillis,
+				ttlMillis:   uint32(min(rec.TTLMillis, math.MaxUint32)),
 				tenant:      rec.Tenant,
 			}
 			if rl.tenant == "" {
@@ -293,13 +355,13 @@ func (r *Router) replay(restored journal.Restored) {
 			}
 			// The member-reported placement string is not journaled;
 			// after a restart the lease's placement names the member.
-			rl.placement = r.members[rl.slot].name
+			rl.placement = &r.members[rl.slot].name
 			if rec.Key != "" {
-				rl.replay = &server.AllocResponse{
+				rl.keyed = &rkeyed{key: rec.Key, replay: server.AllocResponse{
 					Lease:      rec.Lease,
 					AttrUsed:   rec.Attr,
 					TTLSeconds: float64(rec.TTLMillis) / 1000,
-				}
+				}}
 				r.idem[rec.Key] = rec.Lease
 			}
 			r.leases[rec.Lease] = rl
@@ -311,15 +373,12 @@ func (r *Router) replay(restored journal.Restored) {
 			if !ok || len(rec.Segments) != 1 || rec.Segments[0].NodeOS < 0 || rec.Segments[0].NodeOS >= len(r.members) {
 				continue
 			}
-			rl.slot = rec.Segments[0].NodeOS
+			rl.slot = int32(rec.Segments[0].NodeOS)
 			rl.memberLease = rec.Segments[0].Bytes
-			rl.placement = r.members[rl.slot].name
+			rl.placement = &r.members[rl.slot].name
 		case journal.OpFree:
 			if rl, ok := r.leases[rec.Lease]; ok {
-				if rl.key != "" {
-					delete(r.idem, rl.key)
-				}
-				delete(r.leases, rec.Lease)
+				r.forget(rec.Lease, rl)
 			}
 		}
 	}
@@ -401,26 +460,46 @@ func (r *Router) Checkpoint() error {
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		recs := make([]journal.Record, 0, len(r.leases))
-		for _, rl := range r.leases {
-			recs = append(recs, allocRecord(rl))
+		for id, rl := range r.leases {
+			recs = append(recs, allocRecord(id, rl))
 		}
 		sort.Slice(recs, func(i, j int) bool { return recs[i].Lease < recs[j].Lease })
 		return recs, r.nextLease, nil
 	})
 }
 
-func allocRecord(rl *rlease) journal.Record {
+func allocRecord(id uint64, rl *rlease) journal.Record {
 	return journal.Record{
 		Op:        journal.OpAlloc,
-		Lease:     rl.id,
+		Lease:     id,
 		Name:      rl.name,
-		Attr:      rl.attr,
-		Initiator: rl.initiator,
-		Key:       rl.key,
+		Attr:      *rl.attr,
+		Initiator: *rl.initiator,
+		Key:       rl.key(),
 		Size:      rl.size,
 		Tenant:    rl.tenant,
-		TTLMillis: rl.ttlMillis,
-		Segments:  []journal.Segment{{NodeOS: rl.slot, Bytes: rl.memberLease}},
+		TTLMillis: uint64(rl.ttlMillis),
+		Segments:  []journal.Segment{{NodeOS: int(rl.slot), Bytes: rl.memberLease}},
+	}
+}
+
+// mapped returns the routed lease id if it still maps to the exact
+// (slot, member lease) pair a caller saw before it released r.mu: an
+// evacuation may have re-homed it since. Caller holds r.mu.
+func (r *Router) mapped(id uint64, slot int32, memberLease uint64) (*rlease, bool) {
+	rl, ok := r.leases[id]
+	if !ok || rl.slot != slot || rl.memberLease != memberLease {
+		return nil, false
+	}
+	return rl, true
+}
+
+// forget removes a routed lease and its idempotency key from the
+// book. Caller holds r.mu.
+func (r *Router) forget(id uint64, rl *rlease) {
+	delete(r.leases, id)
+	if rl.keyed != nil {
+		delete(r.idem, rl.keyed.key)
 	}
 }
 
@@ -632,26 +711,23 @@ func (r *Router) commitAlloc(ctx context.Context, m *member, req server.AllocReq
 	id := r.nextLease
 	r.nextLease++
 	rl := &rlease{
-		id:          id,
 		slot:        m.slot,
 		memberLease: mresp.Lease,
 		name:        req.Name,
-		attr:        req.Attr,
-		initiator:   req.Initiator,
-		key:         req.IdempotencyKey,
+		attr:        r.strs.share(req.Attr),
+		initiator:   r.strs.share(req.Initiator),
 		size:        req.Size,
-		ttlMillis:   uint64(mresp.TTLSeconds * 1000),
+		ttlMillis:   ttlMillisOf(mresp.TTLSeconds),
 		tenant:      requestTenant(ctx),
+		placement:   m.places.share(mresp.Placement),
 	}
 	resp := mresp
 	resp.Lease = id
-	resp.Placement = m.name + "/" + mresp.Placement
-	rl.placement = resp.Placement
-	if rl.key != "" {
-		replay := resp
-		rl.replay = &replay
+	resp.Placement = *rl.placement
+	if req.IdempotencyKey != "" {
+		rl.keyed = &rkeyed{key: req.IdempotencyKey, replay: resp}
 	}
-	if err := r.appendLocked(allocRecord(rl)); err != nil {
+	if err := r.appendLocked(allocRecord(id, rl)); err != nil {
 		r.mu.Unlock()
 		if ferr := m.cl.Free(context.WithoutCancel(ctx), mresp.Lease); ferr != nil {
 			m.queueFree(mresp.Lease)
@@ -659,8 +735,8 @@ func (r *Router) commitAlloc(ctx context.Context, m *member, req server.AllocReq
 		return server.AllocResponse{}, err
 	}
 	r.leases[id] = rl
-	if rl.key != "" {
-		r.idem[rl.key] = id
+	if rl.keyed != nil {
+		r.idem[rl.keyed.key] = id
 	}
 	r.mu.Unlock()
 	return resp, nil
@@ -766,10 +842,7 @@ func (r *Router) Free(ctx context.Context, req server.FreeRequest) (server.FreeR
 		r.mu.Unlock()
 		return server.FreeResponse{}, err
 	}
-	delete(r.leases, req.Lease)
-	if rl.key != "" {
-		delete(r.idem, rl.key)
-	}
+	r.forget(req.Lease, rl)
 	m, memberLease := r.members[rl.slot], rl.memberLease
 	r.mu.Unlock()
 
@@ -794,7 +867,10 @@ func (r *Router) Free(ctx context.Context, req server.FreeRequest) (server.FreeR
 // Renew forwards the heartbeat to the owning member. A member that no
 // longer knows the lease (its reaper won) retires the routed lease
 // too, so the client's next call sees the same lease_expired a single
-// daemon would give.
+// daemon would give. The TTL the member answers becomes the routed
+// lease's, so an evacuation or a checkpoint carries a renewed TTL.
+// Renews are not journaled, on the router as on a daemon, so a crash
+// loses a renewed TTL: replay restores the granted one.
 func (r *Router) Renew(ctx context.Context, req server.RenewRequest) (server.RenewResponse, error) {
 	r.mu.Lock()
 	rl, ok := r.leases[req.Lease]
@@ -802,7 +878,7 @@ func (r *Router) Renew(ctx context.Context, req server.RenewRequest) (server.Ren
 		r.mu.Unlock()
 		return server.RenewResponse{}, errNoLease(req.Lease)
 	}
-	m, memberLease := r.members[rl.slot], rl.memberLease
+	m, memberLease, slot := r.members[rl.slot], rl.memberLease, rl.slot
 	r.mu.Unlock()
 
 	release, err := r.acquire(m)
@@ -816,10 +892,15 @@ func (r *Router) Renew(ctx context.Context, req server.RenewRequest) (server.Ren
 	release()
 	if err != nil {
 		if errors.Is(err, server.ErrLeaseExpired) {
-			r.dropLease(req.Lease, rl.slot, memberLease)
+			r.dropLease(req.Lease, slot, memberLease)
 		}
 		return server.RenewResponse{}, r.forwardErr(m, err)
 	}
+	r.mu.Lock()
+	if cur, ok := r.mapped(req.Lease, slot, memberLease); ok {
+		cur.ttlMillis = ttlMillisOf(mresp.TTLSeconds)
+	}
+	r.mu.Unlock()
 	return server.RenewResponse{Lease: req.Lease, TTLSeconds: mresp.TTLSeconds}, nil
 }
 
@@ -827,20 +908,17 @@ func (r *Router) Renew(ctx context.Context, req server.RenewRequest) (server.Ren
 // if it still maps to that exact (slot, member lease) pair — an
 // evacuation may have re-homed it concurrently, in which case it
 // stays.
-func (r *Router) dropLease(id uint64, slot int, memberLease uint64) {
+func (r *Router) dropLease(id uint64, slot int32, memberLease uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rl, ok := r.leases[id]
-	if !ok || rl.slot != slot || rl.memberLease != memberLease {
+	rl, ok := r.mapped(id, slot, memberLease)
+	if !ok {
 		return
 	}
 	if err := r.appendLocked(journal.Record{Op: journal.OpFree, Lease: id}); err != nil {
 		return // keep the stale entry; the next touch retries the drop
 	}
-	delete(r.leases, id)
-	if rl.key != "" {
-		delete(r.idem, rl.key)
-	}
+	r.forget(id, rl)
 }
 
 // Migrate forwards the re-placement to the owning member (the buffer
@@ -873,14 +951,15 @@ func (r *Router) Migrate(ctx context.Context, req server.MigrateRequest) (server
 		return server.MigrateResponse{}, r.forwardErr(m, err)
 	}
 	r.mu.Lock()
-	if cur, ok := r.leases[req.Lease]; ok && cur.slot == slot && cur.memberLease == memberLease {
-		cur.attr = req.Attr
-		cur.placement = m.name + "/" + mresp.Placement
+	placement := m.places.share(mresp.Placement)
+	if cur, ok := r.mapped(req.Lease, slot, memberLease); ok {
+		cur.attr = r.strs.share(req.Attr)
+		cur.placement = placement
 	}
 	r.mu.Unlock()
 	return server.MigrateResponse{
 		Lease:       req.Lease,
-		Placement:   m.name + "/" + mresp.Placement,
+		Placement:   *placement,
 		Rank:        mresp.Rank,
 		CostSeconds: mresp.CostSeconds,
 	}, nil
@@ -897,14 +976,14 @@ func (r *Router) Leases(ctx context.Context, list bool) (server.LeasesResponse, 
 	// r.mu is the lock every routed alloc and free takes: collect under
 	// it, sort the listing after it is released.
 	r.mu.Lock()
-	for _, rl := range r.leases {
+	for id, rl := range r.leases {
 		resp.Count++
 		resp.Bytes += rl.size
 		resp.NodeBytes[r.members[rl.slot].name] += rl.size
 		resp.TenantBytes[rl.tenant] += rl.size
 		if list {
 			resp.Leases = append(resp.Leases, server.LeaseInfo{
-				Lease: rl.id, Name: rl.name, Size: rl.size, Placement: rl.placement,
+				Lease: id, Name: rl.name, Size: rl.size, Placement: *rl.placement,
 				Tenant: rl.tenant,
 			})
 		}

@@ -180,6 +180,73 @@ func TestRouterIdempotentReplay(t *testing.T) {
 	}
 }
 
+// TestRouterKeepsRenewedTTL: a renew that changes a lease's TTL
+// changes the routed lease's too, so an evacuation re-places the lease
+// with the renewed TTL, and a graceful restart's checkpoint keeps it.
+func TestRouterKeepsRenewedTTL(t *testing.T) {
+	wal := filepath.Join(t.TempDir(), "router.wal")
+	sim := startTestSim(t, SimOptions{Router: Config{JournalPath: wal}})
+	ctx := context.Background()
+	a, err := sim.Router.Alloc(ctx, server.AllocRequest{Name: "renewed", Size: 1 << 20, Attr: "Bandwidth", TTLSeconds: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rn, err := sim.Router.Renew(ctx, server.RenewRequest{Lease: a.Lease, TTLSeconds: 60}); err != nil || rn.TTLSeconds != 60 {
+		t.Fatalf("renew to 60 s: %+v, %v", rn, err)
+	}
+
+	home, _, _ := strings.Cut(a.Placement, "/")
+	victim := 0
+	for i, m := range sim.Members {
+		if m.Name == home {
+			victim = i
+		}
+	}
+	sim.Kill(victim)
+	deadline := time.Now().Add(15 * time.Second)
+	var survivor *SimMember
+	var memberLease uint64
+	for survivor == nil {
+		sim.Router.PollOnce(ctx)
+		sim.Router.mu.Lock()
+		if rl := sim.Router.leases[a.Lease]; int(rl.slot) != victim {
+			survivor, memberLease = sim.Members[rl.slot], rl.memberLease
+		}
+		sim.Router.mu.Unlock()
+		if survivor == nil && time.Now().After(deadline) {
+			t.Fatal("the lease was not evacuated within 15 s")
+		}
+	}
+	mcl := server.NewClient(survivor.URL, server.WithoutHeartbeat())
+	defer mcl.Close()
+	detail, err := mcl.LeaseDetail(ctx, memberLease)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if detail.TTLSeconds != 60 {
+		t.Errorf("the survivor's lease has a %v s TTL, want the renewed 60 s", detail.TTLSeconds)
+	}
+
+	if err := sim.Router.Close(); err != nil {
+		t.Fatalf("router close: %v", err)
+	}
+	specs := make([]MemberSpec, len(sim.Members))
+	for i, m := range sim.Members {
+		specs[i] = MemberSpec{Name: m.Name, URL: m.URL}
+	}
+	r2, err := New(Config{Members: specs, JournalPath: wal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	r2.mu.Lock()
+	got := r2.leases[a.Lease].ttlMillis
+	r2.mu.Unlock()
+	if got != 60000 {
+		t.Errorf("after a graceful restart the router's book holds a %d ms TTL, want 60000", got)
+	}
+}
+
 func TestRouterBatchSplitsAcrossMembers(t *testing.T) {
 	sim := startTestSim(t, SimOptions{})
 	ctx := context.Background()

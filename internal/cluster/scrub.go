@@ -47,7 +47,7 @@ import (
 
 // orphanKey identifies one member-held lease by its placement pair.
 type orphanKey struct {
-	slot        int
+	slot        int32
 	memberLease uint64
 }
 
@@ -106,12 +106,12 @@ func (r *Router) ScrubOnce(ctx context.Context) (ScrubReport, error) {
 	// above): the live placement pairs, and per-slot copies of every
 	// lease for the lost diff.
 	book := make(map[orphanKey]struct{})
-	bySlot := make(map[int][]rlease)
-	slotBytes := make(map[int]uint64)
+	bySlot := make(map[int32][]heldLease)
+	slotBytes := make(map[int32]uint64)
 	r.mu.Lock()
-	for _, rl := range r.leases {
+	for id, rl := range r.leases {
 		book[orphanKey{rl.slot, rl.memberLease}] = struct{}{}
-		bySlot[rl.slot] = append(bySlot[rl.slot], *rl)
+		bySlot[rl.slot] = append(bySlot[rl.slot], heldLease{id, *rl})
 		slotBytes[rl.slot] += rl.size
 	}
 	r.mu.Unlock()
@@ -150,7 +150,7 @@ func (r *Router) ScrubOnce(ctx context.Context) (ScrubReport, error) {
 
 	suspects := make(map[orphanKey]string) // carried into the next cycle
 	var confirm []orphanKey                // second sighting: free if still unmapped
-	var lost []rlease
+	var lost []heldLease
 
 	for i, m := range r.members {
 		if scans[i] == nil {
@@ -250,17 +250,17 @@ func (r *Router) ScrubOnce(ctx context.Context) (ScrubReport, error) {
 
 // stillMapped reports whether the routed lease still maps to the
 // exact placement pair the scrub snapshot saw.
-func (r *Router) stillMapped(snap rlease) bool {
+func (r *Router) stillMapped(snap heldLease) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	cur, ok := r.leases[snap.id]
-	return ok && cur.slot == snap.slot && cur.memberLease == snap.memberLease
+	_, ok := r.mapped(snap.id, snap.slot, snap.memberLease)
+	return ok
 }
 
 // allMapped reports whether every member-held lease is in the book —
 // the precondition for classifying a byte mismatch as size drift
 // rather than a set difference.
-func allMapped(byLease map[uint64]server.LeaseInfo, book map[orphanKey]struct{}, slot int) bool {
+func allMapped(byLease map[uint64]server.LeaseInfo, book map[orphanKey]struct{}, slot int32) bool {
 	for leaseID := range byLease {
 		if _, ok := book[orphanKey{slot, leaseID}]; !ok {
 			return false

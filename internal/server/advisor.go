@@ -120,7 +120,7 @@ func (s *Server) AdviseCycle() (int, float64) {
 		} else {
 			// misplacedFor found the lease misplaced, so the name is known.
 			attr, _ := s.sys.Registry.ByName(r.AttrName)
-			cost, _, err = s.migrateOriginLocked(l, attr, l.initiator, true, journal.OriginAdvisor)
+			cost, _, err = s.migrateLocked(l, attr, l.ini, true, journal.OriginAdvisor)
 		}
 		l.jmu.Unlock()
 		s.ckmu.RUnlock()
@@ -161,7 +161,7 @@ func (s *Server) misplacedFor(l *lease, attrName string) (misplaced, feasible bo
 	if !ok {
 		return false, false
 	}
-	_, ini, err := s.resolveInitiator(l.initiator)
+	ini, err := l.ini.cpus()
 	if err != nil {
 		return false, false
 	}
@@ -205,7 +205,7 @@ func attrOf(l *lease) memattr.ID {
 	l.jmu.Lock()
 	a := l.attr
 	l.jmu.Unlock()
-	return a
+	return memattr.ID(a)
 }
 
 // adviceFor returns the advisor's would-be placement attribute for an
@@ -263,7 +263,7 @@ func (s *Server) LeaseDetail(ctx context.Context, id uint64) (LeaseDetailRespons
 		Attr:       s.sys.Registry.Name(attrOf(l)),
 		Placement:  l.buf.NodeNames(),
 		Tenant:     l.tenant,
-		Initiator:  l.initiator,
+		Initiator:  l.ini.list,
 		TTLSeconds: l.getTTL().Seconds(),
 		Telemetry:  l.buf.TelemetrySnapshot(),
 	}

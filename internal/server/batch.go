@@ -15,6 +15,7 @@ import (
 
 	"hetmem/internal/alloc"
 	"hetmem/internal/journal"
+	"hetmem/internal/memattr"
 )
 
 // batchItem tracks one successfully placed item between placement and
@@ -79,7 +80,7 @@ func (s *Server) AllocBatch(ctx context.Context, reqs []AllocRequest) (BatchAllo
 			fail(i, fmt.Errorf("%w: unknown attribute %q", ErrBadRequest, item.Attr))
 			continue
 		}
-		iniList, ini, err := s.resolveInitiator(item.Initiator)
+		ini, err := s.resolveInitiator(item.Initiator)
 		if err != nil {
 			fail(i, err)
 			continue
@@ -92,7 +93,7 @@ func (s *Server) AllocBatch(ctx context.Context, reqs []AllocRequest) (BatchAllo
 		if item.Policy == "bind" {
 			sp.Policy = alloc.Bind
 		}
-		buf, dec, err := s.sys.Allocator.AllocSpec(item.Name, item.Size, id, ini, sp)
+		buf, dec, err := s.sys.Allocator.AllocSpec(item.Name, item.Size, id, ini.bm, sp)
 		if err != nil {
 			fail(i, err)
 			continue
@@ -105,8 +106,8 @@ func (s *Server) AllocBatch(ctx context.Context, reqs []AllocRequest) (BatchAllo
 		}
 		ttl := s.grantTTL(item.TTLSeconds)
 		l := newLease()
-		l.attr = id
-		l.initiator = iniList
+		l.attr = uint16(id)
+		l.ini = ini
 		l.tenant = tn.Name
 		l.buf = buf
 		l.setTTL(ttl)
@@ -197,8 +198,8 @@ func (s *Server) journalBatch(placed []batchItem) error {
 			Op:        journal.OpAlloc,
 			Lease:     it.l.id,
 			Name:      it.l.buf.Name,
-			Attr:      s.sys.Registry.Name(it.l.attr),
-			Initiator: it.l.initiator,
+			Attr:      s.sys.Registry.Name(memattr.ID(it.l.attr)),
+			Initiator: it.l.ini.list,
 			Size:      it.l.buf.Size,
 			Tenant:    it.l.tenant,
 			TTLMillis: uint64(it.l.getTTL() / time.Millisecond),

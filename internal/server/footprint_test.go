@@ -23,8 +23,8 @@ import (
 // MaxBatchAllocs 1 MiB Bandwidth leases from "0-19", over a unix socket
 // and the binary decoder).
 func TestLeaseFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(lease{}); got > 128 {
-		t.Errorf("lease is %d bytes, want <= 128", got)
+	if got := unsafe.Sizeof(lease{}); got > 96 {
+		t.Errorf("lease is %d bytes, want <= 96", got)
 	}
 	if got := unsafe.Sizeof(memsim.Buffer{}); got > 96 {
 		t.Errorf("memsim.Buffer is %d bytes, want <= 96", got)
@@ -91,8 +91,8 @@ func TestLeaseFootprint(t *testing.T) {
 	after := liveHeap()
 	per := float64(after-before) / leases
 	t.Logf("live heap: %.0f B per lease over %d leases", per, leases)
-	if per > 320 {
-		t.Errorf("the daemon holds %.0f B of heap per live lease, want <= 320", per)
+	if per > 288 {
+		t.Errorf("the daemon holds %.0f B of heap per live lease, want <= 288", per)
 	}
 	if n := srv.leases.count(); n != made {
 		t.Fatalf("%d leases live, want %d", n, made)
@@ -129,12 +129,12 @@ func TestInternInitiatorRacingInserts(t *testing.T) {
 			for i := range lists {
 				// A fresh string per call: the request's own copy.
 				s := strings.Clone(fmt.Sprintf("%d-%d", i, i+w%2))
-				list, bm, err := srv.resolveInitiator(s)
+				e, err := srv.resolveInitiator(s)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				results[w] = append(results[w], got{list, uintptr(unsafe.Pointer(bm))})
+				results[w] = append(results[w], got{e.list, uintptr(unsafe.Pointer(e.bm))})
 			}
 		}()
 	}
@@ -160,7 +160,7 @@ func internOneOffs(t *testing.T, srv *Server, n int) {
 	t.Helper()
 	for i := range n {
 		s := fmt.Sprintf("%d,%d,%d", i%40, i/40%40, i/1600%40)
-		if _, _, err := srv.resolveInitiator(s); err != nil {
+		if _, err := srv.resolveInitiator(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,15 +170,15 @@ func internOneOffs(t *testing.T, srv *Server, n int) {
 // from another copy of the string returns the first one's bitmap.
 func interns(t *testing.T, srv *Server, s string) bool {
 	t.Helper()
-	_, a, err := srv.resolveInitiator(strings.Clone(s))
+	a, err := srv.resolveInitiator(strings.Clone(s))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, b, err := srv.resolveInitiator(strings.Clone(s))
+	b, err := srv.resolveInitiator(strings.Clone(s))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a == b
+	return a.bm == b.bm
 }
 
 // TestInitiatorTableOutlivesOneOffs: a daemon that has resolved 20 000

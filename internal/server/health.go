@@ -150,7 +150,7 @@ func (s *Server) evacuate(nodeOS int) {
 			s.ckmu.RUnlock()
 			continue
 		}
-		_, _, err := s.migrateLocked(l, l.attr, l.initiator, true)
+		_, _, err := s.migrateLocked(l, memattr.ID(l.attr), l.ini, true, "")
 		l.jmu.Unlock()
 		s.ckmu.RUnlock()
 		if err != nil {
@@ -163,25 +163,20 @@ func (s *Server) evacuate(nodeOS int) {
 
 // migrateLocked re-places a lease's buffer for the given attribute and
 // journals the move. The caller must hold l.jmu, so the journal's
-// record order matches the buffer's placement history.
-func (s *Server) migrateLocked(l *lease, attr memattr.ID, iniList string, remote bool) (float64, alloc.Decision, error) {
-	return s.migrateOriginLocked(l, attr, iniList, remote, "")
-}
-
-// migrateOriginLocked is migrateLocked with an origin tag. A non-empty
+// record order matches the buffer's placement history. A non-empty
 // origin (the tiering advisor) additionally reclassifies the lease:
 // its attribute becomes attr, and the journal record carries both
 // the attribute and the origin so restart replay reconstructs the
 // reclassification and the advisor's counters exactly.
-func (s *Server) migrateOriginLocked(l *lease, attr memattr.ID, iniList string, remote bool, origin string) (float64, alloc.Decision, error) {
-	_, ini, err := s.resolveInitiator(iniList)
+func (s *Server) migrateLocked(l *lease, attr memattr.ID, ini *internedIni, remote bool, origin string) (float64, alloc.Decision, error) {
+	cpus, err := ini.cpus()
 	if err != nil {
 		return 0, alloc.Decision{}, err
 	}
 	// Snapshot the placement before the move so the tenant's per-kind
 	// books can follow the bytes across tiers.
 	before := l.buf.SegmentsSnapshot()
-	cost, dec, err := s.sys.Allocator.MigrateToBestSpec(l.buf, attr, ini, alloc.Spec{Avoid: s.avoidFn, Remote: remote})
+	cost, dec, err := s.sys.Allocator.MigrateToBestSpec(l.buf, attr, cpus, alloc.Spec{Avoid: s.avoidFn, Remote: remote})
 	if err != nil {
 		return 0, alloc.Decision{}, err
 	}
@@ -202,7 +197,7 @@ func (s *Server) migrateOriginLocked(l *lease, attr memattr.ID, iniList string, 
 	if origin != "" {
 		rec.Attr = s.sys.Registry.Name(attr)
 		rec.Origin = origin
-		l.attr = attr
+		l.attr = uint16(attr)
 	}
 	if _, err := s.appendJournal(rec); err != nil {
 		return cost, dec, err

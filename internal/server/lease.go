@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hetmem/internal/memattr"
 	"hetmem/internal/memsim"
 )
 
@@ -20,20 +19,17 @@ const leaseShards = 64
 // it after a node failure and to replay it from the journal. The
 // buffer's name and size are the lease's: both are immutable, so the
 // lease reads them from buf instead of keeping copies. One lease is
-// held per live allocation, so the record is kept to 128 bytes
-// (TestLeaseFootprint).
+// held per live allocation, so the record is kept to 96 bytes
+// (TestLeaseFootprint): what few leases carry sits behind ext.
 type lease struct {
 	id  uint64
 	buf *memsim.Buffer
-	// attr is the attribute the lease is placed for; its name comes
-	// from the registry where a response or a record needs it.
-	attr memattr.ID
-	// initiator is the request's cpuset list as the daemon's intern
-	// table keeps it (see initiators), so leases share one copy of each
-	// list.
-	initiator string
-	key       string
-	tenant    string
+	// ini is the daemon's intern table entry for the request's cpuset
+	// list (see initiators); it keeps the entry alive after the table
+	// empties.
+	ini    *internedIni
+	tenant string
+	ext    *leaseExt // nil for an unkeyed lease booked on one segment
 
 	// ttlNS is the granted time-to-live in nanoseconds (0 = never
 	// expires); deadlineNS is the unix-nano expiry the reaper checks.
@@ -47,14 +43,12 @@ type lease struct {
 	// order matches the buffer's state history.
 	jmu sync.Mutex
 
-	// booked and spill are the placement the lease's shard currently
-	// carries in its books (see leaseShard and bookedSegs), guarded by
-	// the shard lock. take and rebook subtract these segments rather
-	// than the buffer's, so a free racing a migrate removes exactly what
-	// was added. A one-segment placement sits in booked; spill points at
-	// a placement of any other length.
+	// booked is the placement the shard's books carry for the lease
+	// (see leaseShard and bookedSegs) when it is one segment; ext.spill
+	// holds one of any other length. Guarded by the shard lock. take and
+	// rebook subtract these rather than the buffer's segments, so a free
+	// racing a migrate removes exactly what was added.
 	booked [1]memsim.Segment
-	spill  *[]memsim.Segment
 
 	// refs counts who may still touch this lease: one reference owned
 	// by the table while the lease is registered, plus one per borrower
@@ -64,6 +58,25 @@ type lease struct {
 	// of a reaper or evacuator holding a pointer to a lease a concurrent
 	// free already recycled.
 	refs atomic.Int32
+	// attr is the memattr.ID the lease is placed for; its name comes
+	// from the registry where a response or a record needs it.
+	attr uint16
+}
+
+// leaseExt is the part of a lease that few leases need: the client's
+// idempotency key (set at grant, never changed) and the books of a
+// placement that is not one segment (guarded by the shard lock).
+type leaseExt struct {
+	key   string
+	spill *[]memsim.Segment
+}
+
+// key returns the lease's idempotency key, "" if it has none.
+func (l *lease) key() string {
+	if l.ext == nil {
+		return ""
+	}
+	return l.ext.key
 }
 
 // leasePool recycles lease objects across the alloc/free churn of a
@@ -94,9 +107,8 @@ func (l *lease) release() {
 	l.id = 0
 	l.buf = nil
 	l.attr = 0
-	l.initiator, l.key, l.tenant = "", "", ""
+	l.ini, l.ext, l.tenant = nil, nil, ""
 	l.booked[0] = memsim.Segment{}
-	l.spill = nil
 	l.ttlNS.Store(0)
 	l.deadlineNS.Store(0)
 	leasePool.Put(l)
@@ -179,10 +191,15 @@ func (t *leaseTable) shard(id uint64) *leaseShard {
 // Caller holds s.mu.
 func (s *leaseShard) book(l *lease) {
 	segs := l.buf.AppendSegments(l.booked[:0])
-	l.spill = nil
-	if len(segs) != 1 {
-		l.spill = new([]memsim.Segment)
-		*l.spill = segs
+	switch {
+	case len(segs) != 1:
+		if l.ext == nil {
+			l.ext = new(leaseExt)
+		}
+		l.ext.spill = new([]memsim.Segment)
+		*l.ext.spill = segs
+	case l.ext != nil:
+		l.ext.spill = nil
 	}
 	s.bytes += l.buf.Size
 	var placed uint64
@@ -195,8 +212,8 @@ func (s *leaseShard) book(l *lease) {
 
 // bookedSegs returns the placement book last added. Caller holds s.mu.
 func (l *lease) bookedSegs() []memsim.Segment {
-	if l.spill != nil {
-		return *l.spill
+	if l.ext != nil && l.ext.spill != nil {
+		return *l.ext.spill
 	}
 	return l.booked[:]
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"hetmem/internal/journal"
+	"hetmem/internal/memattr"
 )
 
 // startBackground launches the goroutines the config asks for.
@@ -90,8 +91,8 @@ func (s *Server) ReapNow() int {
 			taken.release()
 			continue
 		}
-		if taken.key != "" {
-			s.idem.forget(taken.key)
+		if key := taken.key(); key != "" {
+			s.idem.forget(key)
 		}
 		// A reap is an eviction from the tenant's point of view: give
 		// the bytes back, count it, and wake queued admissions.
@@ -147,9 +148,9 @@ func (s *Server) CheckpointNow() error {
 				Op:        journal.OpAlloc,
 				Lease:     l.id,
 				Name:      l.buf.Name,
-				Attr:      s.sys.Registry.Name(l.attr),
-				Initiator: l.initiator,
-				Key:       l.key,
+				Attr:      s.sys.Registry.Name(memattr.ID(l.attr)),
+				Initiator: l.ini.list,
+				Key:       l.key(),
 				Size:      l.buf.Size,
 				Tenant:    l.tenant,
 				TTLMillis: uint64(l.getTTL() / time.Millisecond),
@@ -216,7 +217,7 @@ func (s *Server) rebalance(nodeOS int) {
 		if l.buf.Freed() {
 			err = errNoSuchLease
 		} else {
-			_, _, err = s.migrateLocked(l, l.attr, l.initiator, false)
+			_, _, err = s.migrateLocked(l, memattr.ID(l.attr), l.ini, false, "")
 		}
 		l.jmu.Unlock()
 		s.ckmu.RUnlock()
@@ -249,7 +250,7 @@ func (s *Server) wantsNode(l *lease, nodeOS int) bool {
 		}
 	}
 	id := attrOf(l)
-	_, ini, err := s.resolveInitiator(l.initiator)
+	ini, err := l.ini.cpus()
 	if err != nil {
 		return false
 	}

@@ -48,14 +48,13 @@ func putReqBuf(b *[]byte) { *b = (*b)[:0]; reqBufPool.Put(b) }
 // ParseList when it is next used.
 const iniCacheMax = 4096
 
-// initiators is a daemon's intern table of cpuset lists: one list
-// string yields one immutable bitmap, parsed once, and one string, the
-// table's key, which a lease keeps instead of the request's copy (and
-// still holds after the table empties). No consumer mutates a parsed
+// initiators is a daemon's intern table of cpuset lists: one entry per
+// list, with its immutable bitmap parsed once, which a lease points at
+// (and keeps after the table empties). No consumer mutates a parsed
 // initiator: the allocator's candidate cache copies before storing.
 type initiators struct {
 	mu sync.RWMutex
-	m  map[string]internedIni
+	m  map[string]*internedIni
 }
 
 // internedIni is one intern table entry: the list string the table is
@@ -65,28 +64,38 @@ type internedIni struct {
 	bm   *bitmap.Bitmap
 }
 
-// intern returns the table's copy of the non-empty list s and its
-// bitmap. A hit takes only the read lock and allocates nothing; callers
-// that race on a new list all get the entry that won the insert.
-func (t *initiators) intern(s string) (string, *bitmap.Bitmap, error) {
+// cpus returns the entry's bitmap, or for a journaled list the daemon
+// refuses (see replay) the parse error an alloc naming it would get.
+func (e *internedIni) cpus() (*bitmap.Bitmap, error) {
+	if e.bm == nil {
+		return nil, initiatorError(e.list, bitmap.CheckList(e.list))
+	}
+	return e.bm, nil
+}
+
+// intern returns the table's entry for the non-empty list s. A hit
+// takes only the read lock and allocates nothing; callers that race on
+// a new list all get the entry that won the insert.
+func (t *initiators) intern(s string) (*internedIni, error) {
 	t.mu.RLock()
 	e, ok := t.m[s]
 	t.mu.RUnlock()
 	if ok {
-		return e.list, e.bm, nil
+		return e, nil
 	}
 	b, err := bitmap.ParseList(s)
 	if err = initiatorError(s, err); err != nil {
-		return "", nil, err
+		return nil, err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if e, ok := t.m[s]; ok {
-		return e.list, e.bm, nil
+		return e, nil
 	}
 	if len(t.m) >= iniCacheMax || t.m == nil {
-		t.m = make(map[string]internedIni)
+		t.m = make(map[string]*internedIni)
 	}
-	t.m[s] = internedIni{list: s, bm: b}
-	return s, b, nil
+	e = &internedIni{list: s, bm: b}
+	t.m[s] = e
+	return e, nil
 }

@@ -116,12 +116,13 @@ func (s *Server) restoreFromJournal(recs []journal.Record, nextLease uint64) err
 		}
 		l := newLease()
 		l.id = id
-		l.attr = p.attr
-		l.initiator = p.rec.Initiator
-		if list, _, err := s.resolveInitiator(l.initiator); err == nil {
-			l.initiator = list // share the intern table's copy
+		l.attr = uint16(p.attr)
+		if l.ini, err = s.resolveInitiator(p.rec.Initiator); err != nil {
+			l.ini = &internedIni{list: p.rec.Initiator} // a refused list: moves fail on it
 		}
-		l.key = p.rec.Key
+		if p.rec.Key != "" {
+			l.ext = &leaseExt{key: p.rec.Key}
+		}
 		l.tenant = p.rec.Tenant
 		if l.tenant == "" {
 			// Pre-tenancy journal record: its lease belongs to the

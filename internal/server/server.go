@@ -54,7 +54,6 @@ import (
 
 	"hetmem/internal/advisor"
 	"hetmem/internal/alloc"
-	"hetmem/internal/bitmap"
 	"hetmem/internal/core"
 	"hetmem/internal/faults"
 	"hetmem/internal/journal"
@@ -271,10 +270,10 @@ type Server struct {
 	advisor  *advisor.Tracker
 	adviseMu sync.Mutex
 
-	// defaultInitiator is used when a request does not name one: the
+	// wholeMachine is the initiator of a request that names none: the
 	// whole machine's cpuset. inis interns the lists requests do name.
-	defaultInitiator *bitmap.Bitmap
-	inis             initiators
+	wholeMachine internedIni
+	inis         initiators
 
 	// avoidFn is s.avoidUnhealthy bound once: a method value allocates
 	// at every use, and the alloc hot path passes it on every request.
@@ -352,19 +351,19 @@ func NewWithConfig(sys *core.System, cfg Config) (*Server, error) {
 		osIdx = append(osIdx, n.OSIndex())
 	}
 	s := &Server{
-		metrics:          NewMetrics(),
-		sys:              sys,
-		nodes:            nodes,
-		cfg:              cfg,
-		leases:           newLeaseTable(nodes),
-		health:           newHealthTracker(osIdx),
-		idem:             newIdemTable(),
-		instanceID:       NewInstanceID(),
-		stop:             make(chan struct{}),
-		ckptKick:         make(chan struct{}, 1),
-		rebalancing:      make(map[int]bool),
-		defaultInitiator: sys.Topology().Root().CPUSet.Copy(),
-		tenants:          cfg.Tenants,
+		metrics:      NewMetrics(),
+		sys:          sys,
+		nodes:        nodes,
+		cfg:          cfg,
+		leases:       newLeaseTable(nodes),
+		health:       newHealthTracker(osIdx),
+		idem:         newIdemTable(),
+		instanceID:   NewInstanceID(),
+		stop:         make(chan struct{}),
+		ckptKick:     make(chan struct{}, 1),
+		rebalancing:  make(map[int]bool),
+		wholeMachine: internedIni{bm: sys.Topology().Root().CPUSet.Copy()},
+		tenants:      cfg.Tenants,
 	}
 	s.avoidFn = s.avoidUnhealthy
 	if cfg.AdvisorInterval > 0 {
@@ -575,11 +574,11 @@ func (s *Server) Attrs(ctx context.Context) ([]AttrReport, error) {
 }
 
 // resolveInitiator parses a cpuset list through the daemon's intern
-// table and widens an absent one to the whole machine. It also returns
-// the table's copy of the list, for a lease to keep.
-func (s *Server) resolveInitiator(list string) (string, *bitmap.Bitmap, error) {
+// table and widens an absent one to the whole machine. The entry holds
+// the bitmap and the table's copy of the list, for a lease to keep.
+func (s *Server) resolveInitiator(list string) (*internedIni, error) {
 	if list == "" {
-		return "", s.defaultInitiator, nil
+		return &s.wholeMachine, nil
 	}
 	return s.inis.intern(list)
 }
@@ -652,7 +651,7 @@ func (s *Server) doAlloc(ctx context.Context, req AllocRequest) (AllocResponse, 
 	if !ok {
 		return AllocResponse{}, fmt.Errorf("%w: unknown attribute %q", ErrBadRequest, req.Attr)
 	}
-	iniList, ini, err := s.resolveInitiator(req.Initiator)
+	ini, err := s.resolveInitiator(req.Initiator)
 	if err != nil {
 		return AllocResponse{}, err
 	}
@@ -664,7 +663,7 @@ func (s *Server) doAlloc(ctx context.Context, req AllocRequest) (AllocResponse, 
 	if req.Policy == "bind" {
 		sp.Policy = alloc.Bind
 	}
-	buf, dec, err := s.sys.Allocator.AllocSpec(req.Name, req.Size, id, ini, sp)
+	buf, dec, err := s.sys.Allocator.AllocSpec(req.Name, req.Size, id, ini.bm, sp)
 	if err != nil {
 		s.metrics.AllocFailed.Add(1)
 		return AllocResponse{}, err
@@ -680,9 +679,11 @@ func (s *Server) doAlloc(ctx context.Context, req AllocRequest) (AllocResponse, 
 
 	ttl := s.grantTTL(req.TTLSeconds)
 	l := newLease()
-	l.attr = id
-	l.initiator = iniList
-	l.key = req.IdempotencyKey
+	l.attr = uint16(id)
+	l.ini = ini
+	if req.IdempotencyKey != "" {
+		l.ext = &leaseExt{key: req.IdempotencyKey}
+	}
 	l.tenant = tn.Name
 	l.buf = buf
 	l.setTTL(ttl)
@@ -818,7 +819,7 @@ func (s *Server) Free(ctx context.Context, req FreeRequest) (FreeResponse, error
 	freed := l.buf.Freed()
 	l.jmu.Unlock()
 	s.ckmu.RUnlock()
-	key, tenantName := l.key, l.tenant
+	key, tenantName := l.key(), l.tenant
 	l.release() // the table's reference, transferred by take
 	if freed {
 		// The bytes are back (even if the journal append failed after
@@ -842,13 +843,17 @@ func (s *Server) Migrate(ctx context.Context, req MigrateRequest) (MigrateRespon
 	if !ok {
 		return MigrateResponse{}, fmt.Errorf("%w: unknown attribute %q", ErrBadRequest, req.Attr)
 	}
+	ini, err := s.resolveInitiator(req.Initiator)
+	if err != nil {
+		return MigrateResponse{}, err
+	}
 	l, ok := s.leases.get(req.Lease)
 	if !ok {
 		return MigrateResponse{}, fmt.Errorf("%w: %d", errNoSuchLease, req.Lease)
 	}
 	s.ckmu.RLock()
 	l.jmu.Lock()
-	cost, dec, err := s.migrateLocked(l, attr, req.Initiator, req.Remote)
+	cost, dec, err := s.migrateLocked(l, attr, ini, req.Remote, "")
 	l.jmu.Unlock()
 	s.ckmu.RUnlock()
 	if err != nil {
