@@ -51,18 +51,19 @@ const (
 	metricsBudget = 36
 	// One Client.Alloc + Client.Free over a unix socket to a daemon
 	// without a journal, counted process-wide: client and daemon, both
-	// ends of the wire. Measured 18 (24 under -race); a waiter
+	// ends of the wire. Measured 16 (22 under -race); a waiter
 	// channel made per round trip instead of pooled would add two to
 	// each of the pair's requests, and encoding the alloc body into a
 	// fresh slice instead of a pooled one five.
 	wireAllocFreeBudget = 24
 	// One 16-item Client.AllocBatch on the same socket, leases kept:
-	// client and daemon, 11.5 per item. Measured 184 (188 under
+	// client and daemon, 10.5 per item. Measured 168 (172 under
 	// -race); through encoding/json at both ends the same batch cost
 	// 222 (230) before placements stopped allocating a segment slice,
-	// so the budget sits between the two.
-	wireBatchBudget = 196
-	// The same pair over HTTP/1.1 on loopback TCP. Measured 64 (70
+	// and 184 (188) while each placed item's response was copied to
+	// the heap on its own.
+	wireBatchBudget = 180
+	// The same pair over HTTP/1.1 on loopback TCP. Measured 62 (68
 	// under -race); the client's exchange is 2 of them, a copy of each
 	// response body, and net/http's server half about 55, whose count
 	// drifts between toolchains more than the headroom's worth. Through

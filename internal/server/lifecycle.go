@@ -62,8 +62,13 @@ func (s *Server) ReapNow() int {
 		if !l.expiredAt(now) {
 			continue
 		}
+		// The checkpoint lock spans the take, the free and its journal
+		// append, as in Free: a snapshot taken between them would miss
+		// the lease while its free landed in the fresh WAL.
+		s.ckmu.RLock()
 		taken, ok := s.leases.take(l.id)
 		if !ok {
+			s.ckmu.RUnlock()
 			continue // freed concurrently
 		}
 		// A renewal may have slipped in between the scan and the take;
@@ -71,9 +76,9 @@ func (s *Server) ReapNow() int {
 		// client's feet.
 		if !taken.expiredAt(time.Now()) {
 			s.leases.restore(taken)
+			s.ckmu.RUnlock()
 			continue
 		}
-		s.ckmu.RLock()
 		taken.jmu.Lock()
 		segs := taken.buf.SegmentsSnapshot()
 		err := s.sys.Machine.Free(taken.buf)
@@ -139,32 +144,25 @@ func (s *Server) CheckpointNow() error {
 	}
 	s.ckmu.Lock()
 	defer s.ckmu.Unlock()
-	err := s.store.Checkpoint(func() ([]journal.Record, uint64, error) {
-		leases := s.leases.borrowAll()
-		defer releaseAll(leases)
-		live := make([]journal.Record, 0, len(leases))
-		for _, l := range leases {
-			live = append(live, journal.Record{
-				Op:        journal.OpAlloc,
-				Lease:     l.id,
-				Name:      l.buf.Name,
-				Attr:      s.sys.Registry.Name(memattr.ID(l.attr)),
-				Initiator: l.ini.list,
-				Key:       l.key(),
-				Size:      l.buf.Size,
-				Tenant:    l.tenant,
-				TTLMillis: uint64(l.getTTL() / time.Millisecond),
-				Segments:  segmentsOf(l.buf),
-			})
-		}
-		return live, s.leases.next.Load(), nil
-	})
+	err := s.store.Checkpoint(s.liveRecords)
 	if err != nil {
 		s.metrics.CheckpointFailed.Add(1)
 		return err
 	}
 	s.metrics.CheckpointTotal.Add(1)
 	return nil
+}
+
+// liveRecords captures a checkpoint: one alloc record per live lease,
+// and the next lease ID. The caller holds ckmu's write side.
+func (s *Server) liveRecords() ([]journal.Record, uint64, error) {
+	leases := s.leases.borrowAll()
+	defer releaseAll(leases)
+	live := make([]journal.Record, len(leases))
+	for i, l := range leases {
+		live[i] = s.allocRecord(l)
+	}
+	return live, s.leases.next.Load(), nil
 }
 
 // maybeRebalance starts one paced rebalance toward a node that just

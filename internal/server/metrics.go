@@ -87,7 +87,12 @@ type Metrics struct {
 	latency   [numEndpoints][numBuckets + 1]atomic.Uint64
 	latencyNS [numEndpoints]atomic.Uint64
 
-	AllocTotal    atomic.Uint64
+	AllocTotal atomic.Uint64
+	// AllocFailed counts every alloc and every batch item the Server
+	// answered with an error, once each: an unknown attribute, a shed,
+	// a placement or quota miss, a failed journal append. A /v1/alloc
+	// body its decoder refuses never reaches the Server and counts only
+	// as an endpoint error.
 	AllocFailed   atomic.Uint64
 	FallbackTotal atomic.Uint64 // placements not on the best-ranked target
 	AttrFallback  atomic.Uint64 // placements using a substitute attribute

@@ -58,6 +58,7 @@ import (
 	"hetmem/internal/faults"
 	"hetmem/internal/journal"
 	"hetmem/internal/lstopo"
+	"hetmem/internal/memattr"
 	"hetmem/internal/memsim"
 	"hetmem/internal/promtext"
 	"hetmem/internal/sensitivity"
@@ -441,32 +442,39 @@ func (s *Server) Close() error {
 	return s.closeErr
 }
 
-// appendJournal writes one record to the journal, if one is open. The
-// caller must hold s.ckmu (read side) across the lease-table mutation
-// and this append. A size-triggered checkpoint is kicked, never run
-// inline: Checkpoint needs the write side of ckmu.
+// appendJournal writes records to the journal, if one is open, as one
+// contiguous write. The caller must hold s.ckmu (read side) across the
+// lease-table mutation and this append. A lone record under group
+// commit shares its fsync with every concurrently appending request;
+// several records pay one write and one fsync of their own. Appended
+// records are counted, and a size-triggered checkpoint is kicked, never
+// run inline: Checkpoint needs the write side of ckmu.
 //
-// appended reports whether the record reached the WAL: false when the
+// appended reports whether the records reached the WAL: false when the
 // write failed (the Store rolls a torn tail back, so nothing
-// persisted), true when only a subsequent fsync failed — the record is
-// in the file and will replay, even though its durability is
+// persisted), true when only a subsequent fsync failed — the records
+// are in the file and will replay, even though their durability is
 // unconfirmed. Callers that roll back in-memory state on error use
-// this to decide whether a compensating record is needed.
-func (s *Server) appendJournal(r journal.Record) (appended bool, err error) {
+// this to decide whether compensating records are needed.
+func (s *Server) appendJournal(recs ...journal.Record) (appended bool, err error) {
 	if s.store == nil {
 		return false, nil
 	}
-	if s.cfg.GroupCommit {
-		// The append blocks until the record is on stable storage —
-		// sharing its fsync with every concurrently appending request.
-		appended, err = s.store.AppendDurable(r)
-	} else if err = s.store.Append(r); err == nil {
-		appended = true
+	if s.cfg.GroupCommit && len(recs) == 1 {
+		appended, err = s.store.AppendDurable(recs[0])
+	} else {
+		appended, err = s.store.AppendBatch(recs, s.cfg.GroupCommit)
 	}
 	if appended {
 		// A record whose fsync failed is still in the WAL: it counts
 		// and grows the log like any other.
-		s.journalHousekeeping(1)
+		s.metrics.JournalRecords.Add(uint64(len(recs)))
+		if s.cfg.CheckpointMaxWAL > 0 && s.store.WALBytes() > s.cfg.CheckpointMaxWAL {
+			select {
+			case s.ckptKick <- struct{}{}:
+			default:
+			}
+		}
 	}
 	if err != nil {
 		return appended, fmt.Errorf("server: journal append: %w", err)
@@ -474,16 +482,24 @@ func (s *Server) appendJournal(r journal.Record) (appended bool, err error) {
 	return true, nil
 }
 
-// journalHousekeeping counts freshly appended records and kicks a
-// size-triggered checkpoint. Checkpoints are kicked, never run inline:
-// Checkpoint needs the write side of ckmu.
-func (s *Server) journalHousekeeping(records int) {
-	s.metrics.JournalRecords.Add(uint64(records))
-	if s.cfg.CheckpointMaxWAL > 0 && s.store.WALBytes() > s.cfg.CheckpointMaxWAL {
-		select {
-		case s.ckptKick <- struct{}{}:
-		default:
-		}
+// allocRecord is the journal record that replays a lease: written when
+// the lease is granted and again in every checkpoint that finds it
+// live. The registry's name lookup is an exact match, so the attribute
+// comes back as the request spelled it. The attribute is read without
+// l.jmu: a move changes it only under ckmu's read side, and the lease
+// is either not yet visible or the caller holds the write side.
+func (s *Server) allocRecord(l *lease) journal.Record {
+	return journal.Record{
+		Op:        journal.OpAlloc,
+		Lease:     l.id,
+		Name:      l.buf.Name,
+		Attr:      s.sys.Registry.Name(memattr.ID(l.attr)),
+		Initiator: l.ini.list,
+		Key:       l.key(),
+		Size:      l.buf.Size,
+		Tenant:    l.tenant,
+		TTLMillis: uint64(l.getTTL() / time.Millisecond),
+		Segments:  segmentsOf(l.buf),
 	}
 }
 
@@ -597,8 +613,8 @@ func (s *Server) pressure() (used, total uint64) {
 	return used, total
 }
 
-// Admission is class-aware since tenants arrived: see admitTenant and
-// admitClass in tenant.go. pressure above stays the shared gauge.
+// Admission is class-aware since tenants arrived: see admitTenant in
+// tenant.go. pressure above stays the shared gauge.
 
 // Alloc is the Backend entry behind /v1/alloc: the idempotency-key
 // protocol around doAlloc.
@@ -632,9 +648,38 @@ func (s *Server) Alloc(ctx context.Context, req AllocRequest) (AllocResponse, er
 	return resp, nil
 }
 
-// doAlloc performs the placement, charges the tenant, journals it,
-// and registers the lease.
+// doAlloc grants one request: a batch of one through place and commit,
+// so the lone record still joins the journal's group commit.
 func (s *Server) doAlloc(ctx context.Context, req AllocRequest) (AllocResponse, error) {
+	tn := s.tenants.Get(TenantFromContext(ctx))
+	g, err := s.place(ctx, tn, req, true)
+	if err == nil {
+		grants := [1]grant{g}
+		err = s.commit(tn, grants[:])
+	}
+	if err != nil {
+		s.metrics.AllocFailed.Add(1)
+		return AllocResponse{}, err
+	}
+	return g.resp, nil
+}
+
+// grant is one placed request between place and commit: a lease that
+// is neither journaled nor visible, and the response that grants it.
+// idx is the request's position in its batch.
+type grant struct {
+	l    *lease
+	resp AllocResponse
+	idx  int
+}
+
+// place runs one request up to a built lease: advice, attribute,
+// initiator, admission, placement and the tenant's quota charge. queue
+// says whether a burstable tenant may wait in the admission queue: a
+// single alloc may, a batch item may not — parking a half-placed batch
+// would hold its placements hostage. On error nothing is left placed or
+// charged.
+func (s *Server) place(ctx context.Context, tn *tenant.Tenant, req AllocRequest, queue bool) (grant, error) {
 	// A request with no attribute defers the tiering decision to the
 	// advisor: place under its live classification of this buffer name
 	// (or the capacity tier for a name it has never observed) and say
@@ -642,22 +687,21 @@ func (s *Server) doAlloc(ctx context.Context, req AllocRequest) (AllocResponse, 
 	advice := ""
 	if req.Attr == "" {
 		if s.advisor == nil {
-			return AllocResponse{}, fmt.Errorf("%w: missing attr", ErrBadRequest)
+			return grant{}, fmt.Errorf("%w: missing attr", ErrBadRequest)
 		}
 		req.Attr = s.adviceFor(req.Name)
 		advice = req.Attr
 	}
 	id, ok := s.sys.Registry.ByName(req.Attr)
 	if !ok {
-		return AllocResponse{}, fmt.Errorf("%w: unknown attribute %q", ErrBadRequest, req.Attr)
+		return grant{}, fmt.Errorf("%w: unknown attribute %q", ErrBadRequest, req.Attr)
 	}
 	ini, err := s.resolveInitiator(req.Initiator)
 	if err != nil {
-		return AllocResponse{}, err
+		return grant{}, err
 	}
-	tn := s.tenants.Get(TenantFromContext(ctx))
-	if err := s.admitTenant(ctx, tn, req.Size); err != nil {
-		return AllocResponse{}, err
+	if err := s.admitTenant(ctx, tn, req.Size, queue); err != nil {
+		return grant{}, err
 	}
 	sp := alloc.Spec{Avoid: s.avoidFor(tn, req.Size), Partial: req.Partial, Remote: req.Remote}
 	if req.Policy == "bind" {
@@ -665,16 +709,14 @@ func (s *Server) doAlloc(ctx context.Context, req AllocRequest) (AllocResponse, 
 	}
 	buf, dec, err := s.sys.Allocator.AllocSpec(req.Name, req.Size, id, ini.bm, sp)
 	if err != nil {
-		s.metrics.AllocFailed.Add(1)
-		return AllocResponse{}, err
+		return grant{}, err
 	}
 	// The placement exists; now it must fit the tenant's per-kind
 	// quotas. A miss undoes the placement and reports the kind+limit.
 	if err := chargeBuf(tn, buf); err != nil {
 		s.sys.Machine.Free(buf)
 		s.admitGate.broadcast()
-		s.metrics.AllocFailed.Add(1)
-		return AllocResponse{}, err
+		return grant{}, err
 	}
 
 	ttl := s.grantTTL(req.TTLSeconds)
@@ -689,62 +731,8 @@ func (s *Server) doAlloc(ctx context.Context, req AllocRequest) (AllocResponse, 
 	l.setTTL(ttl)
 	l.renew(time.Now())
 	l.id = s.leases.next.Add(1)
-	leaseID := l.id
-	// Journal before the lease becomes visible: a lease a client can
-	// see (and free) is always in the log, so replay never meets a
-	// free without its alloc. The checkpoint lock spans the append and
-	// the table insert, so a concurrent snapshot either misses both
-	// (the record lands in the compacted WAL) or sees both.
-	s.ckmu.RLock()
-	appended, err := s.appendJournal(journal.Record{
-		Op:        journal.OpAlloc,
-		Lease:     l.id,
-		Name:      req.Name,
-		Attr:      req.Attr,
-		Initiator: req.Initiator,
-		Key:       req.IdempotencyKey,
-		Size:      req.Size,
-		Tenant:    tn.Name,
-		TTLMillis: uint64(ttl / time.Millisecond),
-		Segments:  segmentsOf(buf),
-	})
-	if err != nil {
-		if appended {
-			// The alloc record is in the WAL but its fsync failed, and
-			// the client is about to see an error. A compensating free
-			// keeps replay from resurrecting a lease nobody was granted;
-			// if even this best effort fails, the orphan carries a TTL
-			// and the reaper collects it after restart.
-			s.appendJournal(journal.Record{Op: journal.OpFree, Lease: leaseID})
-		}
-		s.ckmu.RUnlock()
-		refundSegs(tn, buf.SegmentsSnapshot())
-		s.sys.Machine.Free(buf)
-		s.admitGate.broadcast()
-		l.release()
-		return AllocResponse{}, err
-	}
-	// restore transfers our reference to the table: the lease is now
-	// visible (and freeable, hence recyclable) — no touching l below.
-	s.leases.restore(l)
-	s.ckmu.RUnlock()
-
-	s.metrics.AllocTotal.Add(1)
-	s.metrics.BytesPlaced.Add(req.Size)
-	if dec.RankPosition > 0 {
-		s.metrics.FallbackTotal.Add(1)
-	}
-	if dec.AttrFellBack {
-		s.metrics.AttrFallback.Add(1)
-	}
-	if dec.Partial {
-		s.metrics.PartialTotal.Add(1)
-	}
-	if dec.Remote {
-		s.metrics.RemoteTotal.Add(1)
-	}
-	return AllocResponse{
-		Lease:        leaseID,
+	return grant{l: l, resp: AllocResponse{
+		Lease:        l.id,
 		Placement:    buf.NodeNames(),
 		AttrUsed:     s.sys.Registry.Name(dec.Used),
 		AttrFellBack: dec.AttrFellBack,
@@ -756,7 +744,74 @@ func (s *Server) doAlloc(ctx context.Context, req AllocRequest) (AllocResponse, 
 		// clients keep the pre-tenancy wire format byte for byte.
 		Tenant: TenantFromContext(ctx),
 		Advice: advice,
-	}, nil
+	}}, nil
+}
+
+// commit journals placed grants as one append and then makes their
+// leases visible. Journal before visible: a lease a client can see (and
+// free) is always in the log, so replay never meets a free without its
+// alloc. The checkpoint lock spans the append and the table inserts, so
+// a concurrent snapshot either misses all of them (the records land in
+// the compacted WAL) or sees all. A failed append unwinds every grant,
+// charges included.
+func (s *Server) commit(tn *tenant.Tenant, grants []grant) error {
+	// A lone grant's record stays on the stack: a single alloc is the
+	// hot path, and alloc_budget_test.go pins what it allocates.
+	var one [1]journal.Record
+	recs := one[:0]
+	if s.store != nil {
+		if len(grants) > 1 {
+			recs = make([]journal.Record, 0, len(grants))
+		}
+		for _, g := range grants {
+			recs = append(recs, s.allocRecord(g.l))
+		}
+	}
+	s.ckmu.RLock()
+	appended, err := s.appendJournal(recs...)
+	if err != nil {
+		if appended {
+			// The alloc records are in the WAL but their fsync failed,
+			// and the clients are about to see errors. Compensating frees
+			// keep replay from resurrecting leases nobody was granted; if
+			// even this best effort fails, the orphans carry a TTL and the
+			// reaper collects them after restart.
+			for i, g := range grants {
+				recs[i] = journal.Record{Op: journal.OpFree, Lease: g.l.id}
+			}
+			s.appendJournal(recs...)
+		}
+		s.ckmu.RUnlock()
+		for _, g := range grants {
+			refundSegs(tn, g.l.buf.SegmentsSnapshot())
+			s.sys.Machine.Free(g.l.buf)
+			g.l.release()
+		}
+		s.admitGate.broadcast()
+		return err
+	}
+	for _, g := range grants {
+		s.metrics.AllocTotal.Add(1)
+		s.metrics.BytesPlaced.Add(g.l.buf.Size)
+		if g.resp.Rank > 0 {
+			s.metrics.FallbackTotal.Add(1)
+		}
+		if g.resp.AttrFellBack {
+			s.metrics.AttrFallback.Add(1)
+		}
+		if g.resp.Partial {
+			s.metrics.PartialTotal.Add(1)
+		}
+		if g.resp.Remote {
+			s.metrics.RemoteTotal.Add(1)
+		}
+		// restore transfers our reference to the table: the lease is
+		// now visible (and freeable, hence recyclable), so nothing
+		// touches g.l after this.
+		s.leases.restore(g.l)
+	}
+	s.ckmu.RUnlock()
+	return nil
 }
 
 // grantTTL clamps a requested TTL (seconds; 0 = "daemon's choice")

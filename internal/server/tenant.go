@@ -97,30 +97,17 @@ func (s *Server) overWatermark(size uint64, w float64) error {
 	return nil
 }
 
-// admitClass applies the class-aware watermark without queueing: the
-// batch path and the queue's own re-checks use it directly.
-func (s *Server) admitClass(t *tenant.Tenant, size uint64) error {
-	if s.cfg.ShedWatermark <= 0 {
-		return nil
-	}
-	err := s.overWatermark(size, s.watermarkFor(t.Class))
-	if err != nil {
-		s.metrics.ShedTotal.Add(1)
-		t.Sheds.Add(1)
-	}
-	return err
-}
-
-// admitTenant is the full admission path for one allocation:
+// admitTenant is the admission path for one allocation:
 //
 //   - guaranteed: watermark + headroom, never queued — headroom is the
 //     reserve that keeps a guaranteed tenant admitting while everyone
 //     else sheds;
 //   - burstable: on overload, park in the bounded admission queue until
 //     a free clears the watermark, the queue timeout (or the request
-//     deadline) expires, or the queue is full;
+//     deadline) expires, or the queue is full — when queue allows it;
+//     otherwise shed like best-effort;
 //   - best-effort: shed immediately at the watermark.
-func (s *Server) admitTenant(ctx context.Context, t *tenant.Tenant, size uint64) error {
+func (s *Server) admitTenant(ctx context.Context, t *tenant.Tenant, size uint64, queue bool) error {
 	if s.cfg.ShedWatermark <= 0 {
 		return nil
 	}
@@ -129,7 +116,7 @@ func (s *Server) admitTenant(ctx context.Context, t *tenant.Tenant, size uint64)
 	if err == nil {
 		return nil
 	}
-	if t.Class == tenant.Burstable && s.cfg.QueueDepth > 0 {
+	if queue && t.Class == tenant.Burstable && s.cfg.QueueDepth > 0 {
 		return s.queueAdmit(ctx, t, size, w)
 	}
 	s.metrics.ShedTotal.Add(1)

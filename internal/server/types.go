@@ -585,7 +585,7 @@ func validateAllocRequest(req AllocRequest) error {
 	}
 	// An empty Attr is not rejected here: when the tiering advisor is
 	// running, the daemon fills it with the advisor's advice for the
-	// buffer name (see doAlloc). Without an advisor it is still an
+	// buffer name (see place). Without an advisor it is still an
 	// error, enforced at placement time.
 	switch req.Policy {
 	case "", "preferred", "bind":

@@ -13,12 +13,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"hetmem/internal/core"
 	"hetmem/internal/faults"
+	"hetmem/internal/journal"
 	"hetmem/internal/server"
 )
 
@@ -337,6 +339,7 @@ func TestJournalRecordsCountSyncFailedAppends(t *testing.T) {
 	}{
 		{"group-commit", server.Config{GroupCommit: true}, 0, 2},
 		{"batch-group-commit", server.Config{GroupCommit: true}, 3, 6},
+		{"batch-of-one-group-commit", server.Config{GroupCommit: true}, 1, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ffs := faults.NewFaultFS(faults.OS, 1)
@@ -392,6 +395,97 @@ func TestJournalRecordsCountSyncFailedAppends(t *testing.T) {
 				t.Fatalf("restart resurrected %d leases nobody was granted", n)
 			}
 		})
+	}
+}
+
+// TestOneItemBatchJournalsLikeAlloc: a single alloc is a batch of one,
+// so the two journal the same record for the same request — every
+// field but the lease ID, which each grant draws afresh.
+func TestOneItemBatchJournalsLikeAlloc(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal")
+	sys, err := core.NewSystem("xeon", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.NewWithConfig(sys, server.Config{JournalPath: path, GroupCommit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := server.ContextWithTenant(context.Background(), "team-a")
+	req := server.AllocRequest{
+		Name: "same", Size: 3 << 20, Attr: "Bandwidth", Initiator: "0-19",
+		TTLSeconds: 90, Partial: true, Remote: true,
+	}
+	if _, err := srv.Alloc(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := srv.AllocBatch(ctx, []server.AllocRequest{req}); err != nil || resp.Succeeded != 1 {
+		t.Fatalf("one-item batch: %+v, %v", resp, err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, res, err := journal.OpenStore(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if len(res.Records) != 2 {
+		t.Fatalf("replayed %d records, want 2: %+v", len(res.Records), res.Records)
+	}
+	single, batch := res.Records[0], res.Records[1]
+	if single.Lease == batch.Lease {
+		t.Fatalf("both grants journaled lease %d", single.Lease)
+	}
+	single.Lease, batch.Lease = 0, 0
+	if !reflect.DeepEqual(single, batch) {
+		t.Fatalf("a single alloc and a one-item batch journal different records:\nalloc %+v\nbatch %+v", single, batch)
+	}
+	if single.Tenant != "team-a" || single.TTLMillis != 90000 || single.Initiator != "0-19" {
+		t.Fatalf("alloc record lost request fields: %+v", single)
+	}
+}
+
+// TestAllocFailedCountsEachRefusal: hetmemd_alloc_failed_total counts
+// every request the daemon refuses, once, whether it came alone or as
+// a batch item — for an unknown attribute, a quota miss and a
+// placement that does not fit alike.
+func TestAllocFailedCountsEachRefusal(t *testing.T) {
+	srv, _ := startTenantServer(t, server.Config{})
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name   string
+		tenant string
+		req    server.AllocRequest
+		code   string
+	}{
+		{"unknown-attr", "", server.AllocRequest{Name: "x", Size: 1 << 20, Attr: "Nope"}, server.CodeBadRequest},
+		{"quota-miss", "q", server.AllocRequest{Name: "x", Size: 64 << 20, Attr: "Capacity"}, server.CodeQuotaExceeded},
+		{"placement", "", server.AllocRequest{Name: "x", Size: 1 << 40, Attr: "Capacity", Policy: "bind"}, server.CodeCapacityExhausted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := server.ContextWithTenant(ctx, tc.tenant)
+			before := srv.Metrics().AllocFailed.Load()
+			_, err := srv.Alloc(ctx, tc.req)
+			if err == nil || server.ErrorBodyFor(err, 1).Code != tc.code {
+				t.Fatalf("alloc: got %v, want %s", err, tc.code)
+			}
+			if got := srv.Metrics().AllocFailed.Load() - before; got != 1 {
+				t.Fatalf("a refused alloc moved alloc_failed_total by %d, want 1", got)
+			}
+			before = srv.Metrics().AllocFailed.Load()
+			resp, err := srv.AllocBatch(ctx, []server.AllocRequest{tc.req})
+			if err != nil || resp.Failed != 1 || resp.Results[0].Error.Code != tc.code {
+				t.Fatalf("batch: %+v, %v, want %s", resp, err, tc.code)
+			}
+			if got := srv.Metrics().AllocFailed.Load() - before; got != 1 {
+				t.Fatalf("a refused batch item moved alloc_failed_total by %d, want 1", got)
+			}
+		})
+	}
+	if n := srv.LeaseCount(); n != 0 {
+		t.Fatalf("%d leases survived refused requests", n)
 	}
 }
 
