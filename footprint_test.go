@@ -54,8 +54,8 @@ var footprintPins = map[string]float64{
 	"HTTP keep-alive connection, server end": 11000,
 	"tenant":                                 625,
 	"initiator intern slot":                  162,
-	"candidate-cache slot":                   316,
-	"idle daemon, fictitious":                92400,
+	"candidate-cache slot":                   229,
+	"idle daemon, fictitious":                78500,
 	"idle daemon, homogeneous":               63500,
 	"idle daemon, knl-quadrant-cache":        94400,
 	"idle daemon, knl-snc4-flat":             109000,
@@ -100,9 +100,9 @@ func TestFootprint(t *testing.T) {
 
 	const slots = 1000
 	add("tenant", slots, tenantFootprint(t, slots))
-	cache := candidateSlotFootprint(t, slots)
-	add("initiator intern slot", slots, internSlotFootprint(t, slots)-cache)
-	add("candidate-cache slot", slots, cache)
+	add("initiator intern slot", slots, internSlotFootprint(t, slots))
+	const localities = 800
+	add("candidate-cache slot", localities, candidateSlotFootprint(t, localities))
 
 	for _, plat := range platform.Names() {
 		add("idle daemon, "+plat, 1, idleDaemonFootprint(t, plat))
@@ -409,8 +409,9 @@ func oneOffList(i int) string {
 }
 
 // internSlotFootprint is what a daemon keeps for a cpuset list it has
-// seen once: its intern table entry, and the ranking the allocator's
-// candidate cache keeps for it.
+// seen once: its intern table entry. The allocator's candidate cache
+// keeps nothing for it, for the list's locality is one of a handful
+// the cache already holds.
 func internSlotFootprint(t *testing.T, n int) float64 {
 	srv := server.New(newFootprintSystem(t, "xeon"))
 	defer srv.Close()
@@ -432,17 +433,35 @@ func internSlotFootprint(t *testing.T, n int) float64 {
 	return (footprintHeap() - before) / float64(n)
 }
 
+// localityProbe is the i-th of xeon's distinct pairs of attribute and
+// locality (i < 880): Bandwidth, then Latency, from the first w0 PUs
+// of package 0 and the first w1 of package 1, for every (w0, w1) in
+// 0..20 but (0, 0). Each overlaps the two packages differently, so no
+// two pairs share a cache slot.
+func localityProbe(i int) (memattr.ID, *bitmap.Bitmap) {
+	attr := memattr.Bandwidth
+	if i >= 440 {
+		attr, i = memattr.Latency, i-440
+	}
+	i++ // (0, 0) is the empty set
+	ini := bitmap.New()
+	for pu := range i % 21 {
+		ini.Set(pu)
+	}
+	for pu := range i / 21 {
+		ini.Set(20 + pu)
+	}
+	return attr, ini
+}
+
 // candidateSlotFootprint is one ranking in the allocator's candidate
-// cache, for a list seen once.
+// cache: a slot per distinct locality.
 func candidateSlotFootprint(t *testing.T, n int) float64 {
 	sys := newFootprintSystem(t, "xeon")
 	rank := func(first, n int) {
 		for i := first; i < first+n; i++ {
-			ini, err := bitmap.ParseList(oneOffList(i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, _, _, err := sys.Allocator.Candidates(memattr.Bandwidth, ini, false); err != nil {
+			attr, ini := localityProbe(i)
+			if _, _, _, err := sys.Allocator.Candidates(attr, ini, false); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -451,7 +470,9 @@ func candidateSlotFootprint(t *testing.T, n int) float64 {
 	before := footprintHeap()
 	rank(16, n)
 	per := (footprintHeap() - before) / float64(n)
-	runtime.KeepAlive(sys)
+	if hits, misses := sys.Allocator.CacheStats(); hits != 0 || misses != uint64(16+n) {
+		t.Fatalf("%d localities ranked with %d hits and %d misses: they are not distinct", 16+n, hits, misses)
+	}
 	return per
 }
 

@@ -203,16 +203,18 @@ func (a *Allocator) Registry() *memattr.Registry { return a.reg }
 // followed — when remote is set — by the remaining nodes in attribute
 // order. It also reports the attribute actually used after fallback.
 //
-// Results are memoized per (attribute, initiator, remote) until the
-// machine's placement generation moves, so the returned slice may be
-// shared with the cache and other callers: treat it as read-only.
+// Results are memoized per (attribute, locality, remote) until the
+// machine's placement generation moves — initiators of one locality
+// share a ranking (see cache.go) — so the returned slice may be shared
+// with the cache and other callers: treat it as read-only.
 func (a *Allocator) Candidates(attr memattr.ID, initiator *bitmap.Bitmap, remote bool) ([]memattr.TargetValue, memattr.ID, bool, error) {
 	if initiator == nil {
 		return a.rankCandidates(attr, initiator, remote) // nothing to key on
 	}
 	gen := a.cacheGen()
-	key := candKey{attr: attr, ini: initiator.Hash(), remote: remote}
-	if e, ok := a.cache.lookup(key, gen, initiator); ok {
+	var buf [candKeyBuf]byte
+	key := a.appendCandKey(buf[:0], attr, initiator, remote)
+	if e, ok := a.cache.lookup(key, gen); ok {
 		a.cache.hits.Add(1)
 		return e.ranked, e.used, e.fell, nil
 	}
@@ -221,9 +223,7 @@ func (a *Allocator) Candidates(attr memattr.ID, initiator *bitmap.Bitmap, remote
 	if err != nil {
 		return nil, 0, false, err
 	}
-	a.cache.store(key, &candEntry{
-		gen: gen, ini: initiator.Copy(), ranked: ranked, used: used, fell: fell,
-	})
+	a.cache.store(string(key), &candEntry{gen: gen, ranked: ranked, used: used, fell: fell})
 	return ranked, used, fell, nil
 }
 

@@ -16,11 +16,11 @@ import (
 
 const gib = uint64(1) << 30
 
-// knlAlloc builds a KNL machine with benchmark-discovered attributes
-// (KNL has no HMAT).
-func knlAlloc(t *testing.T) (*Allocator, *bitmap.Bitmap) {
+// discoveredAlloc builds the named platform's allocator as the daemon
+// does: from its HMAT when it has one, else by benchmark discovery.
+func discoveredAlloc(t *testing.T, name string) *Allocator {
 	t.Helper()
-	p, err := platform.Get("knl-snc4-flat")
+	p, err := platform.Get(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,35 +28,33 @@ func knlAlloc(t *testing.T) (*Allocator, *bitmap.Bitmap) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := bench.MeasureAll(m, bench.Options{})
+	reg := memattr.NewRegistry(p.Topo)
+	if tbl := p.HMATTable(); tbl != nil {
+		err = hmat.Apply(tbl, reg)
+	} else {
+		var res []bench.Result
+		if res, err = bench.MeasureAll(m, bench.Options{}); err == nil {
+			err = bench.Apply(res, reg)
+		}
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := memattr.NewRegistry(p.Topo)
-	if err := bench.Apply(results, reg); err != nil {
-		t.Fatal(err)
-	}
-	// Cluster 0's cores.
-	return New(m, reg), bitmap.NewFromRange(0, 15)
+	return New(m, reg)
+}
+
+// knlAlloc builds a KNL machine with benchmark-discovered attributes
+// (KNL has no HMAT), and cluster 0's cores.
+func knlAlloc(t *testing.T) (*Allocator, *bitmap.Bitmap) {
+	t.Helper()
+	return discoveredAlloc(t, "knl-snc4-flat"), bitmap.NewFromRange(0, 15)
 }
 
 // xeonAlloc builds the Xeon use-case machine with HMAT-discovered
-// attributes.
+// attributes, and package 0's cores.
 func xeonAlloc(t *testing.T) (*Allocator, *bitmap.Bitmap) {
 	t.Helper()
-	p, err := platform.Get("xeon")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := p.NewMachine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := memattr.NewRegistry(p.Topo)
-	if err := hmat.Apply(p.HMATTable(), reg); err != nil {
-		t.Fatal(err)
-	}
-	return New(m, reg), bitmap.NewFromRange(0, 19)
+	return discoveredAlloc(t, "xeon"), bitmap.NewFromRange(0, 19)
 }
 
 func TestPortabilityOfAttributeRequests(t *testing.T) {

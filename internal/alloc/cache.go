@@ -3,16 +3,21 @@ package alloc
 // The ranked-candidate cache: the daemon hot-path optimisation that
 // turns the per-allocation re-rank of Candidates into a map lookup.
 //
-// Ranking a placement depends only on (attribute, initiator, remote)
+// Ranking a placement depends only on (attribute, locality, remote)
 // and on the machine's placement inputs — attribute values, node
 // health, injected capacity/performance faults — none of which change
-// per allocation. Related work (HMPT's one-time characterization,
-// Olson et al.'s amortized guidance) computes placement intent once and
-// reuses it until the machine changes; this cache does the same with a
-// generation counter as the change signal: memsim bumps it on any
-// fault-state change, and the server bumps the allocator's own counter
-// on health transitions (InvalidateCandidates). A stale generation
-// invalidates every entry at once.
+// per allocation. The locality (memattr.Registry.AppendLocality) is
+// what a ranking reads of the initiator: its overlap with each stored
+// initiator and which nodes it touches. Many cpusets share one — on
+// xeon, all sets with the same number of PUs in each package — so the
+// cache holds a ranking per locality, not per cpuset, and a stream of
+// one-off sparse initiators hits it. Related work (HMPT's one-time
+// characterization, Olson et al.'s amortized guidance) computes
+// placement intent once and reuses it until the machine changes; this
+// cache does the same with a generation counter as the change signal:
+// memsim bumps it on any fault-state change, and the server bumps the
+// allocator's own counter on health transitions (InvalidateCandidates).
+// A stale generation invalidates every entry at once.
 //
 // Capacity USE is deliberately not a generation input: rankings order
 // targets by attribute value, and a full target is discovered by the
@@ -21,6 +26,7 @@ package alloc
 // allows.
 
 import (
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
@@ -28,35 +34,40 @@ import (
 	"hetmem/internal/memattr"
 )
 
-// candKey identifies one memoized ranking: attribute, an FNV hash of
-// the initiator cpuset, and the remote option. Hash collisions are
-// resolved by comparing the stored initiator with bitmap.Equal — a
-// collision degrades to a miss, never to a wrong ranking.
-type candKey struct {
-	attr   memattr.ID
-	ini    uint64
-	remote bool
+// appendCandKey appends the key of one memoized ranking: the
+// attribute, the remote option and the initiator's locality. The key
+// is exact, so a hit is always the ranking rankCandidates would
+// compute. Candidates builds it in a stack buffer of candKeyBuf bytes,
+// enough for a machine of a few dozen stored initiators and nodes.
+func (a *Allocator) appendCandKey(dst []byte, attr memattr.ID, ini *bitmap.Bitmap, remote bool) []byte {
+	dst = binary.AppendUvarint(dst, uint64(attr))
+	var r byte
+	if remote {
+		r = 1
+	}
+	return a.reg.AppendLocality(append(dst, r), ini)
 }
 
+const candKeyBuf = 64
+
 // candEntry is one cached ranking with the generation it was computed
-// under and the exact initiator it is valid for.
+// under.
 type candEntry struct {
 	gen    uint64
-	ini    *bitmap.Bitmap
 	ranked []memattr.TargetValue
 	used   memattr.ID
 	fell   bool
 }
 
 // candCacheCap bounds the ranked-candidate cache. A daemon's steady
-// traffic ranks for a handful of keys; the bound keeps a stream of
-// one-off sparse initiators from growing the cache for the life of the
-// process.
+// traffic ranks for a handful of localities; the bound keeps a stream
+// of wide cpusets, each a locality of its own, from growing the cache
+// for the life of the process.
 const candCacheCap = 1024
 
 // candSlot is one slot of the cache's clock.
 type candSlot struct {
-	key candKey
+	key string
 	e   *candEntry
 	ref uint32 // set (atomically, under the read lock) by a hit; cleared as the hand passes
 }
@@ -67,7 +78,7 @@ type candSlot struct {
 // unreferenced since its last pass.
 type candCache struct {
 	mu    sync.RWMutex
-	idx   map[candKey]int // key -> slot
+	idx   map[string]int // key -> slot
 	slots []candSlot
 	hand  int
 	// top is the newest generation stored, and fresh counts the slots
@@ -81,20 +92,20 @@ type candCache struct {
 }
 
 func newCandCache() *candCache {
-	return &candCache{idx: make(map[candKey]int)}
+	return &candCache{idx: make(map[string]int)}
 }
 
-// lookup returns the entry for key if it was computed under gen for an
-// initiator equal to ini, and marks its slot referenced.
-func (c *candCache) lookup(key candKey, gen uint64, ini *bitmap.Bitmap) (*candEntry, bool) {
+// lookup returns the entry for key if it was computed under gen, and
+// marks its slot referenced.
+func (c *candCache) lookup(key []byte, gen uint64) (*candEntry, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	i, ok := c.idx[key]
+	i, ok := c.idx[string(key)] // no copy: a lookup's conversion does not allocate
 	if !ok {
 		return nil, false
 	}
 	sl := &c.slots[i]
-	if sl.e.gen != gen || !bitmap.Equal(sl.e.ini, ini) {
+	if sl.e.gen != gen {
 		return nil, false
 	}
 	if atomic.LoadUint32(&sl.ref) == 0 {
@@ -106,7 +117,7 @@ func (c *candCache) lookup(key candKey, gen uint64, ini *bitmap.Bitmap) (*candEn
 // store publishes a freshly computed ranking. A racing store for the
 // same key under a newer generation wins: entries are replaced, never
 // mutated.
-func (c *candCache) store(key candKey, e *candEntry) {
+func (c *candCache) store(key string, e *candEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e.gen > c.top {

@@ -1,10 +1,14 @@
 package alloc
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"hetmem/internal/bitmap"
 	"hetmem/internal/memattr"
+	"hetmem/internal/memsim"
+	"hetmem/internal/platform"
 	"hetmem/internal/topology"
 )
 
@@ -225,11 +229,30 @@ func sparseInitiator(i int) *bitmap.Bitmap {
 	return b
 }
 
-// TestCandidateCacheBounded: a stream of distinct initiators leaves at
+// perPULocalities records a value of a custom attribute for each of
+// xeon's PUs alone. A ranking then reads which PUs an initiator holds,
+// so every sparseInitiator is a locality of its own.
+func perPULocalities(t *testing.T, a *Allocator) {
+	t.Helper()
+	reg := a.Registry()
+	id, err := reg.Register("PerPU", memattr.HigherFirst|memattr.NeedInitiator)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := reg.Topology().NUMANodes()[0]
+	for pu := range 40 {
+		if err := reg.SetValue(id, node, bitmap.NewFromIndexes(pu), uint64(pu+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCandidateCacheBounded: a stream of distinct localities leaves at
 // most candCacheCap entries, and a key hit between the misses keeps
 // hitting.
 func TestCandidateCacheBounded(t *testing.T) {
 	a, hot := xeonAlloc(t)
+	perPULocalities(t, a)
 	if _, _, _, err := a.Candidates(memattr.Bandwidth, hot, false); err != nil {
 		t.Fatal(err)
 	}
@@ -242,8 +265,11 @@ func TestCandidateCacheBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		if now, _ := a.CacheStats(); now != hits+1 {
-			t.Fatalf("after %d distinct initiators the hot key missed", i+1)
+			t.Fatalf("after %d distinct localities the hot key missed", i+1)
 		}
+	}
+	if hits, misses := a.CacheStats(); hits != 10000 || misses != 10001 {
+		t.Fatalf("hits=%d misses=%d, want 10000/10001: the localities were not distinct", hits, misses)
 	}
 	if n := len(a.cache.idx); n > candCacheCap {
 		t.Fatalf("cache holds %d entries, cap %d", n, candCacheCap)
@@ -258,6 +284,7 @@ func TestCandidateCacheBounded(t *testing.T) {
 // not.
 func TestCandidateCacheEvictsStaleFirst(t *testing.T) {
 	a, hot := xeonAlloc(t)
+	perPULocalities(t, a)
 	for i := range candCacheCap {
 		if _, _, _, err := a.Candidates(memattr.Bandwidth, sparseInitiator(i), false); err != nil {
 			t.Fatal(err)
@@ -269,6 +296,9 @@ func TestCandidateCacheEvictsStaleFirst(t *testing.T) {
 		if _, _, _, err := a.Candidates(memattr.Bandwidth, sparseInitiator(i), false); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if n := len(a.cache.slots); n != candCacheCap {
+		t.Fatalf("cache has %d slots, want it full at %d", n, candCacheCap)
 	}
 	a.InvalidateCandidates()
 	// Ranked under the new generation and never hit again.
@@ -286,5 +316,179 @@ func TestCandidateCacheEvictsStaleFirst(t *testing.T) {
 	}
 	if now, _ := a.CacheStats(); now != hits+1 {
 		t.Fatal("a current entry was evicted while stale ones remained")
+	}
+}
+
+// cpulessAlloc is a machine no platform models: two packages of four
+// PUs with DRAM each, and a third package with memory but no PU. Its
+// node has an empty locality, so it is local only to an initiator that
+// is exactly the whole machine.
+func cpulessAlloc(t *testing.T) *Allocator {
+	t.Helper()
+	root := topology.New(topology.Machine, -1)
+	for p := range 3 {
+		pkg := root.AddChild(topology.New(topology.Package, p))
+		pkg.AddMemChild(topology.NewNUMA(p, "DRAM", 64*gib))
+		if p == 2 {
+			continue
+		}
+		for c := range 4 {
+			pkg.AddChild(topology.New(topology.Core, 4*p+c)).AddChild(topology.New(topology.PU, 4*p+c))
+		}
+	}
+	topo, err := topology.Build(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dram := memsim.NodeModel{Kind: "DRAM", ReadBW: 100, WriteBW: 50, TotalBW: 90, PerThreadBW: 10, IdleLatency: 90, LoadedLatency: 200}
+	m, err := memsim.NewMachine(topo, memsim.MachineModel{Nodes: map[int]memsim.NodeModel{0: dram, 1: dram, 2: dram}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := memattr.NewRegistry(topo)
+	for _, n := range topo.NUMANodes() {
+		for p := range 2 {
+			ini := bitmap.NewFromRange(4*p, 4*p+3)
+			bw, lat := uint64(100-10*n.OSIndex), uint64(90+10*n.OSIndex)
+			if bitmap.Intersects(ini, n.CPUSet) {
+				bw, lat = bw*2, lat/2
+			}
+			if err := reg.SetValue(memattr.Bandwidth, n, ini, bw); err != nil {
+				t.Fatal(err)
+			}
+			if err := reg.SetValue(memattr.Latency, n, ini, lat); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return New(m, reg)
+}
+
+// storedInitiators lists the distinct initiators the registry holds
+// values for.
+func storedInitiators(reg *memattr.Registry) []*bitmap.Bitmap {
+	var out []*bitmap.Bitmap
+	for _, id := range reg.IDs() {
+		for _, n := range reg.Topology().NUMANodes() {
+			ivs, _ := reg.Initiators(id, n)
+			for _, iv := range ivs {
+				if iv.Initiator != nil && !slices.ContainsFunc(out, func(b *bitmap.Bitmap) bool { return bitmap.Equal(b, iv.Initiator) }) {
+					out = append(out, iv.Initiator)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// probeInitiators is what the differential test asks for: seeded
+// sparse sets and ranges of PUs, the whole machine, each stored
+// initiator exactly, and each of those last two widened by a PU the
+// machine does not have, which changes nothing but exactness.
+func probeInitiators(reg *memattr.Registry, rng *rand.Rand) []*bitmap.Bitmap {
+	root := reg.Topology().Root().CPUSet
+	pus := root.Indexes()
+	beyond := root.Last() + 1
+	widen := func(b *bitmap.Bitmap) *bitmap.Bitmap { c := b.Copy(); c.Set(beyond); return c }
+	var out []*bitmap.Bitmap
+	for range 24 {
+		b := bitmap.New()
+		for range 1 + rng.Intn(4) {
+			b.Set(pus[rng.Intn(len(pus))])
+		}
+		lo := rng.Intn(len(pus))
+		hi := lo + rng.Intn(len(pus)-lo)
+		out = append(out, b, bitmap.NewFromRange(pus[lo], pus[hi]))
+	}
+	for _, b := range append(storedInitiators(reg), root) {
+		out = append(out, b.Copy(), widen(b))
+	}
+	// A set the machine does not touch, then the empty set: they share
+	// every overlap, but only the empty one is an error to rank for.
+	return append(out, bitmap.NewFromIndexes(beyond), bitmap.New())
+}
+
+// TestCandidatesMatchRankingEveryPlatform is the differential test of
+// the locality key: on every platform, for each attribute, probe
+// initiator and remote option, Candidates — on its first call, a miss
+// or a hit on another initiator's ranking, and on its second, a hit —
+// returns exactly what rankCandidates computes for that initiator.
+// It holds again after a registry edit records a new initiator whose
+// value reorders the targets, and InvalidateCandidates.
+func TestCandidatesMatchRankingEveryPlatform(t *testing.T) {
+	shared := 0
+	for _, name := range append(platform.Names(), "cpuless", "undiscovered") {
+		t.Run(name, func(t *testing.T) {
+			var a *Allocator
+			switch name {
+			case "cpuless":
+				a = cpulessAlloc(t)
+			case "undiscovered":
+				// Only the attributes the topology gives, none of
+				// them per initiator: a locality is which nodes an
+				// initiator touches.
+				x := discoveredAlloc(t, "xeon")
+				a = New(x.Machine(), memattr.NewRegistry(x.Registry().Topology()))
+			default:
+				a = discoveredAlloc(t, name)
+			}
+			check := func(phase string) {
+				rng := rand.New(rand.NewSource(int64(len(name))))
+				for _, attr := range []memattr.ID{memattr.Bandwidth, memattr.Latency, memattr.Capacity, memattr.Locality} {
+					for _, ini := range probeInitiators(a.Registry(), rng) {
+						for _, remote := range []bool{false, true} {
+							want, wantUsed, wantFell, wantErr := a.rankCandidates(attr, ini, remote)
+							for pass := range 2 {
+								hits, _ := a.CacheStats()
+								got, used, fell, err := a.Candidates(attr, ini, remote)
+								now, _ := a.CacheStats()
+								if (err != nil) != (wantErr != nil) || used != wantUsed || fell != wantFell || !slices.Equal(got, want) {
+									t.Fatalf("%s: attr %s ini %v remote %v pass %d: got %v/%v/%v/%v, want %v/%v/%v/%v",
+										phase, a.Registry().Name(attr), ini, remote, pass, got, used, fell, err, want, wantUsed, wantFell, wantErr)
+								}
+								switch {
+								case pass == 1 && err == nil && now != hits+1:
+									t.Fatalf("%s: attr %s ini %v remote %v: the second call missed", phase, a.Registry().Name(attr), ini, remote)
+								case pass == 0 && now != hits:
+									shared++
+								}
+							}
+						}
+					}
+				}
+			}
+			check("discovered")
+
+			// Record a new initiator: a stored one less its last PU,
+			// made the best initiator for the target the stored one
+			// ranks last. Widened, it overlaps both equally and takes
+			// the older's value; exactly, it takes its own.
+			stored := storedInitiators(a.Registry())
+			if len(stored) == 0 {
+				return // no initiator to refine, and nothing to rank for it
+			}
+			old := stored[0]
+			sub := old.Copy()
+			sub.Clr(old.Last())
+			used, _, err := a.Registry().ResolveWithFallback(memattr.Bandwidth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ranked, _, _, err := a.rankCandidates(used, old, true)
+			if err != nil || len(ranked) == 0 {
+				t.Fatalf("ranking for %v: %v, %v", old, ranked, err)
+			}
+			if err := a.Registry().SetValue(used, ranked[len(ranked)-1].Target, sub, 10*ranked[0].Value+1); err != nil {
+				t.Fatal(err)
+			}
+			if n := len(storedInitiators(a.Registry())); n != len(stored)+1 {
+				t.Fatalf("the edit left %d stored initiators, want %d", n, len(stored)+1)
+			}
+			a.InvalidateCandidates()
+			check("edited")
+		})
+	}
+	if shared == 0 {
+		t.Error("no first call hit a ranking of another initiator: the test does not exercise the locality key")
 	}
 }

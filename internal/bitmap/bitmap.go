@@ -250,6 +250,17 @@ func Intersects(a, b *Bitmap) bool {
 	return false
 }
 
+// AndWeight returns the number of indexes a and b share: the Weight
+// of their intersection, without building it.
+func AndWeight(a, b *Bitmap) int {
+	n := min(len(a.words), len(b.words))
+	w := 0
+	for i := 0; i < n; i++ {
+		w += bits.OnesCount64(a.words[i] & b.words[i])
+	}
+	return w
+}
+
 // IsIncluded reports whether every index of sub is also in super.
 func IsIncluded(sub, super *Bitmap) bool {
 	for i, w := range sub.words {
@@ -317,24 +328,6 @@ func XorNew(a, b *Bitmap) *Bitmap { c := a.Copy(); c.Xor(b); return c }
 
 // AndNotNew returns a minus b as a new bitmap.
 func AndNotNew(a, b *Bitmap) *Bitmap { c := a.Copy(); c.AndNot(b); return c }
-
-// Hash returns an FNV-1a digest of the set. Equal bitmaps hash equal
-// (the word storage is canonical — trailing zero words are trimmed),
-// so the hash can key a cache, with Equal confirming on collision.
-func (b *Bitmap) Hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, w := range b.words {
-		for s := 0; s < wordBits; s += 8 {
-			h ^= (w >> s) & 0xff
-			h *= prime64
-		}
-	}
-	return h
-}
 
 // String returns the hwloc hexadecimal mask format, least significant
 // 32-bit chunk last, chunks separated by commas when more than one is

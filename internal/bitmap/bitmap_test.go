@@ -374,25 +374,19 @@ func BenchmarkNextIteration(b *testing.B) {
 	}
 }
 
-func TestHash(t *testing.T) {
-	a := NewFromRange(0, 15)
-	b := NewFromRange(0, 15)
-	if a.Hash() != b.Hash() {
-		t.Fatalf("equal bitmaps must hash equally: %x vs %x", a.Hash(), b.Hash())
+func TestQuickAndWeight(t *testing.T) {
+	// AndWeight is the weight of the intersection, built or not, and
+	// costs no allocation.
+	f := func(s1, s2 int64) bool {
+		a := randomBitmap(rand.New(rand.NewSource(s1)))
+		b := randomBitmap(rand.New(rand.NewSource(s2)))
+		return AndWeight(a, b) == AndNew(a, b).Weight() && AndWeight(b, a) == AndWeight(a, b)
 	}
-	c := NewFromRange(0, 16)
-	if a.Hash() == c.Hash() {
-		t.Fatalf("different bitmaps should (almost always) hash differently")
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
-	// Trailing zero words must not change the hash: a bitmap that grew
-	// and shrank hashes like one that never grew.
-	d := New()
-	d.Set(1000)
-	d.Clr(1000)
-	d.Set(3)
-	e := New()
-	e.Set(3)
-	if d.Hash() != e.Hash() {
-		t.Fatalf("trailing zero words changed the hash: %x vs %x", d.Hash(), e.Hash())
+	a, b := NewFromRange(0, 200), NewFromRange(100, 300)
+	if n := testing.AllocsPerRun(100, func() { AndWeight(a, b) }); n != 0 {
+		t.Fatalf("AndWeight allocates %.0f times, want 0", n)
 	}
 }

@@ -3,6 +3,7 @@ package memattr
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"hetmem/internal/bitmap"
 	"hetmem/internal/topology"
@@ -94,22 +95,14 @@ func (r *Registry) compositeInitiators(terms []Term, tgt *topology.Object, needI
 		return []*bitmap.Bitmap{nil}
 	}
 	var out []*bitmap.Bitmap
-	seen := func(b *bitmap.Bitmap) bool {
-		for _, x := range out {
-			if bitmap.Equal(x, b) {
-				return true
-			}
-		}
-		return false
-	}
 	for _, t := range terms {
 		a := r.byID[t.Attr]
 		if a.flags&NeedInitiator == 0 {
 			continue
 		}
 		for _, e := range a.values[tgt] {
-			if !seen(e.initiator) {
-				out = append(out, e.initiator.Copy())
+			if !slices.Contains(out, e.initiator) { // one copy per initiator in the registry
+				out = append(out, e.initiator)
 			}
 		}
 	}

@@ -23,9 +23,11 @@
 package memattr
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hetmem/internal/bitmap"
 	"hetmem/internal/topology"
@@ -138,7 +140,8 @@ var (
 )
 
 // valueEntry stores one measured/declared value, with the initiator it
-// was recorded for (nil for initiator-less attributes).
+// was recorded for: one of the registry's inis, or nil for
+// initiator-less attributes.
 type valueEntry struct {
 	initiator *bitmap.Bitmap
 	value     uint64
@@ -166,6 +169,10 @@ type Registry struct {
 	byName  map[string]ID
 	nextID  ID
 	ordered []ID // registration order, for stable reporting
+	// inis holds one copy of each distinct initiator a value was
+	// recorded for, in recording order; value entries share these
+	// copies, so an entry's initiator is matched by pointer.
+	inis []*bitmap.Bitmap
 }
 
 // NewRegistry creates a registry for the given topology with all
@@ -277,13 +284,13 @@ func (r *Registry) SetValue(id ID, target *topology.Object, initiator *bitmap.Bi
 		if initiator == nil || initiator.IsZero() {
 			return fmt.Errorf("memattr: attribute %s needs a non-empty initiator", a.name)
 		}
-		initiator = initiator.Copy()
+		initiator = r.internInitiator(initiator)
 	} else if initiator != nil {
 		return fmt.Errorf("memattr: attribute %s takes no initiator", a.name)
 	}
 	entries := a.values[target]
 	for i := range entries {
-		if sameInitiator(entries[i].initiator, initiator) {
+		if entries[i].initiator == initiator {
 			entries[i].value = v
 			return nil
 		}
@@ -292,11 +299,53 @@ func (r *Registry) SetValue(id ID, target *topology.Object, initiator *bitmap.Bi
 	return nil
 }
 
-func sameInitiator(a, b *bitmap.Bitmap) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
+// internInitiator returns the registry's copy of ini, recording one if
+// no stored initiator equals it.
+func (r *Registry) internInitiator(ini *bitmap.Bitmap) *bitmap.Bitmap {
+	for _, s := range r.inis {
+		if bitmap.Equal(s, ini) {
+			return s
+		}
 	}
-	return bitmap.Equal(a, b)
+	s := ini.Copy()
+	r.inis = append(r.inis, s)
+	return s
+}
+
+// AppendLocality appends to dst a key for the initiator's locality:
+// everything Value and topology.LocalNUMANodes read of it, and nothing
+// else. For each stored initiator, its overlap with ini and whether it
+// equals ini; for each NUMA node, whether its cpuset intersects ini;
+// and whether ini is empty or the whole machine, on which an error and
+// the CPU-less nodes depend. Two initiators with equal keys get equal
+// values for every attribute and target and the same local nodes, so a
+// ranking computed for one holds for the other — until the registry
+// records a new initiator, which changes the key's layout.
+func (r *Registry) AppendLocality(dst []byte, ini *bitmap.Bitmap) []byte {
+	for _, s := range r.inis {
+		ov := uint64(bitmap.AndWeight(s, ini)) << 1
+		if bitmap.Equal(s, ini) {
+			ov |= 1
+		}
+		dst = binary.AppendUvarint(dst, ov) // two bytes up to bitmap.MaxCPUs
+	}
+	var b byte
+	for i, n := range r.topo.NUMANodes() {
+		if bitmap.Intersects(n.CPUSet, ini) {
+			b |= 1 << (i % 8)
+		}
+		if i%8 == 7 {
+			dst, b = append(dst, b), 0
+		}
+	}
+	var shape byte
+	switch {
+	case ini.IsZero():
+		shape = 1
+	case bitmap.Equal(ini, r.topo.Root().CPUSet):
+		shape = 2
+	}
+	return append(dst, b, shape)
 }
 
 // Value returns the attribute value for the target as seen from the
@@ -330,7 +379,7 @@ func (r *Registry) Value(id ID, target *topology.Object, initiator *bitmap.Bitma
 		if bitmap.Equal(e.initiator, initiator) {
 			return e.value, nil
 		}
-		if ov := bitmap.AndNew(e.initiator, initiator).Weight(); ov > bestOverlap {
+		if ov := bitmap.AndWeight(e.initiator, initiator); ov > bestOverlap {
 			bestOverlap = ov
 			best = e
 		}
@@ -398,11 +447,14 @@ func (r *Registry) RankTargets(id ID, initiator *bitmap.Bitmap, candidates []*to
 		}
 		out = append(out, TargetValue{tgt, v})
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Value != out[j].Value {
-			return a.better(out[i].Value, out[j].Value)
+	slices.SortStableFunc(out, func(x, y TargetValue) int {
+		if x.Value != y.Value {
+			if a.better(x.Value, y.Value) {
+				return -1
+			}
+			return 1
 		}
-		return out[i].Target.LogicalIndex < out[j].Target.LogicalIndex
+		return cmp.Compare(x.Target.LogicalIndex, y.Target.LogicalIndex)
 	})
 	return out, nil
 }

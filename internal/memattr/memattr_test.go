@@ -398,3 +398,83 @@ func TestQuickRankIsMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLookupAllocations: Value's overlap match builds no intersection,
+// and RankTargets allocates nothing but the ranking it returns.
+func TestLookupAllocations(t *testing.T) {
+	topo := buildMini(t)
+	r := NewRegistry(topo)
+	for _, n := range topo.NUMANodes() {
+		for i, ini := range []*bitmap.Bitmap{bitmap.NewFromRange(0, 3), bitmap.NewFromRange(4, 7)} {
+			if err := r.SetValue(Bandwidth, n, ini, uint64(100*(i+1)+n.OSIndex)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sub := bitmap.NewFromIndexes(1, 2, 5) // no exact match: the overlap path
+	dram0 := nodeBySub(t, topo, 0, "DRAM")
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := r.Value(Bandwidth, dram0, sub); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Value allocates %.0f times, want 0", n)
+	}
+	nodes := topo.NUMANodes()
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := r.RankTargets(Bandwidth, sub, nodes); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("RankTargets allocates %.0f times, want 1 (its result)", n)
+	}
+}
+
+// TestAppendLocality: initiators with the same locality share a key,
+// and each thing a ranking reads of an initiator splits it.
+func TestAppendLocality(t *testing.T) {
+	topo := buildMini(t)
+	r := NewRegistry(topo)
+	pkg0, pkg1 := bitmap.NewFromRange(0, 3), bitmap.NewFromRange(4, 7)
+	dram0 := nodeBySub(t, topo, 0, "DRAM")
+	for _, ini := range []*bitmap.Bitmap{pkg0, pkg1} {
+		if err := r.SetValue(Latency, dram0, ini, 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := func(ini *bitmap.Bitmap) string { return string(r.AppendLocality(nil, ini)) }
+	beyond := func(b *bitmap.Bitmap) *bitmap.Bitmap { c := b.Copy(); c.Set(100); return c }
+	root := topo.Root().CPUSet
+	if key(bitmap.NewFromIndexes(0)) != key(bitmap.NewFromIndexes(3)) {
+		t.Error("two single PUs of package 0 have different localities")
+	}
+	for _, c := range []struct {
+		why  string
+		a, b *bitmap.Bitmap
+	}{
+		{"overlap weight", bitmap.NewFromIndexes(0), bitmap.NewFromIndexes(0, 1)},
+		{"exact match", pkg0, beyond(pkg0)},
+		{"whole machine", root, beyond(root)},
+		{"empty", bitmap.New(), bitmap.NewFromIndexes(100)},
+		{"node touched", bitmap.NewFromIndexes(0), bitmap.NewFromIndexes(4)},
+	} {
+		if key(c.a) == key(c.b) {
+			t.Errorf("%s: %v and %v share a locality", c.why, c.a, c.b)
+		}
+	}
+	// Storing a value for a new initiator extends every key; storing
+	// another for a known one does not.
+	n := len(key(pkg0))
+	if err := r.SetValue(Bandwidth, dram0, pkg1.Copy(), 5); err != nil {
+		t.Fatal(err)
+	}
+	if len(key(pkg0)) != n {
+		t.Error("a known initiator changed the key's layout")
+	}
+	if err := r.SetValue(Bandwidth, dram0, bitmap.NewFromIndexes(0), 5); err != nil {
+		t.Fatal(err)
+	}
+	if len(key(pkg0)) == n {
+		t.Error("a new initiator left the key's layout unchanged")
+	}
+}
