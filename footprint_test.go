@@ -42,12 +42,12 @@ type footprintCell struct {
 // headroom. A cell that grows past its pin fails the test; one that
 // shrinks should have its pin lowered with it.
 var footprintPins = map[string]float64{
-	"daemon lease, no journal":               292,
-	"daemon lease, journal":                  292,
+	"daemon lease, no journal":               253,
+	"daemon lease, journal":                  253,
 	"routed lease by batch, router":          171,
-	"routed lease by batch, member":          295,
+	"routed lease by batch, member":          261,
 	"routed lease by single alloc, router":   170,
-	"routed lease by single alloc, member":   689,
+	"routed lease by single alloc, member":   642,
 	"wire connection, client end":            12100,
 	"wire connection, server end":            13300,
 	"HTTP keep-alive connection, client end": 6320,

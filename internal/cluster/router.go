@@ -664,6 +664,11 @@ func errNoLease(id uint64) error {
 // to the same member, which replays the same lease — nothing is
 // allocated twice, and the retry's append lands the mapping.
 func (r *Router) Alloc(ctx context.Context, req server.AllocRequest) (server.AllocResponse, error) {
+	// A malformed request is refused here, as the member would refuse
+	// it, and never sent on the hop.
+	if err := server.ValidateAllocRequest(req); err != nil {
+		return server.AllocResponse{}, err
+	}
 	if req.IdempotencyKey != "" {
 		r.mu.Lock()
 		if id, ok := r.idem[req.IdempotencyKey]; ok {
@@ -751,7 +756,11 @@ func (r *Router) AllocBatch(ctx context.Context, reqs []server.AllocRequest) (se
 	out := server.BatchAllocResponse{Results: make([]server.BatchAllocItem, len(reqs))}
 	groups := make(map[*member][]int)
 	for i, req := range reqs {
-		m, err := r.routeKey(routingKey(req))
+		err := server.ValidateAllocRequest(req) // as in Alloc
+		var m *member
+		if err == nil {
+			m, err = r.routeKey(routingKey(req))
+		}
 		if err != nil {
 			out.Results[i] = errItem(r, err)
 			continue

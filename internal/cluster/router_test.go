@@ -349,6 +349,30 @@ func TestRouterErrorEnvelopePassthrough(t *testing.T) {
 	if !errors.As(err, &apiErr) || apiErr.Code != server.CodeBadRequest {
 		t.Fatalf("member bad_request was laundered: %v", err)
 	}
+
+	// A malformed request is refused by the router with the daemon's
+	// own answer, alone or as a batch item, and never reaches a member.
+	memberRefusals := func() (n uint64) {
+		for _, m := range sim.Members {
+			n += m.srv.Metrics().AllocFailed.Load()
+		}
+		return n
+	}
+	before := memberRefusals()
+	bad := server.AllocRequest{Name: "", Size: 1 << 20, Attr: "Capacity"}
+	want := server.ValidateAllocRequest(bad).Error()
+	_, err = cl.Alloc(ctx, bad)
+	if !errors.As(err, &apiErr) || apiErr.Code != server.CodeBadRequest || apiErr.Message != want {
+		t.Fatalf("malformed alloc through the router: %v, want bad_request %q", err, want)
+	}
+	out, err := cl.AllocBatch(ctx, []server.AllocRequest{bad, {Name: "ok", Size: 1 << 20, Attr: "Capacity"}})
+	if err != nil || out.Failed != 1 || out.Results[0].Error == nil ||
+		out.Results[0].Error.Code != server.CodeBadRequest || out.Results[0].Error.Message != want || out.Results[1].Alloc == nil {
+		t.Fatalf("batch with a malformed item through the router: %+v, %v", out, err)
+	}
+	if got := memberRefusals() - before; got != 0 {
+		t.Fatalf("members refused %d malformed requests the router forwarded", got)
+	}
 }
 
 // TestRouterJournalRestart crashes a journaled router, with and

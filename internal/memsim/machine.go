@@ -237,28 +237,28 @@ type Segment struct {
 
 // Buffer is an application data buffer placed on one or more nodes.
 //
-// Placement state (Segments, freed) is guarded by a per-buffer lock so
-// Free and Migrate are safe against concurrent calls on the same
-// buffer; the per-buffer counters belong to the single-threaded engine.
+// Placement state (Segments) is guarded by a per-buffer lock so Free
+// and Migrate are safe against concurrent calls on the same buffer;
+// the per-buffer counters belong to the single-threaded engine.
 //
 // A placement daemon holds one Buffer per lease, so the struct carries
-// only what every buffer needs: a one-node placement lives in seg0 (no
-// separate slice), and the access counters exist only once a phase
-// has touched the buffer.
+// only what every buffer needs, in 80 bytes: a one-node placement lives
+// in seg0 (no separate slice), a freed buffer is one with no placement
+// (nil Segments, no flag), and the access counters exist only once a
+// phase has touched the buffer.
 type Buffer struct {
 	Name string
 	Size uint64
 
-	// Segments is the buffer's placement. Guarded by mu: concurrent
-	// readers must use SegmentsSnapshot, AppendSegments, NodeNames or
-	// OnKind; direct access is only safe while no Migrate/Free can run.
-	// A one-node placement points into seg0, which Migrate rewrites in
-	// place.
+	// Segments is the buffer's placement, nil once the buffer is freed.
+	// Guarded by mu: concurrent readers must use SegmentsSnapshot,
+	// AppendSegments, NodeNames, OnKind or Freed; direct access is only
+	// safe while no Migrate/Free can run. A one-node placement points
+	// into seg0, which Migrate rewrites in place.
 	Segments []Segment
 	seg0     [1]Segment
 
-	mu    sync.Mutex // guards Segments, seg0 and freed
-	freed bool
+	mu sync.Mutex // guards Segments and seg0
 
 	// ctr holds the access counters, set by the engine when a phase
 	// first touches the buffer: nil reads as all zeros.
@@ -375,11 +375,11 @@ func (b *Buffer) AppendSegments(dst []Segment) []Segment {
 	return append(dst, b.Segments...)
 }
 
-// Freed reports whether the buffer has been released.
+// Freed reports whether the buffer has been released (has no placement).
 func (b *Buffer) Freed() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.freed
+	return b.Segments == nil
 }
 
 // NodeNames describes the placement, e.g. "DRAM#0" or
@@ -533,6 +533,7 @@ func (m *Machine) AllocSplit(name string, parts []Segment) (*Buffer, error) {
 		b.seg0[0] = parts[0]
 		b.Segments = b.seg0[:]
 	} else {
+		// Never nil, even for zero parts: such a buffer is live, not freed.
 		b.Segments = make([]Segment, len(parts))
 		copy(b.Segments, parts)
 	}
@@ -583,17 +584,17 @@ func (m *Machine) AllocInterleave(name string, size uint64, nodes []*Node) (*Buf
 	return m.AllocSplit(name, parts)
 }
 
-// Free releases the buffer's memory back to its nodes.
+// Free releases the buffer's memory and drops its placement (nil Segments).
 func (m *Machine) Free(b *Buffer) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.freed {
+	if b.Segments == nil {
 		return ErrFreed
 	}
 	for _, seg := range b.Segments {
 		seg.Node.release(seg.Bytes)
 	}
-	b.freed = true
+	b.Segments = nil
 	return nil
 }
 
@@ -637,7 +638,7 @@ func migrationCostLocked(b *Buffer, dst *Node) float64 {
 func (m *Machine) Migrate(b *Buffer, dst *Node) (seconds float64, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.freed {
+	if b.Segments == nil {
 		return 0, ErrFreed
 	}
 	already := uint64(0)

@@ -3,6 +3,7 @@ package memsim
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -99,6 +100,83 @@ func TestAllocFreeAccounting(t *testing.T) {
 	}
 	if len(m.Buffers()) != 0 {
 		t.Fatal("freed buffer still listed")
+	}
+}
+
+// TestFreedBufferHasNoPlacement: a buffer carries no freed flag, so
+// "freed" is "has no placement". After Free every reader sees an empty
+// placement, Migrate and a second Free refuse it, and the registry —
+// Buffers() and the sweep in track — drops it. A zero-part AllocSplit
+// also has no segments, but it was never freed and must not read so.
+func TestFreedBufferHasNoPlacement(t *testing.T) {
+	m, _ := testRig(t)
+	dram, nv := m.NodeByOS(0), m.NodeByOS(1)
+	one, err := m.Alloc("one", gb, dram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	split, err := m.AllocSplit("split", []Segment{{dram, gb}, {nv, gb}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := m.AllocSplit("empty", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if empty.Freed() || empty.Size != 0 || empty.NodeNames() != "" {
+		t.Fatalf("zero-part buffer: freed %v, size %d, placement %q", empty.Freed(), empty.Size, empty.NodeNames())
+	}
+	for _, b := range []*Buffer{one, split} {
+		if err := m.Free(b); err != nil {
+			t.Fatal(err)
+		}
+		if !b.Freed() {
+			t.Fatalf("%s: Freed() = false after Free", b.Name)
+		}
+		if segs := b.AppendSegments(nil); len(segs) != 0 {
+			t.Fatalf("%s: AppendSegments after Free = %+v", b.Name, segs)
+		}
+		if segs := b.SegmentsSnapshot(); len(segs) != 0 {
+			t.Fatalf("%s: SegmentsSnapshot after Free = %+v", b.Name, segs)
+		}
+		if got := b.NodeNames(); got != "" {
+			t.Fatalf("%s: NodeNames after Free = %q", b.Name, got)
+		}
+		if b.OnKind("DRAM") {
+			t.Fatalf("%s: OnKind(DRAM) after Free", b.Name)
+		}
+		if _, err := m.Migrate(b, dram); !errors.Is(err, ErrFreed) {
+			t.Fatalf("%s: Migrate after Free: %v, want ErrFreed", b.Name, err)
+		}
+		if err := m.Free(b); !errors.Is(err, ErrFreed) {
+			t.Fatalf("%s: second Free: %v, want ErrFreed", b.Name, err)
+		}
+	}
+	if dram.Allocated() != 0 || nv.Allocated() != 0 {
+		t.Fatalf("freed buffers left %d B on DRAM and %d B on NVDIMM", dram.Allocated(), nv.Allocated())
+	}
+	if got := m.Buffers(); len(got) != 1 || got[0] != empty {
+		t.Fatalf("Buffers() after the frees = %v, want only the zero-part buffer", got)
+	}
+
+	// Enough allocations to reach a sweep: it keeps the live zero-part
+	// buffer and drops the two freed ones.
+	for i := 0; i < minSweep; i++ {
+		if _, err := m.Alloc("fill", 1, dram); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.bufMu.Lock()
+	tracked := slices.Clone(m.buffers)
+	m.bufMu.Unlock()
+	if slices.Contains(tracked, one) || slices.Contains(tracked, split) {
+		t.Fatal("the sweep kept a freed buffer")
+	}
+	if !slices.Contains(tracked, empty) {
+		t.Fatal("the sweep dropped the live zero-part buffer")
+	}
+	if err := m.Free(empty); err != nil || !empty.Freed() {
+		t.Fatalf("freeing the zero-part buffer: %v, freed %v", err, empty.Freed())
 	}
 }
 

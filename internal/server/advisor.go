@@ -110,18 +110,15 @@ func (s *Server) AdviseCycle() (int, float64) {
 			s.metrics.AdvisorHeldBudget.Add(1)
 			continue
 		}
-		from := l.buf.NodeNames()
 		s.ckmu.RLock()
 		l.jmu.Lock()
-		var err error
-		var cost float64
-		if l.buf.Freed() {
-			err = errNoSuchLease
-		} else {
-			// misplacedFor found the lease misplaced, so the name is known.
-			attr, _ := s.sys.Registry.ByName(r.AttrName)
-			cost, _, err = s.migrateLocked(l, attr, l.ini, true, journal.OriginAdvisor)
-		}
+		// Both ends of the move are read under jmu, where no free can
+		// drop the placement in between.
+		from := l.buf.NodeNames()
+		// misplacedFor found the lease misplaced, so the name is known.
+		attr, _ := s.sys.Registry.ByName(r.AttrName)
+		cost, _, err := s.migrateLocked(l, attr, l.ini, true, journal.OriginAdvisor)
+		to := l.buf.NodeNames()
 		l.jmu.Unlock()
 		s.ckmu.RUnlock()
 		if err != nil {
@@ -130,7 +127,7 @@ func (s *Server) AdviseCycle() (int, float64) {
 			// retries next cycle once the obstacle clears.
 			continue
 		}
-		s.advisor.RecordMove(r, from, l.buf.NodeNames())
+		s.advisor.RecordMove(r, from, to)
 		if r.AttrName == "Capacity" {
 			s.metrics.AdvisorDemoted.Add(1)
 		} else {
@@ -256,12 +253,23 @@ func (s *Server) LeaseDetail(ctx context.Context, id uint64) (LeaseDetailRespons
 	if !ok {
 		return LeaseDetailResponse{}, fmt.Errorf("%w: %d", errNoSuchLease, id)
 	}
+	// A free that won the race since get leaves no placement to show:
+	// the lease is gone, as a get after it would have found.
+	l.jmu.Lock()
+	freed := l.buf.Freed()
+	placement := l.buf.NodeNames()
+	attr := memattr.ID(l.attr)
+	l.jmu.Unlock()
+	if freed {
+		l.release()
+		return LeaseDetailResponse{}, fmt.Errorf("%w: %d", errNoSuchLease, id)
+	}
 	resp := LeaseDetailResponse{
 		Lease:      l.id,
 		Name:       l.buf.Name,
 		Size:       l.buf.Size,
-		Attr:       s.sys.Registry.Name(attrOf(l)),
-		Placement:  l.buf.NodeNames(),
+		Attr:       s.sys.Registry.Name(attr),
+		Placement:  placement,
 		Tenant:     l.tenant,
 		Initiator:  l.ini.list,
 		TTLSeconds: l.getTTL().Seconds(),

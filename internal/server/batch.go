@@ -14,6 +14,8 @@ import (
 	"fmt"
 )
 
+var errKeyedBatchItem = fmt.Errorf("%w: idempotency_key is not supported in batches", ErrBadRequest)
+
 // AllocBatch is the Backend entry behind /v1/alloc/batch: every item
 // placed independently, one journal batch for the lot.
 func (s *Server) AllocBatch(ctx context.Context, reqs []AllocRequest) (BatchAllocResponse, error) {
@@ -32,15 +34,11 @@ func (s *Server) AllocBatch(ctx context.Context, reqs []AllocRequest) (BatchAllo
 	// cannot oversubscribe a node.
 	var placed []grant
 	for i, item := range reqs {
-		err := validateAllocRequest(item)
-		if err == nil && item.IdempotencyKey != "" {
-			// Idempotency is a single-/alloc contract: replaying "the
-			// batch minus the items that succeeded last time" has no
-			// sound meaning, so batches refuse keyed items outright.
-			err = fmt.Errorf("%w: idempotency_key is not supported in batches", ErrBadRequest)
-		}
-		var g grant
-		if err == nil {
+		// Idempotency is a single-/alloc contract: replaying "the batch
+		// minus the items that succeeded last time" has no sound
+		// meaning, so batches refuse keyed items outright.
+		g, err := grant{}, errKeyedBatchItem
+		if item.IdempotencyKey == "" {
 			g, err = s.place(ctx, tn, item, false)
 		}
 		if err != nil {

@@ -200,11 +200,18 @@ func TestBooksModel(t *testing.T) {
 			}
 		case op < 85: // the reaper's take-and-restore of a renewed lease
 			if id, ok := pick(); ok {
-				l, ok := s.leases.take(id)
+				l, ok := s.leases.get(id)
 				if !ok {
 					t.Fatalf("%s: lease %d not in the table", when, id)
 				}
+				l.jmu.Lock()
+				if !s.leases.take(l) {
+					t.Fatalf("%s: lease %d left the table under its jmu", when, id)
+				}
+				l.acquire()
 				s.leases.restore(l)
+				l.jmu.Unlock()
+				l.release()
 			}
 		case op < 92: // a node fails under live leases, or comes back
 			if offline < 0 {
@@ -272,11 +279,14 @@ func TestBooksModel(t *testing.T) {
 	}
 }
 
-// TestBooksFreeRacingMigrate: a free that takes a lease out of the
-// table while a migrate is moving its buffer. take subtracts the
-// segments the lease was booked for, not the ones the buffer has by
-// then, and the migrate's rebook finds the lease gone and leaves the
-// books alone — either order of the two must end at all-zero books.
+// TestBooksFreeRacingMigrate: a free racing a migrate of the same
+// lease. The books keep no copy of a lease's placement: take subtracts
+// the buffer's own. That is right only because a lease leaves the
+// table under its jmu, which a move holds from the move through its
+// rebook — so the free takes the lease either before the move (which
+// then finds the buffer freed and leaves the books alone) or after the
+// rebook (and subtracts the placement the books now hold). Either
+// order must end at all-zero books.
 func TestBooksFreeRacingMigrate(t *testing.T) {
 	sys, err := core.NewSystem("xeon", core.Options{})
 	if err != nil {
@@ -312,5 +322,69 @@ func TestBooksFreeRacingMigrate(t *testing.T) {
 	}
 	if s.Metrics().MigrateTotal.Load() == 0 {
 		t.Fatal("no migrate ever won the race; the loop tests nothing")
+	}
+}
+
+// TestBooksReapRacingMove: a TTL lease that expires while a migrate or
+// an evacuation is moving its buffer. The reaper, like a free, takes
+// the lease only under its jmu, so every interleaving of the reap and
+// the move must end at all-zero books.
+func TestBooksReapRacingMove(t *testing.T) {
+	sys, err := core.NewSystem("xeon", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewWithConfig(sys, Config{MinLeaseTTL: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	inj := faults.NewInjector(faults.NewMachineTarget(sys.Machine))
+	inj.Subscribe(s.ApplyFault)
+	ctx := ContextWithTenant(context.Background(), bookTenants[0])
+	const rounds = 300
+	for i := 0; i < rounds; i++ {
+		resp, err := s.Alloc(ctx, AllocRequest{Name: "reap", Size: 1 << 20, Attr: "Capacity",
+			Initiator: "0-19", Remote: true, TTLSeconds: 0.001})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, _ := s.leases.get(resp.Lease)
+		node := l.buf.SegmentsSnapshot()[0].Node.OSIndex()
+		l.release()
+		time.Sleep(2 * time.Millisecond) // expired before the move starts
+		evacuate := i%2 == 1
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if evacuate {
+				inj.Apply(faults.Event{NodeOS: node, Kind: faults.Offline})
+			} else {
+				s.Migrate(ctx, MigrateRequest{Lease: resp.Lease, Attr: "Latency", Remote: true})
+			}
+		}()
+		// A varying head start, so the reap lands before, inside and
+		// after the move over the rounds.
+		for j := 0; j < i%16; j++ {
+			runtime.Gosched()
+		}
+		s.ReapNow()
+		<-done
+		if evacuate {
+			inj.Apply(faults.Event{NodeOS: node, Kind: faults.Online})
+		}
+		s.ReapNow() // if the move went first
+	}
+	sum := checkBooks(t, s, "after the races")
+	if sum.Count != 0 || sum.Bytes != 0 || len(sum.NodeBytes) != 0 || len(sum.TenantBytes) != 0 {
+		t.Fatalf("books after every lease was reaped: %+v", sum)
+	}
+	met := s.Metrics()
+	if got := met.LeasesReaped.Load(); got != rounds {
+		t.Fatalf("%d leases reaped, want %d", got, rounds)
+	}
+	if met.MigrateTotal.Load() == 0 || met.AutoMigrateTotal.Load() == 0 {
+		t.Fatalf("%d migrates and %d evacuations won the race; the loop tests too little",
+			met.MigrateTotal.Load(), met.AutoMigrateTotal.Load())
 	}
 }

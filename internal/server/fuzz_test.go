@@ -9,10 +9,10 @@ import (
 
 // FuzzDecodeRequest throws arbitrary bytes at the daemon's request
 // decoders: they must never panic, and whatever they accept must
-// satisfy the decode-time contract. For an alloc that is
-// validateAllocRequest's: non-empty name, non-zero size, a known
-// policy, a non-negative TTL and a parsable initiator. An empty attr
-// is legal at decode time — the advisor answers it with advice, and a
+// satisfy the decode-time contract. An alloc decoder only parses; what
+// it parses and ValidateAllocRequest passes has a non-empty name, a
+// non-zero size, a known policy, a non-negative TTL and a parsable
+// initiator. An empty attr passes both — the advisor answers it with advice, and a
 // daemon without one refuses it at placement
 // (TestAttrlessAllocWithoutAdvisorRefused). A free needs a lease, a
 // migrate a lease and an attr, a batch one to MaxBatchAllocs items.
@@ -32,7 +32,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"requests":[{"name":"x","size":1},{"lease":1}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if req, err := DecodeAllocRequest(bytes.NewReader(data)); err == nil {
+		if req, err := DecodeAllocRequest(bytes.NewReader(data)); err == nil && ValidateAllocRequest(req) == nil {
 			if req.Name == "" || req.Size == 0 || req.TTLSeconds < 0 {
 				t.Fatalf("accepted invalid alloc request: %+v", req)
 			}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -145,18 +146,14 @@ func (s *Server) evacuate(nodeOS int) {
 		}
 		s.ckmu.RLock()
 		l.jmu.Lock()
-		if l.buf.Freed() {
-			l.jmu.Unlock()
-			s.ckmu.RUnlock()
-			continue
-		}
 		_, _, err := s.migrateLocked(l, memattr.ID(l.attr), l.ini, true, "")
 		l.jmu.Unlock()
 		s.ckmu.RUnlock()
-		if err != nil {
-			s.metrics.AutoMigrateFailed.Add(1)
-		} else {
+		switch {
+		case err == nil:
 			s.metrics.AutoMigrateTotal.Add(1)
+		case !errors.Is(err, errNoSuchLease): // a racing free is no failure
+			s.metrics.AutoMigrateFailed.Add(1)
 		}
 	}
 }
@@ -169,6 +166,9 @@ func (s *Server) evacuate(nodeOS int) {
 // the attribute and the origin so restart replay reconstructs the
 // reclassification and the advisor's counters exactly.
 func (s *Server) migrateLocked(l *lease, attr memattr.ID, ini *internedIni, remote bool, origin string) (float64, alloc.Decision, error) {
+	if l.buf.Freed() { // a free won the race for jmu
+		return 0, alloc.Decision{}, fmt.Errorf("%w: %d", errNoSuchLease, l.id)
+	}
 	cpus, err := ini.cpus()
 	if err != nil {
 		return 0, alloc.Decision{}, err
@@ -182,7 +182,7 @@ func (s *Server) migrateLocked(l *lease, attr memattr.ID, ini *internedIni, remo
 	}
 	// The bytes moved: the lease table's books and the tenant's follow
 	// them here, whatever becomes of the journal append below.
-	s.leases.rebook(l)
+	s.leases.rebook(l, before)
 	// Migration never fails on quota: the bytes already exist, only
 	// their kind changed. ForceCharge keeps the books truthful even for
 	// a tenant past its limit on the destination kind.

@@ -17,9 +17,10 @@ const leaseShards = 64
 // lease ties a lease ID to its live buffer, plus the request context
 // (attribute, initiator, idempotency key) the daemon needs to re-place
 // it after a node failure and to replay it from the journal. The
-// buffer's name and size are the lease's: both are immutable, so the
-// lease reads them from buf instead of keeping copies. One lease is
-// held per live allocation, so the record is kept to 96 bytes
+// buffer's name, size and placement are the lease's: the name and size
+// are immutable and the placement changes only under jmu, so the lease
+// reads all three from buf instead of keeping copies. One lease is held
+// per live allocation, so the record is kept to 80 bytes
 // (TestLeaseFootprint): what few leases carry sits behind ext.
 type lease struct {
 	id  uint64
@@ -29,7 +30,7 @@ type lease struct {
 	// empties.
 	ini    *internedIni
 	tenant string
-	ext    *leaseExt // nil for an unkeyed lease booked on one segment
+	ext    *leaseExt // nil for an unkeyed lease
 
 	// ttlNS is the granted time-to-live in nanoseconds (0 = never
 	// expires); deadlineNS is the unix-nano expiry the reaper checks.
@@ -37,26 +38,21 @@ type lease struct {
 	ttlNS      atomic.Int64
 	deadlineNS atomic.Int64
 
-	// jmu orders a lease's placement mutations against their journal
-	// appends: whoever mutates the buffer (migrate, evacuation) holds
-	// jmu across the mutation and the append, so the journal's record
-	// order matches the buffer's state history.
+	// jmu orders a lease's placement changes against their journal
+	// appends and its removal from the table: a move (migrate,
+	// evacuation, rebalance, the advisor) holds it through its rebook
+	// and append, a free or reap from the take through Machine.Free. So
+	// the journal's order matches the buffer's history, and the books
+	// hold the buffer's placement whenever a take subtracts it.
 	jmu sync.Mutex
-
-	// booked is the placement the shard's books carry for the lease
-	// (see leaseShard and bookedSegs) when it is one segment; ext.spill
-	// holds one of any other length. Guarded by the shard lock. take and
-	// rebook subtract these rather than the buffer's segments, so a free
-	// racing a migrate removes exactly what was added.
-	booked [1]memsim.Segment
 
 	// refs counts who may still touch this lease: one reference owned
 	// by the table while the lease is registered, plus one per borrower
-	// (get, borrowAll). take transfers the table's reference to the
-	// caller. The last release recycles the object into leasePool — the
-	// discipline that makes pooling safe against the historical hazard
-	// of a reaper or evacuator holding a pointer to a lease a concurrent
-	// free already recycled.
+	// (get, borrowAll); take drops the table's. The last release
+	// recycles the object into leasePool — the discipline that makes
+	// pooling safe against the historical hazard of a reaper or
+	// evacuator holding a pointer to a lease a concurrent free already
+	// recycled.
 	refs atomic.Int32
 	// attr is the memattr.ID the lease is placed for; its name comes
 	// from the registry where a response or a record needs it.
@@ -64,11 +60,9 @@ type lease struct {
 }
 
 // leaseExt is the part of a lease that few leases need: the client's
-// idempotency key (set at grant, never changed) and the books of a
-// placement that is not one segment (guarded by the shard lock).
+// idempotency key (set at grant, never changed).
 type leaseExt struct {
-	key   string
-	spill *[]memsim.Segment
+	key string
 }
 
 // key returns the lease's idempotency key, "" if it has none.
@@ -108,7 +102,6 @@ func (l *lease) release() {
 	l.buf = nil
 	l.attr = 0
 	l.ini, l.ext, l.tenant = nil, nil, ""
-	l.booked[0] = memsim.Segment{}
 	l.ttlNS.Store(0)
 	l.deadlineNS.Store(0)
 	leasePool.Put(l)
@@ -154,6 +147,8 @@ type leaseTable struct {
 // at a cost independent of the lease count. They are kept from the
 // leases alone — not from memsim's node gauges or the tenant registry
 // — which is what lets /metrics cross-check against them.
+// A mapped lease's books are its buffer's placement (see lease.jmu), so
+// the books keep no copy of what they added.
 type leaseShard struct {
 	mu sync.Mutex
 	m  map[uint64]*lease
@@ -186,54 +181,38 @@ func (t *leaseTable) shard(id uint64) *leaseShard {
 	return &t.shards[id%leaseShards]
 }
 
-// book adds a lease's current placement to the books and remembers it
-// on the lease. Lock order: shard, then Buffer.mu — never the reverse.
-// Caller holds s.mu.
-func (s *leaseShard) book(l *lease) {
-	segs := l.buf.AppendSegments(l.booked[:0])
-	switch {
-	case len(segs) != 1:
-		if l.ext == nil {
-			l.ext = new(leaseExt)
-		}
-		l.ext.spill = new([]memsim.Segment)
-		*l.ext.spill = segs
-	case l.ext != nil:
-		l.ext.spill = nil
+// signed returns b, or -b (unsigned negation wraps, so adding it
+// subtracts b) when out is set.
+func signed(b uint64, out bool) uint64 {
+	if out {
+		return -b
 	}
-	s.bytes += l.buf.Size
-	var placed uint64
+	return b
+}
+
+// place adds a tenant's placement to the node and tenant books, or
+// takes it out. Lock order: shard, then Buffer.mu — never the reverse,
+// so callers may read the placement here. Caller holds s.mu.
+func (s *leaseShard) place(tenant string, segs []memsim.Segment, out bool) {
 	for _, seg := range segs {
-		s.nodeBytes[seg.Node.OSIndex()] += seg.Bytes
-		placed += seg.Bytes
+		s.nodeBytes[seg.Node.OSIndex()] += signed(seg.Bytes, out)
+		s.tenantBytes[tenant] += signed(seg.Bytes, out)
 	}
-	s.tenantBytes[l.tenant] += placed
 }
 
-// bookedSegs returns the placement book last added. Caller holds s.mu.
-func (l *lease) bookedSegs() []memsim.Segment {
-	if l.ext != nil && l.ext.spill != nil {
-		return *l.ext.spill
-	}
-	return l.booked[:]
-}
-
-// unbook subtracts what book added. Caller holds s.mu.
-func (s *leaseShard) unbook(l *lease) {
-	s.bytes -= l.buf.Size
-	var placed uint64
-	for _, seg := range l.bookedSegs() {
-		s.nodeBytes[seg.Node.OSIndex()] -= seg.Bytes
-		placed += seg.Bytes
-	}
-	s.tenantBytes[l.tenant] -= placed
+// book adds a lease and its buffer's current placement to the books,
+// or takes them out. Caller holds s.mu.
+func (s *leaseShard) book(l *lease, out bool) {
+	var one [1]memsim.Segment
+	s.bytes += signed(l.buf.Size, out)
+	s.place(l.tenant, l.buf.AppendSegments(one[:0]), out)
 }
 
 // restore registers a lease under its pre-assigned ID (a fresh
 // allocation, journal replay, or a reaper putting a just-renewed lease
-// back) and keeps the ID counter past it so fresh IDs never collide.
-// The caller's reference transfers to the table: do not touch the
-// lease afterwards without re-borrowing it.
+// back under its jmu) and keeps the ID counter past it so fresh IDs
+// never collide. The caller's reference transfers to the table: do not
+// touch the lease afterwards without re-borrowing it.
 func (t *leaseTable) restore(l *lease) {
 	if l.refs.Load() == 0 {
 		l.refs.Store(1) // lease built as a literal, outside newLease
@@ -241,21 +220,22 @@ func (t *leaseTable) restore(l *lease) {
 	s := t.shard(l.id)
 	s.mu.Lock()
 	s.m[l.id] = l
-	s.book(l)
+	s.book(l, false)
 	s.mu.Unlock()
 	t.floor(l.id)
 }
 
-// rebook moves a lease's books to its buffer's current placement. Every
-// migration calls it, after the move and under l.jmu. A lease that has
-// left the table (a racing free or reap took it) was unbooked by take
-// and stays that way.
-func (t *leaseTable) rebook(l *lease) {
+// rebook moves a lease's books from before, the placement its buffer
+// had, to the one it has now. Every migration calls it, after the move
+// and under l.jmu. A lease that has left the table was taken out of the
+// books with the placement it had then and stays out.
+func (t *leaseTable) rebook(l *lease, before []memsim.Segment) {
+	var one [1]memsim.Segment
 	s := t.shard(l.id)
 	s.mu.Lock()
 	if s.m[l.id] == l {
-		s.unbook(l)
-		s.book(l)
+		s.place(l.tenant, before, true)
+		s.place(l.tenant, l.buf.AppendSegments(one[:0]), false)
 	}
 	s.mu.Unlock()
 }
@@ -285,20 +265,22 @@ func (t *leaseTable) get(id uint64) (*lease, bool) {
 	return l, ok
 }
 
-// take removes and returns a lease; the atomic claim makes double-free
-// over the API race-free even before memsim's own check. The table's
-// reference transfers to the caller, who must release() (or restore)
-// the lease when done.
-func (t *leaseTable) take(id uint64) (*lease, bool) {
-	s := t.shard(id)
+// take removes a borrowed lease from the table and its placement from
+// the books, and reports whether it was there: of two racing removers
+// exactly one wins. The caller holds l.jmu from before the take until
+// the buffer is freed or the lease restored. take drops the table's
+// reference; the caller's borrowed one keeps the lease.
+func (t *leaseTable) take(l *lease) bool {
+	s := t.shard(l.id)
 	s.mu.Lock()
-	l, ok := s.m[id]
+	ok := s.m[l.id] == l
 	if ok {
-		delete(s.m, id)
-		s.unbook(l)
+		delete(s.m, l.id)
+		s.book(l, true)
+		l.refs.Add(-1) // never the last: the caller borrowed one
 	}
 	s.mu.Unlock()
-	return l, ok
+	return ok
 }
 
 // borrowAll returns every live lease ordered by ID, each carrying a

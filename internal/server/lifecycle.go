@@ -64,47 +64,41 @@ func (s *Server) ReapNow() int {
 		}
 		// The checkpoint lock spans the take, the free and its journal
 		// append, as in Free: a snapshot taken between them would miss
-		// the lease while its free landed in the fresh WAL.
+		// the lease while its free landed in the fresh WAL. jmu spans
+		// them too, and the put-back below.
 		s.ckmu.RLock()
-		taken, ok := s.leases.take(l.id)
-		if !ok {
+		l.jmu.Lock()
+		if !s.leases.take(l) {
+			l.jmu.Unlock()
 			s.ckmu.RUnlock()
 			continue // freed concurrently
 		}
 		// A renewal may have slipped in between the scan and the take;
 		// put a refreshed lease back instead of reaping it under the
 		// client's feet.
-		if !taken.expiredAt(time.Now()) {
-			s.leases.restore(taken)
+		if !l.expiredAt(time.Now()) {
+			l.acquire() // the table's reference again
+			s.leases.restore(l)
+			l.jmu.Unlock()
 			s.ckmu.RUnlock()
 			continue
 		}
-		taken.jmu.Lock()
-		segs := taken.buf.SegmentsSnapshot()
-		err := s.sys.Machine.Free(taken.buf)
-		if err == nil {
-			// Journaled exactly like a client free. If the append
-			// fails, the restart replays the alloc, regrants one TTL of
-			// grace, and reaps again — self-healing, so no rollback.
-			s.appendJournal(journal.Record{Op: journal.OpFree, Lease: taken.id})
-		}
-		taken.jmu.Unlock()
+		segs := l.buf.SegmentsSnapshot()
+		s.sys.Machine.Free(l.buf) // a mapped lease's buffer is live
+		// Journaled exactly like a client free. If the append fails,
+		// the restart replays the alloc, regrants one TTL of grace, and
+		// reaps again — self-healing, so no rollback.
+		s.appendJournal(journal.Record{Op: journal.OpFree, Lease: l.id})
+		l.jmu.Unlock()
 		s.ckmu.RUnlock()
-		if err != nil {
-			// take transferred the table's reference to us; the lease
-			// stays out of the table either way, so drop it.
-			taken.release()
-			continue
-		}
-		if key := taken.key(); key != "" {
+		if key := l.key(); key != "" {
 			s.idem.forget(key)
 		}
 		// A reap is an eviction from the tenant's point of view: give
 		// the bytes back, count it, and wake queued admissions.
-		tn := s.tenants.Get(taken.tenant)
+		tn := s.tenants.Get(l.tenant)
 		refundSegs(tn, segs)
 		tn.Evictions.Add(1)
-		taken.release()
 		reaped++
 		s.metrics.LeasesReaped.Add(1)
 	}
@@ -211,12 +205,7 @@ func (s *Server) rebalance(nodeOS int) {
 		}
 		s.ckmu.RLock()
 		l.jmu.Lock()
-		var err error
-		if l.buf.Freed() {
-			err = errNoSuchLease
-		} else {
-			_, _, err = s.migrateLocked(l, memattr.ID(l.attr), l.ini, false, "")
-		}
+		_, _, err := s.migrateLocked(l, memattr.ID(l.attr), l.ini, false, "")
 		l.jmu.Unlock()
 		s.ckmu.RUnlock()
 		if err != nil {

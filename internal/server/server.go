@@ -673,13 +673,16 @@ type grant struct {
 	idx  int
 }
 
-// place runs one request up to a built lease: advice, attribute,
-// initiator, admission, placement and the tenant's quota charge. queue
-// says whether a burstable tenant may wait in the admission queue: a
-// single alloc may, a batch item may not — parking a half-placed batch
-// would hold its placements hostage. On error nothing is left placed or
-// charged.
+// place runs one request up to a built lease: field checks, advice,
+// attribute, initiator, admission, placement and the tenant's quota
+// charge. queue says whether a burstable tenant may wait in the
+// admission queue: a single alloc may, a batch item may not — parking
+// a half-placed batch would hold its placements hostage. On error
+// nothing is left placed or charged.
 func (s *Server) place(ctx context.Context, tn *tenant.Tenant, req AllocRequest, queue bool) (grant, error) {
+	if err := ValidateAllocRequest(req); err != nil {
+		return grant{}, err
+	}
 	// A request with no attribute defers the tiering decision to the
 	// advisor: place under its live classification of this buffer name
 	// (or the capacity tier for a name it has never observed) and say
@@ -852,40 +855,39 @@ func (s *Server) Renew(ctx context.Context, req RenewRequest) (RenewResponse, er
 
 // Free is the Backend entry behind /v1/free.
 func (s *Server) Free(ctx context.Context, req FreeRequest) (FreeResponse, error) {
-	// The checkpoint lock spans removal, free, and journal append: a
-	// snapshot either still holds the lease (and its free lands in the
-	// fresh WAL) or holds neither.
-	s.ckmu.RLock()
-	l, ok := s.leases.take(req.Lease)
+	l, ok := s.leases.get(req.Lease)
 	if !ok {
-		s.ckmu.RUnlock()
 		return FreeResponse{}, fmt.Errorf("%w: %d", errNoSuchLease, req.Lease)
 	}
+	// The checkpoint lock spans removal, free, and journal append: a
+	// snapshot either still holds the lease (and its free lands in the
+	// fresh WAL) or holds neither. jmu spans the take and the free.
+	s.ckmu.RLock()
 	l.jmu.Lock()
-	segs := l.buf.SegmentsSnapshot()
-	err := s.sys.Machine.Free(l.buf)
-	if err == nil {
-		// On failure here the memory is already released but the WAL may
-		// still say the lease is alive; restart resurrects it as an
-		// orphan with a fresh TTL and the reaper collects it. The client
-		// sees an error, so the free was never acknowledged.
-		_, err = s.appendJournal(journal.Record{Op: journal.OpFree, Lease: l.id})
+	if !s.leases.take(l) {
+		l.jmu.Unlock()
+		s.ckmu.RUnlock()
+		l.release()
+		return FreeResponse{}, fmt.Errorf("%w: %d", errNoSuchLease, req.Lease)
 	}
-	freed := l.buf.Freed()
+	segs := l.buf.SegmentsSnapshot()
+	s.sys.Machine.Free(l.buf) // a mapped lease's buffer is live: no error
+	// On failure here the memory is already released but the WAL may
+	// still say the lease is alive; restart resurrects it as an orphan
+	// with a fresh TTL and the reaper collects it. The client sees an
+	// error, so the free was never acknowledged.
+	_, err := s.appendJournal(journal.Record{Op: journal.OpFree, Lease: l.id})
 	l.jmu.Unlock()
 	s.ckmu.RUnlock()
-	key, tenantName := l.key(), l.tenant
-	l.release() // the table's reference, transferred by take
-	if freed {
-		// The bytes are back (even if the journal append failed after
-		// the free): refund the tenant and wake queued admissions.
-		refundSegs(s.tenants.Get(tenantName), segs)
-		s.admitGate.broadcast()
-	}
+	defer l.release() // ours, from get; take dropped the table's
+	// The bytes are back (even if the journal append failed after the
+	// free): refund the tenant and wake queued admissions.
+	refundSegs(s.tenants.Get(l.tenant), segs)
+	s.admitGate.broadcast()
 	if err != nil {
 		return FreeResponse{}, err
 	}
-	if key != "" {
+	if key := l.key(); key != "" {
 		s.idem.forget(key)
 	}
 	s.metrics.FreeTotal.Add(1)
@@ -909,14 +911,14 @@ func (s *Server) Migrate(ctx context.Context, req MigrateRequest) (MigrateRespon
 	s.ckmu.RLock()
 	l.jmu.Lock()
 	cost, dec, err := s.migrateLocked(l, attr, ini, req.Remote, "")
+	// Read under jmu: once it is let go a free may drop the placement.
+	placement := l.buf.NodeNames()
 	l.jmu.Unlock()
 	s.ckmu.RUnlock()
+	l.release()
 	if err != nil {
-		l.release()
 		return MigrateResponse{}, err
 	}
-	placement := l.buf.NodeNames()
-	l.release()
 	s.metrics.MigrateTotal.Add(1)
 	return MigrateResponse{
 		Lease:       req.Lease,
@@ -935,9 +937,20 @@ func (s *Server) leaseList() LeasesResponse {
 	leases := s.leases.borrowAll()
 	defer releaseAll(leases)
 	for _, l := range leases {
+		// Under jmu the placement holds still, and a lease freed since
+		// borrowAll shows as freed: it is left out, not listed empty.
+		l.jmu.Lock()
+		freed := l.buf.Freed()
+		segs := l.buf.SegmentsSnapshot()
+		placement := l.buf.NodeNames()
+		attr := memattr.ID(l.attr)
+		l.jmu.Unlock()
+		if freed {
+			continue
+		}
 		resp.Count++
 		resp.Bytes += l.buf.Size
-		for _, seg := range l.buf.SegmentsSnapshot() {
+		for _, seg := range segs {
 			resp.NodeBytes[seg.Node.Label()] += seg.Bytes
 			resp.TenantBytes[l.tenant] += seg.Bytes
 		}
@@ -945,9 +958,9 @@ func (s *Server) leaseList() LeasesResponse {
 			Lease:     l.id,
 			Name:      l.buf.Name,
 			Size:      l.buf.Size,
-			Placement: l.buf.NodeNames(),
+			Placement: placement,
 			Tenant:    l.tenant,
-			Attr:      s.sys.Registry.Name(attrOf(l)),
+			Attr:      s.sys.Registry.Name(attr),
 		}
 		if s.advisor != nil {
 			info.Class = s.advisor.Classification(l.id)

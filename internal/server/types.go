@@ -559,7 +559,9 @@ func scanBatchAllocItemFields(s *jsonenc.Scanner, it *BatchAllocItem) bool {
 	}
 }
 
-// DecodeAllocRequest parses and validates a /v1/alloc body.
+// DecodeAllocRequest parses a /v1/alloc body. It only parses: the
+// backend refuses a malformed request (ValidateAllocRequest), so the
+// refusal is counted wherever the request came from.
 func DecodeAllocRequest(r io.Reader) (AllocRequest, error) {
 	bp := getReqBuf()
 	defer putReqBuf(bp)
@@ -571,12 +573,13 @@ func DecodeAllocRequest(r io.Reader) (AllocRequest, error) {
 }
 
 func decodeAllocRequest(data []byte) (AllocRequest, error) {
-	return decodeBody(data, scanAllocRequest, validateAllocRequest)
+	return decodeBody(data, scanAllocRequest, nil)
 }
 
-// validateAllocRequest applies the field checks shared by /alloc and
-// each /alloc/batch item.
-func validateAllocRequest(req AllocRequest) error {
+// ValidateAllocRequest applies the field checks of /alloc and of each
+// /alloc/batch item. The daemon runs it in place, for both; a router
+// runs it before it forwards.
+func ValidateAllocRequest(req AllocRequest) error {
 	if req.Name == "" {
 		return fmt.Errorf("%w: missing name", ErrBadRequest)
 	}

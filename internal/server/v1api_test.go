@@ -449,38 +449,62 @@ func TestOneItemBatchJournalsLikeAlloc(t *testing.T) {
 
 // TestAllocFailedCountsEachRefusal: hetmemd_alloc_failed_total counts
 // every request the daemon refuses, once, whether it came alone or as
-// a batch item — for an unknown attribute, a quota miss and a
+// a batch item, straight to the backend, over HTTP or over frames —
+// for a malformed request, an unknown attribute, a quota miss and a
 // placement that does not fit alike.
 func TestAllocFailedCountsEachRefusal(t *testing.T) {
-	srv, _ := startTenantServer(t, server.Config{})
+	srv, ts := startTenantServer(t, server.Config{})
+	udsBase, stop, err := server.ServeTransport(srv, "uds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(stop)
 	ctx := context.Background()
+	// What the backend and a client both offer.
+	type allocator interface {
+		Alloc(context.Context, server.AllocRequest) (server.AllocResponse, error)
+		AllocBatch(context.Context, []server.AllocRequest) (server.BatchAllocResponse, error)
+	}
+	paths := []struct {
+		name string
+		b    allocator
+	}{
+		{"backend", srv},
+		{"http", wireClient(t, ts.URL, server.WithRetryPolicy(server.NoRetry))},
+		{"frames", wireClient(t, udsBase, server.WithRetryPolicy(server.NoRetry))},
+	}
 	for _, tc := range []struct {
 		name   string
 		tenant string
 		req    server.AllocRequest
 		code   string
 	}{
+		{"malformed", "", server.AllocRequest{Name: "", Size: 1 << 20, Attr: "Capacity"}, server.CodeBadRequest},
 		{"unknown-attr", "", server.AllocRequest{Name: "x", Size: 1 << 20, Attr: "Nope"}, server.CodeBadRequest},
 		{"quota-miss", "q", server.AllocRequest{Name: "x", Size: 64 << 20, Attr: "Capacity"}, server.CodeQuotaExceeded},
 		{"placement", "", server.AllocRequest{Name: "x", Size: 1 << 40, Attr: "Capacity", Policy: "bind"}, server.CodeCapacityExhausted},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ctx := server.ContextWithTenant(ctx, tc.tenant)
-			before := srv.Metrics().AllocFailed.Load()
-			_, err := srv.Alloc(ctx, tc.req)
-			if err == nil || server.ErrorBodyFor(err, 1).Code != tc.code {
-				t.Fatalf("alloc: got %v, want %s", err, tc.code)
-			}
-			if got := srv.Metrics().AllocFailed.Load() - before; got != 1 {
-				t.Fatalf("a refused alloc moved alloc_failed_total by %d, want 1", got)
-			}
-			before = srv.Metrics().AllocFailed.Load()
-			resp, err := srv.AllocBatch(ctx, []server.AllocRequest{tc.req})
-			if err != nil || resp.Failed != 1 || resp.Results[0].Error.Code != tc.code {
-				t.Fatalf("batch: %+v, %v, want %s", resp, err, tc.code)
-			}
-			if got := srv.Metrics().AllocFailed.Load() - before; got != 1 {
-				t.Fatalf("a refused batch item moved alloc_failed_total by %d, want 1", got)
+			for _, p := range paths {
+				t.Run(p.name, func(t *testing.T) {
+					ctx := server.ContextWithTenant(ctx, tc.tenant)
+					before := srv.Metrics().AllocFailed.Load()
+					_, err := p.b.Alloc(ctx, tc.req)
+					if err == nil || server.ErrorBodyFor(err, 1).Code != tc.code {
+						t.Fatalf("alloc: got %v, want %s", err, tc.code)
+					}
+					if got := srv.Metrics().AllocFailed.Load() - before; got != 1 {
+						t.Fatalf("a refused alloc moved alloc_failed_total by %d, want 1", got)
+					}
+					before = srv.Metrics().AllocFailed.Load()
+					resp, err := p.b.AllocBatch(ctx, []server.AllocRequest{tc.req})
+					if err != nil || resp.Failed != 1 || resp.Results[0].Error.Code != tc.code {
+						t.Fatalf("batch: %+v, %v, want %s", resp, err, tc.code)
+					}
+					if got := srv.Metrics().AllocFailed.Load() - before; got != 1 {
+						t.Fatalf("a refused batch item moved alloc_failed_total by %d, want 1", got)
+					}
+				})
 			}
 		})
 	}
