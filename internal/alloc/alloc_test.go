@@ -133,15 +133,15 @@ func TestPartialAllocation(t *testing.T) {
 	if !dec.Partial {
 		t.Fatalf("decision = %v, want partial", dec)
 	}
-	if len(buf.Segments) != 2 {
-		t.Fatalf("segments = %d", len(buf.Segments))
+	if len(buf.SegmentsSnapshot()) != 2 {
+		t.Fatalf("segments = %d", len(buf.SegmentsSnapshot()))
 	}
 	// Ranking order: MCDRAM first (bandwidth), then DRAM.
-	if buf.Segments[0].Node.Kind() != "MCDRAM" || buf.Segments[0].Bytes != 4*gib {
-		t.Fatalf("segment 0 = %+v", buf.Segments[0])
+	if buf.SegmentsSnapshot()[0].Node.Kind() != "MCDRAM" || buf.SegmentsSnapshot()[0].Bytes != 4*gib {
+		t.Fatalf("segment 0 = %+v", buf.SegmentsSnapshot()[0])
 	}
-	if buf.Segments[1].Node.Kind() != "DRAM" || buf.Segments[1].Bytes != 22*gib {
-		t.Fatalf("segment 1 = %+v", buf.Segments[1])
+	if buf.SegmentsSnapshot()[1].Node.Kind() != "DRAM" || buf.SegmentsSnapshot()[1].Bytes != 22*gib {
+		t.Fatalf("segment 1 = %+v", buf.SegmentsSnapshot()[1])
 	}
 	a.Machine().Free(buf)
 

@@ -662,8 +662,15 @@ func errNoLease(id uint64) error {
 // making it visible. If the router crashes between the member's grant
 // and the journal append, the client's retry (same key) re-forwards
 // to the same member, which replays the same lease — nothing is
-// allocated twice, and the retry's append lands the mapping.
-func (r *Router) Alloc(ctx context.Context, req server.AllocRequest) (server.AllocResponse, error) {
+// allocated twice, and the retry's append lands the mapping. Every
+// refusal, the router's own or a member's, counts once in the router's
+// AllocFailed.
+func (r *Router) Alloc(ctx context.Context, req server.AllocRequest) (_ server.AllocResponse, err error) {
+	defer func() {
+		if err != nil {
+			r.Metrics().AllocFailed.Add(1)
+		}
+	}()
 	// A malformed request is refused here, as the member would refuse
 	// it, and never sent on the hop.
 	if err := server.ValidateAllocRequest(req); err != nil {
@@ -825,6 +832,7 @@ func (r *Router) AllocBatch(ctx context.Context, reqs []server.AllocRequest) (se
 			out.Failed++
 		}
 	}
+	r.Metrics().AllocFailed.Add(uint64(out.Failed))
 	return out, nil
 }
 

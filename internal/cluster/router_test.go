@@ -375,6 +375,41 @@ func TestRouterErrorEnvelopePassthrough(t *testing.T) {
 	}
 }
 
+// TestRouterCountsAllocRefusals: the router's own
+// hetmemd_alloc_failed_total counts each alloc and batch item it
+// answers with an error, once, whether the router refused it (a
+// malformed request) or a member did (an unknown attribute).
+func TestRouterCountsAllocRefusals(t *testing.T) {
+	sim := startTestSim(t, SimOptions{})
+	ctx := context.Background()
+	cl := server.NewClient(sim.Base, server.WithoutHeartbeat(), server.WithRetryPolicy(server.NoRetry))
+	defer cl.Close()
+	refused := func() float64 {
+		t.Helper()
+		metrics, err := cl.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return server.SumSeries(metrics, "hetmemd_alloc_failed_total")
+	}
+
+	before := refused()
+	malformed := server.AllocRequest{Name: "", Size: 1 << 20, Attr: "Capacity"}
+	unknown := server.AllocRequest{Name: "bad", Size: 1 << 20, Attr: "NoSuchAttr"}
+	for _, req := range []server.AllocRequest{malformed, unknown} {
+		if _, err := cl.Alloc(ctx, req); err == nil {
+			t.Fatalf("alloc %+v was granted", req)
+		}
+	}
+	out, err := cl.AllocBatch(ctx, []server.AllocRequest{malformed, {Name: "ok", Size: 1 << 20, Attr: "Capacity"}, unknown})
+	if err != nil || out.Failed != 2 || out.Results[1].Alloc == nil {
+		t.Fatalf("batch: %+v, %v; want items 0 and 2 refused", out, err)
+	}
+	if got := refused() - before; got != 4 {
+		t.Fatalf("the router's hetmemd_alloc_failed_total moved by %v over four refusals, want 4", got)
+	}
+}
+
 // TestRouterJournalRestart crashes a journaled router, with and
 // without -journal-sync, and checks that a restart rebuilds the lease
 // map from the WAL's alloc and free records.

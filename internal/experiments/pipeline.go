@@ -75,7 +75,7 @@ func Fig6() (string, error) {
 	graph500.RunTEPS(e, bufs, []graph500.BFSStats{an}, graph500.SimParams{})
 	sum := profile.Summarize(e.Stats())
 	appAttr := sensitivity.FromProfile(sum)
-	recs := sensitivity.FromHotObjects(profile.HotObjects(sys.Machine), 0.02)
+	recs := sensitivity.FromHotObjects(profile.HotObjects(bufs.All()), 0.02)
 	bufs.Free(sys.Machine)
 	fmt.Fprintf(&sb, "2. profiling:       application -> %s; per buffer:\n", sys.Registry.Name(appAttr))
 	for _, r := range recs {

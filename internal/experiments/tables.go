@@ -460,14 +460,19 @@ func fig7(run func(func(string, uint64) (*memsim.Buffer, error), *core.System, *
 		}
 		ini := sys.InitiatorForPackage(0)
 		node := sys.Machine.NodeByOS(placement.nodeOS)
+		var bufs []*memsim.Buffer // allocation order
 		err = run(func(name string, size uint64) (*memsim.Buffer, error) {
-			return sys.Machine.Alloc(name, size, node)
+			b, err := sys.Machine.Alloc(name, size, node)
+			if err == nil {
+				bufs = append(bufs, b)
+			}
+			return b, err
 		}, sys, ini)
 		if err != nil {
 			return "", err
 		}
 		out += fmt.Sprintf("\n--- allocated on %s ---\n", placement.label)
-		out += profile.RenderObjects(profile.HotObjects(sys.Machine))
+		out += profile.RenderObjects(profile.HotObjects(bufs))
 	}
 	return out, nil
 }

@@ -56,7 +56,7 @@ func PortabilityData() ([]PortabilityRow, error) {
 		if b, err := mk.Malloc(memkind.HBW, "probe", 1<<30); err != nil {
 			rows = append(rows, PortabilityRow{machine, "MEMKIND_HBW (baseline)", "ERROR: " + err.Error()})
 		} else {
-			rows = append(rows, PortabilityRow{machine, "MEMKIND_HBW (baseline)", b.Segments[0].Node.Kind()})
+			rows = append(rows, PortabilityRow{machine, "MEMKIND_HBW (baseline)", b.SegmentsSnapshot()[0].Node.Kind()})
 			sys.Free(b)
 		}
 	}

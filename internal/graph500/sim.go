@@ -44,9 +44,14 @@ func AllocBuffers(place func(name string, size uint64) (*memsim.Buffer, error), 
 	return b, nil
 }
 
+// All returns the buffers in allocation order.
+func (b *Buffers) All() []*memsim.Buffer {
+	return []*memsim.Buffer{b.XAdj, b.Adj, b.Parent, b.Queue, b.Visited}
+}
+
 // Free releases all buffers.
 func (b *Buffers) Free(m *memsim.Machine) {
-	for _, buf := range []*memsim.Buffer{b.XAdj, b.Adj, b.Parent, b.Queue, b.Visited} {
+	for _, buf := range b.All() {
 		if buf != nil {
 			m.Free(buf)
 		}

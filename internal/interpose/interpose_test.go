@@ -50,14 +50,14 @@ func TestRoutingByName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if adj.Segments[0].Node.Kind() != "MCDRAM" {
+	if adj.SegmentsSnapshot()[0].Node.Kind() != "MCDRAM" {
 		t.Fatalf("csr_adj on %s", adj.NodeNames())
 	}
 	parent, err := ip.Malloc("bfs_parent", gib)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parent.Segments[0].Node.Kind() != "DRAM" {
+	if parent.SegmentsSnapshot()[0].Node.Kind() != "DRAM" {
 		t.Fatalf("bfs_parent on %s", parent.NodeNames())
 	}
 	// Unmatched site: default attribute (Capacity -> DRAM on KNL).
@@ -65,7 +65,7 @@ func TestRoutingByName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if other.Segments[0].Node.Kind() != "DRAM" {
+	if other.SegmentsSnapshot()[0].Node.Kind() != "DRAM" {
 		t.Fatalf("scratch on %s", other.NodeNames())
 	}
 
@@ -94,13 +94,13 @@ func TestSizeRules(t *testing.T) {
 	small, _ := ip.Malloc("tiny", 4096)
 	mid, _ := ip.Malloc("mid", gib)
 	big, _ := ip.Malloc("big", 3*gib)
-	if small.Segments[0].Node.Kind() != "DRAM" {
+	if small.SegmentsSnapshot()[0].Node.Kind() != "DRAM" {
 		t.Fatalf("tiny on %s", small.NodeNames())
 	}
-	if mid.Segments[0].Node.Kind() != "MCDRAM" {
+	if mid.SegmentsSnapshot()[0].Node.Kind() != "MCDRAM" {
 		t.Fatalf("mid on %s", mid.NodeNames())
 	}
-	if big.Segments[0].Node.Kind() != "DRAM" {
+	if big.SegmentsSnapshot()[0].Node.Kind() != "DRAM" {
 		t.Fatalf("big on %s", big.NodeNames())
 	}
 }
@@ -111,7 +111,7 @@ func TestFirstMatchWins(t *testing.T) {
 	ip.AddRule(Rule{Pattern: "buf*", Attr: memattr.Bandwidth})
 	ip.AddRule(Rule{Pattern: "buffer", Attr: memattr.Latency})
 	b, _ := ip.Malloc("buffer", gib)
-	if b.Segments[0].Node.Kind() != "MCDRAM" {
+	if b.SegmentsSnapshot()[0].Node.Kind() != "MCDRAM" {
 		t.Fatalf("first-match broken: %s", b.NodeNames())
 	}
 	if len(ip.Rules()) != 2 {
@@ -217,10 +217,10 @@ func TestEndToEndWithRuleFile(t *testing.T) {
 		}
 		bufs = append(bufs, b)
 	}
-	if bufs[1].Segments[0].Node.Kind() != "MCDRAM" {
+	if bufs[1].SegmentsSnapshot()[0].Node.Kind() != "MCDRAM" {
 		t.Fatalf("csr_adj on %s", bufs[1].NodeNames())
 	}
-	if bufs[2].Segments[0].Node.Kind() != "DRAM" {
+	if bufs[2].SegmentsSnapshot()[0].Node.Kind() != "DRAM" {
 		t.Fatalf("bfs_parent on %s", bufs[2].NodeNames())
 	}
 }

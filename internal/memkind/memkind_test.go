@@ -66,7 +66,7 @@ func TestDefaultGoesToDRAM(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", pname, err)
 		}
-		if b.Segments[0].Node.Kind() != "DRAM" {
+		if b.SegmentsSnapshot()[0].Node.Kind() != "DRAM" {
 			t.Fatalf("%s: default landed on %s", pname, b.NodeNames())
 		}
 	}
@@ -77,19 +77,19 @@ func TestHBWPreferredFallsBack(t *testing.T) {
 	k := New(m, bitmap.NewFromRange(0, 15))
 	// Fits MCDRAM.
 	b1, err := k.Malloc(HBWPreferred, "fit", 3*gib)
-	if err != nil || b1.Segments[0].Node.Kind() != "MCDRAM" {
+	if err != nil || b1.SegmentsSnapshot()[0].Node.Kind() != "MCDRAM" {
 		t.Fatalf("fit: %v %v", b1, err)
 	}
 	// MCDRAM now too full: falls back to default DRAM.
 	b2, err := k.Malloc(HBWPreferred, "spill", 3*gib)
-	if err != nil || b2.Segments[0].Node.Kind() != "DRAM" {
+	if err != nil || b2.SegmentsSnapshot()[0].Node.Kind() != "DRAM" {
 		t.Fatalf("spill: %v %v", b2, err)
 	}
 	// On the Xeon (no HBM at all) HBWPreferred degenerates to default.
 	xm := machine(t, "xeon")
 	xk := New(xm, bitmap.NewFromRange(0, 19))
 	b3, err := xk.Malloc(HBWPreferred, "x", gib)
-	if err != nil || b3.Segments[0].Node.Kind() != "DRAM" {
+	if err != nil || b3.SegmentsSnapshot()[0].Node.Kind() != "DRAM" {
 		t.Fatalf("xeon preferred: %v %v", b3, err)
 	}
 }
@@ -98,7 +98,7 @@ func TestPMemKind(t *testing.T) {
 	xm := machine(t, "xeon")
 	xk := New(xm, bitmap.NewFromRange(0, 19))
 	b, err := xk.Malloc(PMem, "persist", 10*gib)
-	if err != nil || b.Segments[0].Node.Kind() != "NVDIMM" {
+	if err != nil || b.SegmentsSnapshot()[0].Node.Kind() != "NVDIMM" {
 		t.Fatalf("pmem on xeon: %v %v", b, err)
 	}
 	km := machine(t, "knl-snc4-flat")
@@ -123,21 +123,21 @@ func TestAutoHBW(t *testing.T) {
 	m := machine(t, "knl-snc4-flat")
 	a := &AutoHBW{K: New(m, bitmap.NewFromRange(0, 15)), Low: 1 << 20, High: 2 * gib}
 	small, err := a.Malloc("small", 4096)
-	if err != nil || small.Segments[0].Node.Kind() != "DRAM" {
+	if err != nil || small.SegmentsSnapshot()[0].Node.Kind() != "DRAM" {
 		t.Fatalf("small: %v %v", small, err)
 	}
 	mid, err := a.Malloc("mid", gib)
-	if err != nil || mid.Segments[0].Node.Kind() != "MCDRAM" {
+	if err != nil || mid.SegmentsSnapshot()[0].Node.Kind() != "MCDRAM" {
 		t.Fatalf("mid: %v %v", mid, err)
 	}
 	big, err := a.Malloc("big", 3*gib)
-	if err != nil || big.Segments[0].Node.Kind() != "DRAM" {
+	if err != nil || big.SegmentsSnapshot()[0].Node.Kind() != "DRAM" {
 		t.Fatalf("big: %v %v", big, err)
 	}
 	// No upper bound.
 	a2 := &AutoHBW{K: New(m, bitmap.NewFromRange(16, 31)), Low: 1 << 20}
 	huge, err := a2.Malloc("huge", 3*gib)
-	if err != nil || huge.Segments[0].Node.Kind() != "MCDRAM" {
+	if err != nil || huge.SegmentsSnapshot()[0].Node.Kind() != "MCDRAM" {
 		t.Fatalf("huge: %v %v", huge, err)
 	}
 }
@@ -202,7 +202,7 @@ func TestDefaultFallsBackToAnyLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Segments[0].Node.Kind() != "HBM" {
+	if b.SegmentsSnapshot()[0].Node.Kind() != "HBM" {
 		t.Fatalf("default on %s", b.NodeNames())
 	}
 }

@@ -78,6 +78,14 @@ func (n *Node) Allocated() uint64 {
 	return n.allocated
 }
 
+// Occupancy reads, under one lock, whether the node is offline, its
+// capacity after any injected shrink, and the bytes allocated on it.
+func (n *Node) Occupancy() (offline bool, capacity, allocated uint64) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.offline, n.effectiveCapacityLocked(), n.allocated
+}
+
 // effectiveCapacityLocked is the capacity after any injected shrink.
 // Callers must hold n.mu.
 func (n *Node) effectiveCapacityLocked() uint64 {
@@ -237,32 +245,44 @@ type Segment struct {
 
 // Buffer is an application data buffer placed on one or more nodes.
 //
-// Placement state (Segments) is guarded by a per-buffer lock so Free
-// and Migrate are safe against concurrent calls on the same buffer;
-// the per-buffer counters belong to the single-threaded engine.
+// The placement is guarded by a per-buffer lock so Free and Migrate are
+// safe against concurrent calls on the same buffer, and it is read
+// only through SegmentsSnapshot, AppendSegments, NodeNames, OnKind and
+// Freed; the per-buffer counters belong to the single-threaded engine.
 //
 // A placement daemon holds one Buffer per lease, so the struct carries
-// only what every buffer needs, in 80 bytes: a one-node placement lives
-// in seg0 (no separate slice), a freed buffer is one with no placement
-// (nil Segments, no flag), and the access counters exist only once a
-// phase has touched the buffer.
+// only what every buffer needs, in 64 bytes: a one-node placement lives
+// inline in seg0, any other placement sits behind split, a freed buffer
+// is one with neither (no flag), and the access counters exist only
+// once a phase has touched the buffer. The Machine keeps no list of its
+// buffers: a buffer lives exactly as long as its holder keeps it.
 type Buffer struct {
 	Name string
 	Size uint64
 
-	// Segments is the buffer's placement, nil once the buffer is freed.
-	// Guarded by mu: concurrent readers must use SegmentsSnapshot,
-	// AppendSegments, NodeNames, OnKind or Freed; direct access is only
-	// safe while no Migrate/Free can run. A one-node placement points
-	// into seg0, which Migrate rewrites in place.
-	Segments []Segment
-	seg0     [1]Segment
+	// seg0 is a one-node placement, which Migrate rewrites in place;
+	// split is any other one (several nodes, or none for a zero-part
+	// AllocSplit), with seg0 zero. Both are zero once the buffer is freed.
+	seg0  [1]Segment
+	split *[]Segment
 
-	mu sync.Mutex // guards Segments and seg0
+	mu sync.Mutex // guards seg0 and split
 
 	// ctr holds the access counters, set by the engine when a phase
 	// first touches the buffer: nil reads as all zeros.
 	ctr atomic.Pointer[counters]
+}
+
+// segs returns the buffer's placement, nil once it is freed. Callers
+// hold b.mu.
+func (b *Buffer) segs() []Segment {
+	switch {
+	case b.split != nil:
+		return *b.split
+	case b.seg0[0].Node != nil:
+		return b.seg0[:]
+	}
+	return nil
 }
 
 // Telemetry is a point-in-time copy of a buffer's access counters, safe
@@ -361,8 +381,9 @@ func (b *Buffer) TelemetrySnapshot() Telemetry {
 func (b *Buffer) SegmentsSnapshot() []Segment {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make([]Segment, len(b.Segments))
-	copy(out, b.Segments)
+	segs := b.segs()
+	out := make([]Segment, len(segs))
+	copy(out, segs)
 	return out
 }
 
@@ -372,14 +393,14 @@ func (b *Buffer) SegmentsSnapshot() []Segment {
 func (b *Buffer) AppendSegments(dst []Segment) []Segment {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return append(dst, b.Segments...)
+	return append(dst, b.segs()...)
 }
 
 // Freed reports whether the buffer has been released (has no placement).
 func (b *Buffer) Freed() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.Segments == nil
+	return b.segs() == nil
 }
 
 // NodeNames describes the placement, e.g. "DRAM#0" or
@@ -388,11 +409,12 @@ func (b *Buffer) Freed() bool {
 func (b *Buffer) NodeNames() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if len(b.Segments) == 1 {
-		return b.Segments[0].Node.Label()
+	segs := b.segs()
+	if len(segs) == 1 {
+		return segs[0].Node.Label()
 	}
 	s := ""
-	for _, seg := range b.Segments {
+	for _, seg := range segs {
 		if s != "" {
 			s += "+"
 		}
@@ -414,11 +436,12 @@ func (b *Buffer) OnKind(kind string) bool {
 
 // Machine is the simulated memory system of one topology.
 //
-// Alloc, AllocSplit, AllocInterleave, Free, Migrate, MigrationCost, and
-// Buffers are safe for concurrent use: capacity accounting takes only
-// the per-node locks of the nodes involved, and the buffer registry has
-// its own short-lived lock. The engine (NewEngine/Phase) and counter
-// accessors remain single-threaded by design.
+// Alloc, AllocSplit, AllocInterleave, Free, Migrate and MigrationCost
+// are safe for concurrent use: capacity accounting takes only the
+// per-node locks of the nodes involved, and no machine-wide lock or
+// buffer registry sits on the allocation path. The engine
+// (NewEngine/Phase) and counter accessors remain single-threaded by
+// design.
 type Machine struct {
 	topo  *topology.Topology
 	model MachineModel
@@ -433,14 +456,7 @@ type Machine struct {
 	// attribute value, and a full node is discovered by the capacity
 	// check at placement time.
 	gen atomic.Uint64
-
-	bufMu   sync.Mutex // guards buffers and sweepAt
-	buffers []*Buffer  // allocation order; freed entries linger until the next sweep
-	sweepAt int        // len(buffers) at which track sweeps freed entries out
 }
-
-// minSweep keeps a near-empty registry from sweeping on every track.
-const minSweep = 64
 
 // NewMachine builds the runtime machine for a topology and its model.
 // Every NUMA node must have a model.
@@ -506,11 +522,7 @@ func (m *Machine) Alloc(name string, size uint64, node *Node) (*Buffer, error) {
 	if err := node.reserve(size); err != nil {
 		return nil, err
 	}
-	b := &Buffer{Name: name, Size: size}
-	b.seg0[0] = Segment{node, size}
-	b.Segments = b.seg0[:]
-	m.track(b)
-	return b, nil
+	return &Buffer{Name: name, Size: size, seg0: [1]Segment{{node, size}}}, nil
 }
 
 // AllocSplit places a buffer across several nodes with explicit byte
@@ -531,37 +543,13 @@ func (m *Machine) AllocSplit(name string, parts []Segment) (*Buffer, error) {
 	b := &Buffer{Name: name, Size: total}
 	if len(parts) == 1 {
 		b.seg0[0] = parts[0]
-		b.Segments = b.seg0[:]
 	} else {
 		// Never nil, even for zero parts: such a buffer is live, not freed.
-		b.Segments = make([]Segment, len(parts))
-		copy(b.Segments, parts)
+		split := make([]Segment, len(parts))
+		copy(split, parts)
+		b.split = &split
 	}
-	m.track(b)
 	return b, nil
-}
-
-// track registers a buffer in the machine's allocation-order list.
-// Free does not touch the list (no registry lock on the free path);
-// instead, once the list has doubled since the last sweep, track
-// compacts the freed entries out in place — amortised O(1) per
-// allocation, order preserved, and a long-lived daemon's registry stays
-// proportional to its live buffers.
-func (m *Machine) track(b *Buffer) {
-	m.bufMu.Lock()
-	if len(m.buffers) >= m.sweepAt {
-		live := m.buffers[:0]
-		for _, old := range m.buffers {
-			if !old.Freed() {
-				live = append(live, old)
-			}
-		}
-		clear(m.buffers[len(live):])
-		m.buffers = live
-		m.sweepAt = max(2*len(live), minSweep)
-	}
-	m.buffers = append(m.buffers, b)
-	m.bufMu.Unlock()
 }
 
 // AllocInterleave spreads size bytes round-robin across the given
@@ -584,17 +572,18 @@ func (m *Machine) AllocInterleave(name string, size uint64, nodes []*Node) (*Buf
 	return m.AllocSplit(name, parts)
 }
 
-// Free releases the buffer's memory and drops its placement (nil Segments).
+// Free releases the buffer's memory and drops its placement.
 func (m *Machine) Free(b *Buffer) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.Segments == nil {
+	segs := b.segs()
+	if segs == nil {
 		return ErrFreed
 	}
-	for _, seg := range b.Segments {
+	for _, seg := range segs {
 		seg.Node.release(seg.Bytes)
 	}
-	b.Segments = nil
+	b.seg0[0], b.split = Segment{}, nil
 	return nil
 }
 
@@ -611,7 +600,7 @@ func migrationCostLocked(b *Buffer, dst *Node) float64 {
 	const pageSize = 4096
 	const perPageOS = 1.2e-6
 	var seconds float64
-	for _, seg := range b.Segments {
+	for _, seg := range b.segs() {
 		if seg.Node == dst {
 			continue
 		}
@@ -638,11 +627,12 @@ func migrationCostLocked(b *Buffer, dst *Node) float64 {
 func (m *Machine) Migrate(b *Buffer, dst *Node) (seconds float64, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.Segments == nil {
+	segs := b.segs()
+	if segs == nil {
 		return 0, ErrFreed
 	}
 	already := uint64(0)
-	for _, seg := range b.Segments {
+	for _, seg := range segs {
 		if seg.Node == dst {
 			already += seg.Bytes
 		}
@@ -652,42 +642,24 @@ func (m *Machine) Migrate(b *Buffer, dst *Node) (seconds float64, err error) {
 		return 0, fmt.Errorf("%w: migrating %q to %s#%d", ErrNoCapacity, b.Name, dst.Kind(), dst.OSIndex())
 	}
 	seconds = migrationCostLocked(b, dst)
-	for _, seg := range b.Segments {
+	for _, seg := range segs {
 		if seg.Node == dst {
 			continue
 		}
 		seg.Node.release(seg.Bytes)
 	}
-	b.seg0[0] = Segment{dst, b.Size}
-	b.Segments = b.seg0[:]
+	b.seg0[0], b.split = Segment{dst, b.Size}, nil
 	return seconds, nil
 }
 
-// Buffers returns all live buffers in allocation order.
-func (m *Machine) Buffers() []*Buffer {
-	m.bufMu.Lock()
-	all := make([]*Buffer, len(m.buffers))
-	copy(all, m.buffers)
-	m.bufMu.Unlock()
-	var out []*Buffer
-	for _, b := range all {
-		if !b.Freed() {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// ResetCounters clears all node and buffer counters (allocation state
-// is preserved). Like the engine that feeds them, this is not safe to
-// run concurrently with Phase.
-func (m *Machine) ResetCounters() {
+// ResetCounters clears all node counters and those of the given
+// buffers (allocation state is preserved). Like the engine that feeds
+// them, this is not safe to run concurrently with Phase.
+func (m *Machine) ResetCounters(bufs ...*Buffer) {
 	for _, n := range m.nodes {
 		n.BytesRead, n.BytesWritten, n.RandomReads = 0, 0, 0
 	}
-	m.bufMu.Lock()
-	defer m.bufMu.Unlock()
-	for _, b := range m.buffers {
+	for _, b := range bufs {
 		if c := b.ctr.Load(); c != nil {
 			c.llcMisses, c.randomMisses, c.loads, c.stores = 0, 0, 0, 0
 			c.publish()

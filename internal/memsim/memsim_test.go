@@ -3,9 +3,10 @@ package memsim
 import (
 	"errors"
 	"math"
-	"slices"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"hetmem/internal/bitmap"
 	"hetmem/internal/topology"
@@ -86,9 +87,6 @@ func TestAllocFreeAccounting(t *testing.T) {
 	if b.NodeNames() != "DRAM#0" {
 		t.Fatalf("NodeNames = %q", b.NodeNames())
 	}
-	if len(m.Buffers()) != 1 {
-		t.Fatal("Buffers should list the live buffer")
-	}
 	if err := m.Free(b); err != nil {
 		t.Fatal(err)
 	}
@@ -98,16 +96,14 @@ func TestAllocFreeAccounting(t *testing.T) {
 	if err := m.Free(b); !errors.Is(err, ErrFreed) {
 		t.Fatalf("double free err = %v", err)
 	}
-	if len(m.Buffers()) != 0 {
-		t.Fatal("freed buffer still listed")
-	}
 }
 
 // TestFreedBufferHasNoPlacement: a buffer carries no freed flag, so
 // "freed" is "has no placement". After Free every reader sees an empty
-// placement, Migrate and a second Free refuse it, and the registry —
-// Buffers() and the sweep in track — drops it. A zero-part AllocSplit
-// also has no segments, but it was never freed and must not read so.
+// placement, Migrate and a second Free refuse it, and the collector
+// can take it once its holder drops it: the machine keeps no list of
+// buffers. A zero-part AllocSplit also has no segments, but it was
+// never freed and must not read so.
 func TestFreedBufferHasNoPlacement(t *testing.T) {
 	m, _ := testRig(t)
 	dram, nv := m.NodeByOS(0), m.NodeByOS(1)
@@ -155,25 +151,18 @@ func TestFreedBufferHasNoPlacement(t *testing.T) {
 	if dram.Allocated() != 0 || nv.Allocated() != 0 {
 		t.Fatalf("freed buffers left %d B on DRAM and %d B on NVDIMM", dram.Allocated(), nv.Allocated())
 	}
-	if got := m.Buffers(); len(got) != 1 || got[0] != empty {
-		t.Fatalf("Buffers() after the frees = %v, want only the zero-part buffer", got)
+	if empty.Freed() || empty.SegmentsSnapshot() == nil {
+		t.Fatal("freeing other buffers freed the zero-part one")
 	}
 
-	// Enough allocations to reach a sweep: it keeps the live zero-part
-	// buffer and drops the two freed ones.
-	for i := 0; i < minSweep; i++ {
-		if _, err := m.Alloc("fill", 1, dram); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m.bufMu.Lock()
-	tracked := slices.Clone(m.buffers)
-	m.bufMu.Unlock()
-	if slices.Contains(tracked, one) || slices.Contains(tracked, split) {
-		t.Fatal("the sweep kept a freed buffer")
-	}
-	if !slices.Contains(tracked, empty) {
-		t.Fatal("the sweep dropped the live zero-part buffer")
+	collected := make(chan struct{})
+	runtime.SetFinalizer(one, func(*Buffer) { close(collected) })
+	one, split = nil, nil
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a freed buffer outlived its holder's last reference")
 	}
 	if err := m.Free(empty); err != nil || !empty.Freed() {
 		t.Fatalf("freeing the zero-part buffer: %v, freed %v", err, empty.Freed())
@@ -218,8 +207,8 @@ func TestAllocSplitAndInterleave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(il.Segments) != 2 || il.Segments[0].Bytes != 5*gb || il.Segments[1].Bytes != 5*gb {
-		t.Fatalf("interleave segments = %+v", il.Segments)
+	if segs := il.SegmentsSnapshot(); len(segs) != 2 || segs[0].Bytes != 5*gb || segs[1].Bytes != 5*gb {
+		t.Fatalf("interleave segments = %+v", segs)
 	}
 	if _, err := m.AllocInterleave("none", gb, nil); err == nil {
 		t.Fatal("interleave across zero nodes should fail")
@@ -502,8 +491,8 @@ func TestCountersAndStats(t *testing.T) {
 		t.Fatal("Stats leaked internal map")
 	}
 
-	m.ResetCounters()
-	if dram.BytesRead != 0 || a.LLCMisses() != 0 {
+	m.ResetCounters(a, g)
+	if dram.BytesRead != 0 || a.LLCMisses() != 0 || g.Loads() != 0 {
 		t.Fatal("ResetCounters incomplete")
 	}
 	e.ResetStats()

@@ -13,7 +13,10 @@
 // traffic/bandwidth for streams, misses×latency/MLP for irregular
 // access — while maintaining the hardware counters (per-node traffic,
 // per-buffer LLC misses, stall and bandwidth-bound time per memory
-// kind) that the profiling layer exposes VTune-style.
+// kind) that the profiling layer exposes VTune-style. A Machine keeps
+// no list of the buffers it placed: callers hold theirs and pass them
+// to whatever reports on them, and a freed buffer is garbage once its
+// holder drops it.
 //
 // The model is analytical, not cycle-accurate: the paper's claims are
 // about *rankings* and *crossovers* between memory kinds, which survive

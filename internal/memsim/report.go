@@ -39,8 +39,8 @@ func (m *Machine) Usage() []UsageRow {
 }
 
 // RenderUsage formats a numastat-like view of the machine: capacity,
-// allocation and traffic per node, plus the live buffers.
-func (m *Machine) RenderUsage() string {
+// allocation and traffic per node, plus those of bufs still live.
+func (m *Machine) RenderUsage(bufs ...*Buffer) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-10s %-8s %10s %10s %10s %12s %12s %12s\n",
 		"Node", "Kind", "Capacity", "Allocated", "Available", "Read", "Written", "RandomReads")
@@ -50,11 +50,11 @@ func (m *Machine) RenderUsage() string {
 			topology.FormatBytes(r.Capacity), topology.FormatBytes(r.Allocated), topology.FormatBytes(r.Available),
 			topology.FormatBytes(r.BytesRead), topology.FormatBytes(r.BytesWritten), r.RandomReads)
 	}
-	bufs := m.Buffers()
-	if len(bufs) > 0 {
-		sb.WriteString("\nlive buffers:\n")
-		for _, b := range bufs {
-			fmt.Fprintf(&sb, "  %-16s %10s on %s\n", b.Name, topology.FormatBytes(b.Size), b.NodeNames())
+	header := "\nlive buffers:\n"
+	for _, b := range bufs {
+		if !b.Freed() {
+			fmt.Fprintf(&sb, "%s  %-16s %10s on %s\n", header, b.Name, topology.FormatBytes(b.Size), b.NodeNames())
+			header = ""
 		}
 	}
 	return sb.String()

@@ -28,14 +28,14 @@ func TestUsageAndRender(t *testing.T) {
 		t.Fatalf("row1 allocated = %d", rows[1].Allocated)
 	}
 
-	out := m.RenderUsage()
+	out := m.RenderUsage(b)
 	for _, want := range []string{"P#0", "DRAM", "NVDIMM", "10GB", "86GB", "live buffers:", "workset"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("usage render missing %q:\n%s", want, out)
 		}
 	}
 	m.Free(b)
-	if strings.Contains(m.RenderUsage(), "live buffers:") {
+	if strings.Contains(m.RenderUsage(b), "live buffers:") {
 		t.Error("freed buffer still listed")
 	}
 }

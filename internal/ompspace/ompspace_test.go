@@ -70,7 +70,7 @@ func TestHighBWSpacePortable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Segments[0].Node.Kind() != "MCDRAM" {
+	if b.SegmentsSnapshot()[0].Node.Kind() != "MCDRAM" {
 		t.Fatalf("KNL high-bw space placed on %s", b.NodeNames())
 	}
 	al.Free(b)
@@ -84,7 +84,7 @@ func TestHighBWSpacePortable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if xb.Segments[0].Node.Kind() != "DRAM" {
+	if xb.SegmentsSnapshot()[0].Node.Kind() != "DRAM" {
 		t.Fatalf("Xeon high-bw space placed on %s", xb.NodeNames())
 	}
 }
@@ -96,7 +96,7 @@ func TestLargeCapAndLowLatSpaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Segments[0].Node.Kind() != "NVDIMM" {
+	if b.SegmentsSnapshot()[0].Node.Kind() != "NVDIMM" {
 		t.Fatalf("large-cap placed on %s", b.NodeNames())
 	}
 	ll, _ := NewAllocator(LowLatMem, Traits{}, xa, xini)
@@ -104,7 +104,7 @@ func TestLargeCapAndLowLatSpaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lb.Segments[0].Node.Kind() != "DRAM" {
+	if lb.SegmentsSnapshot()[0].Node.Kind() != "DRAM" {
 		t.Fatalf("low-lat placed on %s", lb.NodeNames())
 	}
 }
@@ -116,7 +116,7 @@ func TestDefaultSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Segments[0].Node.Kind() != "DRAM" {
+	if b.SegmentsSnapshot()[0].Node.Kind() != "DRAM" {
 		t.Fatalf("default space placed on %s", b.NodeNames())
 	}
 }
@@ -141,7 +141,7 @@ func TestFallbackTraits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Segments[0].Node.Kind() != "DRAM" {
+	if b.SegmentsSnapshot()[0].Node.Kind() != "DRAM" {
 		t.Fatalf("default fallback placed on %s", b.NodeNames())
 	}
 

@@ -186,7 +186,7 @@ func (m *Manager) estimate(b *memsim.Buffer, attr memattr.ID, delta snapshot) (*
 		return nil, 0, err
 	}
 	reg := m.a.Registry()
-	cur := b.Segments[0].Node
+	cur := b.SegmentsSnapshot()[0].Node
 	curVal, err := reg.Value(used, cur.Obj, m.ini)
 	if err != nil {
 		return nil, 0, fmt.Errorf("phases: current node has no %s value", reg.Name(used))

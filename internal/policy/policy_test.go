@@ -71,8 +71,8 @@ func TestInterleave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b.Segments) != 2 || b.Segments[0].Bytes != 5*gib {
-		t.Fatalf("interleave segments = %+v", b.Segments)
+	if len(b.SegmentsSnapshot()) != 2 || b.SegmentsSnapshot()[0].Bytes != 5*gib {
+		t.Fatalf("interleave segments = %+v", b.SegmentsSnapshot())
 	}
 }
 

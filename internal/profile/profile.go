@@ -149,12 +149,16 @@ func (o ObjectReport) Sensitivity() string {
 	return "Bandwidth"
 }
 
-// HotObjects returns the live buffers ranked by LLC misses,
-// descending — the "memory objects ordered by importance" view of the
-// VTune Memory Access analysis.
-func HotObjects(m *memsim.Machine) []ObjectReport {
+// HotObjects returns the live ones of bufs ranked by LLC misses,
+// descending, ties in the order given — the "memory objects ordered by
+// importance" view of the VTune Memory Access analysis. Callers pass
+// the application's buffers in allocation order.
+func HotObjects(bufs []*memsim.Buffer) []ObjectReport {
 	var out []ObjectReport
-	for _, b := range m.Buffers() {
+	for _, b := range bufs {
+		if b.Freed() {
+			continue
+		}
 		r := ObjectReport{
 			Name:      b.Name,
 			Placement: b.NodeNames(),

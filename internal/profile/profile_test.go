@@ -46,7 +46,7 @@ func runGraph500(t *testing.T, m *memsim.Machine, nodeOS int) (Summary, []Object
 	an := graph500.AnalyticStats(23, 16)
 	graph500.RunTEPS(e, bufs, []graph500.BFSStats{an, an}, graph500.SimParams{})
 	sum := Summarize(e.Stats())
-	objs := HotObjects(m)
+	objs := HotObjects(bufs.All())
 	return sum, objs
 }
 

@@ -249,7 +249,7 @@ func TestFromHotObjectsUseCase(t *testing.T) {
 	an := graph500.AnalyticStats(23, 16)
 	graph500.RunTEPS(e, bufs, []graph500.BFSStats{an}, graph500.SimParams{})
 
-	recs := FromHotObjects(profile.HotObjects(xeon.m), 0.02)
+	recs := FromHotObjects(profile.HotObjects(bufs.All()), 0.02)
 	byName := map[string]BufferRecommendation{}
 	for _, r := range recs {
 		byName[r.Name] = r

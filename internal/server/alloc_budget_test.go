@@ -29,9 +29,10 @@ import (
 )
 
 // Budgets, in average allocations per run. Measured steady state on
-// go1.24: alloc+free 9, renew 1 (12 and 2 under -race, where sync.Pool
+// go1.24: alloc+free 8, renew 1 (11 and 2 under -race, where sync.Pool
 // drops a quarter of its puts); a one-node placement is one object, its
-// segment held inside the buffer. With the request scanner in front of
+// segment held inside the buffer, and the tenant charge reads it into
+// a stack array. With the request scanner in front of
 // encoding/json and the handler writing status and body itself, what
 // remains is net/http's connection-less ServeHTTP path (route match,
 // context, header writes), the strings the request carries, and the
@@ -39,7 +40,7 @@ import (
 // build, not a leaked per-request allocation chain — one body through
 // encoding/json's decoder alone costs 8.
 const (
-	allocFreeBudget = 15
+	allocFreeBudget = 14
 	renewBudget     = 4
 	// Measured steady state 2: the path-value string and the placement
 	// string. The encoder itself is pooled and free.
@@ -51,24 +52,25 @@ const (
 	metricsBudget = 36
 	// One Client.Alloc + Client.Free over a unix socket to a daemon
 	// without a journal, counted process-wide: client and daemon, both
-	// ends of the wire. Measured 16 (22 under -race); a waiter
+	// ends of the wire. Measured 15 (21 under -race); a waiter
 	// channel made per round trip instead of pooled would add two to
 	// each of the pair's requests, and encoding the alloc body into a
 	// fresh slice instead of a pooled one five.
-	wireAllocFreeBudget = 24
+	wireAllocFreeBudget = 23
 	// One 16-item Client.AllocBatch on the same socket, leases kept:
-	// client and daemon, 10.5 per item. Measured 168 (172 under
+	// client and daemon, 9.4 per item. Measured 151 (155 under
 	// -race); through encoding/json at both ends the same batch cost
 	// 222 (230) before placements stopped allocating a segment slice,
-	// and 184 (188) while each placed item's response was copied to
-	// the heap on its own.
-	wireBatchBudget = 180
-	// The same pair over HTTP/1.1 on loopback TCP. Measured 62 (68
+	// 184 (188) while each placed item's response was copied to the
+	// heap on its own, and 168 (172) while each tenant charge copied
+	// the placement.
+	wireBatchBudget = 163
+	// The same pair over HTTP/1.1 on loopback TCP. Measured 61 (67
 	// under -race); the client's exchange is 2 of them, a copy of each
 	// response body, and net/http's server half about 55, whose count
 	// drifts between toolchains more than the headroom's worth. Through
 	// net/http's Transport the pair cost 204.
-	httpAllocFreeBudget = 84
+	httpAllocFreeBudget = 83
 )
 
 // budgetRW is a recyclable ResponseWriter: headers survive across

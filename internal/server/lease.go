@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -131,7 +132,7 @@ func (l *lease) expiredAt(now time.Time) bool {
 	return d != 0 && now.UnixNano() > d
 }
 
-// leaseTable is a sharded map from lease ID to buffer. IDs come from a
+// leaseTable is a sharded index from lease ID to lease. IDs come from a
 // single atomic counter (so they are unique and dense), and each shard
 // guards its slice of the ID space with its own mutex.
 type leaseTable struct {
@@ -141,7 +142,7 @@ type leaseTable struct {
 }
 
 // leaseShard is one lock domain of the table: its leases and the books
-// kept over them. The books change only where the map does (restore,
+// kept over them. The books change only where the slots do (restore,
 // take) and where a mapped lease's placement does (rebook), so summing
 // them over the shards gives the totals a walk of every lease would,
 // at a cost independent of the lease count. They are kept from the
@@ -151,7 +152,14 @@ type leaseTable struct {
 // the books keep no copy of what they added.
 type leaseShard struct {
 	mu sync.Mutex
-	m  map[uint64]*lease
+	// slots holds the shard's leases open-addressed by their own id:
+	// linear probing from a multiplicative hash (dense ids taken modulo
+	// the length would form runs that probing turns into long scans),
+	// nil for a free slot. The length is a power of two, at least
+	// minSlots; it doubles once 3/4 full and halves once 1/8 full, so a
+	// freed burst gives its slots back.
+	slots []*lease
+	n     int // leases held
 
 	bytes     uint64   // sum of lease sizes
 	nodeBytes []uint64 // booked segment bytes, by node OS index
@@ -170,7 +178,7 @@ func newLeaseTable(nodes []*memsim.Node) *leaseTable {
 		t.nodes[n.OSIndex()] = n
 	}
 	for i := range t.shards {
-		t.shards[i].m = make(map[uint64]*lease)
+		t.shards[i].slots = make([]*lease, minSlots)
 		t.shards[i].nodeBytes = make([]uint64, len(t.nodes))
 		t.shards[i].tenantBytes = make(map[string]uint64)
 	}
@@ -179,6 +187,74 @@ func newLeaseTable(nodes []*memsim.Node) *leaseTable {
 
 func (t *leaseTable) shard(id uint64) *leaseShard {
 	return &t.shards[id%leaseShards]
+}
+
+// minSlots is the smallest slot array of a shard.
+const minSlots = 8
+
+// home returns the slot where id's probe starts: the top bits of a
+// Fibonacci hash, which spreads the shard's ids (one residue modulo
+// leaseShards, mostly dense) evenly over the array.
+func (s *leaseShard) home(id uint64) int {
+	return int(id * 0x9e3779b97f4a7c15 >> (64 - bits.TrailingZeros(uint(len(s.slots)))))
+}
+
+// find returns the slot holding id, or the free slot that ends its
+// probe. Caller holds s.mu.
+func (s *leaseShard) find(id uint64) int {
+	mask := len(s.slots) - 1
+	i := s.home(id)
+	for s.slots[i] != nil && s.slots[i].id != id {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// lookup returns the lease held under id, nil if none. Caller holds s.mu.
+func (s *leaseShard) lookup(id uint64) *lease { return s.slots[s.find(id)] }
+
+// insert holds l under its id, in place of any lease there. Caller
+// holds s.mu.
+func (s *leaseShard) insert(l *lease) {
+	if 4*(s.n+1) > 3*len(s.slots) {
+		s.resize(2 * len(s.slots))
+	}
+	i := s.find(l.id)
+	if s.slots[i] == nil {
+		s.n++
+	}
+	s.slots[i] = l
+}
+
+// remove empties slot i, shifting later leases of its probe run back
+// into the hole, so every lookup still ends at its lease or at a free
+// slot with no tombstones. Caller holds s.mu.
+func (s *leaseShard) remove(i int) {
+	mask := len(s.slots) - 1
+	for j := (i + 1) & mask; s.slots[j] != nil; j = (j + 1) & mask {
+		// The lease at j may move to i if i is on its probe path: no
+		// further from its home than j is.
+		if (j-s.home(s.slots[j].id))&mask >= (j-i)&mask {
+			s.slots[i] = s.slots[j]
+			i = j
+		}
+	}
+	s.slots[i] = nil
+	s.n--
+	if 8*s.n <= len(s.slots) && len(s.slots) > minSlots {
+		s.resize(len(s.slots) / 2)
+	}
+}
+
+// resize moves the shard's leases into a fresh array of size slots.
+func (s *leaseShard) resize(size int) {
+	old := s.slots
+	s.slots = make([]*lease, size)
+	for _, l := range old {
+		if l != nil {
+			s.slots[s.find(l.id)] = l
+		}
+	}
 }
 
 // signed returns b, or -b (unsigned negation wraps, so adding it
@@ -219,7 +295,7 @@ func (t *leaseTable) restore(l *lease) {
 	}
 	s := t.shard(l.id)
 	s.mu.Lock()
-	s.m[l.id] = l
+	s.insert(l)
 	s.book(l, false)
 	s.mu.Unlock()
 	t.floor(l.id)
@@ -233,7 +309,7 @@ func (t *leaseTable) rebook(l *lease, before []memsim.Segment) {
 	var one [1]memsim.Segment
 	s := t.shard(l.id)
 	s.mu.Lock()
-	if s.m[l.id] == l {
+	if s.lookup(l.id) == l {
 		s.place(l.tenant, before, true)
 		s.place(l.tenant, l.buf.AppendSegments(one[:0]), false)
 	}
@@ -257,12 +333,12 @@ func (t *leaseTable) floor(id uint64) {
 func (t *leaseTable) get(id uint64) (*lease, bool) {
 	s := t.shard(id)
 	s.mu.Lock()
-	l, ok := s.m[id]
-	if ok {
+	l := s.lookup(id)
+	if l != nil {
 		l.acquire()
 	}
 	s.mu.Unlock()
-	return l, ok
+	return l, l != nil
 }
 
 // take removes a borrowed lease from the table and its placement from
@@ -273,9 +349,10 @@ func (t *leaseTable) get(id uint64) (*lease, bool) {
 func (t *leaseTable) take(l *lease) bool {
 	s := t.shard(l.id)
 	s.mu.Lock()
-	ok := s.m[l.id] == l
+	i := s.find(l.id)
+	ok := s.slots[i] == l
 	if ok {
-		delete(s.m, l.id)
+		s.remove(i)
 		s.book(l, true)
 		l.refs.Add(-1) // never the last: the caller borrowed one
 	}
@@ -290,9 +367,11 @@ func (t *leaseTable) borrowAll() []*lease {
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		for _, l := range s.m {
-			l.acquire()
-			out = append(out, l)
+		for _, l := range s.slots {
+			if l != nil {
+				l.acquire()
+				out = append(out, l)
+			}
 		}
 		s.mu.Unlock()
 	}
@@ -313,7 +392,7 @@ func (t *leaseTable) count() int {
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		n += len(s.m)
+		n += s.n
 		s.mu.Unlock()
 	}
 	return n
@@ -329,7 +408,7 @@ func (t *leaseTable) summary() LeasesResponse {
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		resp.Count += len(s.m)
+		resp.Count += s.n
 		resp.Bytes += s.bytes
 		for os, b := range s.nodeBytes {
 			nodeBytes[os] += b

@@ -90,9 +90,11 @@ type Metrics struct {
 	AllocTotal atomic.Uint64
 	// AllocFailed counts every alloc and every batch item the Server
 	// answered with an error, once each: an unknown attribute, a shed,
-	// a placement or quota miss, a failed journal append. A /v1/alloc
-	// body its decoder refuses never reaches the Server and counts only
-	// as an endpoint error.
+	// a placement or quota miss, a failed journal append. A router
+	// counts its own answers the same way, whether it refused the
+	// request itself or passed on a member's refusal. A /v1/alloc body
+	// its decoder refuses never reaches the backend and counts only as
+	// an endpoint error.
 	AllocFailed   atomic.Uint64
 	FallbackTotal atomic.Uint64 // placements not on the best-ranked target
 	AttrFallback  atomic.Uint64 // placements using a substitute attribute

@@ -68,7 +68,7 @@ func TestReadBodiesMatchParent(t *testing.T) {
 		t.Fatal(err)
 	}
 	ini := sys.InitiatorForPackage(0)
-	sys.Engine(ini).Phase("touch", []memsim.Access{{Buffer: sys.Machine.Buffers()[0], RandomReads: 1_000_000, MLP: 4}})
+	sys.Engine(ini).Phase("touch", []memsim.Access{{Buffer: srv.LeaseBuffer(ids[0]), RandomReads: 1_000_000, MLP: 4}})
 
 	for _, ep := range []struct{ file, path string }{
 		{"leases", "/v1/leases"},

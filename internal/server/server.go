@@ -604,11 +604,10 @@ func (s *Server) resolveInitiator(list string) (*internedIni, error) {
 // bytes and their usage is unreachable anyway.
 func (s *Server) pressure() (used, total uint64) {
 	for _, n := range s.nodes {
-		if n.Offline() {
-			continue
+		if offline, capacity, allocated := n.Occupancy(); !offline {
+			total += capacity
+			used += allocated
 		}
-		total += n.EffectiveCapacity()
-		used += n.Allocated()
 	}
 	return used, total
 }

@@ -187,7 +187,8 @@ func (s *Server) avoidFor(t *tenant.Tenant, size uint64) func(*topology.Object) 
 // refunded and the *QuotaError (quota_exceeded on the wire) reports
 // the offending kind and limit.
 func chargeBuf(t *tenant.Tenant, buf *memsim.Buffer) error {
-	segs := buf.SegmentsSnapshot()
+	var one [1]memsim.Segment
+	segs := buf.AppendSegments(one[:0])
 	for i, seg := range segs {
 		if err := t.Charge(seg.Node.Kind(), seg.Bytes); err != nil {
 			for _, done := range segs[:i] {
@@ -202,7 +203,8 @@ func chargeBuf(t *tenant.Tenant, buf *memsim.Buffer) error {
 // forceChargeBuf charges without quota checks — replay, migration, and
 // evacuation accounting, where the bytes already moved.
 func forceChargeBuf(t *tenant.Tenant, buf *memsim.Buffer) {
-	for _, seg := range buf.SegmentsSnapshot() {
+	var one [1]memsim.Segment
+	for _, seg := range buf.AppendSegments(one[:0]) {
 		t.ForceCharge(seg.Node.Kind(), seg.Bytes)
 	}
 }
